@@ -29,7 +29,6 @@ from .errors import (
 from .evolve import (
     ConservationReport,
     EvolverConfig,
-    Scheme,
     Trajectory,
     conservation_report,
     evolve,
@@ -90,7 +89,6 @@ __all__ = [
     "PmWave",
     "PmWaveParams",
     "ResidualReport",
-    "Scheme",
     "ShiftedPhase",
     "TOLERANCES",
     "Trajectory",

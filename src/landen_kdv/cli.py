@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,14 @@ from .errors import (
     InstabilityError,
     PeriodMismatchError,
 )
-from .evolve import EvolverConfig, conservation_report, evolve_trajectory, translation_lag
+from .evolve import (
+    EvolverConfig,
+    cfl_number,
+    choose_step,
+    conservation_report,
+    evolve_trajectory,
+    translation_lag,
+)
 from .fourier import PeriodicGrid
 from .landen import landen_map
 from .verify import SUITES, run_suite
@@ -281,15 +289,16 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if speed == 0.0:
             raise DomainError("wave speed is zero; pass --T explicitly")
         duration = float(opts["periods_crossed"]) * grid.L / speed
-    # default step: half the stability cap, small enough that accuracy is
-    # limited by the comparison floor, not the scheme
-    target_dt = float(opts["dt"]) if opts["dt"] is not None else None
-    if target_dt is None:
-        target_dt = 0.5 * 64.0 * grid.spacing**3
-    config = EvolverConfig.for_duration(
-        grid, duration, target_dt, snapshot_every=int(opts["snapshot_every"]))
-
     u0 = wave.sample(grid, 0.0)
+    snapshot_every = int(opts["snapshot_every"])
+    if opts["dt"] is not None:
+        config = EvolverConfig.for_duration(
+            grid, duration, float(opts["dt"]), snapshot_every=snapshot_every)
+        error_estimate = None
+    else:
+        config, error_estimate = choose_step(
+            u0, grid, duration, snapshot_every=snapshot_every)
+    cfl = cfl_number(u0, grid, config.dt)
     traj = evolve_trajectory(u0, config)
     exact = wave.sample(grid, config.T)
     deviation = float(np.max(np.abs(traj.final - exact)))
@@ -301,19 +310,25 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     out_dir = opts["output_dir"]
     if out_dir:
-        _write_snapshots(out_dir, traj, config, deviation, cons)
+        _write_snapshots(out_dir, traj, config, deviation, cons, cfl,
+                         error_estimate)
 
     if opts["json"]:
         sys.stdout.write(_dump_json({
             "schema": SCHEMA, "family": opts["family"], "N": grid.N,
             "L": grid.L, "dt": config.dt, "T": config.T,
-            "steps": config.steps, "deviation": deviation,
+            "steps": config.steps, "cfl": cfl,
+            "error_estimate": error_estimate, "deviation": deviation,
             "mass_drift": cons.mass_drift,
             "momentum_drift": cons.momentum_drift,
             "lag": lag, "predicted_lag": predicted_lag}) + "\n")
     else:
+        estimate_text = ("none (--dt given)" if error_estimate is None
+                         else _fmt(error_estimate))
         sys.stdout.write(
             f"steps          {config.steps} (dt = {_fmt(config.dt)})\n"
+            f"cfl            {_fmt(cfl)}\n"
+            f"error estimate {estimate_text}\n"
             f"deviation      {_fmt(deviation)}\n"
             f"mass drift     {_fmt(cons.mass_drift)}\n"
             f"momentum drift {_fmt(cons.momentum_drift)}\n"
@@ -322,7 +337,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _write_snapshots(out_dir: str, traj, config: EvolverConfig,
-                     deviation: float, cons) -> None:
+                     deviation: float, cons, cfl: float,
+                     error_estimate: float | None) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -335,6 +351,7 @@ def _write_snapshots(out_dir: str, traj, config: EvolverConfig,
     meta = {
         "schema": SCHEMA, "N": config.grid.N, "L": config.grid.L,
         "dt": config.dt, "T": config.T, "dealias": config.dealias,
+        "cfl": cfl, "error_estimate": error_estimate,
         "snapshot_times": list(traj.times), "deviation": deviation,
         "mass_drift": cons.mass_drift, "momentum_drift": cons.momentum_drift,
     }
@@ -345,8 +362,21 @@ def _write_snapshots(out_dir: str, traj, config: EvolverConfig,
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads "-1e-05" as a value, not as a flag.
+
+    Stock argparse recognizes only -1 and -1.5 as negative numbers, so
+    "--beta -1e-05" was an unknown option; subparsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="landen-kdv",
         description="Cnoidal KdV waves, p-term Landen maps, and numerical "
                     "verification that superpositions re-express single waves.")
@@ -414,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--T", dest="T", type=float, default=sup,
                           help="final time (overrides --periods-crossed)")
     p_evolve.add_argument("--dt", type=float, default=sup,
-                          help="target step; reduced to land on T exactly")
+                          help="target step, reduced to land on T exactly "
+                               "(default: chosen from the CFL number and an "
+                               "error pilot)")
     p_evolve.add_argument("--snapshot-every", dest="snapshot_every", type=int,
                           default=sup, help="keep every s-th step (0: endpoints)")
     p_evolve.add_argument("--output-dir", dest="output_dir", default=sup,

@@ -3,11 +3,16 @@
 The linear dispersive part is propagated exactly in spectral space with
 the integrating factor exp(i k^3 t); only the quadratic term is stepped,
 with classical RK4 on the transformed variable.  This removes the k^3
-stiffness entirely, so the remaining step-size limit comes from the
-nonlinear term and accuracy.  The 2/3-rule dealiasing mask is on by
-default: the product u^2 scatters energy to wavenumbers the grid cannot
-represent, and without the mask those corruptions fold back into resolved
-modes and pollute 1e-6 comparisons.
+stiffness entirely, so the remaining step-size limits come from the
+nonlinear term: stability, through the nonlinear CFL number
+dt * 6 max|u| * k_max, and accuracy, which integrating-factor schemes can
+lose at isolated step sizes even well inside the CFL limit.
+``choose_step`` therefore starts from the CFL cap and shrinks the step
+until a step-doubling pilot predicts a global error below
+``ERROR_TARGET``.  The 2/3-rule dealiasing mask is on by default: the
+product u^2 scatters energy to wavenumbers the grid cannot represent, and
+without the mask those corruptions fold back into resolved modes and
+pollute 1e-6 comparisons.
 
 The k = 0 mode is untouched by both the integrating factor and the
 nonlinear term (which carries a factor i*k), so the mean of u is conserved
@@ -16,7 +21,6 @@ exactly, not just to tolerance.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,25 +30,27 @@ import numpy as np
 from .errors import DomainError, InstabilityError
 from .fourier import PeriodicGrid, fft, ifft, signed_modes
 
-# Stability heuristic: dt <= STABILITY_C * (L/N)^3.  Measured for cnoidal
-# initial data at N in {128, 256, 512}: runs at this dt are stable while
-# plain (non-integrating-factor) RK4 requires dt below (L/N)^3 / 2.8; the
-# factor is deliberately conservative so accuracy, not stability, decides
-# the step size in practice.
-STABILITY_C = 64.0
+# Largest nonlinear CFL number a run may start with.  Cnoidal runs at
+# N = 256 and 512 were measured stable up to 2.5 and blowing up at 3.
+CFL_MAX = 2.0
+
+# Global error, in max|u|, that choose_step allows its pilot to predict at
+# the final time: 1% of the 1e-6 deviation gate of the dynamical checks.
+ERROR_TARGET = 1e-8
+
+# Pilot rounds before choose_step gives up.  The global error scales as
+# dt^4, so one rescaling normally suffices; more rounds only help where
+# the error is not yet in its asymptotic regime.
+_PILOT_ROUNDS = 4
 
 # A spectral amplitude beyond this multiple of the initial peak means the
 # integration has blown up.
 _BLOWUP_FACTOR = 1e6
 
 
-class Scheme(enum.Enum):
-    INTEGRATING_FACTOR_RK4 = "integrating_factor_rk4"
-
-
 @dataclass(frozen=True)
 class EvolverConfig:
-    """Grid, step size, final time and scheme options for one run.
+    """Grid, fixed step size, final time and output options for one run.
 
     T must be an integer number of steps (dt * round(T/dt) == T to 1e-9
     relative); anything else silently lands at the wrong final time.
@@ -55,7 +61,6 @@ class EvolverConfig:
     grid: PeriodicGrid
     dt: float
     T: float
-    scheme: Scheme = Scheme.INTEGRATING_FACTOR_RK4
     dealias: bool = True
     snapshot_every: int = 0
 
@@ -75,10 +80,6 @@ class EvolverConfig:
     @property
     def steps(self) -> int:
         return round(self.T / self.dt)
-
-    @property
-    def stability_cap(self) -> float:
-        return STABILITY_C * self.grid.spacing**3
 
     @classmethod
     def for_duration(cls, grid: PeriodicGrid, duration: float,
@@ -103,12 +104,29 @@ class Trajectory:
         return self.fields[-1]
 
 
-def _rk4_step_factory(config: EvolverConfig) -> Callable[[np.ndarray], np.ndarray]:
-    grid, dt = config.grid, config.dt
+def cfl_number(u: np.ndarray, grid: PeriodicGrid, dt: float) -> float:
+    """Nonlinear CFL number dt * 6 max|u| * k_max of a step from field u.
+
+    k_max = (2/3) pi N / L is the largest wavenumber the 2/3 dealiasing
+    rule keeps; the advection speed of u_t = 6 u u_x is 6 |u|.
+    """
+    k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
+    return dt * 6.0 * float(np.max(np.abs(u))) * k_max
+
+
+def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (grid.N,):
+        raise DomainError(f"u0 must have shape ({grid.N},), got {u0.shape}")
+    return u0
+
+
+def _rk4_step_factory(grid: PeriodicGrid, dt: float,
+                      dealias: bool) -> Callable[[np.ndarray], np.ndarray]:
     k = grid.k
     e_full = np.exp(1j * k**3 * dt)
     e_half = np.exp(1j * k**3 * (dt / 2.0))
-    if config.dealias:
+    if dealias:
         mask = (np.abs(signed_modes(grid.N)) < grid.N // 3).astype(float)
     else:
         mask = np.ones(grid.N)
@@ -128,24 +146,71 @@ def _rk4_step_factory(config: EvolverConfig) -> Callable[[np.ndarray], np.ndarra
     return step
 
 
+def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> float:
+    """Predicted max|u| error at T of a run with this config, from u_hat.
+
+    Step doubling: one step of dt and two of dt/2 differ by about the
+    local error of the dt step.  The run takes config.steps such steps and
+    local errors add up, so the product is the global estimate.
+    """
+    grid, dt = config.grid, config.dt
+    full = _rk4_step_factory(grid, dt, config.dealias)
+    half = _rk4_step_factory(grid, dt / 2.0, config.dealias)
+    local = float(np.max(np.abs(ifft(full(u_hat) - half(half(u_hat))).real)))
+    return config.steps * local
+
+
+def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
+                **kwargs) -> tuple[EvolverConfig, float]:
+    """Config reaching ``duration`` with the largest step the guards allow.
+
+    Starts from the CFL cap dt <= CFL_MAX / (6 max|u0| k_max), then shrinks
+    dt until the step-doubling pilot from u0 predicts a global error at
+    most ERROR_TARGET.  Returns the config and the pilot's estimate.
+    Extra keyword arguments go to EvolverConfig.
+
+    Raises InstabilityError if no step meets the target within the pilot
+    rounds (for instance when roundoff alone exceeds it); never returns an
+    unchecked step.
+    """
+    u0 = _checked_field(u0, grid)
+    rate = cfl_number(u0, grid, 1.0)
+    # a hair under the cap, so rounding in T / steps cannot push the chosen
+    # step past the refusal in evolve_trajectory
+    target_dt = duration if rate == 0.0 else min(
+        duration, (1.0 - 1e-12) * CFL_MAX / rate)
+    u_hat = fft(u0)
+    for _ in range(_PILOT_ROUNDS):
+        config = EvolverConfig.for_duration(grid, duration, target_dt, **kwargs)
+        estimate = _pilot_error(u_hat, config)
+        if estimate <= ERROR_TARGET:
+            return config, estimate
+        if not math.isfinite(estimate):
+            break
+        # global error ~ dt^4; aim 10% under the target
+        target_dt = config.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
+    raise InstabilityError(
+        f"no step meets the error target {ERROR_TARGET!r} within "
+        f"{_PILOT_ROUNDS} pilot rounds (last estimate {estimate!r})"
+    )
+
+
 def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     """Integrate u0 forward to T, keeping snapshots per the config.
 
-    Raises InstabilityError if dt violates the stability heuristic or if
-    any spectral amplitude grows beyond 1e6 times the initial peak; the
-    check runs before the report stage so a blown-up run never produces
-    drift numbers.
+    Raises InstabilityError before the first step if the CFL number of
+    (u0, dt) exceeds CFL_MAX, and during the run if any spectral amplitude
+    grows beyond 1e6 times the initial peak; the check runs before the
+    report stage so a blown-up run never produces drift numbers.
     """
     grid = config.grid
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (grid.N,):
-        raise DomainError(f"u0 must have shape ({grid.N},), got {u0.shape}")
-    if config.dt > config.stability_cap:
+    u0 = _checked_field(u0, grid)
+    cfl = cfl_number(u0, grid, config.dt)
+    if cfl > CFL_MAX:
         raise InstabilityError(
-            f"dt = {config.dt!r} exceeds the stability heuristic "
-            f"{STABILITY_C} * (L/N)^3 = {config.stability_cap!r}"
+            f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"
         )
-    step = _rk4_step_factory(config)
+    step = _rk4_step_factory(grid, config.dt, config.dealias)
     u_hat = fft(u0)
     limit = _BLOWUP_FACTOR * float(np.max(np.abs(u_hat)))
     if limit == 0.0:

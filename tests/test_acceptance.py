@@ -25,7 +25,7 @@ from landen_kdv import (
     soliton_limit_check,
 )
 from landen_kdv.cli import main as cli_main
-from landen_kdv.evolve import EvolverConfig, conservation_report, evolve_trajectory
+from landen_kdv.evolve import choose_step, conservation_report, evolve_trajectory
 
 
 def _criterion(label: str, ok: bool, detail: str) -> None:
@@ -219,15 +219,15 @@ def test_criterion_7_dynamical_confirmation():
     start = time.perf_counter()
     outcomes = []
     runs = (
-        (DnWaveParams(alpha=1.0, beta=0.0, m=0.5), 1e-4),
-        (DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3), 8e-6),
+        DnWaveParams(alpha=1.0, beta=0.0, m=0.5),
+        DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3),
     )
-    for params, target_dt in runs:
+    for params in runs:
         grid = params.natural_grid(n=256)
         duration = grid.L / abs(params.velocity)  # one full period crossing
-        config = EvolverConfig.for_duration(
-            grid, duration=duration, target_dt=target_dt, snapshot_every=1000)
-        traj = evolve_trajectory(params.sample(grid, 0.0), config)
+        u0 = params.sample(grid, 0.0)
+        config, _ = choose_step(u0, grid, duration, snapshot_every=100)
+        traj = evolve_trajectory(u0, config)
         deviation = float(np.max(np.abs(traj.final - params.sample(grid, config.T))))
         drift = conservation_report(traj).mass_drift
         crossed = abs(params.velocity) * config.T / grid.L

@@ -157,6 +157,15 @@ class TestEvalCommand:
     def test_rejects_bad_copy_count(self):
         assert main(["eval", "--family", "up", "-p", "0", "-m", "0.5"]) == 2
 
+    def test_negative_values_in_scientific_notation(self, capsys):
+        assert main(["eval", "--family", "u1", "-m", "0.5", "--n", "64",
+                     "--beta", "-1e-05", "-t", "-2.5E-1", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["t"] == -0.25
+        params = DnWaveParams(alpha=1.0, beta=-1e-05, m=0.5)
+        assert record["u"][0] == pytest.approx(
+            float(u_p(0.0, -0.25, params)), rel=1e-12)
+
 
 class TestEvolveCommand:
     def test_short_run_json(self, capsys):
@@ -165,6 +174,9 @@ class TestEvolveCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["schema"] == "landen-kdv/1"
         assert record["steps"] == 100
+        assert record["error_estimate"] is None
+        k_max = (2.0 / 3.0) * math.pi * record["N"] / record["L"]
+        assert record["cfl"] == pytest.approx(record["dt"] * 6.0 * 2.0 * k_max, rel=1e-12)
         assert record["deviation"] < 1e-8
         assert record["mass_drift"] == 0.0
         spacing = record["L"] / record["N"]
@@ -194,8 +206,24 @@ class TestEvolveCommand:
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert meta["schema"] == "landen-kdv/1"
         assert len(meta["snapshot_times"]) == 5
+        assert meta["error_estimate"] is None and 0.0 < meta["cfl"] < 2.0
         first = snapshots[0].read_text().splitlines()
         assert first[0] == "x,u"
+
+    def test_chosen_step_is_reported(self, capsys):
+        argv = ["evolve", "--family", "up", "-p", "3", "-m", "0.6",
+                "--beta", "-1e-05", "--periods-crossed", "0.05", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        record = json.loads(first)
+        assert 0.0 < record["cfl"] <= 2.0
+        assert 0.0 <= record["error_estimate"] <= 1e-8
+        assert record["deviation"] <= 1e-6
+        assert main(argv[:-1]) == 0
+        text = capsys.readouterr().out
+        assert "cfl " in text and "error estimate " in text
 
 
 class TestConfigFile:

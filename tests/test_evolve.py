@@ -5,6 +5,8 @@ checked against them directly; self-convergence at dt halving pins the
 fourth-order rate.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from landen_kdv import (
     PeriodicGrid,
 )
 from landen_kdv.evolve import (
-    STABILITY_C,
+    CFL_MAX,
+    ERROR_TARGET,
     ConservationReport,
     EvolverConfig,
-    Scheme,
+    cfl_number,
+    choose_step,
     conservation_report,
     evolve,
     evolve_trajectory,
@@ -37,8 +41,16 @@ class TestConfig:
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         config = EvolverConfig(grid=grid, dt=1e-4, T=1e-2)
         assert config.steps == 100
-        assert config.stability_cap == pytest.approx(
-            STABILITY_C * (grid.L / grid.N) ** 3, rel=1e-13)
+        u = np.full(64, -0.7)
+        k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
+        assert cfl_number(u, grid, 1e-4) == pytest.approx(
+            1e-4 * 6.0 * 0.7 * k_max, rel=1e-13)
+        # a constant state has no local error, so the CFL cap alone sets dt
+        cap = CFL_MAX / cfl_number(u, grid, 1.0)
+        chosen, estimate = choose_step(u, grid, 0.5)
+        assert estimate <= ERROR_TARGET
+        assert chosen.steps == int(np.ceil(0.5 / cap))
+        assert cfl_number(u, grid, chosen.dt) <= CFL_MAX
 
     def test_for_duration_rounds_steps_up(self):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
@@ -78,7 +90,7 @@ class TestAccuracy:
         assert np.max(np.abs(u_final - exact)) < 1e-10
 
     def test_fourth_order_self_convergence(self):
-        # N = 128 keeps both step sizes inside the stability cap while the
+        # N = 128 keeps both step sizes inside the CFL cap while the
         # time-stepping error stays far above roundoff
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
@@ -136,22 +148,59 @@ class TestConservation:
 
 
 class TestInstability:
-    def test_oversized_step_rejected_before_integration(self):
-        grid = PeriodicGrid(N=256, L=2 * np.pi)
-        cap = STABILITY_C * (grid.L / grid.N) ** 3
-        config = EvolverConfig(grid=grid, dt=2 * cap, T=20 * cap)
-        with pytest.raises(InstabilityError):
-            evolve(np.zeros(256), config)
+    def test_oversized_step_rejected_before_integration(self, monkeypatch):
+        params, grid = cnoidal_setup()
+        u0 = params.sample(grid, 0.0)
+        cap = CFL_MAX / cfl_number(u0, grid, 1.0)
+
+        def no_steps(*args):
+            raise AssertionError("the refusal must come before any step")
+
+        monkeypatch.setattr(sys.modules["landen_kdv.evolve"], "_rk4_step_factory", no_steps)
+        config = EvolverConfig(grid=grid, dt=1.01 * cap, T=20 * 1.01 * cap)
+        with pytest.raises(InstabilityError, match="CFL"):
+            evolve(u0, config)
 
     def test_blowup_detected_mid_run(self):
-        # a step size inside the linear-stability heuristic still explodes
-        # once the nonlinear CFL is violated by huge amplitudes
+        # a step inside the CFL limit still explodes without dealiasing:
+        # the limit counts only the wavenumbers the 2/3 rule keeps
         grid = PeriodicGrid(N=64, L=2 * np.pi)
-        cap = STABILITY_C * (grid.L / grid.N) ** 3
-        config = EvolverConfig(grid=grid, dt=0.9 * cap, T=90 * cap, dealias=False)
         u0 = 1e3 * np.sin(grid.x)
-        with pytest.raises(InstabilityError):
+        dt = 0.9 * CFL_MAX / cfl_number(u0, grid, 1.0)
+        config = EvolverConfig(grid=grid, dt=dt, T=200 * dt, dealias=False)
+        with pytest.raises(InstabilityError, match="spectral peak"):
             evolve(u0, config)
+
+    def test_three_copy_wave_refused_at_coarse_step(self):
+        params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
+        grid = params.natural_grid(n=256)
+        config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=4e-4)
+        with pytest.raises(InstabilityError):
+            evolve(params.sample(grid, 0.0), config)
+
+
+class TestStepChoice:
+    def test_pilot_catches_what_the_cfl_cap_misses(self):
+        # u_2 at m = 0.9, alpha = 2: the CFL cap alone lands on a step
+        # where the integrating factor loses accuracy
+        params = DnWaveParams(alpha=2.0, beta=0.0, m=0.9, p=2)
+        grid = params.natural_grid(n=128)
+        duration = grid.L / abs(params.velocity)  # one full period crossing
+        u0 = params.sample(grid, 0.0)
+        chosen, estimate = choose_step(u0, grid, duration)
+        cfl_only = EvolverConfig.for_duration(
+            grid, duration, CFL_MAX / cfl_number(u0, grid, 1.0))
+        exact = params.sample(grid, duration)
+        assert estimate <= ERROR_TARGET
+        assert np.max(np.abs(evolve(u0, chosen) - exact)) <= 1e-6
+        assert np.max(np.abs(evolve(u0, cfl_only) - exact)) > 1e-6
+
+    def test_unreachable_target_raises(self):
+        # a huge field: steps short enough to tame truncation error are so
+        # many that their summed roundoff stays far above the target
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(InstabilityError, match="error target"):
+            choose_step(1e9 * np.sin(grid.x), grid, 1e-6)
 
 
 class TestTranslationLag:
