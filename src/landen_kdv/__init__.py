@@ -12,13 +12,7 @@ pseudo-spectral time evolution.
 Throughout, m is the modulus PARAMETER (m = k^2), never the modulus k.
 """
 
-from .elliptic import (
-    JacobiTriple,
-    ModulusParameter,
-    complete_K,
-    jacobi,
-    jacobi_sn_cn_dn,
-)
+from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import (
     AliasingWarning,
     ConsistencyError,
@@ -31,7 +25,6 @@ from .evolve import (
     EvolverConfig,
     Trajectory,
     conservation_report,
-    evolve,
     evolve_trajectory,
     translation_lag,
 )
@@ -61,9 +54,7 @@ from .waves import (
     DnWaveParams,
     PmWave,
     PmWaveParams,
-    ShiftedPhase,
     VelocityScaling,
-    shifted_phases,
     u1,
     u_p,
     u_pm,
@@ -81,15 +72,12 @@ __all__ = [
     "DomainError",
     "EvolverConfig",
     "InstabilityError",
-    "JacobiTriple",
     "LandenMap",
-    "ModulusParameter",
     "PeriodMismatchError",
     "PeriodicGrid",
     "PmWave",
     "PmWaveParams",
     "ResidualReport",
-    "ShiftedPhase",
     "TOLERANCES",
     "Trajectory",
     "TransformedParams",
@@ -101,18 +89,15 @@ __all__ = [
     "dn_landen_rhs",
     "dual_oracle_gap",
     "equivalence_check",
-    "evolve",
     "evolve_trajectory",
     "fft",
     "fit_traveling_velocity",
     "ifft",
-    "jacobi",
     "jacobi_sn_cn_dn",
     "kdv_residual",
     "landen_map",
     "pm_superposition_velocity_search",
     "run_suite",
-    "shifted_phases",
     "soliton_limit_check",
     "spectral_derivative",
     "transform_params",

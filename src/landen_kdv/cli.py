@@ -3,7 +3,7 @@
 Subcommands
 -----------
 landen   print gamma, m_tilde, shifts, cyclic constants and A for one (p, m)
-verify   run a verification suite; JSONL report, summary, exit 0/1
+verify   run a verification suite; JSONL report, per-family summary, exit 0/1
 eval     dump (x, u) samples of one wave family as CSV
 evolve   integrate a family and compare against its exact translate
 
@@ -46,8 +46,6 @@ from .verify import SUITES, run_suite
 from .waves import DnWaveParams, PmWaveParams, VelocityScaling
 
 SCHEMA = "landen-kdv/1"
-
-_JOBS_ENV = "LANDEN_KDV_JOBS"
 
 
 def _fmt(value: float) -> str:
@@ -177,19 +175,36 @@ def cmd_landen(args: argparse.Namespace) -> int:
 # verify
 
 
-_VERIFY_DEFAULTS = {"suite": "all", "report": None, "jobs": None,
-                    "tol": [], "json": False}
+_VERIFY_DEFAULTS = {"suite": "all", "report": None, "tol": [], "json": False}
+
+
+def _family_table(results) -> str:
+    """One row per check family: count, worst metric, tolerance, status.
+
+    The worst metric is the one closest to failing: the largest, or the
+    smallest for lower-bound checks, which pass above their tolerance.
+    """
+    families: dict[str, list] = {}
+    for r in results:
+        families.setdefault(r.check, []).append(r)
+    width = max(len("check"), *map(len, families))
+    lines = [f"{'check':<{width}}  {'n':>4}  {'worst metric':>12}  {'tol':>11}  status"]
+    for name in sorted(families):
+        group = families[name]
+        lower = group[0].params.get("bound") == "lower"
+        worst = (min if lower else max)(group, key=lambda r: r.metric)
+        bound = f"{'>=' if lower else '<='} {worst.tol:.0e}"
+        failed = sum(not r.passed for r in group)
+        status = f"{failed} FAILED" if failed else "ok"
+        lines.append(f"{name:<{width}}  {len(group):>4}  {worst.metric:>12.3e}  "
+                     f"{bound:>11}  {status}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _merge_options(args, "verify", _VERIFY_DEFAULTS)
-    jobs = opts["jobs"]
-    if jobs is None:
-        jobs = int(os.environ.get(_JOBS_ENV, "1"))
-    if jobs < 1:
-        raise DomainError(f"--jobs must be >= 1, got {jobs}")
     overrides = _parse_tol(list(opts["tol"]))
-    results = run_suite(str(opts["suite"]), overrides, jobs=jobs)
+    results = run_suite(str(opts["suite"]), overrides)
     report = "".join(r.json_line() + "\n" for r in results)
     n_pass = sum(r.passed for r in results)
     all_pass = n_pass == len(results)
@@ -203,10 +218,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "schema": SCHEMA, "suite": opts["suite"], "total": len(results),
             "passed": n_pass, "failed_checks": failures}) + "\n"
     else:
-        summary = (f"{opts['suite']}: {n_pass}/{len(results)} checks passed\n"
-                   if all_pass else
-                   f"{opts['suite']}: {n_pass}/{len(results)} checks passed, "
-                   f"{len(results) - n_pass} FAILED\n")
+        summary = _family_table(results) + (
+            f"{opts['suite']}: {n_pass}/{len(results)} checks passed\n"
+            if all_pass else
+            f"{opts['suite']}: {n_pass}/{len(results)} checks passed, "
+            f"{len(results) - n_pass} FAILED\n")
     summary_stream.write(summary)
     return 0 if all_pass else 1
 
@@ -400,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default=sup, help="suite to run (default all)")
     p_verify.add_argument("--report", default=sup,
                           help="write JSONL report here instead of stdout")
-    p_verify.add_argument("--jobs", type=int, default=sup,
-                          help=f"concurrent checks (default ${_JOBS_ENV} or 1)")
     p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
                           default=sup, help="override one tolerance; repeatable")
     p_verify.add_argument("--json", action="store_true", default=sup,

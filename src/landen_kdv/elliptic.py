@@ -18,7 +18,6 @@ degrade for large |x|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +55,8 @@ def complete_K(m: float) -> float:
     return math.pi / (2.0 * a)
 
 
-@lru_cache(maxsize=None)
+# keyed on float m; one verify --suite all run builds 53 ladders
+@lru_cache(maxsize=1024)
 def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float]:
     """Descending sequence of moduli k_1, k_2, ... and the residual parameter.
 
@@ -107,35 +107,3 @@ def jacobi_sn_cn_dn(x, m: float):
     if np.ndim(x) == 0:
         return float(s), float(c), float(d)
     return s, c, d
-
-
-@dataclass(frozen=True)
-class JacobiTriple:
-    """Point values (sn, cn, dn) at one argument and modulus parameter."""
-
-    x: float
-    m: float
-    sn: float
-    cn: float
-    dn: float
-
-
-def jacobi(x: float, m: float) -> JacobiTriple:
-    """Scalar convenience wrapper around :func:`jacobi_sn_cn_dn`."""
-    s, c, d = jacobi_sn_cn_dn(float(x), m)
-    return JacobiTriple(x=float(x), m=float(m), sn=s, cn=c, dn=d)
-
-
-@dataclass(frozen=True)
-class ModulusParameter:
-    """A validated modulus parameter with its cached quarter period.
-
-    K is computed once at construction; use this when the same m feeds many
-    evaluations.  m = 1 is rejected here because K diverges there.
-    """
-
-    m: float
-    K: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "K", complete_K(self.m))

@@ -234,11 +234,6 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     return Trajectory(grid=grid, times=tuple(times), fields=tuple(fields))
 
 
-def evolve(u0: np.ndarray, config: EvolverConfig) -> np.ndarray:
-    """Field samples at t = T; see evolve_trajectory for the guards."""
-    return evolve_trajectory(u0, config).final
-
-
 @dataclass(frozen=True)
 class ConservationReport:
     """Relative drifts of the first two KdV invariants over a trajectory."""

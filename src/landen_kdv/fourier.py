@@ -109,9 +109,11 @@ def high_mode_energy_fraction(values: np.ndarray) -> float:
 
     This is the band the 2/3 rule would discard; energy here means products
     of the field alias back into resolved modes.  The mean is excluded so a
-    large constant offset cannot mask genuine high-mode content.
+    large constant offset cannot mask genuine high-mode content.  Modes
+    under DROP_FLOOR are roundoff debris, not content: a field that is
+    flat to roundoff would otherwise read as ~1/3 high-mode energy.
     """
-    u_hat = fft(np.asarray(values, dtype=float))
+    u_hat = drop_noise_floor(fft(np.asarray(values, dtype=float)))
     j = np.abs(signed_modes(u_hat.size))
     power = np.abs(u_hat) ** 2
     total = float(np.sum(power[1:]))

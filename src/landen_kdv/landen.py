@@ -85,8 +85,20 @@ def _check_pm(p: int, m: float) -> tuple[int, float]:
     return int(p), m
 
 
+def cyclic_sums(m: float, shifts: tuple[float, ...], probes: np.ndarray) -> np.ndarray:
+    """sum_i dn(u + shifts[i]) * dn(u + shifts[i+r mod p]) at each probe u.
+
+    Row r-1 holds the sums for r = 1..p-1, so the result has shape
+    (p - 1, len(probes)); each row is constant when the lattice is right.
+    """
+    # d[i, j] = dn(probes[j] + shifts[i], m)
+    d = np.stack([jacobi_sn_cn_dn(probes + s, m)[2] for s in shifts])
+    rows = [np.sum(d * np.roll(d, -r, axis=0), axis=0) for r in range(1, len(shifts))]
+    return np.array(rows).reshape(len(shifts) - 1, len(probes))
+
+
 def _cyclic_constants(p: int, m: float, shifts: tuple[float, ...]) -> tuple[float, ...]:
-    """a_p(r) = sum_i dn(u + shifts[i]) * dn(u + shifts[i+r mod p]), r=1..p-1.
+    """a_p(r) for r = 1..p-1, the means of the cyclic sums over _PROBES.
 
     Each sum is evaluated at eight scattered u values; any drift beyond
     tolerance means the convention is wrong for this (p, m) and is an error,
@@ -94,17 +106,13 @@ def _cyclic_constants(p: int, m: float, shifts: tuple[float, ...]) -> tuple[floa
     """
     if p == 1:
         return ()
-    # d[i, j] = dn(probe_j + shifts[i], m)
-    d = np.stack([jacobi_sn_cn_dn(_PROBES + s, m)[2] for s in shifts])
-    out = []
-    for r in range(1, p):
-        sums = np.sum(d * np.roll(d, -r, axis=0), axis=0)
-        if np.std(sums) > _CONSTANCY_TOL:
+    sums = cyclic_sums(m, shifts, _PROBES)
+    for r, row in enumerate(sums, start=1):
+        if np.std(row) > _CONSTANCY_TOL:
             raise ConsistencyError(
-                f"a_{p}({r}) varies with x at m={m}: std {np.std(sums):.3e}"
+                f"a_{p}({r}) varies with x at m={m}: std {np.std(row):.3e}"
             )
-        out.append(float(np.mean(sums)))
-    return tuple(out)
+    return tuple(float(np.mean(row)) for row in sums)
 
 
 def _residual_fit_A(p: int, m: float, shifts: tuple[float, ...]) -> float | None:
@@ -134,7 +142,8 @@ def _residual_fit_A(p: int, m: float, shifts: tuple[float, ...]) -> float | None
     return (v_fit - (8.0 - 4.0 * m)) / 12.0
 
 
-@lru_cache(maxsize=None)
+# keyed on float m; one verify --suite all run builds 52 maps
+@lru_cache(maxsize=1024)
 def landen_map(p: int, m: float) -> LandenMap:
     """Build the full Landen data for (p, m), with internal cross-checks.
 

@@ -4,15 +4,13 @@ The residual of u_t - 6 u u_x + u_xxx is evaluated with Fourier-series
 derivatives in x and the analytic traveling-wave relation u_t = -V u_x in
 t, so a reported residual measures the SOLUTION (and its velocity law),
 not a time-stepping scheme.  The suite layer packages individual checks
-into deterministic, JSONL-serializable results for the CLI; checks are
-pure, so distinct checks may run concurrently.
+into deterministic, JSONL-serializable results for the CLI.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -24,6 +22,7 @@ from .errors import DomainError, PeriodMismatchError
 from .fourier import DROP_FLOOR, PeriodicGrid, fit_traveling_velocity, spectral_derivative
 from .landen import (
     LandenMap,
+    cyclic_sums,
     dn2_landen_rhs,
     dn_landen_rhs,
     dual_oracle_gap,
@@ -294,13 +293,8 @@ def _cyclic_constancy_metric(p: int, m: float) -> float:
     # fresh probe set, denser than and disjoint from the one used at
     # construction time
     probes = 0.05 + 0.2 * np.arange(16)
-    lmap = landen_map(p, m)
-    d = np.stack([jacobi_sn_cn_dn(probes + s, m)[2] for s in lmap.shifts])
-    worst = 0.0
-    for r in range(1, p):
-        sums = np.sum(d * np.roll(d, -r, axis=0), axis=0)
-        worst = max(worst, float(np.std(sums)))
-    return worst
+    sums = cyclic_sums(m, landen_map(p, m).shifts, probes)
+    return max((float(np.std(row)) for row in sums), default=0.0)
 
 
 def _cyclic_symmetry_metric(p: int, m: float) -> float:
@@ -483,12 +477,11 @@ SUITES: dict[str, Callable[[], list[Check]]] = {
 }
 
 
-def run_suite(name: str, tolerances: dict[str, float] | None = None,
-              jobs: int = 1) -> list[CheckResult]:
+def run_suite(name: str, tolerances: dict[str, float] | None = None) -> list[CheckResult]:
     """Execute a named suite ("all" concatenates them in a fixed order).
 
-    Results keep the build order of the checks regardless of ``jobs``, so
-    identical inputs produce identical reports.
+    Results keep the build order of the checks, so identical inputs
+    produce identical reports.
     """
     if name == "all":
         checks = [c for key in ("identities", "kdv", "equivalence", "limits")
@@ -503,7 +496,4 @@ def run_suite(name: str, tolerances: dict[str, float] | None = None,
         if key not in tol:
             raise DomainError(f"unknown tolerance name {key!r}")
         tol[key] = float(value)
-    if jobs <= 1:
-        return [c.run(tol) for c in checks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda c: c.run(tol), checks))
+    return [c.run(tol) for c in checks]

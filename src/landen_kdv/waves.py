@@ -21,14 +21,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
-from .landen import A_constant
+from .landen import landen_map
 
 
 class VelocityScaling(enum.Enum):
@@ -41,24 +40,6 @@ class VelocityScaling(enum.Enum):
 
     AS_WRITTEN = "as_written"
     STANDARD = "standard"
-
-
-@dataclass(frozen=True)
-class ShiftedPhase:
-    """One term's phase offset in a p-term superposition: 2(i-1)K(m)/p."""
-
-    i: int
-    offset: float
-
-
-def shifted_phases(p: int, m: float) -> tuple[ShiftedPhase, ...]:
-    """Phase offsets for the p-term superposition, i = 1..p, offset(1) = 0."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if p == 1:
-        return (ShiftedPhase(i=1, offset=0.0),)
-    big_k = complete_K(m)
-    return tuple(ShiftedPhase(i=i + 1, offset=2.0 * i * big_k / p) for i in range(p))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -74,7 +55,8 @@ class DnWaveParams:
 
     m = 1 is allowed only for p = 1 (the soliton limit); superpositions
     need the finite shift lattice, hence m < 1.  The speed coefficient
-    b_p is derived once at construction.
+    b_p and the phase shifts 2(i-1)K(m)/p are taken from the Landen map
+    once at construction; p = 1 has the single shift 0 and needs no K.
     """
 
     alpha: float
@@ -82,6 +64,7 @@ class DnWaveParams:
     m: float
     p: int = 1
     b_p: float = field(init=False)
+    shifts: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
@@ -95,18 +78,16 @@ class DnWaveParams:
         if self.p > 1 and not 0.0 < m < 1.0:
             raise DomainError("superpositions (p >= 2) need 0 < m < 1")
         if self.p == 1:
-            a_const = 0.0
+            a_const, shifts = 0.0, (0.0,)
         else:
-            a_const = A_constant(self.p, m)
+            lmap = landen_map(self.p, m)
+            a_const, shifts = lmap.A, lmap.shifts
         object.__setattr__(self, "b_p", 8.0 - 4.0 * m - 6.0 * self.beta + 12.0 * a_const)
+        object.__setattr__(self, "shifts", shifts)
 
     @property
     def velocity(self) -> float:
         return self.b_p * self.alpha**2
-
-    @cached_property
-    def phases(self) -> tuple[ShiftedPhase, ...]:
-        return shifted_phases(self.p, self.m)
 
     @property
     def spatial_period(self) -> float:
@@ -130,8 +111,8 @@ def u_p(x, t: float, params: DnWaveParams):
     alpha = params.alpha
     xi = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     total = np.zeros_like(xi)
-    for phase in params.phases:
-        total += jacobi_sn_cn_dn(xi + phase.offset, params.m)[2] ** 2
+    for shift in params.shifts:
+        total += jacobi_sn_cn_dn(xi + shift, params.m)[2] ** 2
     out = -2.0 * alpha**2 * total + params.beta * alpha**2
     if np.ndim(x) == 0:
         return float(out)

@@ -68,13 +68,33 @@ class TestVerifyCommand:
             assert main(["verify", "--suite", "kdv", "--report", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_parallel_report_matches_serial(self, tmp_path):
-        serial = tmp_path / "serial.jsonl"
-        parallel = tmp_path / "parallel.jsonl"
-        assert main(["verify", "--suite", "kdv", "--report", str(serial)]) == 0
-        assert main(["verify", "--suite", "kdv", "--jobs", "3",
-                     "--report", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_summary_table_worst_metric_per_family(self, capsys, tmp_path):
+        report = tmp_path / "r.jsonl"
+        assert main(["verify", "--suite", "kdv", "--report", str(report)]) == 0
+        rows = {ln.split()[0]: ln.split()
+                for ln in capsys.readouterr().out.splitlines()}
+        records = [json.loads(ln) for ln in report.read_text().splitlines()]
+
+        def metrics(check):
+            return [r["metric"] for r in records if r["check"] == check]
+
+        # upper-bound family: the largest metric is closest to failing
+        row = rows["residual_upm"]
+        assert row[1] == "6" and row[3:6] == ["<=", "1e-07", "ok"]
+        assert float(row[2]) == pytest.approx(max(metrics("residual_upm")), rel=1e-3)
+        # lower-bound family: the smallest metric is closest to failing
+        row = rows["residual_upm_rejected"]
+        assert row[3:6] == [">=", "1e-03", "ok"]
+        rejected = metrics("residual_upm_rejected")
+        assert min(rejected) < max(rejected)
+        assert float(row[2]) == pytest.approx(min(rejected), rel=1e-3)
+        assert rows["kdv:"] == ["kdv:", "27/27", "checks", "passed"]
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "limits", "--jobs", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_tolerance_override_fails_suite(self, capsys):
         code = main(["verify", "--suite", "equivalence", "--tol", "equivalence=1e-18"])

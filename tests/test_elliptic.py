@@ -17,14 +17,8 @@ import pytest
 import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
-from landen_kdv import (
-    DomainError,
-    JacobiTriple,
-    ModulusParameter,
-    complete_K,
-    jacobi,
-    jacobi_sn_cn_dn,
-)
+from landen_kdv import DomainError, complete_K, jacobi_sn_cn_dn
+from landen_kdv.elliptic import _modulus_ladder
 
 mpmath.mp.dps = 40
 
@@ -167,18 +161,11 @@ class TestAlgebraicInvariants:
         assert d0 * d1 == pytest.approx(math.sqrt(1.0 - m), abs=1e-11)
 
 
-class TestWrappers:
-    def test_jacobi_triple(self):
-        tr = jacobi(0.7, 0.5)
-        assert isinstance(tr, JacobiTriple)
-        assert (tr.x, tr.m) == (0.7, 0.5)
-        s, c, d = jacobi_sn_cn_dn(0.7, 0.5)
-        assert (tr.sn, tr.cn, tr.dn) == (s, c, d)
-
-    def test_modulus_parameter_caches_K(self):
-        mp = ModulusParameter(0.5)
-        assert mp.K == complete_K(0.5)
-
-    def test_modulus_parameter_rejects_one(self):
-        with pytest.raises(DomainError):
-            ModulusParameter(1.0)
+def test_modulus_ladder_cache_is_bounded():
+    # float keys never repeat in a parameter sweep; the cache must not grow
+    # with the sweep
+    maxsize = _modulus_ladder.cache_info().maxsize
+    assert maxsize is not None
+    for j in range(maxsize + 10):
+        jacobi_sn_cn_dn(0.3, 0.25 + 0.5 * j / maxsize)
+    assert _modulus_ladder.cache_info().currsize <= maxsize

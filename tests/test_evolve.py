@@ -24,7 +24,6 @@ from landen_kdv.evolve import (
     cfl_number,
     choose_step,
     conservation_report,
-    evolve,
     evolve_trajectory,
     translation_lag,
 )
@@ -80,12 +79,12 @@ class TestAccuracy:
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         config = EvolverConfig(grid=grid, dt=1e-4, T=1e-2)
         u0 = np.full(64, 0.7)
-        assert np.max(np.abs(evolve(u0, config) - 0.7)) < 1e-14
+        assert np.max(np.abs(evolve_trajectory(u0, config).final - 0.7)) < 1e-14
 
     def test_cnoidal_wave_translates(self):
         params, grid = cnoidal_setup()
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
-        u_final = evolve(params.sample(grid, 0.0), config)
+        u_final = evolve_trajectory(params.sample(grid, 0.0), config).final
         exact = params.sample(grid, config.T)
         assert np.max(np.abs(u_final - exact)) < 1e-10
 
@@ -98,7 +97,7 @@ class TestAccuracy:
         for dt in (4e-4, 2e-4):
             config = EvolverConfig.for_duration(grid, duration=0.2, target_dt=dt)
             exact = params.sample(grid, config.T)
-            errors.append(np.max(np.abs(evolve(u0, config) - exact)))
+            errors.append(np.max(np.abs(evolve_trajectory(u0, config).final - exact)))
         ratio = errors[0] / errors[1]
         assert 8.0 < ratio < 32.0
 
@@ -106,14 +105,14 @@ class TestAccuracy:
         params, grid = cnoidal_setup()
         config = EvolverConfig.for_duration(
             grid, duration=0.05, target_dt=1e-4, dealias=False)
-        u_final = evolve(params.sample(grid, 0.0), config)
+        u_final = evolve_trajectory(params.sample(grid, 0.0), config).final
         assert np.max(np.abs(u_final - params.sample(grid, config.T))) < 1e-9
 
     def test_wrong_shape_rejected(self):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         config = EvolverConfig(grid=grid, dt=1e-4, T=1e-2)
         with pytest.raises(DomainError):
-            evolve(np.zeros(128), config)
+            evolve_trajectory(np.zeros(128), config)
 
 
 class TestTrajectory:
@@ -159,7 +158,7 @@ class TestInstability:
         monkeypatch.setattr(sys.modules["landen_kdv.evolve"], "_rk4_step_factory", no_steps)
         config = EvolverConfig(grid=grid, dt=1.01 * cap, T=20 * 1.01 * cap)
         with pytest.raises(InstabilityError, match="CFL"):
-            evolve(u0, config)
+            evolve_trajectory(u0, config)
 
     def test_blowup_detected_mid_run(self):
         # a step inside the CFL limit still explodes without dealiasing:
@@ -169,14 +168,14 @@ class TestInstability:
         dt = 0.9 * CFL_MAX / cfl_number(u0, grid, 1.0)
         config = EvolverConfig(grid=grid, dt=dt, T=200 * dt, dealias=False)
         with pytest.raises(InstabilityError, match="spectral peak"):
-            evolve(u0, config)
+            evolve_trajectory(u0, config)
 
     def test_three_copy_wave_refused_at_coarse_step(self):
         params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
         grid = params.natural_grid(n=256)
         config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=4e-4)
         with pytest.raises(InstabilityError):
-            evolve(params.sample(grid, 0.0), config)
+            evolve_trajectory(params.sample(grid, 0.0), config)
 
 
 class TestStepChoice:
@@ -192,8 +191,8 @@ class TestStepChoice:
             grid, duration, CFL_MAX / cfl_number(u0, grid, 1.0))
         exact = params.sample(grid, duration)
         assert estimate <= ERROR_TARGET
-        assert np.max(np.abs(evolve(u0, chosen) - exact)) <= 1e-6
-        assert np.max(np.abs(evolve(u0, cfl_only) - exact)) > 1e-6
+        assert np.max(np.abs(evolve_trajectory(u0, chosen).final - exact)) <= 1e-6
+        assert np.max(np.abs(evolve_trajectory(u0, cfl_only).final - exact)) > 1e-6
 
     def test_unreachable_target_raises(self):
         # a huge field: steps short enough to tame truncation error are so
@@ -214,7 +213,7 @@ class TestTranslationLag:
     def test_evolved_lag_matches_velocity(self):
         params, grid = cnoidal_setup()
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
-        u_final = evolve(params.sample(grid, 0.0), config)
+        u_final = evolve_trajectory(params.sample(grid, 0.0), config).final
         expected = (params.velocity * config.T) % grid.L
         assert translation_lag(params.sample(grid, 0.0), u_final, grid) == pytest.approx(
             expected, abs=grid.spacing)

@@ -101,6 +101,12 @@ class TestModeBookkeeping:
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         assert high_mode_energy_fraction(np.cos(25 * x)) > 0.9
 
+    def test_high_mode_fraction_ignores_roundoff_debris(self):
+        # a field flat to roundoff has no high-mode content, whatever the
+        # spectrum of its last bits
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        assert high_mode_energy_fraction(7.0 + 1e-15 * np.cos(25 * x)) == 0.0
+
 
 class TestSpectralDerivative:
     def test_first_derivative_of_sine(self):

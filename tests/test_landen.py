@@ -120,6 +120,14 @@ class TestIdentityUnderScipy:
             assert np.std(values) < 1e-10
             assert np.mean(values) == pytest.approx(lmap.a[r - 1], abs=1e-10)
 
+    def test_cyclic_sums_rows_hold_the_constants(self):
+        lmap = landen_map(5, 0.7)
+        probes = np.linspace(-3.0, 3.0, 7)
+        sums = landen_module.cyclic_sums(0.7, lmap.shifts, probes)
+        assert sums.shape == (4, 7)
+        assert np.max(np.abs(sums - np.asarray(lmap.a)[:, None])) < 1e-12
+        assert landen_module.cyclic_sums(0.7, (0.0,), probes).shape == (0, 7)
+
 
 class TestRhsHelpers:
     @pytest.mark.parametrize("p,m", [(1, 0.5), (2, 0.5), (3, 0.8), (6, 0.3)])

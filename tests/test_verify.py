@@ -1,6 +1,7 @@
 """Verification-layer tests: residuals, equivalence, limits and the suites."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ class TestKdvResidual:
         with pytest.warns(AliasingWarning):
             kdv_residual(params, grid)
 
+    @pytest.mark.parametrize("p, m", [(13, 0.5), (3, 1e-4), (8, 0.3)])
+    def test_flat_superposition_does_not_warn(self, p, m):
+        # m_tilde underflows and the field is its mean plus roundoff; the
+        # debris is not high-mode content
+        params = DnWaveParams(alpha=1.0, beta=0.0, m=m, p=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AliasingWarning)
+            kdv_residual(params, params.natural_grid(n=256))
+
 
 class TestEquivalence:
     def test_identity_map_is_exact(self):
@@ -208,11 +218,6 @@ class TestSuites:
     def test_tolerance_override_forces_failures(self):
         results = run_suite("equivalence", tolerances={"equivalence": 1e-18})
         assert any(not r.passed for r in results)
-
-    def test_parallel_matches_serial(self):
-        serial = [r.json_line() for r in run_suite("kdv", jobs=1)]
-        parallel = [r.json_line() for r in run_suite("kdv", jobs=4)]
-        assert serial == parallel
 
     def test_json_line_schema(self):
         result = run_suite("limits")[0]

@@ -21,7 +21,7 @@ from landen_kdv import (
     PmWaveParams,
     VelocityScaling,
     complete_K,
-    shifted_phases,
+    landen_map,
     u1,
     u_p,
     u_pm,
@@ -43,13 +43,14 @@ class TestDnWaveParams:
         params = DnWaveParams(alpha=2.0, beta=0.0, m=0.5, p=2)
         assert params.spatial_period == pytest.approx(complete_K(0.5) / 2.0, rel=1e-14)
 
-    def test_phases(self):
+    def test_shifts(self):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=3)
-        phases = params.phases
-        assert phases == shifted_phases(3, 0.5)
-        assert [ph.i for ph in phases] == [1, 2, 3]
-        assert phases[0].offset == 0.0
-        assert phases[1].offset == pytest.approx(2 * complete_K(0.5) / 3, rel=1e-14)
+        assert params.shifts == landen_map(3, 0.5).shifts
+        assert len(params.shifts) == 3
+        assert params.shifts[0] == 0.0
+        assert params.shifts[1] == pytest.approx(2 * complete_K(0.5) / 3, rel=1e-14)
+        # the soliton has no period, and p = 1 needs none
+        assert DnWaveParams(alpha=1.0, beta=0.0, m=1.0).shifts == (0.0,)
 
     def test_natural_grid_spans_periods(self):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=2)
