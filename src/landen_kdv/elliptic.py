@@ -35,6 +35,25 @@ def _check_m(m: float) -> float:
     return m
 
 
+def _agm(b: float) -> tuple[float, float]:
+    """AGM(1, b) and sum_n 2^(n-1) c_n^2 along it, c_0^2 = 1 - b^2.
+
+    With b = sqrt(1 - m), K(m) = pi / (2 AGM) and E(m) = K(m) (1 - sum)
+    (DLMF 19.8.6).  Taking b rather than m lets a caller reach K(1 - m)
+    through b = sqrt(m) without rounding 1 - m.
+    """
+    a, c2, c2_sum = 1.0, (1.0 - b) * (1.0 + b), 0.0
+    # capped: for some m the converged gap parks one ulp above the
+    # threshold and a bare while-loop never exits
+    for n in range(32):
+        c2_sum += 2.0 ** (n - 1) * c2
+        if abs(a - b) <= 2e-16 * a:
+            break
+        # c_{n+1} = (a_n - b_n) / 2 = c_n^2 / (4 a_{n+1}), free of cancellation
+        a, b, c2 = 0.5 * (a + b), math.sqrt(a * b), (c2 / (2.0 * (a + b))) ** 2
+    return a, c2_sum
+
+
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m).
 
@@ -45,14 +64,16 @@ def complete_K(m: float) -> float:
     m = _check_m(m)
     if m == 1.0:
         raise DomainError("K(m) diverges at m = 1")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    # capped: for some m the converged gap parks one ulp above the
-    # threshold and a bare while-loop never exits
-    for _ in range(32):
-        if abs(a - b) <= 2e-16 * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(math.sqrt(1.0 - m))[0])
+
+
+def complete_E(m: float) -> float:
+    """Complete elliptic integral of the second kind, E(m), by the AGM.
+
+    E = K (1 - sum_n 2^(n-1) c_n^2); complete_K validates m (0 <= m < 1).
+    """
+    big_k = complete_K(m)
+    return big_k * (1.0 - _agm(math.sqrt(1.0 - m))[1])
 
 
 # keyed on float m; one verify --suite all run builds 53 ladders

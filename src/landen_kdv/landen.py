@@ -7,7 +7,9 @@ parameter m to a single dn at a smaller parameter m_tilde:
 
 with gamma the reciprocal of the shifted-dn sum at x = 0.  Squaring the
 identity brings in the cyclic constants a_p(r): sums of products of dn
-values a fixed shift apart, which are independent of x.  Everything here
+values a fixed shift apart, which are independent of x.  A from the
+lattice is cross-checked against the nome relation, under which the
+shift sum takes the nome q to q^p (DLMF 22.7, 20.2).  Everything here
 is pure and cached per (p, m).
 """
 
@@ -19,9 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi_sn_cn_dn
+from .elliptic import _agm, complete_E, complete_K, jacobi_sn_cn_dn
 from .errors import ConsistencyError, DomainError
-from .fourier import fit_traveling_velocity
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
 # lattice, where a symmetry could mask genuine x-dependence.
@@ -30,16 +31,6 @@ _CONSTANCY_TOL = 1e-9
 
 # Dual determinations of A(p, m) must agree this closely.
 _A_AGREEMENT_TOL = 1e-8
-
-# Grid for the residual-fit determination of A(p, m).
-_FIT_POINTS = 512
-
-# Oscillation-to-mean ratio below which the residual fit is unconditioned:
-# the superposed field is nearly constant and every speed nearly zeroes its
-# residual.  The fit error scales like roundoff / oscillation, so the floor
-# must keep that quotient well under _A_AGREEMENT_TOL; 1e-7 was too low
-# (gap 1.2e-8 at p = 5, m = 0.266).
-_FIT_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -104,8 +95,6 @@ def _cyclic_constants(p: int, m: float, shifts: tuple[float, ...]) -> tuple[floa
     tolerance means the convention is wrong for this (p, m) and is an error,
     not a warning.
     """
-    if p == 1:
-        return ()
     sums = cyclic_sums(m, shifts, _PROBES)
     for r, row in enumerate(sums, start=1):
         if np.std(row) > _CONSTANCY_TOL:
@@ -115,71 +104,73 @@ def _cyclic_constants(p: int, m: float, shifts: tuple[float, ...]) -> tuple[floa
     return tuple(float(np.mean(row)) for row in sums)
 
 
-def _residual_fit_A(p: int, m: float, shifts: tuple[float, ...]) -> float | None:
-    """A(p, m) from the speed that makes the superposed wave a KdV solution.
+def _consistency_A(m: float, gamma: float, m_tilde: float, cyclic_sum: float) -> float:
+    """A from 12A = (8 - 4*m_tilde)/gamma^2 - (8 - 4m) - 12*sum_r a_p(r).
 
-    Sample u = -2 sum_i dn^2(x + shifts[i], m) (alpha = 1, beta = 0, t = 0)
-    over one spatial period, fit the traveling speed V in the least-squares
-    sense, and invert b_p = 8 - 4m + 12A.  Independent of the closed-form
-    route: the speed comes out of spectral derivatives of the field, not
-    out of the Landen constants.
-
-    Returns None when the field is constant to within the fit's working
-    precision (large p with small m: the surviving harmonics sit below the
-    double-precision noise floor).  There every speed zeroes the residual,
-    so the cross-check holds vacuously and pins down no value.
+    The beta terms cancel identically when the transformed offset
+    beta_tilde = beta*gamma^2 + 2*gamma^2*sum_r a_p(r) is substituted into
+    the single-cnoidal speed.
     """
-    length = 2.0 * complete_K(m) / p
-    x = length * np.arange(_FIT_POINTS) / _FIT_POINTS
-    u = np.zeros(_FIT_POINTS)
-    for s in shifts:
-        u -= 2.0 * jacobi_sn_cn_dn(x + s, m)[2] ** 2
-    mean = float(np.mean(u))
-    oscillation = float(np.max(np.abs(u - mean)))
-    if oscillation <= _FIT_FLOOR * max(1.0, abs(mean)):
-        return None
-    v_fit = fit_traveling_velocity(u, length)
-    return (v_fit - (8.0 - 4.0 * m)) / 12.0
+    return ((8.0 - 4.0 * m_tilde) / gamma**2 - (8.0 - 4.0 * m)) / 12.0 - cyclic_sum
+
+
+def _nome_A(p: int, m: float) -> float:
+    """A(p, m) from the nome relation alone, without the shift lattice.
+
+    The target nome is q~ = q^p with q = exp(-pi K(1-m)/K(m)).  Then
+    m~ = (theta_2(q~)/theta_3(q~))^4 and K(m~) = (pi/2) theta_3(q~)^2
+    (DLMF 20.9.1-2), gamma = K(m)/(p K(m~)), and averaging the squared
+    identity over a period, where dn^2 has mean E/K (DLMF 22.16(ii)), gives
+    sum_r a_p(r) = E(m~)/(gamma^2 K(m~)) - p E(m)/K(m).
+    """
+    big_k = complete_K(m)
+    # K(1 - m) from AGM(1, sqrt(m)): rounding 1 - m would lose small m
+    k_prime = 0.5 * math.pi / _agm(math.sqrt(m))[0]
+    q = math.exp(-p * math.pi * k_prime / big_k)
+    # theta_2^4 = 16 q (sum_{n>=0} q^(n(n+1)))^4 and theta_3 = 1 + 2 sum_{n>=1}
+    # q^(n^2); q < 0.78 for every float m < 1, so n > 15 adds under 1e-27
+    s2 = 1.0 + math.fsum(q ** (n * (n + 1)) for n in range(1, 16))
+    s3 = 1.0 + 2.0 * math.fsum(q ** (n * n) for n in range(1, 16))
+    m_tilde = 16.0 * q * (s2 / s3) ** 4
+    k_tilde = 0.5 * math.pi * s3 * s3
+    gamma = big_k / (p * k_tilde)
+    cyclic_sum = complete_E(m_tilde) / (gamma**2 * k_tilde) - p * complete_E(m) / big_k
+    return _consistency_A(m, gamma, m_tilde, cyclic_sum)
 
 
 # keyed on float m; one verify --suite all run builds 52 maps
 @lru_cache(maxsize=1024)
 def landen_map(p: int, m: float) -> LandenMap:
-    """Build the full Landen data for (p, m), with internal cross-checks.
+    """Build the full Landen data for (p, m) from dn on the shift lattice.
 
-    The velocity constant A is computed from the closed consistency
-    relation  12A = (8 - 4*m_tilde)/gamma^2 - (8 - 4m) - 12*sum_r a_p(r)
-    (the beta terms cancel identically when the transformed offset
-    beta_tilde = beta*gamma^2 + 2*gamma^2*sum_r a_p(r) is substituted into
-    the single-cnoidal speed) and checked against the residual-fit
-    determination; disagreement raises rather than returning a guess.
+    For p >= 2 the lattice A (see _consistency_A) is checked against the
+    nome determination (_nome_A), which shares no dn evaluation with it;
+    disagreement beyond 1e-8 raises rather than returning a guess.
     """
     p, m = _check_pm(p, m)
     if p == 1:
         # identity map; assign exactly rather than route m through
         # (m - 2) + 2, which loses the last bit
-        gamma, m_tilde = 1.0, m
-        shifts: tuple[float, ...] = (0.0,)
-    else:
-        big_k = complete_K(m)
-        shifts = tuple(2.0 * i * big_k / p for i in range(p))
-        d0 = jacobi_sn_cn_dn(np.asarray(shifts), m)[2]
-        gamma = 1.0 / math.fsum(d0)
-        m_tilde = (m - 2.0) * gamma**2 + 2.0 * gamma**3 * math.fsum(d0**3)
-        # the two terms cancel to ~2 gamma^2 ulps; once the true m~ drops
-        # under that, the float result can come out negative
-        m_tilde = max(m_tilde, 0.0)
+        return LandenMap(p=1, m=m, gamma=1.0, m_tilde=m, shifts=(0.0,), a=(), A=0.0)
+    big_k = complete_K(m)
+    shifts = tuple(2.0 * i * big_k / p for i in range(p))
+    d0 = jacobi_sn_cn_dn(np.asarray(shifts), m)[2]
+    gamma = 1.0 / math.fsum(d0)
+    m_tilde = (m - 2.0) * gamma**2 + 2.0 * gamma**3 * math.fsum(d0**3)
+    # the two terms cancel to ~2 gamma^2 ulps; once the true m~ drops
+    # under that, the float result can come out negative
+    m_tilde = max(m_tilde, 0.0)
     a = _cyclic_constants(p, m, shifts)
 
-    a_closed = ((8.0 - 4.0 * m_tilde) / gamma**2 - (8.0 - 4.0 * m)) / 12.0 - math.fsum(a)
-    a_fit = _residual_fit_A(p, m, shifts)
-    if a_fit is not None and abs(a_closed - a_fit) > _A_AGREEMENT_TOL:
+    a_lattice = _consistency_A(m, gamma, m_tilde, math.fsum(a))
+    a_nome = _nome_A(p, m)
+    if abs(a_lattice - a_nome) > _A_AGREEMENT_TOL:
         raise ConsistencyError(
-            f"A({p}, {m}) determinations disagree: consistency relation "
-            f"{a_closed!r} vs residual fit {a_fit!r}"
+            f"A({p}, {m}) determinations disagree: shift lattice "
+            f"{a_lattice!r} vs nome relation {a_nome!r}"
         )
 
-    return LandenMap(p=p, m=m, gamma=gamma, m_tilde=m_tilde, shifts=shifts, a=a, A=a_closed)
+    return LandenMap(p=p, m=m, gamma=gamma, m_tilde=m_tilde, shifts=shifts, a=a, A=a_lattice)
 
 
 def A_constant(p: int, m: float) -> float:
@@ -193,18 +184,12 @@ def A_constant(p: int, m: float) -> float:
 
 
 def dual_oracle_gap(p: int, m: float) -> float:
-    """Disagreement between the two A(p, m) determinations, recomputed.
+    """|A(p, m)| gap between the shift lattice and the nome relation.
 
-    landen_map already enforces agreement at construction; this re-runs
-    the residual fit so callers can report the gap as a metric.  Returns
-    0.0 when the fit is unconditioned (see _residual_fit_A): every speed
-    zeroes the residual there, so the determinations agree vacuously.
+    landen_map enforces agreement at construction for p >= 2; this
+    recomputes the nome determination to report the gap as a metric.
     """
-    lmap = landen_map(p, m)
-    fit = _residual_fit_A(p, m, lmap.shifts)
-    if fit is None:
-        return 0.0
-    return abs(lmap.A - fit)
+    return abs(landen_map(p, m).A - _nome_A(p, m))
 
 
 def dn_landen_rhs(x, lmap: LandenMap):

@@ -18,7 +18,7 @@ import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
 from landen_kdv import DomainError, complete_K, jacobi_sn_cn_dn
-from landen_kdv.elliptic import _modulus_ladder
+from landen_kdv.elliptic import _modulus_ladder, complete_E
 
 mpmath.mp.dps = 40
 
@@ -61,6 +61,25 @@ class TestCompleteK:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             complete_K(bad)
+
+
+class TestCompleteE:
+    def test_e_zero_is_half_pi(self):
+        assert complete_E(0.0) == math.pi / 2
+
+    def test_against_scipy(self):
+        for m in np.linspace(0.0, 0.99, 34):
+            assert complete_E(float(m)) == pytest.approx(float(sps.ellipe(m)), rel=1e-13)
+
+    def test_against_mpmath_near_one(self):
+        for m in (0.999, 1.0 - 1e-9, 1.0 - 1e-12):
+            expected = float(mpmath.ellipe(mpmath.mpf(m)))
+            assert complete_E(m) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, float("nan")])
+    def test_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            complete_E(bad)
 
 
 class TestJacobiPointValues:

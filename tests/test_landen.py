@@ -153,14 +153,37 @@ class TestOffsetConstant:
     def test_dual_oracle_gap_small(self, p, m):
         assert dual_oracle_gap(p, m) < 1e-8
 
-    def test_dual_oracle_vacuous_when_superposition_flat(self):
-        # 8 copies at m = 0.1 leave oscillation below the fit's noise floor,
-        # so the residual-fit oracle abstains and the gap reports 0.0
-        assert dual_oracle_gap(8, 0.1) == 0.0
+    @given(p=st.integers(2, 16), m=st.floats(1e-6, 0.999))
+    @settings(max_examples=40, deadline=None)
+    def test_dual_oracle_gap_sweep(self, p, m):
+        assert dual_oracle_gap(p, m) < 1e-10
+
+    @pytest.mark.parametrize("p,m", [(5, 1e-17), (8, 5e-324)])
+    def test_nome_oracle_survives_vanishing_m(self, p, m):
+        # 1 - m rounds to 1 here, so K(1 - m) must not be taken through it
+        assert dual_oracle_gap(p, m) < 1e-13
+
+    @pytest.mark.parametrize("p,m", [(5, 0.3), (8, 0.3), (8, 0.7), (8, 0.9)])
+    def test_corrupted_lattice_raises_on_flat_superpositions(self, p, m, monkeypatch):
+        # the superposed profile here oscillates by under 1e-5 of its mean, so
+        # a cross-check that reads A off the profile would have nothing to see
+        original = landen_module._cyclic_constants
+
+        def corrupted(*args):
+            a = original(*args)
+            return (a[0] + 1e-6,) + a[1:]
+
+        landen_map.cache_clear()
+        monkeypatch.setattr(landen_module, "_cyclic_constants", corrupted)
+        try:
+            with pytest.raises(ConsistencyError):
+                landen_map(p, m)
+        finally:
+            landen_map.cache_clear()
 
     def test_disagreeing_oracles_raise(self, monkeypatch):
         landen_map.cache_clear()
-        monkeypatch.setattr(landen_module, "_residual_fit_A", lambda p, m, shifts: 123.0)
+        monkeypatch.setattr(landen_module, "_nome_A", lambda p, m: 123.0)
         with pytest.raises(ConsistencyError):
             landen_map(3, 0.31)
         landen_map.cache_clear()
