@@ -54,6 +54,16 @@ def _agm(b: float) -> tuple[float, float]:
     return a, c2_sum
 
 
+def _complete_KE(m: float) -> tuple[float, float]:
+    """K(m) and E(m) from one AGM run; 0 <= m < 1."""
+    m = _check_m(m)
+    if m == 1.0:
+        raise DomainError("K(m) diverges at m = 1")
+    a, c2_sum = _agm(math.sqrt(1.0 - m))
+    big_k = math.pi / (2.0 * a)
+    return big_k, big_k * (1.0 - c2_sum)
+
+
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m).
 
@@ -61,29 +71,28 @@ def complete_K(m: float) -> float:
     quadratically, so a handful of iterations reach machine precision.
     Domain: 0 <= m < 1 (K diverges logarithmically as m -> 1).
     """
-    m = _check_m(m)
-    if m == 1.0:
-        raise DomainError("K(m) diverges at m = 1")
-    return math.pi / (2.0 * _agm(math.sqrt(1.0 - m))[0])
+    return _complete_KE(m)[0]
 
 
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind, E(m), by the AGM.
 
-    E = K (1 - sum_n 2^(n-1) c_n^2); complete_K validates m (0 <= m < 1).
+    E = K (1 - sum_n 2^(n-1) c_n^2), from the AGM run that gives K;
+    domain 0 <= m < 1.
     """
-    big_k = complete_K(m)
-    return big_k * (1.0 - _agm(math.sqrt(1.0 - m))[1])
+    return _complete_KE(m)[1]
 
 
-# keyed on float m; one verify --suite all run builds 53 ladders
+# keyed on float m; one verify --suite all run builds 53 ladders, each
+# holding K(m) as well, so a kernel call runs no AGM
 @lru_cache(maxsize=1024)
-def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float]:
-    """Descending sequence of moduli k_1, k_2, ... and the residual parameter.
+def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float, float]:
+    """Descending sequence of moduli k_1, k_2, ..., the residual parameter and K(m).
 
     Iterates k_{j+1} = k_j^2 / (1 + k'_j)^2 starting from k_1 derived from
     m, stopping once the squared modulus drops below ``_LADDER_FLOOR``.
-    Returns the moduli (top first) and the parameter left at the bottom.
+    Returns the moduli (top first), the parameter left at the bottom and
+    the quarter period K(m) that the argument reduction needs (m < 1).
     """
     ks: list[float] = []
     m_j = m
@@ -92,18 +101,19 @@ def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float]:
         k = m_j / (1.0 + kp) ** 2
         ks.append(k)
         m_j = k * k
-    return tuple(ks), m_j
+    return tuple(ks), m_j, complete_K(m)
 
 
 def jacobi_sn_cn_dn(x, m: float):
     """sn, cn and dn of x with modulus parameter m, elementwise.
 
-    ``x`` may be a scalar or an ndarray; scalars come back as floats.
-    Handles the degenerate ends exactly: m = 0 gives (sin, cos, 1) and
-    m = 1 gives (tanh, sech, sech).
+    ``x`` may be a scalar or an ndarray of any shape; scalars come back as
+    floats.  The input is never written to.  Handles the degenerate ends
+    exactly: m = 0 gives (sin, cos, 1) and m = 1 gives (tanh, sech, sech).
     """
     m = _check_m(m)
-    x_arr = np.asarray(x, dtype=float)
+    # 1-d at least: the in-place steps below need array outputs
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x_arr)):
         raise DomainError("argument must be finite")
 
@@ -111,20 +121,34 @@ def jacobi_sn_cn_dn(x, m: float):
         sech = 1.0 / np.cosh(x_arr)
         s, c, d = np.tanh(x_arr), sech, sech.copy()
     else:
-        big_k = complete_K(m)
+        ks, m_bottom, big_k = _modulus_ladder(m)
         # reduce mod the real period 4K; |z| <= 2K keeps the seed accurate
-        z = x_arr - (4.0 * big_k) * np.round(x_arr / (4.0 * big_k))
-        ks, m_bottom = _modulus_ladder(m)
+        period = 4.0 * big_k
+        z = np.divide(x_arr, period)
+        np.round(z, out=z)
+        z *= period
+        np.subtract(x_arr, z, out=z)
         for k in ks:
-            z = z / (1.0 + k)
+            z /= 1.0 + k
+        # updated in place; each product keeps its operand order, as in
+        # (k*s)*s and ((1+k)*s)/(1+t), and c takes the previous level's d
         s = np.sin(z)
-        c = np.cos(z)
-        d = np.sqrt(1.0 - m_bottom * s * s)
+        c = np.cos(z, out=z)
+        t = m_bottom * s * s
+        d = np.sqrt(1.0 - t)
+        denom = np.empty_like(t)
         for k in reversed(ks):
-            t = k * s * s
-            denom = 1.0 + t
-            s, c, d = (1.0 + k) * s / denom, c * d / denom, (1.0 - t) / denom
+            # t = k s^2; s, c, d <- (1+k) s, c d, 1-t, each over 1+t
+            np.multiply(k, s, out=t)
+            t *= s
+            np.add(1.0, t, out=denom)
+            s *= 1.0 + k
+            s /= denom
+            c *= d
+            c /= denom
+            np.subtract(1.0, t, out=d)
+            d /= denom
 
     if np.ndim(x) == 0:
-        return float(s), float(c), float(d)
+        return float(s[0]), float(c[0]), float(d[0])
     return s, c, d

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import _agm, complete_E, complete_K, jacobi_sn_cn_dn
+from .elliptic import _agm, _complete_KE, complete_E, complete_K, jacobi_sn_cn_dn
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
@@ -76,6 +76,12 @@ def _check_pm(p: int, m: float) -> tuple[int, float]:
     return int(p), m
 
 
+def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
+    """dn(x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
+    column = np.reshape(shifts, (len(shifts),) + (1,) * np.ndim(x))
+    return jacobi_sn_cn_dn(x + column, m)[2]
+
+
 def cyclic_sums(m: float, shifts: tuple[float, ...], probes: np.ndarray) -> np.ndarray:
     """sum_i dn(u + shifts[i]) * dn(u + shifts[i+r mod p]) at each probe u.
 
@@ -83,7 +89,7 @@ def cyclic_sums(m: float, shifts: tuple[float, ...], probes: np.ndarray) -> np.n
     (p - 1, len(probes)); each row is constant when the lattice is right.
     """
     # d[i, j] = dn(probes[j] + shifts[i], m)
-    d = np.stack([jacobi_sn_cn_dn(probes + s, m)[2] for s in shifts])
+    d = _dn_on_lattice(probes, shifts, m)
     rows = [np.sum(d * np.roll(d, -r, axis=0), axis=0) for r in range(1, len(shifts))]
     return np.array(rows).reshape(len(shifts) - 1, len(probes))
 
@@ -123,7 +129,7 @@ def _nome_A(p: int, m: float) -> float:
     identity over a period, where dn^2 has mean E/K (DLMF 22.16(ii)), gives
     sum_r a_p(r) = E(m~)/(gamma^2 K(m~)) - p E(m)/K(m).
     """
-    big_k = complete_K(m)
+    big_k, e_m = _complete_KE(m)
     # K(1 - m) from AGM(1, sqrt(m)): rounding 1 - m would lose small m
     k_prime = 0.5 * math.pi / _agm(math.sqrt(m))[0]
     q = math.exp(-p * math.pi * k_prime / big_k)
@@ -134,7 +140,7 @@ def _nome_A(p: int, m: float) -> float:
     m_tilde = 16.0 * q * (s2 / s3) ** 4
     k_tilde = 0.5 * math.pi * s3 * s3
     gamma = big_k / (p * k_tilde)
-    cyclic_sum = complete_E(m_tilde) / (gamma**2 * k_tilde) - p * complete_E(m) / big_k
+    cyclic_sum = complete_E(m_tilde) / (gamma**2 * k_tilde) - p * e_m / big_k
     return _consistency_A(m, gamma, m_tilde, cyclic_sum)
 
 
@@ -200,8 +206,8 @@ def dn_landen_rhs(x, lmap: LandenMap):
     """
     x_arr = np.asarray(x, dtype=float)
     total = np.zeros_like(x_arr)
-    for s in lmap.shifts:
-        total += jacobi_sn_cn_dn(lmap.gamma * x_arr + s, lmap.m)[2]
+    for row in _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m):
+        total += row
     total *= lmap.gamma
     if np.ndim(x) == 0:
         return float(total)
@@ -216,8 +222,8 @@ def dn2_landen_rhs(x, lmap: LandenMap):
     """
     x_arr = np.asarray(x, dtype=float)
     total = np.full_like(x_arr, math.fsum(lmap.a))
-    for s in lmap.shifts:
-        total += jacobi_sn_cn_dn(lmap.gamma * x_arr + s, lmap.m)[2] ** 2
+    for row in _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m):
+        total += row**2
     total *= lmap.gamma**2
     if np.ndim(x) == 0:
         return float(total)

@@ -27,7 +27,7 @@ import numpy as np
 from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
-from .landen import landen_map
+from .landen import _dn_on_lattice, landen_map
 
 
 class VelocityScaling(enum.Enum):
@@ -98,23 +98,25 @@ class DnWaveParams:
         """Grid spanning an integer number of spatial periods."""
         return PeriodicGrid(N=n, L=periods * self.spatial_period)
 
-    def sample(self, grid: PeriodicGrid, t: float) -> np.ndarray:
+    def sample(self, grid: PeriodicGrid, t: float | np.ndarray) -> np.ndarray:
+        """The field on the grid; t of shape (k, 1) gives k slices as (k, N)."""
         return u_p(grid.x, t, self)
 
 
-def u_p(x, t: float, params: DnWaveParams):
+def u_p(x, t: float | np.ndarray, params: DnWaveParams):
     """p-term superposed wave: -2 a^2 sum_i dn^2(xi + offset_i, m) + beta a^2
 
-    with xi = alpha*(x - b_p*alpha^2*t).  Scalar x gives a float, array x
-    an array.
+    with xi = alpha*(x - b_p*alpha^2*t).  x and t broadcast against each
+    other; all p shifts go to the kernel in one call.  Scalar x and t give
+    a float, otherwise an array.
     """
     alpha = params.alpha
     xi = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     total = np.zeros_like(xi)
-    for shift in params.shifts:
-        total += jacobi_sn_cn_dn(xi + shift, params.m)[2] ** 2
+    for row in _dn_on_lattice(xi, params.shifts, params.m):
+        total += row**2
     out = -2.0 * alpha**2 * total + params.beta * alpha**2
-    if np.ndim(x) == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
 

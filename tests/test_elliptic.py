@@ -17,8 +17,10 @@ import pytest
 import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 
+import landen_kdv.elliptic as elliptic_module
+import landen_kdv.landen as landen_module
 from landen_kdv import DomainError, complete_K, jacobi_sn_cn_dn
-from landen_kdv.elliptic import _modulus_ladder, complete_E
+from landen_kdv.elliptic import _agm, _modulus_ladder, complete_E
 
 mpmath.mp.dps = 40
 
@@ -80,6 +82,27 @@ class TestCompleteE:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             complete_E(bad)
+
+    def test_one_agm_run_equals_the_two_run_formula(self):
+        for m in (1e-300, 1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 2.0**-52):
+            two_runs = complete_K(m) * (1.0 - _agm(math.sqrt(1.0 - m))[1])
+            assert complete_E(m) == two_runs
+
+    def test_agm_runs(self, monkeypatch):
+        runs = [0]
+
+        def counted(b):
+            runs[0] += 1
+            return _agm(b)
+
+        for module in (elliptic_module, landen_module):
+            monkeypatch.setattr(module, "_agm", counted)
+        complete_E(0.5)
+        assert runs[0] == 1
+        # the nome oracle: K(m) and E(m) together, K(1 - m), then E(m~)
+        runs[0] = 0
+        landen_module._nome_A(5, 0.5)
+        assert runs[0] == 3
 
 
 class TestJacobiPointValues:
@@ -143,6 +166,32 @@ class TestJacobiPointValues:
     def test_bad_argument(self):
         with pytest.raises(DomainError):
             jacobi_sn_cn_dn(float("nan"), 0.5)
+
+
+class TestKernelArrays:
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+    def test_input_is_not_written(self, m):
+        for x in (np.linspace(-30.0, 30.0, 257), np.linspace(-5.0, 5.0, 60).reshape(3, 20)):
+            before = x.copy()
+            jacobi_sn_cn_dn(x, m)
+            assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+    def test_scalar_forms_return_python_floats(self, m):
+        results = [jacobi_sn_cn_dn(x, m) for x in (0.7, np.float64(0.7), np.asarray(0.7))]
+        for triple in results:
+            assert all(type(v) is float for v in triple)
+            assert triple == results[0]
+
+    @pytest.mark.parametrize("m", [0.0, 1e-9, 0.3, 0.9, 1.0 - 1e-9, 1.0])
+    def test_stacked_rows_match_one_dimensional_calls(self, m):
+        x = np.random.default_rng(3).uniform(-40.0, 40.0, (5, 97))
+        stacked = jacobi_sn_cn_dn(x, m)
+        for values in stacked:
+            assert values.shape == x.shape
+        for i, row in enumerate(x):
+            for values, one_d in zip(stacked, jacobi_sn_cn_dn(row, m)):
+                assert np.array_equal(values[i], one_d)
 
 
 class TestAlgebraicInvariants:
