@@ -118,7 +118,9 @@ def jacobi_sn_cn_dn(x, m: float):
         raise DomainError("argument must be finite")
 
     if m == 1.0:
-        sech = 1.0 / np.cosh(x_arr)
+        # cosh overflows to inf for |x| > ~710, where 1/inf = 0 is sech
+        with np.errstate(over="ignore"):
+            sech = 1.0 / np.cosh(x_arr)
         s, c, d = np.tanh(x_arr), sech, sech.copy()
     else:
         ks, m_bottom, big_k = _modulus_ladder(m)

@@ -15,8 +15,10 @@ without the mask those corruptions fold back into resolved modes and
 pollute 1e-6 comparisons.
 
 The k = 0 mode is untouched by both the integrating factor and the
-nonlinear term (which carries a factor i*k), so the mean of u is conserved
-exactly, not just to tolerance.
+nonlinear term (which carries a factor i*k), so the coefficient u_hat[0],
+N times the mean of u, is the same to the last bit after every step.  The
+mean of a sampled field, mean(ifft(u_hat).real), is not: the inverse
+transform and the sum round it, so it drifts by a few ulps.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
-"""Radix-2 FFT and periodic spectral differentiation.
+"""Four-step FFT and periodic spectral differentiation.
 
-The transform is implemented here (iterative Cooley-Tukey, decimation in
-time) rather than taken from numpy so the package carries no black box in
-the one place accuracy claims depend on; numpy.fft appears only in the test
-suite as an independent oracle.  Grids are restricted to power-of-two sizes,
-which is all the radix-2 scheme supports and all the solvers need.
+The transform is implemented here rather than taken from numpy so the
+package carries no black box in the one place accuracy claims depend on;
+numpy.fft appears only in the test suite as an independent oracle.  It is
+the four-step factorisation (Bailey 1990): a size n = n1 * n2 transform is
+an n1-point DFT matrix product, one elementwise twiddle and an n2-point DFT
+matrix product, so the work runs in two small dense matmuls instead of a
+Python loop over log2(n) butterfly stages.  Every angle is reduced modulo
+its period before exp is called, 2 pi (j k mod n) / n: unreduced, the
+angle's rounding grows with j k, and the error at n = 8192 is about 30x
+larger.  Grids are restricted to power-of-two sizes, which is all the
+solvers need and keeps n1 and n2 powers of two.
 """
 
 from __future__ import annotations
@@ -32,42 +38,41 @@ def _require_pow2(n: int) -> int:
     return n
 
 
+def _roots(rows: int, cols: int, n: int) -> np.ndarray:
+    """exp(-2 pi i j k / n) for j < rows, k < cols, with j k reduced mod n."""
+    jk = np.outer(np.arange(rows), np.arange(cols)) % n
+    return np.exp(-2j * np.pi * jk / n)
+
+
 @lru_cache(maxsize=None)
 def _plan(n: int):
-    """Bit-reversal permutation and per-stage twiddle factors for size n."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    twiddles = []
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddles.append(np.exp(-2j * np.pi * np.arange(half) / size))
-        size *= 2
-    return rev, tuple(twiddles)
+    """Left DFT matrix, twiddle and right DFT matrix of the size-n transform.
+
+    n = n1 * n2 with n1 = 2^floor(log2(n) / 2); the twiddle is
+    exp(-2 pi i k1 j2 / n) on the (n1, n2) grid.
+    """
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n2 = n // n1
+    return _roots(n1, n1, n1), _roots(n1, n2, n), _roots(n2, n2, n2)
 
 
 def fft(a: np.ndarray) -> np.ndarray:
-    """Forward discrete Fourier transform of a 1-D array (radix-2)."""
+    """Forward discrete Fourier transform of a 1-D array (four-step).
+
+    With j = j1 n2 + j2 and k = k1 + n1 k2, the sum over j1 is an n1-point
+    DFT down the columns of a.reshape(n1, n2), the twiddle carries the
+    cross term k1 j2, and the sum over j2 is an n2-point DFT along rows;
+    the result at (k1, k2) sits at flat index k1 + n1 k2, hence the
+    transpose.
+    """
     a = np.asarray(a)
     if a.ndim != 1:
         raise DomainError("fft operates on 1-D arrays")
     n = _require_pow2(a.size)
-    rev, twiddles = _plan(n)
-    buf = a[rev].astype(complex)
-    for stage, w in enumerate(twiddles):
-        size = 2 << stage
-        half = size >> 1
-        b = buf.reshape(-1, size)
-        odd = b[:, half:] * w
-        even = b[:, :half]
-        total, diff = even + odd, even - odd
-        b[:, :half] = total
-        b[:, half:] = diff
-    return buf
+    left, twiddle, right = _plan(n)
+    cols = left @ a.reshape(left.shape[0], -1)
+    cols *= twiddle
+    return (cols @ right).T.ravel()
 
 
 def ifft(a: np.ndarray) -> np.ndarray:

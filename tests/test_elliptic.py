@@ -131,6 +131,14 @@ class TestJacobiPointValues:
         assert np.max(np.abs(c - 1.0 / np.cosh(x))) < 1e-13
         assert np.max(np.abs(d - 1.0 / np.cosh(x))) < 1e-13
 
+    def test_m_one_far_tails_do_not_warn(self):
+        # cosh overflows past |x| ~ 710; sech is then 0, with no
+        # RuntimeWarning (the pytest filter turns one into an error)
+        assert jacobi_sn_cn_dn(1000.0, 1.0) == (1.0, 0.0, 0.0)
+        s, c, d = jacobi_sn_cn_dn(np.array([-1e4, 1e4]), 1.0)
+        assert list(s) == [-1.0, 1.0]
+        assert list(c) == [0.0, 0.0] and list(d) == [0.0, 0.0]
+
     def test_against_mpmath_points(self):
         for x in (-7.3, -1.0, 0.4, 2.2, 15.9):
             for m in (0.1, 0.5, 0.95, 1.0 - 1e-12):

@@ -1,7 +1,7 @@
 """Fourier layer tests.
 
 numpy.fft appears here and only here, as the reference transform for the
-in-repo radix-2 implementation.  Everything downstream of this file trusts
+in-repo four-step implementation.  Everything downstream of this file trusts
 landen_kdv.fourier.
 """
 
@@ -27,13 +27,16 @@ from landen_kdv.fourier import (
 
 
 class TestTransformAgainstNumpy:
-    @pytest.mark.parametrize("n", [2, 8, 64, 256, 1024])
+    @pytest.mark.parametrize("n", [2, 8, 64, 256, 1024, 4096, 8192])
     def test_forward_matches(self, n):
+        # angles reduced mod n before exp: measured 6e-16 and 9e-16 of
+        # max|ref| at n = 4096 and 8192; without the reduction, 2.0e-14
+        # and 3.0e-14
         rng = np.random.default_rng(n)
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ours = fft(a)
         ref = np.fft.fft(a)
-        assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [4, 128, 512])
     def test_inverse_matches(self, n):

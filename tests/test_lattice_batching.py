@@ -18,6 +18,7 @@ from landen_kdv import (
     DnWaveParams,
     PeriodicGrid,
     PmWaveParams,
+    complete_K,
     dn2_landen_rhs,
     dn_landen_rhs,
     equivalence_check,
@@ -29,7 +30,11 @@ from landen_kdv import (
 )
 from landen_kdv.fourier import fit_traveling_velocity
 from landen_kdv.landen import cyclic_sums
-from landen_kdv.verify import TravelingProfile, pm_superposition_velocity_search
+from landen_kdv.verify import (
+    TravelingProfile,
+    _quarter_period_metric,
+    pm_superposition_velocity_search,
+)
 
 MS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9)
 XS = (
@@ -143,6 +148,19 @@ def test_sample_broadcasts_time_slices():
     assert np.array_equal(stacked, np.stack([params.sample(grid, t) for t in ts]))
 
 
+def loop_quarter_period(m):
+    big_k = complete_K(m)
+    x = np.linspace(0.0, 2.0 * big_k, 257)
+    d0 = jacobi_sn_cn_dn(x, m)[2]
+    d1 = jacobi_sn_cn_dn(x + big_k, m)[2]
+    return float(np.max(np.abs(d0 * d1 - math.sqrt(1.0 - m))))
+
+
+@pytest.mark.parametrize("m", [0.0, *MS])
+def test_quarter_period_metric_matches_two_calls(m):
+    assert _quarter_period_metric(m) == loop_quarter_period(m)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_speed_probe_matches_per_phase_loop(p, sign):
@@ -192,3 +210,8 @@ class TestOneKernelCallPerLattice:
         calls[0] = 0
         pm_superposition_velocity_search(PmWaveParams(alpha=1.0, m=0.5, sign=1), 3, n=64)
         assert calls[0] == 2
+
+    def test_quarter_period_metric(self, calls):
+        calls[0] = 0
+        _quarter_period_metric(0.7)
+        assert calls[0] == 1

@@ -1,6 +1,14 @@
-"""The package's public surface, pinned so that changing it is deliberate."""
+"""The package's public surface, pinned so that changing it is deliberate.
 
+Also the no-black-box rule: the runtime needs only numpy, and never its
+transform; scipy, mpmath and numpy.fft are test oracles only.
+"""
+
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import landen_kdv
 
@@ -61,3 +69,57 @@ def test_submodules_are_not_shadowed():
 
     assert isinstance(ev, types.ModuleType)
     assert ev.evolve_trajectory is landen_kdv.evolve_trajectory
+
+
+# packages only the tests may import; numpy.fft is checked on its own
+_ORACLE_PACKAGES = ("scipy", "mpmath")
+
+
+def oracle_uses(source: str) -> list[str]:
+    """Imports of scipy, mpmath or numpy.fft, and numpy.fft reached as an attribute."""
+    tree = ast.parse(source)
+    found = []
+    # "import numpy.linalg" binds numpy too, so numpy is always a candidate
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy" and alias.asname:
+                    numpy_names.add(alias.asname)
+                top = alias.name.split(".")[0]
+                if top in _ORACLE_PACKAGES or alias.name.startswith("numpy.fft"):
+                    found.append(f"import {alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            top = node.module.split(".")[0]
+            names = {alias.name for alias in node.names}
+            if top in _ORACLE_PACKAGES or node.module.startswith("numpy.fft") or (
+                    node.module == "numpy" and "fft" in names):
+                found.append(f"from {node.module} import {', '.join(sorted(names))}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            found.append(f"{node.value.id}.fft")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.fft.fft(x)",
+    "import numpy\ny = numpy.fft.ifft(x)",
+    "import numpy.linalg\ny = numpy.fft.ifft(x)",
+    "from numpy import fft",
+    "from numpy.fft import rfft",
+    "import numpy.fft",
+    "import scipy.special as sps",
+    "from scipy import fft",
+    "import mpmath",
+    "from mpmath import mp",
+])
+def test_oracle_use_is_detected(source):
+    assert oracle_uses(source)
+
+
+def test_runtime_uses_no_oracle():
+    modules = sorted(Path(landen_kdv.__file__).parent.glob("*.py"))
+    assert "fourier.py" in {path.name for path in modules}
+    offenders = {path.name: oracle_uses(path.read_text()) for path in modules}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
