@@ -46,15 +46,12 @@ from .verify import (
     TOLERANCES,
     equivalence_check,
     kdv_residual,
-    pm_superposition_velocity_search,
     run_suite,
     soliton_limit_check,
 )
 from .waves import (
     DnWaveParams,
-    PmWave,
     PmWaveParams,
-    VelocityScaling,
     u1,
     u_p,
     u_pm,
@@ -75,14 +72,12 @@ __all__ = [
     "LandenMap",
     "PeriodMismatchError",
     "PeriodicGrid",
-    "PmWave",
     "PmWaveParams",
     "ResidualReport",
     "TOLERANCES",
     "Trajectory",
     "TransformedParams",
     "TravelingProfile",
-    "VelocityScaling",
     "complete_K",
     "conservation_report",
     "dn2_landen_rhs",
@@ -96,7 +91,6 @@ __all__ = [
     "jacobi_sn_cn_dn",
     "kdv_residual",
     "landen_map",
-    "pm_superposition_velocity_search",
     "run_suite",
     "soliton_limit_check",
     "spectral_derivative",

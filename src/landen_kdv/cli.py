@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +41,8 @@ from .evolve import (
 )
 from .fourier import PeriodicGrid
 from .landen import landen_map
-from .verify import SUITES, run_suite
-from .waves import DnWaveParams, PmWaveParams, VelocityScaling
+from .verify import SUITES, _as_written, run_suite
+from .waves import DnWaveParams, PmWaveParams
 
 SCHEMA = "landen-kdv/1"
 
@@ -56,57 +55,73 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's options, loadable from a JSON file; flags win.
+def _read_config(path: str) -> tuple[str, dict]:
+    """(command, options) from {"schema": ..., "command": ..., "options": {...}}."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("options"), dict):
+        raise DomainError(f"config {path} must contain an 'options' object")
+    return str(raw.get("command", "")), raw["options"]
 
-    The file holds {"schema": ..., "command": ..., "options": {...}}.
-    Round-trip is lossless: to_json() of a parsed config reproduces the
-    file (modulo key order, which is always sorted).
+
+def _config_value(flag: argparse.Action, value, default):
+    """A config-file value as its flag would parse it; ValueError otherwise.
+
+    Typed flags parse the text JSON gives, so 2.7 is not an int and "abc"
+    is not a float.  Switches, repeatable flags and plain strings take the
+    default's type.  null keeps an unset default; choices apply as on the
+    command line.
     """
-
-    command: str
-    options: dict
-
-    def to_json(self) -> str:
-        return _dump_json({"schema": SCHEMA, "command": self.command,
-                           "options": self.options})
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    if value is None and default is None:
+        return None
+    if flag.type is None:
+        kind = str if default is None else type(default)
+        if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(v, str) for v in value)):
+            raise ValueError(f"expected a {kind.__name__}, got {value!r}")
+        parsed = value
+    else:
+        text = value if isinstance(value, str) else json.dumps(value)
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise DomainError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict) or not isinstance(raw.get("options"), dict):
-            raise DomainError(f"config {path} must contain an 'options' object")
-        return cls(command=str(raw.get("command", "")), options=raw["options"])
+            parsed = flag.type(text)
+        except ValueError:
+            raise ValueError(f"invalid {flag.type.__name__} value: {text!r}") from None
+    if flag.choices is not None and parsed not in flag.choices:
+        raise ValueError(f"{parsed!r} is not one of {list(flag.choices)}")
+    return parsed
 
 
 def _merge_options(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """defaults < config file < explicit flags.
 
     Subparsers register flags with default=SUPPRESS, so the namespace
-    contains exactly what the user typed.
+    contains exactly what the user typed.  Config values meet the same
+    type and choices checks as the flags.
     """
     provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config", "command_name")}
+                if k not in ("func", "flags", "config", "command_name")}
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        cfg = RunConfig.from_file(config_path)
-        if cfg.command and cfg.command != command:
+        cfg_command, options = _read_config(config_path)
+        if cfg_command and cfg_command != command:
             raise DomainError(
-                f"config {config_path} is for command {cfg.command!r}, "
+                f"config {config_path} is for command {cfg_command!r}, "
                 f"not {command!r}")
-        unknown = set(cfg.options) - set(defaults)
+        unknown = set(options) - set(defaults)
         if unknown:
             raise DomainError(f"config {config_path} has unknown options: "
                               f"{sorted(unknown)}")
-        merged.update(cfg.options)
+        for key, value in options.items():
+            try:
+                merged[key] = _config_value(args.flags[key], value, defaults[key])
+            except ValueError as exc:
+                raise DomainError(f"config {config_path}: {key}: {exc}") from None
     merged.update(provided)
     return merged
 
@@ -247,7 +262,7 @@ def _build_wave(opts: dict):
     if family == "upm":
         params = PmWaveParams(alpha=float(opts["alpha"]), m=float(opts["m"]),
                               sign=int(opts["sign"]))
-        return params.sampler(VelocityScaling(str(opts["scaling"])))
+        return _as_written(params) if opts["scaling"] == "as_written" else params
     raise DomainError(f"unknown family {family!r}")
 
 
@@ -293,8 +308,6 @@ _EVOLVE_DEFAULTS = {
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     opts = _merge_options(args, "evolve", _EVOLVE_DEFAULTS)
-    if str(opts["family"]) == "upm":
-        raise DomainError("evolve supports the dn^2 families (u1, up)")
     wave = _build_wave(opts)
     grid = wave.natural_grid(int(opts["n"]))
 
@@ -383,12 +396,19 @@ class _Parser(argparse.ArgumentParser):
 
     Stock argparse recognizes only -1 and -1.5 as negative numbers, so
     "--beta -1e-05" was an unknown option; subparsers inherit this class.
+    ``flags`` maps each dest to its action, for checking config values.
     """
 
     def __init__(self, *args, **kwargs) -> None:
+        self.flags: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_landen.add_argument("--json", action="store_true", default=sup)
     p_landen.add_argument("--csv", action="store_true", default=sup)
     p_landen.add_argument("--config", help="JSON config file; flags win")
-    p_landen.set_defaults(func=cmd_landen)
+    p_landen.set_defaults(func=cmd_landen, flags=p_landen.flags)
 
     p_verify = sub.add_parser(
         "verify", help="run a verification suite and emit a JSONL report")
@@ -421,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true", default=sup,
                           help="machine-readable summary")
     p_verify.add_argument("--config", help="JSON config file; flags win")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, flags=p_verify.flags)
 
     p_eval = sub.add_parser("eval", help="dump (x, u) samples of one family")
     p_eval.add_argument("--family", choices=("u1", "up", "upm"), default=sup)
@@ -442,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--output", default=sup, help="CSV path (default stdout)")
     p_eval.add_argument("--json", action="store_true", default=sup)
     p_eval.add_argument("--config", help="JSON config file; flags win")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, flags=p_eval.flags)
 
     p_evolve = sub.add_parser(
         "evolve", help="integrate a family and compare to its exact translate")
@@ -467,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write snapshot CSVs and metadata.json here")
     p_evolve.add_argument("--json", action="store_true", default=sup)
     p_evolve.add_argument("--config", help="JSON config file; flags win")
-    p_evolve.set_defaults(func=cmd_evolve)
+    p_evolve.set_defaults(func=cmd_evolve, flags=p_evolve.flags)
 
     return parser
 

@@ -25,8 +25,10 @@ from .elliptic import _agm, _complete_KE, complete_E, complete_K, jacobi_sn_cn_d
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
-# lattice, where a symmetry could mask genuine x-dependence.
+# lattice, where a symmetry could mask genuine x-dependence.  Column 0 of
+# the lattice stack landen_map evaluates is u = 0, the dn(shifts) column.
 _PROBES = np.asarray([0.1 + 0.25 * j for j in range(8)])
+_LATTICE_U = np.concatenate(([0.0], _PROBES))
 _CONSTANCY_TOL = 1e-9
 
 # Dual determinations of A(p, m) must agree this closely.
@@ -82,26 +84,26 @@ def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
     return jacobi_sn_cn_dn(x + column, m)[2]
 
 
-def cyclic_sums(m: float, shifts: tuple[float, ...], probes: np.ndarray) -> np.ndarray:
-    """sum_i dn(u + shifts[i]) * dn(u + shifts[i+r mod p]) at each probe u.
+def cyclic_sums(d: np.ndarray) -> np.ndarray:
+    """sum_i d[i, j] * d[i+r mod p, j] for a lattice stack from _dn_on_lattice.
 
-    Row r-1 holds the sums for r = 1..p-1, so the result has shape
-    (p - 1, len(probes)); each row is constant when the lattice is right.
+    With d[i, j] = dn(u_j + shifts[i], m), row r-1 holds the sums for
+    r = 1..p-1, so the result has shape (p - 1, len(u)); each row is
+    constant when the lattice is right.
     """
-    # d[i, j] = dn(probes[j] + shifts[i], m)
-    d = _dn_on_lattice(probes, shifts, m)
-    rows = [np.sum(d * np.roll(d, -r, axis=0), axis=0) for r in range(1, len(shifts))]
-    return np.array(rows).reshape(len(shifts) - 1, len(probes))
+    p = len(d)
+    rows = [np.sum(d * np.roll(d, -r, axis=0), axis=0) for r in range(1, p)]
+    return np.array(rows).reshape(p - 1, d.shape[1])
 
 
-def _cyclic_constants(p: int, m: float, shifts: tuple[float, ...]) -> tuple[float, ...]:
+def _cyclic_constants(p: int, m: float, d: np.ndarray) -> tuple[float, ...]:
     """a_p(r) for r = 1..p-1, the means of the cyclic sums over _PROBES.
 
-    Each sum is evaluated at eight scattered u values; any drift beyond
-    tolerance means the convention is wrong for this (p, m) and is an error,
-    not a warning.
+    d holds the lattice at _PROBES.  Each sum is evaluated at eight
+    scattered u values; any drift beyond tolerance means the convention is
+    wrong for this (p, m) and is an error, not a warning.
     """
-    sums = cyclic_sums(m, shifts, _PROBES)
+    sums = cyclic_sums(d)
     for r, row in enumerate(sums, start=1):
         if np.std(row) > _CONSTANCY_TOL:
             raise ConsistencyError(
@@ -160,13 +162,14 @@ def landen_map(p: int, m: float) -> LandenMap:
         return LandenMap(p=1, m=m, gamma=1.0, m_tilde=m, shifts=(0.0,), a=(), A=0.0)
     big_k = complete_K(m)
     shifts = tuple(2.0 * i * big_k / p for i in range(p))
-    d0 = jacobi_sn_cn_dn(np.asarray(shifts), m)[2]
+    d = _dn_on_lattice(_LATTICE_U, shifts, m)
+    d0 = d[:, 0]
     gamma = 1.0 / math.fsum(d0)
     m_tilde = (m - 2.0) * gamma**2 + 2.0 * gamma**3 * math.fsum(d0**3)
     # the two terms cancel to ~2 gamma^2 ulps; once the true m~ drops
     # under that, the float result can come out negative
     m_tilde = max(m_tilde, 0.0)
-    a = _cyclic_constants(p, m, shifts)
+    a = _cyclic_constants(p, m, d[:, 1:])
 
     a_lattice = _consistency_A(m, gamma, m_tilde, math.fsum(a))
     a_nome = _nome_A(p, m)

@@ -12,16 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError, PeriodMismatchError
-from .fourier import PeriodicGrid, fit_traveling_velocity, spectral_derivative
+from .fourier import PeriodicGrid, spectral_derivative
 from .landen import (
     LandenMap,
+    _dn_on_lattice,
     cyclic_sums,
     dn2_landen_rhs,
     dn_landen_rhs,
@@ -29,7 +29,7 @@ from .landen import (
     landen_map,
     transform_params,
 )
-from .waves import DnWaveParams, PmWaveParams, VelocityScaling, u1
+from .waves import DnWaveParams, PmWaveParams, _pm_as_dn2, u1, u_p, u_pm
 
 # Default tolerance profile; every suite check cites one entry by key.
 # Overrides replace values, never the comparison direction.
@@ -49,7 +49,6 @@ TOLERANCES: dict[str, float] = {
     "equivalence": 1e-9,
     "soliton_limit": 1e-5,
     "soliton_exact": 1e-12,
-    "speed_probe": 1.0,
 }
 
 # Time slices inspected by equivalence_check, relative to its base t.
@@ -62,8 +61,8 @@ _IDENTITY_MS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _EQUIV_PS = range(1, 7)
 _EQUIV_MS = (0.2, 0.5, 0.8, 0.9)
 _EQUIV_AB = ((1.0, 0.0), (1.7, -0.4), (2.0, 1.0))
-# alpha != 1 so the two u_pm phase scalings genuinely differ (they
-# coincide at alpha = 1, where no separation is possible)
+# alpha != 1 so the as-written u_pm speed q1*alpha genuinely differs from
+# q1*alpha^2 (they coincide at alpha = 1, where no separation is possible)
 _UPM_ALPHA = 1.3
 _UPM_MS = (0.2, 0.5, 0.8)
 
@@ -180,36 +179,6 @@ def soliton_limit_check(alpha: float, beta: float, x_range: float = 5.0,
     return float(np.max(np.abs(u - reference)))
 
 
-def pm_superposition_velocity_search(
-    base: PmWaveParams, p: int, n: int = 512
-) -> tuple[float, float]:
-    """Best traveling speed for a p-term superposition of u_pm profiles.
-
-    Whether such superpositions travel rigidly at some corrected speed
-    (as the dn^2 family does via A(p, m)) is open here; this measures the
-    least-squares speed of the t = 0 field and the normalized residual
-    that speed leaves, and claims nothing more.
-    """
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    grid = PeriodicGrid(N=n, L=base.spatial_period)
-    root_m = math.sqrt(base.m)
-    offsets = np.arange(p) * base.spatial_period / p
-
-    def profile(xs: np.ndarray) -> np.ndarray:
-        # the p phases as rows of one kernel call, summed in phase order
-        eta = base.alpha * (xs + offsets[:, np.newaxis])
-        s, c, d = jacobi_sn_cn_dn(eta, base.m)
-        total = np.zeros_like(xs)
-        for i in range(p):
-            total += base.m * s[i] * s[i] + base.sign * root_m * c[i] * d[i]
-        return base.alpha**2 * total
-
-    v_fit = fit_traveling_velocity(profile(grid.x), grid.L)
-    wave = TravelingProfile(profile, v_fit, grid.L)
-    return v_fit, kdv_residual(wave, grid).normalized
-
-
 # ---------------------------------------------------------------------------
 # Suite layer
 
@@ -289,7 +258,7 @@ def _cyclic_constancy_metric(p: int, m: float) -> float:
     # fresh probe set, denser than and disjoint from the one used at
     # construction time
     probes = 0.05 + 0.2 * np.arange(16)
-    sums = cyclic_sums(m, landen_map(p, m).shifts, probes)
+    sums = cyclic_sums(_dn_on_lattice(probes, landen_map(p, m).shifts, m))
     return max((float(np.std(row)) for row in sums), default=0.0)
 
 
@@ -332,23 +301,41 @@ def _residual_non_solution_metric() -> float:
     return kdv_residual(wave, grid, t=0.0).normalized
 
 
-def _residual_upm_metric(m: float, sign: int, scaling: VelocityScaling) -> float:
+def _as_written(params: PmWaveParams) -> TravelingProfile:
+    """u_pm under the source formula's speed q1*alpha, which fails the PDE."""
+    return TravelingProfile(lambda xs: u_pm(xs, 0.0, params),
+                            params.q1 * params.alpha, params.spatial_period)
+
+
+def _residual_upm_metric(wave) -> float:
+    return kdv_residual(wave, PeriodicGrid(N=512, L=wave.spatial_period), t=0.1).normalized
+
+
+def _upm_dn2_identity_metric(m: float, sign: int) -> float:
     params = PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=sign)
-    wave = params.sampler(scaling)
-    grid = params.natural_grid(512)
-    return kdv_residual(wave, grid, t=0.1).normalized
+    dn_params, offset = _pm_as_dn2(params, 1)
+    x = params.natural_grid(256).x
+    return float(np.max(np.abs(u_pm(x, 0.0, params) - u_p(x + offset, 0.0, dn_params))))
+
+
+def _upm_sum(params: PmWaveParams, p: int) -> Callable[[np.ndarray], np.ndarray]:
+    """sum_i u_pm(x + i*spatial_period/p) at t = 0, the p phases in one kernel call."""
+    offsets = np.arange(p)[:, np.newaxis] * params.spatial_period / p
+    return lambda xs: np.sum(u_pm(xs + offsets, 0.0, params), axis=0)
+
+
+def _residual_upm_sum_metric(p: int, m: float) -> float:
+    # the sum, travelling at the speed of its dn^2 form, must solve the PDE
+    params = PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=1)
+    wave = TravelingProfile(_upm_sum(params, p), _pm_as_dn2(params, p)[0].velocity,
+                            params.spatial_period)
+    return kdv_residual(wave, params.natural_grid(256)).normalized
 
 
 def _equivalence_metric(p: int, m: float, alpha: float, beta: float) -> float:
     params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
     grid = params.natural_grid(512, periods=2)
     return equivalence_check(params, landen_map(p, m), grid, t=0.0)
-
-
-@lru_cache(maxsize=4)
-def _speed_probe(p: int) -> tuple[float, float]:
-    base = PmWaveParams(alpha=1.0, m=0.5, sign=1)
-    return pm_superposition_velocity_search(base, p=p)
 
 
 def suite_identities() -> list[Check]:
@@ -383,6 +370,13 @@ def suite_identities() -> list[Check]:
             name="quarter_period_product", params={"m": m},
             tol_key="quarter_period_product",
             fn=lambda m=m: _quarter_period_metric(m)))
+    for m in _UPM_MS:
+        for sign in (1, -1):
+            checks.append(Check(
+                name="upm_dn2_identity",
+                params={"alpha": _UPM_ALPHA, "m": m, "sign": sign, "N": 256},
+                tol_key="dn2_identity",
+                fn=lambda m=m, s=sign: _upm_dn2_identity_metric(m, s)))
     return checks
 
 
@@ -409,14 +403,23 @@ def suite_kdv() -> list[Check]:
                 params={"alpha": _UPM_ALPHA, "m": m, "sign": sign,
                         "scaling": "standard"},
                 tol_key="residual_upm",
-                fn=lambda m=m, s=sign: _residual_upm_metric(m, s, VelocityScaling.STANDARD)))
+                fn=lambda m=m, s=sign: _residual_upm_metric(
+                    PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=s))))
             checks.append(Check(
                 name="residual_upm_rejected",
                 params={"alpha": _UPM_ALPHA, "m": m, "sign": sign,
                         "scaling": "as_written"},
                 tol_key="residual_upm_rejected",
-                fn=lambda m=m, s=sign: _residual_upm_metric(m, s, VelocityScaling.AS_WRITTEN),
+                fn=lambda m=m, s=sign: _residual_upm_metric(
+                    _as_written(PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=s))),
                 lower_bound=True))
+    for p in (2, 3):
+        for m in _UPM_MS:
+            checks.append(Check(
+                name="residual_upm_sum",
+                params={"p": p, "alpha": _UPM_ALPHA, "m": m, "sign": 1, "N": 256},
+                tol_key="residual_up",
+                fn=lambda p=p, m=m: _residual_upm_sum_metric(p, m)))
     return checks
 
 
@@ -435,7 +438,7 @@ def suite_equivalence() -> list[Check]:
 
 
 def suite_limits() -> list[Check]:
-    checks = [
+    return [
         Check(name="soliton_limit", params={"alpha": 1.0, "beta": 0.0, "epsilon": 1e-12},
               tol_key="soliton_limit",
               fn=lambda: soliton_limit_check(1.0, 0.0)),
@@ -446,19 +449,6 @@ def suite_limits() -> list[Check]:
               tol_key="soliton_exact",
               fn=lambda: soliton_limit_check(1.0, 0.0, epsilon=0.0)),
     ]
-    # informational: fitted speed of p-term u_pm superpositions and the
-    # residual that speed leaves; the trivial tolerance means these cannot
-    # fail, they only record the measurement.  p = 2 collapses to a pure
-    # sn^2 wave (the +/- parts cancel under the half-period shift); p = 3
-    # does not, yet still travels rigidly at its fitted speed.
-    for p in (2, 3):
-        checks.append(Check(
-            name="pm_superposition_speed_probe",
-            params={"p": p, "alpha": 1.0, "m": 0.5, "sign": 1,
-                    "fitted_speed": _speed_probe(p)[0]},
-            tol_key="speed_probe",
-            fn=lambda p=p: _speed_probe(p)[1]))
-    return checks
 
 
 SUITES: dict[str, Callable[[], list[Check]]] = {

@@ -6,10 +6,11 @@ Three families:
   coefficient b1 = 8 - 4m - 6b (a = alpha, b = beta).
 * u_p: the p-term superposition of dn^2 profiles shifted by 2(i-1)K/p,
   with speed coefficient b_p = 8 - 4m - 6*beta + 12*A(p, m).
-* u_pm: a^2 [m sn^2 +/- sqrt(m) cn dn], speed coefficient q1 = -1 - m.
-  The source formula scales the speed by alpha, not alpha^2; both
-  scalings are implemented and the verifier decides which solves the PDE
-  (the alpha^2 one does; see VelocityScaling).
+* u_pm: a^2 [m sn^2 +/- sqrt(m) cn dn] with speed q1 a^2, q1 = -1 - m.
+  By the ascending Landen transformation it is a dn^2 wave at a larger
+  parameter (see _pm_as_dn2), so a p-term u_pm sum is u_p there.  The
+  source formula scales the speed by alpha, not alpha^2; the verifier
+  shows that law fails the PDE.
 
 Each parameter bundle doubles as a sampler: sample(grid, t) evaluates the
 field on grid nodes, and velocity/spatial_period feed the verifier and
@@ -18,7 +19,6 @@ evolver without family-specific branching.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -28,18 +28,6 @@ from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
 from .landen import _dn_on_lattice, landen_map
-
-
-class VelocityScaling(enum.Enum):
-    """Time-scaling of the u_pm phase: eta = alpha*(x - q1 * alpha^s * t).
-
-    AS_WRITTEN uses s = 1, the literal formula.  STANDARD uses s = 2,
-    matching the alpha^2 scaling of the dn^2 families; only STANDARD makes
-    the field solve the PDE for alpha != 1 (the two agree at alpha = 1).
-    """
-
-    AS_WRITTEN = "as_written"
-    STANDARD = "standard"
 
 
 def _check_alpha(alpha: float) -> float:
@@ -146,30 +134,29 @@ class PmWaveParams:
             raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
         object.__setattr__(self, "q1", -1.0 - m)
 
-    def velocity(self, scaling: VelocityScaling = VelocityScaling.STANDARD) -> float:
-        power = 1 if scaling is VelocityScaling.AS_WRITTEN else 2
-        return self.q1 * self.alpha**power
+    @property
+    def velocity(self) -> float:
+        return self.q1 * self.alpha**2
 
     @property
     def spatial_period(self) -> float:
         """4K(m)/alpha: the cn*dn product flips sign under a 2K shift."""
         return 4.0 * complete_K(self.m) / self.alpha
 
-    def sampler(self, scaling: VelocityScaling = VelocityScaling.STANDARD) -> "PmWave":
-        return PmWave(params=self, scaling=scaling)
-
     def natural_grid(self, n: int = 512, periods: int = 1) -> PeriodicGrid:
         return PeriodicGrid(N=n, L=periods * self.spatial_period)
 
+    def sample(self, grid: PeriodicGrid, t: float) -> np.ndarray:
+        return u_pm(grid.x, t, self)
 
-def u_pm(x, t: float, params: PmWaveParams,
-         velocity_scaling: VelocityScaling = VelocityScaling.STANDARD):
+
+def u_pm(x, t: float, params: PmWaveParams):
     """u_pm value: alpha^2 [m sn^2(eta) +/- sqrt(m) cn(eta) dn(eta)].
 
-    eta = alpha*(x - V*t) with V from the chosen velocity scaling.
+    eta = alpha*(x - q1*alpha^2*t).
     """
     alpha = params.alpha
-    eta = alpha * (np.asarray(x, dtype=float) - params.velocity(velocity_scaling) * t)
+    eta = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     s, c, d = jacobi_sn_cn_dn(eta, params.m)
     out = alpha**2 * (params.m * s * s + params.sign * math.sqrt(params.m) * c * d)
     if np.ndim(x) == 0:
@@ -177,20 +164,19 @@ def u_pm(x, t: float, params: PmWaveParams,
     return out
 
 
-@dataclass(frozen=True)
-class PmWave:
-    """A u_pm family bound to one velocity scaling; the sampler interface."""
+def _pm_as_dn2(params: PmWaveParams, p: int) -> tuple[DnWaveParams, float]:
+    """sum_i u_pm(x + i*spatial_period/p) as u_p(x + offset): (dn^2 params, offset).
 
-    params: PmWaveParams
-    scaling: VelocityScaling
-
-    @property
-    def velocity(self) -> float:
-        return self.params.velocity(self.scaling)
-
-    @property
-    def spatial_period(self) -> float:
-        return self.params.spatial_period
-
-    def sample(self, grid: PeriodicGrid, t: float) -> np.ndarray:
-        return u_pm(grid.x, t, self.params, self.scaling)
+    With k = sqrt(m), lam = (1 + k)/2 and m1 = 4k/(1 + k)^2 (ascending
+    Landen, DLMF 22.7(ii)), u_pm(x) = alpha^2 [(1 + m)/2 - 2 lam^2
+    dn^2(lam*alpha*x + delta, m1)], delta = K(m1) = 2 lam K(m) on the +
+    branch (half the u_pm period in x) and 0 on the - branch.  At m = 1 the
+    - branch is the soliton; the + branch has no period and raises.
+    """
+    k = math.sqrt(params.m)
+    lam = 0.5 * (1.0 + k)
+    offset = 0.5 * params.spatial_period if params.sign == 1 else 0.0
+    dn_params = DnWaveParams(alpha=lam * params.alpha,
+                             beta=p * (1.0 + params.m) / (2.0 * lam**2),
+                             m=4.0 * k / (1.0 + k) ** 2, p=p)
+    return dn_params, offset

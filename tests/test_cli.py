@@ -88,7 +88,7 @@ class TestVerifyCommand:
         rejected = metrics("residual_upm_rejected")
         assert min(rejected) < max(rejected)
         assert float(row[2]) == pytest.approx(min(rejected), rel=1e-3)
-        assert rows["kdv:"] == ["kdv:", "27/27", "checks", "passed"]
+        assert rows["kdv:"] == ["kdv:", "33/33", "checks", "passed"]
 
     def test_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -282,6 +282,34 @@ class TestConfigFile:
         config.write_text("{not json")
         assert main(["landen", "--config", str(config)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, options", [
+        ("eval", {"family": "upm", "scaling": "bogus"}),
+        ("landen", {"m": "abc"}),
+        ("landen", {"p": 2.7}),
+        ("landen", {"p": True}),
+        ("landen", {"json": 1}),
+        ("verify", {"suite": "nonsense"}),
+        ("verify", {"tol": "equivalence=1"}),
+        ("evolve", {"family": "upm"}),
+    ])
+    def test_value_checked_like_its_flag(self, tmp_path, capsys, command, options):
+        # the flag's own type and choices apply: a bad value is a usage
+        # error, never a traceback or a silently truncated number
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": command, "options": options}))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {config}: {[*options][-1]}: ")
+
+    def test_values_parse_as_their_flags_would(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "eval", "options": {
+            "family": "upm", "m": 1, "alpha": "1.3", "sign": -1, "n": 64,
+            "length": 10, "output": None, "json": True}}))
+        assert main(["eval", "--config", str(config)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["N"], record["L"]) == (64, 10.0)
 
 
 class TestEntryPoint:

@@ -123,10 +123,12 @@ class TestIdentityUnderScipy:
     def test_cyclic_sums_rows_hold_the_constants(self):
         lmap = landen_map(5, 0.7)
         probes = np.linspace(-3.0, 3.0, 7)
-        sums = landen_module.cyclic_sums(0.7, lmap.shifts, probes)
+        lattice = landen_module._dn_on_lattice(probes, lmap.shifts, 0.7)
+        sums = landen_module.cyclic_sums(lattice)
         assert sums.shape == (4, 7)
         assert np.max(np.abs(sums - np.asarray(lmap.a)[:, None])) < 1e-12
-        assert landen_module.cyclic_sums(0.7, (0.0,), probes).shape == (0, 7)
+        lattice = landen_module._dn_on_lattice(probes, (0.0,), 0.7)
+        assert landen_module.cyclic_sums(lattice).shape == (0, 7)
 
 
 class TestRhsHelpers:

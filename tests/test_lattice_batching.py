@@ -14,27 +14,21 @@ import pytest
 
 import landen_kdv.landen as landen_module
 import landen_kdv.verify as verify_module
+import landen_kdv.waves as waves_module
 from landen_kdv import (
     DnWaveParams,
-    PeriodicGrid,
     PmWaveParams,
     complete_K,
     dn2_landen_rhs,
     dn_landen_rhs,
     equivalence_check,
     jacobi_sn_cn_dn,
-    kdv_residual,
     landen_map,
     transform_params,
     u_p,
 )
-from landen_kdv.fourier import fit_traveling_velocity
-from landen_kdv.landen import cyclic_sums
-from landen_kdv.verify import (
-    TravelingProfile,
-    _quarter_period_metric,
-    pm_superposition_velocity_search,
-)
+from landen_kdv.landen import _dn_on_lattice, cyclic_sums
+from landen_kdv.verify import _cyclic_constancy_metric, _quarter_period_metric, _upm_sum
 
 MS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9)
 XS = (
@@ -88,20 +82,14 @@ def loop_equivalence(params, lmap, grid, t):
     return worst
 
 
-def loop_speed_probe(base, p, n=512):
-    grid = PeriodicGrid(N=n, L=base.spatial_period)
-    root_m = math.sqrt(base.m)
-
-    def profile(xs):
-        total = np.zeros_like(xs)
-        for i in range(p):
-            eta = base.alpha * (xs + i * base.spatial_period / p)
-            s, c, d = jacobi_sn_cn_dn(eta, base.m)
-            total += base.m * s * s + base.sign * root_m * c * d
-        return base.alpha**2 * total
-
-    v_fit = fit_traveling_velocity(profile(grid.x), grid.L)
-    return v_fit, kdv_residual(TravelingProfile(profile, v_fit, grid.L), grid).normalized
+def loop_upm_sum(params, p, xs):
+    root_m = math.sqrt(params.m)
+    total = np.zeros_like(xs)
+    for i in range(p):
+        eta = params.alpha * (xs + i * params.spatial_period / p)
+        s, c, d = jacobi_sn_cn_dn(eta, params.m)
+        total += params.alpha**2 * (params.m * s * s + params.sign * root_m * c * d)
+    return total
 
 
 @pytest.mark.parametrize("m", MS)
@@ -126,7 +114,7 @@ class TestBitwiseAgainstPerShiftLoop:
     def test_cyclic_sums(self, p, m):
         shifts = landen_map(p, m).shifts
         probes = 0.05 + 0.3 * np.arange(11)
-        assert np.array_equal(cyclic_sums(m, shifts, probes),
+        assert np.array_equal(cyclic_sums(_dn_on_lattice(probes, shifts, m)),
                               loop_cyclic_sums(m, shifts, probes))
 
 
@@ -164,8 +152,10 @@ def test_quarter_period_metric_matches_two_calls(m):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_speed_probe_matches_per_phase_loop(p, sign):
-    base = PmWaveParams(alpha=1.5, m=0.6, sign=sign)
-    assert pm_superposition_velocity_search(base, p) == loop_speed_probe(base, p)
+    # the p-phase u_pm sum whose predicted speed the residual_upm_sum checks probe
+    params = PmWaveParams(alpha=1.5, m=0.6, sign=sign)
+    x = params.natural_grid(128).x
+    assert np.array_equal(_upm_sum(params, p)(x), loop_upm_sum(params, p, x))
 
 
 class TestOneKernelCallPerLattice:
@@ -177,7 +167,7 @@ class TestOneKernelCallPerLattice:
             count[0] += 1
             return jacobi_sn_cn_dn(x, m)
 
-        for module in (landen_module, verify_module):
+        for module in (landen_module, verify_module, waves_module):
             monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
         return count
 
@@ -192,7 +182,7 @@ class TestOneKernelCallPerLattice:
         lmap = landen_map(6, 0.4)
         x = np.linspace(0.0, 3.0, 50)
         for evaluate in (lambda: dn_landen_rhs(x, lmap), lambda: dn2_landen_rhs(x, lmap),
-                         lambda: cyclic_sums(lmap.m, lmap.shifts, x)):
+                         lambda: _cyclic_constancy_metric(6, 0.4)):
             calls[0] = 0
             evaluate()
             assert calls[0] == 1
@@ -206,10 +196,20 @@ class TestOneKernelCallPerLattice:
         assert calls[0] == 2
 
     def test_speed_probe_profile(self, calls):
-        # the profile is evaluated twice: once for the fit, once for the residual
+        profile = _upm_sum(PmWaveParams(alpha=1.0, m=0.5, sign=1), 3)
         calls[0] = 0
-        pm_superposition_velocity_search(PmWaveParams(alpha=1.0, m=0.5, sign=1), 3, n=64)
-        assert calls[0] == 2
+        profile(np.linspace(0.0, 3.0, 64))
+        assert calls[0] == 1
+
+    def test_cold_landen_map(self, calls):
+        # dn(shifts) rides in column u = 0 of the cyclic-sum stack
+        landen_map.cache_clear()
+        try:
+            calls[0] = 0
+            landen_map(6, 0.4)
+            assert calls[0] == 1
+        finally:
+            landen_map.cache_clear()
 
     def test_quarter_period_metric(self, calls):
         calls[0] = 0

@@ -25,14 +25,12 @@ PUBLIC_NAMES = [
     "LandenMap",
     "PeriodMismatchError",
     "PeriodicGrid",
-    "PmWave",
     "PmWaveParams",
     "ResidualReport",
     "TOLERANCES",
     "Trajectory",
     "TransformedParams",
     "TravelingProfile",
-    "VelocityScaling",
     "__version__",
     "complete_K",
     "conservation_report",
@@ -47,7 +45,6 @@ PUBLIC_NAMES = [
     "jacobi_sn_cn_dn",
     "kdv_residual",
     "landen_map",
-    "pm_superposition_velocity_search",
     "run_suite",
     "soliton_limit_check",
     "spectral_derivative",

@@ -1,12 +1,15 @@
 """Verification-layer tests: residuals, equivalence, limits and the suites."""
 
 import contextlib
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+import landen_kdv.verify as verify_module
+import landen_kdv.waves as waves_module
 from landen_kdv import (
     AliasingWarning,
     DnWaveParams,
@@ -14,18 +17,16 @@ from landen_kdv import (
     PeriodMismatchError,
     PeriodicGrid,
     PmWaveParams,
-    VelocityScaling,
+    TOLERANCES,
+    TravelingProfile,
     equivalence_check,
     kdv_residual,
     landen_map,
     run_suite,
     soliton_limit_check,
 )
-from landen_kdv.verify import (
-    SUITES,
-    CheckResult,
-    pm_superposition_velocity_search,
-)
+from landen_kdv.verify import SUITES, CheckResult, _as_written, _upm_sum
+from landen_kdv.waves import _pm_as_dn2
 
 
 class TestKdvResidual:
@@ -93,15 +94,13 @@ class TestKdvResidual:
 
     def test_mixed_wave_standard_scaling_solves(self):
         params = PmWaveParams(alpha=1.3, m=0.5, sign=1)
-        wave = params.sampler(VelocityScaling.STANDARD)
         grid = params.natural_grid(n=256)
-        assert kdv_residual(wave, grid, t=0.1).normalized < 1e-7
+        assert kdv_residual(params, grid, t=0.1).normalized < 1e-7
 
     def test_mixed_wave_linear_scaling_fails_off_unit_alpha(self):
         params = PmWaveParams(alpha=1.3, m=0.5, sign=1)
-        wave = params.sampler(VelocityScaling.AS_WRITTEN)
         grid = params.natural_grid(n=256)
-        assert kdv_residual(wave, grid, t=0.1).normalized > 1e-3
+        assert kdv_residual(_as_written(params), grid, t=0.1).normalized > 1e-3
 
     def test_aliasing_warning_on_coarse_grid(self):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=1.0 - 1e-9)
@@ -180,24 +179,61 @@ class TestLimits:
 
 
 class TestMixedSuperpositionProbe:
+    """Speeds of p-term u_pm sums, predicted by their dn^2 form.
+
+    The pins are the speeds a least-squares fit of the sampled sums gives.
+    """
+
+    BASE = PmWaveParams(alpha=1.0, m=0.5, sign=1)
+
+    def _speed_and_residual(self, p):
+        speed = _pm_as_dn2(self.BASE, p)[0].velocity
+        wave = TravelingProfile(_upm_sum(self.BASE, p), speed, self.BASE.spatial_period)
+        return speed, kdv_residual(wave, self.BASE.natural_grid(512)).normalized
+
     def test_single_copy_recovers_base_speed(self):
-        base = PmWaveParams(alpha=1.0, m=0.5, sign=1)
-        speed, res = pm_superposition_velocity_search(base, 1)
+        speed, res = self._speed_and_residual(1)
         assert res < 1e-9
-        assert speed == pytest.approx(-1.5, abs=1e-8)
+        assert speed == pytest.approx(-1.5, rel=1e-14)
 
     def test_two_copies_travel_rigidly(self):
         # the two-copy sum collapses to a pure sn^2 profile moving at -6
-        base = PmWaveParams(alpha=1.0, m=0.5, sign=1)
-        speed, res = pm_superposition_velocity_search(base, 2)
+        speed, res = self._speed_and_residual(2)
         assert res < 1e-9
-        assert speed == pytest.approx(-6.0, abs=1e-8)
+        assert speed == pytest.approx(-6.0, rel=1e-14)
 
     def test_three_copies_travel_rigidly(self):
-        base = PmWaveParams(alpha=1.0, m=0.5, sign=1)
-        speed, res = pm_superposition_velocity_search(base, 3)
+        speed, res = self._speed_and_residual(3)
         assert res < 1e-9
-        assert speed == pytest.approx(-11.3348963228472, abs=1e-9)
+        assert speed == pytest.approx(-11.3348963228472, rel=1e-14)
+
+    @staticmethod
+    def _run(name):
+        checks = [c for suite in SUITES.values() for c in suite() if c.name == name]
+        assert len(checks) == 6
+        return [c.run(TOLERANCES) for c in checks]
+
+    def test_shifted_offset_constant_fails_every_sum(self, monkeypatch):
+        # A(p, m1) off by 1e-6 moves the predicted speed by 12e-6 lam^2 alpha^2;
+        # the residual of every sum must see it
+        original = waves_module.landen_map
+
+        def shifted(p, m):
+            lmap = original(p, m)
+            return dataclasses.replace(lmap, A=lmap.A + 1e-6)
+
+        assert all(r.passed for r in self._run("residual_upm_sum"))
+        monkeypatch.setattr(waves_module, "landen_map", shifted)
+        results = self._run("residual_upm_sum")
+        assert not any(r.passed for r in results)
+        assert min(r.metric for r in results) > 1e-7
+
+    def test_dropped_branch_offset_fails_identity(self, monkeypatch):
+        original = verify_module._pm_as_dn2
+        monkeypatch.setattr(verify_module, "_pm_as_dn2",
+                            lambda params, p: (original(params, p)[0], 0.0))
+        results = self._run("upm_dn2_identity")
+        assert [r.passed for r in results] == [r.params["sign"] == -1 for r in results]
 
 
 class TestSuites:
@@ -232,6 +268,15 @@ class TestSuites:
         assert set(record) == {"check", "params", "metric", "tol", "pass"}
         assert isinstance(record["pass"], bool)
         assert isinstance(record["metric"], float)
+
+    def test_no_tolerance_is_vacuous(self):
+        # every key is cited, and no upper bound is loose enough to pass
+        # whatever the metric; 1e-5 is the loosest real one (soliton_limit)
+        checks = [c for name in SUITES for c in SUITES[name]()]
+        assert {c.tol_key for c in checks} == set(TOLERANCES)
+        loose = {c.tol_key for c in checks
+                 if not c.lower_bound and TOLERANCES[c.tol_key] > 1e-5}
+        assert not loose
 
     def test_deterministic_output(self):
         lines_a = [r.json_line() for r in run_suite("identities")]

@@ -17,15 +17,15 @@ from landen_kdv import (
     A_constant,
     DnWaveParams,
     DomainError,
-    PmWave,
     PmWaveParams,
-    VelocityScaling,
     complete_K,
     landen_map,
     u1,
     u_p,
     u_pm,
 )
+from landen_kdv.verify import _as_written
+from landen_kdv.waves import _pm_as_dn2
 
 
 class TestDnWaveParams:
@@ -178,10 +178,8 @@ class TestPmWaves:
     def test_linear_coefficient(self):
         params = PmWaveParams(alpha=1.3, m=0.4, sign=1)
         assert params.q1 == -1.4
-        assert params.velocity(VelocityScaling.STANDARD) == pytest.approx(
-            -1.4 * 1.3**2, rel=1e-14)
-        assert params.velocity(VelocityScaling.AS_WRITTEN) == pytest.approx(
-            -1.4 * 1.3, rel=1e-14)
+        assert params.velocity == pytest.approx(-1.4 * 1.3**2, rel=1e-14)
+        assert _as_written(params).velocity == pytest.approx(-1.4 * 1.3, rel=1e-14)
 
     def test_spatial_period(self):
         params = PmWaveParams(alpha=2.0, m=0.5, sign=1)
@@ -212,18 +210,16 @@ class TestPmWaves:
 
     def test_scalings_coincide_at_unit_alpha(self):
         params = PmWaveParams(alpha=1.0, m=0.7, sign=1)
-        x = np.linspace(-3, 3, 101)
+        grid = params.natural_grid(n=128)
         for t in (0.0, 0.3, 1.1):
-            assert np.array_equal(
-                u_pm(x, t, params, VelocityScaling.AS_WRITTEN),
-                u_pm(x, t, params, VelocityScaling.STANDARD))
+            assert np.array_equal(_as_written(params).sample(grid, t),
+                                  params.sample(grid, t))
 
     def test_scalings_separate_away_from_unit_alpha(self):
         params = PmWaveParams(alpha=1.3, m=0.5, sign=1)
-        x = np.linspace(-3, 3, 101)
-        gap = np.max(np.abs(
-            u_pm(x, 0.5, params, VelocityScaling.AS_WRITTEN)
-            - u_pm(x, 0.5, params, VelocityScaling.STANDARD)))
+        grid = params.natural_grid(n=128)
+        gap = np.max(np.abs(_as_written(params).sample(grid, 0.5)
+                            - params.sample(grid, 0.5)))
         assert gap > 0.01
 
     def test_constant_at_unit_modulus_plus_sign(self):
@@ -234,18 +230,14 @@ class TestPmWaves:
 
     def test_sampler_wraps_profile(self):
         params = PmWaveParams(alpha=1.0, m=0.5, sign=1)
-        wave = params.sampler(VelocityScaling.STANDARD)
-        assert isinstance(wave, PmWave)
-        assert wave.velocity == params.velocity(VelocityScaling.STANDARD)
-        assert wave.spatial_period == params.spatial_period
         grid = params.natural_grid(n=128)
-        assert np.array_equal(wave.sample(grid, 0.2), u_pm(grid.x, 0.2, params))
+        assert np.array_equal(params.sample(grid, 0.2), u_pm(grid.x, 0.2, params))
 
     @given(m=st.floats(0.1, 0.95), dt=st.floats(0.0, 0.4), x=st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_rigid_translation_standard_scaling(self, m, dt, x):
         params = PmWaveParams(alpha=1.3, m=m, sign=1)
-        v = params.velocity(VelocityScaling.STANDARD)
+        v = params.velocity
         assert u_pm(x + v * dt, dt, params) == pytest.approx(
             u_pm(x, 0.0, params), abs=1e-10)
 
@@ -262,3 +254,43 @@ class TestPmWaves:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             PmWaveParams(**kwargs)
+
+
+class TestPmAsDn2:
+    """u_pm is a dn^2 wave at the ascending-Landen parameter m1 = 4k/(1 + k)^2."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [1e-6, 0.2, 0.5, 0.8, 0.95])
+    def test_single_wave_identity_under_scipy(self, m, sign):
+        params = PmWaveParams(alpha=0.9, m=m, sign=sign)
+        dn_params, offset = _pm_as_dn2(params, 1)
+        x = np.linspace(-4.0, 4.0, 201)
+        s, c, d, _ = sps.ellipj(0.9 * x, m)
+        u = 0.81 * (m * s * s + sign * math.sqrt(m) * c * d)
+        _, _, d1, _ = sps.ellipj(dn_params.alpha * (x + offset), dn_params.m)
+        rhs = -2.0 * dn_params.alpha**2 * d1**2 + dn_params.beta * dn_params.alpha**2
+        assert np.max(np.abs(u - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_p_term_sum_is_u_p(self, p, sign):
+        params = PmWaveParams(alpha=1.3, m=0.6, sign=sign)
+        dn_params, offset = _pm_as_dn2(params, p)
+        x = np.linspace(-3.0, 3.0, 121)
+        total = sum(u_pm(x + i * params.spatial_period / p, 0.0, params) for i in range(p))
+        assert np.max(np.abs(total - u_p(x + offset, 0.0, dn_params))) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.0, 1.3, 2.5])
+    @pytest.mark.parametrize("m", [1e-9, 0.2, 0.5, 0.8, 0.99, 1.0])
+    def test_velocity_is_the_dn2_velocity(self, m, alpha):
+        params = PmWaveParams(alpha=alpha, m=m, sign=-1)
+        dn_velocity = _pm_as_dn2(params, 1)[0].velocity
+        assert dn_velocity == pytest.approx(params.velocity, rel=1e-14)
+
+    def test_unit_modulus(self):
+        # the - branch is the soliton; the + branch is the constant alpha^2
+        # and has no period to offset by
+        dn_params, offset = _pm_as_dn2(PmWaveParams(alpha=1.2, m=1.0, sign=-1), 1)
+        assert (dn_params.m, offset) == (1.0, 0.0)
+        with pytest.raises(DomainError):
+            _pm_as_dn2(PmWaveParams(alpha=1.2, m=1.0, sign=1), 1)
