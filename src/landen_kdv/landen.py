@@ -5,12 +5,12 @@ parameter m to a single dn at a smaller parameter m_tilde:
 
     dn(x, m_tilde) = gamma * sum_i dn(gamma*x + 2*(i-1)*K(m)/p, m)
 
-with gamma the reciprocal of the shifted-dn sum at x = 0.  Squaring the
-identity brings in the cyclic constants a_p(r): sums of products of dn
-values a fixed shift apart, which are independent of x.  A from the
-lattice is cross-checked against the nome relation, under which the
-shift sum takes the nome q to q^p (DLMF 22.7, 20.2).  Everything here
-is pure and cached per (p, m).
+The map takes the nome q to q^p (DLMF 22.7(iii), 20.2); gamma and
+m_tilde come from that nome.  Squaring the identity brings in the cyclic
+constants a_p(r): sums of products of dn values a fixed shift apart,
+independent of x.  The shift lattice gives the shifts, the a_p(r) and two
+witnesses: gamma * sum_i dn(shifts[i]) = 1 (the identity at x = 0), and A
+from the a_p(r) against A from the nome.  All pure, cached per (p, m).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import _agm, _complete_KE, complete_E, complete_K, jacobi_sn_cn_dn
+from .elliptic import _agm, _complete_KE, complete_E, jacobi_sn_cn_dn
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
@@ -33,6 +33,10 @@ _CONSTANCY_TOL = 1e-9
 
 # Dual determinations of A(p, m) must agree this closely.
 _A_AGREEMENT_TOL = 1e-8
+
+# |gamma * sum_i dn(shifts[i]) - 1| bound: at most 8.7e-11 measured for p <= 32
+# (at m = 1 - 1e-12), and a 1e-9 relative gamma error must fail either way.
+_GAMMA_WITNESS_TOL = 5e-10
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,13 @@ class TransformedParams:
     c_tilde: float
     beta_tilde: float
     m_tilde: float
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    return alpha
 
 
 def _check_pm(p: int, m: float) -> tuple[int, float]:
@@ -122,14 +133,15 @@ def _consistency_A(m: float, gamma: float, m_tilde: float, cyclic_sum: float) ->
     return ((8.0 - 4.0 * m_tilde) / gamma**2 - (8.0 - 4.0 * m)) / 12.0 - cyclic_sum
 
 
-def _nome_A(p: int, m: float) -> float:
-    """A(p, m) from the nome relation alone, without the shift lattice.
+def _nome(p: int, m: float) -> tuple[float, float, float, float]:
+    """K(m), gamma, m_tilde and A(p, m) from the nome relation alone.
 
     The target nome is q~ = q^p with q = exp(-pi K(1-m)/K(m)).  Then
     m~ = (theta_2(q~)/theta_3(q~))^4 and K(m~) = (pi/2) theta_3(q~)^2
     (DLMF 20.9.1-2), gamma = K(m)/(p K(m~)), and averaging the squared
     identity over a period, where dn^2 has mean E/K (DLMF 22.16(ii)), gives
-    sum_r a_p(r) = E(m~)/(gamma^2 K(m~)) - p E(m)/K(m).
+    sum_r a_p(r) = E(m~)/(gamma^2 K(m~)) - p E(m)/K(m).  Nothing cancels,
+    so m~ keeps its relative precision while q~ stays a normal float.
     """
     big_k, e_m = _complete_KE(m)
     # K(1 - m) from AGM(1, sqrt(m)): rounding 1 - m would lose small m
@@ -143,36 +155,32 @@ def _nome_A(p: int, m: float) -> float:
     k_tilde = 0.5 * math.pi * s3 * s3
     gamma = big_k / (p * k_tilde)
     cyclic_sum = complete_E(m_tilde) / (gamma**2 * k_tilde) - p * e_m / big_k
-    return _consistency_A(m, gamma, m_tilde, cyclic_sum)
+    return big_k, gamma, m_tilde, _consistency_A(m, gamma, m_tilde, cyclic_sum)
 
 
 # keyed on float m; one verify --suite all run builds 52 maps
 @lru_cache(maxsize=1024)
 def landen_map(p: int, m: float) -> LandenMap:
-    """Build the full Landen data for (p, m) from dn on the shift lattice.
+    """Build the full Landen data for (p, m), with gamma and m_tilde from _nome.
 
-    For p >= 2 the lattice A (see _consistency_A) is checked against the
-    nome determination (_nome_A), which shares no dn evaluation with it;
-    disagreement beyond 1e-8 raises rather than returning a guess.
+    For p >= 2, dn on the shift lattice (no dn is shared with the nome) must
+    give gamma * sum_i dn(shifts[i]) = 1 within 5e-10 and the nome's A
+    within 1e-8; either miss raises rather than returning a guess.
     """
     p, m = _check_pm(p, m)
     if p == 1:
-        # identity map; assign exactly rather than route m through
-        # (m - 2) + 2, which loses the last bit
+        # identity map; assign exactly rather than route m through the nome
         return LandenMap(p=1, m=m, gamma=1.0, m_tilde=m, shifts=(0.0,), a=(), A=0.0)
-    big_k = complete_K(m)
+    big_k, gamma, m_tilde, a_nome = _nome(p, m)
     shifts = tuple(2.0 * i * big_k / p for i in range(p))
     d = _dn_on_lattice(_LATTICE_U, shifts, m)
-    d0 = d[:, 0]
-    gamma = 1.0 / math.fsum(d0)
-    m_tilde = (m - 2.0) * gamma**2 + 2.0 * gamma**3 * math.fsum(d0**3)
-    # the two terms cancel to ~2 gamma^2 ulps; once the true m~ drops
-    # under that, the float result can come out negative
-    m_tilde = max(m_tilde, 0.0)
+    witness = abs(gamma * math.fsum(d[:, 0]) - 1.0)
+    if witness > _GAMMA_WITNESS_TOL:
+        raise ConsistencyError(
+            f"gamma({p}, {m}) from the nome misses the lattice by {witness:.3e}")
     a = _cyclic_constants(p, m, d[:, 1:])
 
     a_lattice = _consistency_A(m, gamma, m_tilde, math.fsum(a))
-    a_nome = _nome_A(p, m)
     if abs(a_lattice - a_nome) > _A_AGREEMENT_TOL:
         raise ConsistencyError(
             f"A({p}, {m}) determinations disagree: shift lattice "
@@ -198,7 +206,17 @@ def dual_oracle_gap(p: int, m: float) -> float:
     landen_map enforces agreement at construction for p >= 2; this
     recomputes the nome determination to report the gap as a metric.
     """
-    return abs(landen_map(p, m).A - _nome_A(p, m))
+    return abs(landen_map(p, m).A - _nome(p, m)[3])
+
+
+def _lattice_power_sum(x, lmap: LandenMap, power: int, start: float):
+    """gamma^power * (start + sum_i dn^power(gamma*x + shifts[i], m))."""
+    x_arr = np.asarray(x, dtype=float)
+    total = np.full_like(x_arr, start)
+    for row in _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m):
+        total += row**power
+    total *= lmap.gamma**power
+    return float(total) if np.ndim(x) == 0 else total
 
 
 def dn_landen_rhs(x, lmap: LandenMap):
@@ -207,14 +225,7 @@ def dn_landen_rhs(x, lmap: LandenMap):
     Equals dn(x, m_tilde) for all real x.  Scalar in, float out; array in,
     array out.
     """
-    x_arr = np.asarray(x, dtype=float)
-    total = np.zeros_like(x_arr)
-    for row in _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m):
-        total += row
-    total *= lmap.gamma
-    if np.ndim(x) == 0:
-        return float(total)
-    return total
+    return _lattice_power_sum(x, lmap, 1, 0.0)
 
 
 def dn2_landen_rhs(x, lmap: LandenMap):
@@ -223,14 +234,7 @@ def dn2_landen_rhs(x, lmap: LandenMap):
     Equals dn^2(x, m_tilde).  The cross terms of squaring the dn identity
     collapse into the x-independent cyclic constants.
     """
-    x_arr = np.asarray(x, dtype=float)
-    total = np.full_like(x_arr, math.fsum(lmap.a))
-    for row in _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m):
-        total += row**2
-    total *= lmap.gamma**2
-    if np.ndim(x) == 0:
-        return float(total)
-    return total
+    return _lattice_power_sum(x, lmap, 2, lmap.cyclic_sum)
 
 
 def transform_params(alpha: float, beta: float, lmap: LandenMap) -> TransformedParams:
@@ -240,9 +244,7 @@ def transform_params(alpha: float, beta: float, lmap: LandenMap) -> TransformedP
         c_tilde     = b_p * alpha^2        (b_p = 8 - 4m - 6*beta + 12*A)
         beta_tilde  = beta*gamma^2 + 2*gamma^2 * sum_r a_p(r)
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     beta = float(beta)
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta!r}")

@@ -24,17 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi_sn_cn_dn
+from .elliptic import _check_m, complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
-from .landen import _dn_on_lattice, landen_map
+from .landen import _check_alpha, _dn_on_lattice, landen_map
 
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return alpha
+# 1 - m1 below which dn at m1 is too coarse for the dn^2 form of u_pm: at
+# alpha = 1.3 the gap is 4.1e-11 at 6.3e-6 (m = 0.99), 1.0e-10 at 4.0e-6
+_PM_M1_FLOOR = 5e-6
 
 
 @dataclass(frozen=True)
@@ -58,18 +55,12 @@ class DnWaveParams:
         _check_alpha(self.alpha)
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta!r}")
-        if self.p < 1:
-            raise DomainError(f"p must be >= 1, got {self.p}")
-        m = float(self.m)
-        if not math.isfinite(m) or not 0.0 <= m <= 1.0:
-            raise DomainError(f"modulus parameter must lie in [0, 1], got {m!r}")
-        if self.p > 1 and not 0.0 < m < 1.0:
-            raise DomainError("superpositions (p >= 2) need 0 < m < 1")
         if self.p == 1:
-            a_const, shifts = 0.0, (0.0,)
+            m, a_const, shifts = _check_m(self.m), 0.0, (0.0,)
         else:
-            lmap = landen_map(self.p, m)
-            a_const, shifts = lmap.A, lmap.shifts
+            # landen_map validates p and m, and needs 0 < m < 1
+            lmap = landen_map(self.p, self.m)
+            m, a_const, shifts = lmap.m, lmap.A, lmap.shifts
         object.__setattr__(self, "b_p", 8.0 - 4.0 * m - 6.0 * self.beta + 12.0 * a_const)
         object.__setattr__(self, "shifts", shifts)
 
@@ -171,9 +162,15 @@ def _pm_as_dn2(params: PmWaveParams, p: int) -> tuple[DnWaveParams, float]:
     Landen, DLMF 22.7(ii)), u_pm(x) = alpha^2 [(1 + m)/2 - 2 lam^2
     dn^2(lam*alpha*x + delta, m1)], delta = K(m1) = 2 lam K(m) on the +
     branch (half the u_pm period in x) and 0 on the - branch.  At m = 1 the
-    - branch is the soliton; the + branch has no period and raises.
+    - branch is the soliton; the + branch has no period and raises.  Below
+    m = 1, 1 - m1 = ((1 - m)/(1 + k)^2)^2 under _PM_M1_FLOOR (m > ~0.991)
+    raises DomainError rather than return a form that misses the identity.
     """
     k = math.sqrt(params.m)
+    m1_complement = ((1.0 - params.m) / (1.0 + k) ** 2) ** 2
+    if 0.0 < m1_complement < _PM_M1_FLOOR:
+        raise DomainError(
+            f"u_pm at m = {params.m!r} has no accurate dn^2 form (1 - m1 too small)")
     lam = 0.5 * (1.0 + k)
     offset = 0.5 * params.spatial_period if params.sign == 1 else 0.0
     dn_params = DnWaveParams(alpha=lam * params.alpha,

@@ -99,10 +99,20 @@ class TestCompleteE:
             monkeypatch.setattr(module, "_agm", counted)
         complete_E(0.5)
         assert runs[0] == 1
-        # the nome oracle: K(m) and E(m) together, K(1 - m), then E(m~)
+        # the nome: K(m) and E(m) together, K(1 - m), then E(m~)
         runs[0] = 0
-        landen_module._nome_A(5, 0.5)
+        landen_module._nome(5, 0.5)
         assert runs[0] == 3
+        # a cold map takes K(m) from the nome; the kernel's ladder adds one
+        landen_module.landen_map.cache_clear()
+        elliptic_module._modulus_ladder.cache_clear()
+        runs[0] = 0
+        try:
+            landen_module.landen_map(5, 0.5)
+        finally:
+            landen_module.landen_map.cache_clear()
+            elliptic_module._modulus_ladder.cache_clear()
+        assert runs[0] == 4
 
 
 class TestJacobiPointValues:

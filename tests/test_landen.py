@@ -4,11 +4,13 @@ The p = 2 constants have closed forms, so those come first as exact oracles.
 The general-p map is then cross-checked against scipy's ellipj, which shares
 no code with the in-repo elliptic kernel: if the identity
 dn(x, m~) = gamma * sum_i dn(gamma x + s_i, m) holds under scipy evaluation,
-the constants are right independent of our sn/cn/dn.
+the constants are right independent of our sn/cn/dn.  m~ itself is checked
+against mpmath's (theta_2/theta_3)^4 at the target nome q^p.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -29,6 +31,7 @@ from landen_kdv import (
     landen_map,
     transform_params,
 )
+from landen_kdv.verify import _dn_identity_metric
 
 
 def scipy_dn(x, m):
@@ -80,9 +83,7 @@ class TestMapStructure:
     def test_invariants(self, p, m):
         lmap = landen_map(p, m)
         assert 0.0 < lmap.gamma < 1.0
-        # m~ collapses into roundoff for large p and small m, where the
-        # clamp can leave it at exactly zero
-        assert 0.0 <= lmap.m_tilde < m
+        assert 0.0 < lmap.m_tilde < m
         assert len(lmap.shifts) == p
         assert lmap.shifts[0] == 0.0
         assert all(b > a for a, b in zip(lmap.shifts, lmap.shifts[1:]))
@@ -184,11 +185,61 @@ class TestOffsetConstant:
             landen_map.cache_clear()
 
     def test_disagreeing_oracles_raise(self, monkeypatch):
+        original = landen_module._nome
         landen_map.cache_clear()
-        monkeypatch.setattr(landen_module, "_nome_A", lambda p, m: 123.0)
+        monkeypatch.setattr(landen_module, "_nome",
+                            lambda p, m: original(p, m)[:3] + (123.0,))
         with pytest.raises(ConsistencyError):
             landen_map(3, 0.31)
         landen_map.cache_clear()
+
+
+class TestNomeFirstMap:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 13, 16, 32])
+    def test_m_tilde_matches_mpmath(self, p):
+        # m~ spans 5.7e-17 at (8, 0.1) and 1.6e-294 at (32, 1e-8); a lattice
+        # formula that cancels to ~gamma^2 ulps gets the small ones wrong
+        ms = (1e-8, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99,
+              1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
+        with mpmath.workdps(40):
+            for m in ms:
+                q_tilde = mpmath.qfrom(m=mpmath.mpf(m)) ** p
+                expected = (mpmath.jtheta(2, 0, q_tilde) / mpmath.jtheta(3, 0, q_tilde)) ** 4
+                got = landen_map(p, m).m_tilde
+                assert abs(got / expected - 1) <= 1e-12, (p, m, got, float(expected))
+
+
+class TestNomeMutations:
+    """Corrupt one output of the nome at (3, 0.5) and see which check fails."""
+
+    @pytest.fixture
+    def corrupt_nome(self, monkeypatch):
+        original = landen_module._nome
+
+        def corrupt(index, factor):
+            def corrupted(p, m):
+                out = list(original(p, m))
+                out[index] *= factor
+                return tuple(out)
+            monkeypatch.setattr(landen_module, "_nome", corrupted)
+
+        landen_map.cache_clear()
+        yield corrupt
+        landen_map.cache_clear()
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_gamma_error_fails_the_witness(self, corrupt_nome, factor):
+        # both A determinations take the nome's gamma, so only the
+        # lattice witness at x = 0 can see a gamma error
+        corrupt_nome(1, factor)
+        with pytest.raises(ConsistencyError, match=r"gamma\(3, 0\.5\)"):
+            landen_map(3, 0.5)
+
+    def test_m_tilde_error_fails_the_dn_identity(self, corrupt_nome):
+        assert _dn_identity_metric(3, 0.5) < 1e-14
+        landen_map.cache_clear()
+        corrupt_nome(2, 1.0 + 1e-6)
+        assert _dn_identity_metric(3, 0.5) > 1e-10
 
 
 class TestTransformParams:

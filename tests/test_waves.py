@@ -287,6 +287,14 @@ class TestPmAsDn2:
         dn_velocity = _pm_as_dn2(params, 1)[0].velocity
         assert dn_velocity == pytest.approx(params.velocity, rel=1e-14)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [0.995, 1.0 - 1e-8])
+    def test_refuses_where_dn_at_m1_is_too_coarse(self, m, sign):
+        # the dn^2 form misses u_pm by 2.0e-10 at m = 0.995 and by 3.3 at
+        # 1 - 1e-8, against the 1e-10 identity tolerance
+        with pytest.raises(DomainError):
+            _pm_as_dn2(PmWaveParams(alpha=1.3, m=m, sign=sign), 1)
+
     def test_unit_modulus(self):
         # the - branch is the soliton; the + branch is the constant alpha^2
         # and has no period to offset by
