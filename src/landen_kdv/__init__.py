@@ -28,7 +28,7 @@ from .evolve import (
     evolve_trajectory,
     translation_lag,
 )
-from .fourier import PeriodicGrid, fft, ifft, fit_traveling_velocity, spectral_derivative
+from .fourier import PeriodicGrid, fft, ifft, spectral_derivative
 from .landen import (
     A_constant,
     LandenMap,
@@ -86,7 +86,6 @@ __all__ = [
     "equivalence_check",
     "evolve_trajectory",
     "fft",
-    "fit_traveling_velocity",
     "ifft",
     "jacobi_sn_cn_dn",
     "kdv_residual",

@@ -69,7 +69,7 @@ def _read_config(path: str) -> tuple[str, dict]:
     return str(raw.get("command", "")), raw["options"]
 
 
-def _config_value(flag: argparse.Action, value, default):
+def _config_value(flag: argparse.Action, value):
     """A config-file value as its flag would parse it; ValueError otherwise.
 
     Typed flags parse the text JSON gives, so 2.7 is not an int and "abc"
@@ -77,6 +77,7 @@ def _config_value(flag: argparse.Action, value, default):
     default's type.  null keeps an unset default; choices apply as on the
     command line.
     """
+    default = flag.default
     if value is None and default is None:
         return None
     if flag.type is None:
@@ -96,34 +97,26 @@ def _config_value(flag: argparse.Action, value, default):
     return parsed
 
 
-def _merge_options(args: argparse.Namespace, command: str, defaults: dict) -> dict:
-    """defaults < config file < explicit flags.
-
-    Subparsers register flags with default=SUPPRESS, so the namespace
-    contains exactly what the user typed.  Config values meet the same
-    type and choices checks as the flags.
-    """
-    provided = {k: v for k, v in vars(args).items()
-                if k not in ("func", "flags", "config", "command_name")}
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        cfg_command, options = _read_config(config_path)
-        if cfg_command and cfg_command != command:
-            raise DomainError(
-                f"config {config_path} is for command {cfg_command!r}, "
-                f"not {command!r}")
-        unknown = set(options) - set(defaults)
-        if unknown:
-            raise DomainError(f"config {config_path} has unknown options: "
-                              f"{sorted(unknown)}")
-        for key, value in options.items():
-            try:
-                merged[key] = _config_value(args.flags[key], value, defaults[key])
-            except ValueError as exc:
-                raise DomainError(f"config {config_path}: {key}: {exc}") from None
-    merged.update(provided)
-    return merged
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The config file's options, checked like their flags, keyed by dest."""
+    command = args.command_name
+    cfg_command, options = _read_config(args.config)
+    if cfg_command and cfg_command != command:
+        raise DomainError(
+            f"config {args.config} is for command {cfg_command!r}, "
+            f"not {command!r}")
+    flags = args.parser.flags
+    unknown = set(options) - (set(flags) - {"help", "config"})
+    if unknown:
+        raise DomainError(f"config {args.config} has unknown options: "
+                          f"{sorted(unknown)}")
+    values = {}
+    for key, value in options.items():
+        try:
+            values[key] = _config_value(flags[key], value)
+        except ValueError as exc:
+            raise DomainError(f"config {args.config}: {key}: {exc}") from None
+    return values
 
 
 def _parse_tol(pairs: list[str]) -> dict[str, float]:
@@ -150,6 +143,10 @@ def _write_text(path: str | None, text: str) -> None:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _xu_csv(x: np.ndarray, u: np.ndarray) -> str:
+    return "x,u\n" + "".join(f"{_fmt(xv)},{_fmt(uv)}\n" for xv, uv in zip(x, u))
+
+
 class _IOFailure(RuntimeError):
     pass
 
@@ -158,13 +155,9 @@ class _IOFailure(RuntimeError):
 # landen
 
 
-_LANDEN_DEFAULTS = {"p": 1, "m": 0.5, "json": False, "csv": False}
-
-
 def cmd_landen(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, "landen", _LANDEN_DEFAULTS)
-    lmap = landen_map(int(opts["p"]), float(opts["m"]))
-    if opts["json"]:
+    lmap = landen_map(args.p, args.m)
+    if args.json:
         sys.stdout.write(_dump_json({
             "schema": SCHEMA, "p": lmap.p, "m": lmap.m, "gamma": lmap.gamma,
             "m_tilde": lmap.m_tilde, "shifts": list(lmap.shifts),
@@ -174,7 +167,7 @@ def cmd_landen(args: argparse.Namespace) -> int:
         ("gamma", lmap.gamma), ("m_tilde", lmap.m_tilde), ("A", lmap.A)]
     rows += [(f"shift_{i + 1}", s) for i, s in enumerate(lmap.shifts)]
     rows += [(f"a_{r + 1}", a) for r, a in enumerate(lmap.a)]
-    if opts["csv"]:
+    if args.csv:
         lines = ["name,value"] + [f"{name},{_fmt(value)}" for name, value in rows]
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
@@ -188,9 +181,6 @@ def cmd_landen(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-_VERIFY_DEFAULTS = {"suite": "all", "report": None, "tol": [], "json": False}
 
 
 def _family_table(results) -> str:
@@ -217,26 +207,23 @@ def _family_table(results) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, "verify", _VERIFY_DEFAULTS)
-    overrides = _parse_tol(list(opts["tol"]))
-    results = run_suite(str(opts["suite"]), overrides)
+    results = run_suite(args.suite, _parse_tol(args.tol))
     report = "".join(r.json_line() + "\n" for r in results)
     n_pass = sum(r.passed for r in results)
     all_pass = n_pass == len(results)
 
-    report_path = opts["report"]
-    _write_text(report_path, report)
-    summary_stream = sys.stdout if report_path else sys.stderr
-    if opts["json"]:
+    _write_text(args.report, report)
+    summary_stream = sys.stdout if args.report else sys.stderr
+    if args.json:
         failures = [r.check for r in results if not r.passed]
         summary = _dump_json({
-            "schema": SCHEMA, "suite": opts["suite"], "total": len(results),
+            "schema": SCHEMA, "suite": args.suite, "total": len(results),
             "passed": n_pass, "failed_checks": failures}) + "\n"
     else:
         summary = _family_table(results) + (
-            f"{opts['suite']}: {n_pass}/{len(results)} checks passed\n"
+            f"{args.suite}: {n_pass}/{len(results)} checks passed\n"
             if all_pass else
-            f"{opts['suite']}: {n_pass}/{len(results)} checks passed, "
+            f"{args.suite}: {n_pass}/{len(results)} checks passed, "
             f"{len(results) - n_pass} FAILED\n")
     summary_stream.write(summary)
     return 0 if all_pass else 1
@@ -246,52 +233,39 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # eval
 
 
-_EVAL_DEFAULTS = {
-    "family": "u1", "p": 3, "m": 0.5, "alpha": 1.0, "beta": 0.0, "sign": 1,
-    "scaling": "standard", "n": 256, "periods": 1, "length": None, "t": 0.0,
-    "output": None, "json": False,
-}
+def _build_wave(args: argparse.Namespace):
+    if args.family in ("u1", "up"):
+        p = 1 if args.family == "u1" else args.p
+        return DnWaveParams(alpha=args.alpha, beta=args.beta, m=args.m, p=p)
+    if args.family == "upm":
+        params = PmWaveParams(alpha=args.alpha, m=args.m, sign=args.sign)
+        return _as_written(params) if args.scaling == "as_written" else params
+    raise DomainError(f"unknown family {args.family!r}")
 
 
-def _build_wave(opts: dict):
-    family = str(opts["family"])
-    if family in ("u1", "up"):
-        p = 1 if family == "u1" else int(opts["p"])
-        return DnWaveParams(alpha=float(opts["alpha"]), beta=float(opts["beta"]),
-                            m=float(opts["m"]), p=p)
-    if family == "upm":
-        params = PmWaveParams(alpha=float(opts["alpha"]), m=float(opts["m"]),
-                              sign=int(opts["sign"]))
-        return _as_written(params) if opts["scaling"] == "as_written" else params
-    raise DomainError(f"unknown family {family!r}")
-
-
-def _eval_grid(wave, opts: dict) -> PeriodicGrid:
-    if opts["length"] is not None:
-        return PeriodicGrid(N=int(opts["n"]), L=float(opts["length"]))
+def _eval_grid(wave, args: argparse.Namespace) -> PeriodicGrid:
+    if args.length is not None:
+        return PeriodicGrid(N=args.n, L=args.length)
     try:
         period = wave.spatial_period
     except DomainError as exc:
         raise DomainError(
             f"{exc}; pass --length to sample on an explicit window") from exc
-    return PeriodicGrid(N=int(opts["n"]), L=int(opts["periods"]) * period)
+    return PeriodicGrid(N=args.n, L=args.periods * period)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, "eval", _EVAL_DEFAULTS)
-    wave = _build_wave(opts)
-    grid = _eval_grid(wave, opts)
-    t = float(opts["t"])
-    u = wave.sample(grid, t)
-    if opts["json"]:
+    wave = _build_wave(args)
+    grid = _eval_grid(wave, args)
+    u = wave.sample(grid, args.t)
+    if args.json:
         payload = _dump_json({
-            "schema": SCHEMA, "family": opts["family"], "t": t,
+            "schema": SCHEMA, "family": args.family, "t": args.t,
             "N": grid.N, "L": grid.L,
             "x": [float(v) for v in grid.x], "u": [float(v) for v in u]}) + "\n"
-        _write_text(opts["output"], payload)
+        _write_text(args.output, payload)
         return 0
-    lines = ["x,u"] + [f"{_fmt(xv)},{_fmt(uv)}" for xv, uv in zip(grid.x, u)]
-    _write_text(opts["output"], "\n".join(lines) + "\n")
+    _write_text(args.output, _xu_csv(grid.x, u))
     return 0
 
 
@@ -299,91 +273,73 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # evolve
 
 
-_EVOLVE_DEFAULTS = {
-    "family": "u1", "p": 3, "m": 0.5, "alpha": 1.0, "beta": 0.0,
-    "n": 256, "periods_crossed": 1.0, "T": None, "dt": None,
-    "snapshot_every": 0, "output_dir": None, "json": False,
-}
+# record fields that describe the run, not the snapshot files
+_RUN_ONLY = ("family", "steps", "lag", "predicted_lag")
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, "evolve", _EVOLVE_DEFAULTS)
-    wave = _build_wave(opts)
-    grid = wave.natural_grid(int(opts["n"]))
+    wave = _build_wave(args)
+    grid = wave.natural_grid(args.n)
 
     speed = abs(wave.velocity)
-    if opts["T"] is not None:
-        duration = float(opts["T"])
+    if args.T is not None:
+        duration = args.T
     else:
         if speed == 0.0:
             raise DomainError("wave speed is zero; pass --T explicitly")
-        duration = float(opts["periods_crossed"]) * grid.L / speed
+        duration = args.periods_crossed * grid.L / speed
     u0 = wave.sample(grid, 0.0)
-    snapshot_every = int(opts["snapshot_every"])
-    if opts["dt"] is not None:
+    if args.dt is not None:
         config = EvolverConfig.for_duration(
-            grid, duration, float(opts["dt"]), snapshot_every=snapshot_every)
+            grid, duration, args.dt, snapshot_every=args.snapshot_every)
         error_estimate = None
     else:
         config, error_estimate = choose_step(
-            u0, grid, duration, snapshot_every=snapshot_every)
-    cfl = cfl_number(u0, grid, config.dt)
+            u0, grid, duration, snapshot_every=args.snapshot_every)
     traj = evolve_trajectory(u0, config)
-    exact = wave.sample(grid, config.T)
-    deviation = float(np.max(np.abs(traj.final - exact)))
     cons = conservation_report(traj)
-    lag = translation_lag(u0, traj.final, grid)
     predicted_lag = math.fmod(wave.velocity * config.T, grid.L)
     if predicted_lag < 0.0:
         predicted_lag += grid.L
+    record = {
+        "schema": SCHEMA, "family": args.family, "N": grid.N, "L": grid.L,
+        "dt": config.dt, "T": config.T, "steps": config.steps,
+        "cfl": cfl_number(u0, grid, config.dt),
+        "error_estimate": error_estimate,
+        "deviation": float(np.max(np.abs(traj.final - wave.sample(grid, config.T)))),
+        "mass_drift": cons.mass_drift, "momentum_drift": cons.momentum_drift,
+        "lag": translation_lag(u0, traj.final, grid),
+        "predicted_lag": predicted_lag}
 
-    out_dir = opts["output_dir"]
-    if out_dir:
-        _write_snapshots(out_dir, traj, config, deviation, cons, cfl,
-                         error_estimate)
+    if args.output_dir:
+        meta = {k: v for k, v in record.items() if k not in _RUN_ONLY}
+        meta.update(dealias=config.dealias, snapshot_times=list(traj.times))
+        _write_snapshots(args.output_dir, traj, meta)
 
-    if opts["json"]:
-        sys.stdout.write(_dump_json({
-            "schema": SCHEMA, "family": opts["family"], "N": grid.N,
-            "L": grid.L, "dt": config.dt, "T": config.T,
-            "steps": config.steps, "cfl": cfl,
-            "error_estimate": error_estimate, "deviation": deviation,
-            "mass_drift": cons.mass_drift,
-            "momentum_drift": cons.momentum_drift,
-            "lag": lag, "predicted_lag": predicted_lag}) + "\n")
-    else:
-        estimate_text = ("none (--dt given)" if error_estimate is None
-                         else _fmt(error_estimate))
-        sys.stdout.write(
-            f"steps          {config.steps} (dt = {_fmt(config.dt)})\n"
-            f"cfl            {_fmt(cfl)}\n"
-            f"error estimate {estimate_text}\n"
-            f"deviation      {_fmt(deviation)}\n"
-            f"mass drift     {_fmt(cons.mass_drift)}\n"
-            f"momentum drift {_fmt(cons.momentum_drift)}\n"
-            f"lag            {_fmt(lag)} (predicted {_fmt(predicted_lag)})\n")
+    if args.json:
+        sys.stdout.write(_dump_json(record) + "\n")
+        return 0
+    estimate_text = ("none (--dt given)" if error_estimate is None
+                     else _fmt(error_estimate))
+    sys.stdout.write(
+        f"steps          {record['steps']} (dt = {_fmt(record['dt'])})\n"
+        f"cfl            {_fmt(record['cfl'])}\n"
+        f"error estimate {estimate_text}\n"
+        f"deviation      {_fmt(record['deviation'])}\n"
+        f"mass drift     {_fmt(record['mass_drift'])}\n"
+        f"momentum drift {_fmt(record['momentum_drift'])}\n"
+        f"lag            {_fmt(record['lag'])} (predicted {_fmt(predicted_lag)})\n")
     return 0
 
 
-def _write_snapshots(out_dir: str, traj, config: EvolverConfig,
-                     deviation: float, cons, cfl: float,
-                     error_estimate: float | None) -> None:
+def _write_snapshots(out_dir: str, traj, meta: dict) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise _IOFailure(f"cannot create {out_dir}: {exc}") from exc
-    for idx, (t, u) in enumerate(zip(traj.times, traj.fields)):
-        lines = ["x,u"] + [f"{_fmt(xv)},{_fmt(uv)}"
-                           for xv, uv in zip(traj.grid.x, u)]
+    for idx, u in enumerate(traj.fields):
         _write_text(os.path.join(out_dir, f"snapshot_{idx:04d}.csv"),
-                    "\n".join(lines) + "\n")
-    meta = {
-        "schema": SCHEMA, "N": config.grid.N, "L": config.grid.L,
-        "dt": config.dt, "T": config.T, "dealias": config.dealias,
-        "cfl": cfl, "error_estimate": error_estimate,
-        "snapshot_times": list(traj.times), "deviation": deviation,
-        "mass_drift": cons.mass_drift, "momentum_drift": cons.momentum_drift,
-    }
+                    _xu_csv(traj.grid.x, u))
     _write_text(os.path.join(out_dir, "metadata.json"), _dump_json(meta) + "\n")
 
 
@@ -417,84 +373,105 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cnoidal KdV waves, p-term Landen maps, and numerical "
                     "verification that superpositions re-express single waves.")
     sub = parser.add_subparsers(dest="command_name", required=True)
-    sup = argparse.SUPPRESS
+    config_help = "JSON config file; flags win, --tol merges by name"
 
     p_landen = sub.add_parser(
         "landen", help="print the Landen map data for one (p, m)")
-    p_landen.add_argument("-p", type=int, default=sup,
-                          help="number of superposed terms (default 1)")
-    p_landen.add_argument("-m", type=float, default=sup,
-                          help="modulus parameter in (0, 1) (default 0.5)")
-    p_landen.add_argument("--json", action="store_true", default=sup)
-    p_landen.add_argument("--csv", action="store_true", default=sup)
-    p_landen.add_argument("--config", help="JSON config file; flags win")
-    p_landen.set_defaults(func=cmd_landen, flags=p_landen.flags)
+    p_landen.add_argument("-p", type=int, default=1,
+                          help="number of superposed terms (default %(default)s)")
+    p_landen.add_argument("-m", type=float, default=0.5,
+                          help="modulus parameter in (0, 1) (default %(default)s)")
+    p_landen.add_argument("--json", action="store_true")
+    p_landen.add_argument("--csv", action="store_true")
+    p_landen.add_argument("--config", help=config_help)
+    p_landen.set_defaults(func=cmd_landen, parser=p_landen)
 
     p_verify = sub.add_parser(
         "verify", help="run a verification suite and emit a JSONL report")
     p_verify.add_argument("--suite", choices=sorted(SUITES) + ["all"],
-                          default=sup, help="suite to run (default all)")
-    p_verify.add_argument("--report", default=sup,
+                          default="all", help="suite to run (default %(default)s)")
+    p_verify.add_argument("--report",
                           help="write JSONL report here instead of stdout")
     p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                          default=sup, help="override one tolerance; repeatable")
-    p_verify.add_argument("--json", action="store_true", default=sup,
+                          default=[], help="override one tolerance; repeatable")
+    p_verify.add_argument("--json", action="store_true",
                           help="machine-readable summary")
-    p_verify.add_argument("--config", help="JSON config file; flags win")
-    p_verify.set_defaults(func=cmd_verify, flags=p_verify.flags)
+    p_verify.add_argument("--config", help=config_help)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     p_eval = sub.add_parser("eval", help="dump (x, u) samples of one family")
-    p_eval.add_argument("--family", choices=("u1", "up", "upm"), default=sup)
-    p_eval.add_argument("-p", type=int, default=sup, help="terms for family up")
-    p_eval.add_argument("-m", type=float, default=sup)
-    p_eval.add_argument("--alpha", type=float, default=sup)
-    p_eval.add_argument("--beta", type=float, default=sup)
-    p_eval.add_argument("--sign", type=int, choices=(1, -1), default=sup,
-                        help="branch for family upm")
+    p_eval.add_argument("--family", choices=("u1", "up", "upm"), default="u1",
+                        help="wave family (default %(default)s)")
+    p_eval.add_argument("-p", type=int, default=3,
+                        help="terms for family up (default %(default)s)")
+    p_eval.add_argument("-m", type=float, default=0.5,
+                        help="modulus parameter (default %(default)s)")
+    p_eval.add_argument("--alpha", type=float, default=1.0,
+                        help="wavenumber scale (default %(default)s)")
+    p_eval.add_argument("--beta", type=float, default=0.0,
+                        help="offset, in units of alpha^2 (default %(default)s)")
+    p_eval.add_argument("--sign", type=int, choices=(1, -1), default=1,
+                        help="branch for family upm (default %(default)s)")
     p_eval.add_argument("--scaling", choices=("standard", "as_written"),
-                        default=sup, help="upm phase velocity scaling")
-    p_eval.add_argument("--n", type=int, default=sup, help="grid points (pow 2)")
-    p_eval.add_argument("--periods", type=int, default=sup,
-                        help="spatial periods to span (default 1)")
-    p_eval.add_argument("--length", type=float, default=sup,
+                        default="standard",
+                        help="upm phase velocity scaling (default %(default)s)")
+    p_eval.add_argument("--n", type=int, default=256,
+                        help="grid points, a power of 2 (default %(default)s)")
+    p_eval.add_argument("--periods", type=int, default=1,
+                        help="spatial periods to span (default %(default)s)")
+    p_eval.add_argument("--length", type=float,
                         help="explicit window length (overrides --periods)")
-    p_eval.add_argument("-t", type=float, default=sup, help="time (default 0)")
-    p_eval.add_argument("--output", default=sup, help="CSV path (default stdout)")
-    p_eval.add_argument("--json", action="store_true", default=sup)
-    p_eval.add_argument("--config", help="JSON config file; flags win")
-    p_eval.set_defaults(func=cmd_eval, flags=p_eval.flags)
+    p_eval.add_argument("-t", type=float, default=0.0,
+                        help="time (default %(default)s)")
+    p_eval.add_argument("--output", help="CSV path (default stdout)")
+    p_eval.add_argument("--json", action="store_true")
+    p_eval.add_argument("--config", help=config_help)
+    p_eval.set_defaults(func=cmd_eval, parser=p_eval)
 
     p_evolve = sub.add_parser(
         "evolve", help="integrate a family and compare to its exact translate")
-    p_evolve.add_argument("--family", choices=("u1", "up"), default=sup)
-    p_evolve.add_argument("-p", type=int, default=sup)
-    p_evolve.add_argument("-m", type=float, default=sup)
-    p_evolve.add_argument("--alpha", type=float, default=sup)
-    p_evolve.add_argument("--beta", type=float, default=sup)
-    p_evolve.add_argument("--n", type=int, default=sup)
+    p_evolve.add_argument("--family", choices=("u1", "up"), default="u1",
+                          help="wave family (default %(default)s)")
+    p_evolve.add_argument("-p", type=int, default=3,
+                          help="terms for family up (default %(default)s)")
+    p_evolve.add_argument("-m", type=float, default=0.5,
+                          help="modulus parameter (default %(default)s)")
+    p_evolve.add_argument("--alpha", type=float, default=1.0,
+                          help="wavenumber scale (default %(default)s)")
+    p_evolve.add_argument("--beta", type=float, default=0.0,
+                          help="offset, in units of alpha^2 (default %(default)s)")
+    p_evolve.add_argument("--n", type=int, default=256,
+                          help="grid points, a power of 2 (default %(default)s)")
     p_evolve.add_argument("--periods-crossed", dest="periods_crossed",
-                          type=float, default=sup,
-                          help="how many periods the wave travels (default 1)")
-    p_evolve.add_argument("--T", dest="T", type=float, default=sup,
+                          type=float, default=1.0,
+                          help="how many periods the wave travels "
+                               "(default %(default)s)")
+    p_evolve.add_argument("--T", dest="T", type=float,
                           help="final time (overrides --periods-crossed)")
-    p_evolve.add_argument("--dt", type=float, default=sup,
+    p_evolve.add_argument("--dt", type=float,
                           help="target step, reduced to land on T exactly "
                                "(default: chosen from the CFL number and an "
                                "error pilot)")
     p_evolve.add_argument("--snapshot-every", dest="snapshot_every", type=int,
-                          default=sup, help="keep every s-th step (0: endpoints)")
-    p_evolve.add_argument("--output-dir", dest="output_dir", default=sup,
+                          default=0, help="keep every s-th step (0: endpoints)")
+    p_evolve.add_argument("--output-dir", dest="output_dir",
                           help="write snapshot CSVs and metadata.json here")
-    p_evolve.add_argument("--json", action="store_true", default=sup)
-    p_evolve.add_argument("--config", help="JSON config file; flags win")
-    p_evolve.set_defaults(func=cmd_evolve, flags=p_evolve.flags)
+    p_evolve.add_argument("--json", action="store_true")
+    p_evolve.add_argument("--config", help=config_help)
+    p_evolve.set_defaults(func=cmd_evolve, parser=p_evolve)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config values become the subcommand's defaults, so typed
+            # flags still win and a repeated --tol appends to the file's list
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -502,10 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
         return 1
-    except (ConsistencyError, PeriodMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _IOFailure as exc:
+    except (ConsistencyError, PeriodMismatchError, _IOFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,9 @@ from .errors import AliasingWarning, DomainError
 # multiplying them by k^3 would otherwise let the noise floor grow with n.
 DROP_FLOOR = 1e-13
 
+# Top-third energy fraction above which PeriodicGrid.warn_if_aliased warns.
+ALIAS_THRESHOLD = 1e-12
+
 # |signed index| >= n/3: the band the 2/3 dealiasing rule discards.
 _TOP_THIRD = 3
 
@@ -93,19 +96,17 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
     return (2.0 * np.pi / length) * signed_modes(n)
 
 
-def drop_noise_floor(u_hat: np.ndarray, floor: float = DROP_FLOOR) -> np.ndarray:
-    """Zero coefficients below ``floor`` times the spectral peak.
+def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
+    """Zero coefficients below DROP_FLOOR times the spectral peak.
 
     Differentiation multiplies by powers of k; without this the rounding
     noise in empty modes is amplified until it dominates small residuals.
     """
-    if floor <= 0.0:
-        return u_hat
     peak = np.max(np.abs(u_hat))
     if peak == 0.0:
         return u_hat
     out = u_hat.copy()
-    out[np.abs(out) < floor * peak] = 0.0
+    out[np.abs(out) < DROP_FLOOR * peak] = 0.0
     return out
 
 
@@ -127,12 +128,7 @@ def high_mode_energy_fraction(values: np.ndarray) -> float:
     return float(np.sum(power[j >= u_hat.size // _TOP_THIRD]) / total)
 
 
-def spectral_derivative(
-    values: np.ndarray,
-    length: float,
-    order: int = 1,
-    floor: float = DROP_FLOOR,
-) -> np.ndarray:
+def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
     """d^order/dx^order of a real periodic field sampled on n points.
 
     Odd orders zero the Nyquist mode: it has no signed partner, so keeping
@@ -141,7 +137,7 @@ def spectral_derivative(
     values = np.asarray(values, dtype=float)
     if order < 1:
         raise DomainError("derivative order must be >= 1")
-    u_hat = drop_noise_floor(fft(values), floor)
+    u_hat = drop_noise_floor(fft(values))
     k = wavenumbers(values.size, length)
     d_hat = (1j * k) ** order * u_hat
     if order % 2 == 1:
@@ -200,10 +196,10 @@ class PeriodicGrid:
     def spacing(self) -> float:
         return self.L / self.N
 
-    def warn_if_aliased(self, values: np.ndarray, threshold: float = 1e-12) -> float:
+    def warn_if_aliased(self, values: np.ndarray) -> float:
         """Measure high-mode energy and warn when products would alias."""
         frac = high_mode_energy_fraction(values)
-        if frac > threshold:
+        if frac > ALIAS_THRESHOLD:
             warnings.warn(
                 f"top-third modes hold {frac:.3e} of spectral energy; "
                 "nonlinear products will alias on this grid",

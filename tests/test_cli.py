@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from landen_kdv import A_constant, DnWaveParams, landen_map, u_p
-from landen_kdv.cli import main
+from landen_kdv.cli import build_parser, main
 
 
 class TestLandenCommand:
@@ -310,6 +310,62 @@ class TestConfigFile:
         assert main(["eval", "--config", str(config)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert (record["N"], record["L"]) == (64, 10.0)
+
+    @pytest.mark.parametrize("flag, code, limit_tol", [
+        ("soliton_exact=1", 1, 1e-20),    # another name: the file's entry stays
+        ("soliton_limit=1e-3", 0, 1e-3),  # the same name: the flag wins
+    ])
+    def test_tol_flags_merge_with_file_by_name(
+            self, tmp_path, capsys, flag, code, limit_tol):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "verify", "options": {
+            "suite": "limits", "tol": ["soliton_limit=1e-20"]}}))
+        assert main(["verify", "--config", str(config), "--tol", flag]) == code
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["tol"] for r in lines if r["check"] == "soliton_limit"] == [limit_tol] * 2
+
+
+# Every subcommand's option dests and defaults, pinned like PUBLIC_NAMES:
+# adding, renaming or re-defaulting an option must edit this table.
+CLI_DEFAULTS = {
+    "landen": {"p": 1, "m": 0.5, "json": False, "csv": False, "config": None},
+    "verify": {"suite": "all", "report": None, "tol": [], "json": False,
+               "config": None},
+    "eval": {"family": "u1", "p": 3, "m": 0.5, "alpha": 1.0, "beta": 0.0,
+             "sign": 1, "scaling": "standard", "n": 256, "periods": 1,
+             "length": None, "t": 0.0, "output": None, "json": False,
+             "config": None},
+    "evolve": {"family": "u1", "p": 3, "m": 0.5, "alpha": 1.0, "beta": 0.0,
+               "n": 256, "periods_crossed": 1.0, "T": None, "dt": None,
+               "snapshot_every": 0, "output_dir": None, "json": False,
+               "config": None},
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
+    def test_option_defaults_are_pinned(self, command):
+        args = vars(build_parser().parse_args([command]))
+        for key in ("func", "parser", "command_name"):
+            args.pop(key)
+        assert args == CLI_DEFAULTS[command]
+        assert all(type(args[k]) is type(v) for k, v in CLI_DEFAULTS[command].items())
+
+    @pytest.mark.parametrize("command, extra", [
+        ("landen", []),
+        ("eval", []),
+        ("verify", ["--suite", "limits"]),
+        ("evolve", ["--T", "0.001"]),
+    ])
+    def test_config_restating_defaults_changes_nothing(
+            self, tmp_path, capsys, command, extra):
+        options = {k: v for k, v in CLI_DEFAULTS[command].items() if k != "config"}
+        config = tmp_path / "defaults.json"
+        config.write_text(json.dumps({"command": command, "options": options}))
+        plain = main([command, *extra]), capsys.readouterr()
+        configured = main([command, "--config", str(config), *extra]), capsys.readouterr()
+        assert plain[0] == 0
+        assert configured == plain
 
 
 class TestEntryPoint:

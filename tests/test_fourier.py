@@ -14,12 +14,12 @@ from landen_kdv import (
     DomainError,
     PeriodicGrid,
     fft,
-    fit_traveling_velocity,
     ifft,
     spectral_derivative,
 )
 from landen_kdv.fourier import (
     drop_noise_floor,
+    fit_traveling_velocity,
     high_mode_energy_fraction,
     signed_modes,
     wavenumbers,
@@ -89,7 +89,7 @@ class TestModeBookkeeping:
 
     def test_drop_noise_floor(self):
         u_hat = np.array([1.0, 1e-20, 0.5, 1e-15], dtype=complex)
-        cleaned = drop_noise_floor(u_hat, 1e-13)
+        cleaned = drop_noise_floor(u_hat)
         assert cleaned[1] == 0.0 and cleaned[3] == 0.0
         assert cleaned[0] == 1.0 and cleaned[2] == 0.5
 

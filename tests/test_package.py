@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "equivalence_check",
     "evolve_trajectory",
     "fft",
-    "fit_traveling_velocity",
     "ifft",
     "jacobi_sn_cn_dn",
     "kdv_residual",
