@@ -41,8 +41,8 @@ from .evolve import (
 )
 from .fourier import PeriodicGrid
 from .landen import landen_map
-from .verify import SUITES, _as_written, run_suite
-from .waves import DnWaveParams, PmWaveParams
+from .verify import SUITES, _upm_wave, run_suite
+from .waves import DnWaveParams
 
 SCHEMA = "landen-kdv/1"
 
@@ -234,13 +234,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _build_wave(args: argparse.Namespace):
-    if args.family in ("u1", "up"):
-        p = 1 if args.family == "u1" else args.p
-        return DnWaveParams(alpha=args.alpha, beta=args.beta, m=args.m, p=p)
     if args.family == "upm":
-        params = PmWaveParams(alpha=args.alpha, m=args.m, sign=args.sign)
-        return _as_written(params) if args.scaling == "as_written" else params
-    raise DomainError(f"unknown family {args.family!r}")
+        return _upm_wave(args.alpha, args.m, args.sign, args.scaling)
+    p = 1 if args.family == "u1" else args.p
+    return DnWaveParams(alpha=args.alpha, beta=args.beta, m=args.m, p=p)
 
 
 def _eval_grid(wave, args: argparse.Namespace) -> PeriodicGrid:
@@ -367,6 +364,20 @@ class _Parser(argparse.ArgumentParser):
         return action
 
 
+def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
+    """The wave and grid flags that eval and evolve share."""
+    parser.add_argument("-p", type=int, default=3,
+                        help="terms for family up (default %(default)s)")
+    parser.add_argument("-m", type=float, default=0.5,
+                        help="modulus parameter (default %(default)s)")
+    parser.add_argument("--alpha", type=float, default=1.0,
+                        help="wavenumber scale (default %(default)s)")
+    parser.add_argument("--beta", type=float, default=0.0,
+                        help="offset, in units of alpha^2 (default %(default)s)")
+    parser.add_argument("--n", type=int, default=256,
+                        help="grid points, a power of 2 (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="landen-kdv",
@@ -380,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_landen.add_argument("-p", type=int, default=1,
                           help="number of superposed terms (default %(default)s)")
     p_landen.add_argument("-m", type=float, default=0.5,
-                          help="modulus parameter in (0, 1) (default %(default)s)")
+                          help="modulus parameter, in [0, 1] for p = 1 and in "
+                               "(0, 1) otherwise (default %(default)s)")
     p_landen.add_argument("--json", action="store_true")
     p_landen.add_argument("--csv", action="store_true")
     p_landen.add_argument("--config", help=config_help)
@@ -402,21 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="dump (x, u) samples of one family")
     p_eval.add_argument("--family", choices=("u1", "up", "upm"), default="u1",
                         help="wave family (default %(default)s)")
-    p_eval.add_argument("-p", type=int, default=3,
-                        help="terms for family up (default %(default)s)")
-    p_eval.add_argument("-m", type=float, default=0.5,
-                        help="modulus parameter (default %(default)s)")
-    p_eval.add_argument("--alpha", type=float, default=1.0,
-                        help="wavenumber scale (default %(default)s)")
-    p_eval.add_argument("--beta", type=float, default=0.0,
-                        help="offset, in units of alpha^2 (default %(default)s)")
+    _add_wave_flags(p_eval)
     p_eval.add_argument("--sign", type=int, choices=(1, -1), default=1,
                         help="branch for family upm (default %(default)s)")
     p_eval.add_argument("--scaling", choices=("standard", "as_written"),
                         default="standard",
                         help="upm phase velocity scaling (default %(default)s)")
-    p_eval.add_argument("--n", type=int, default=256,
-                        help="grid points, a power of 2 (default %(default)s)")
     p_eval.add_argument("--periods", type=int, default=1,
                         help="spatial periods to span (default %(default)s)")
     p_eval.add_argument("--length", type=float,
@@ -432,16 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evolve", help="integrate a family and compare to its exact translate")
     p_evolve.add_argument("--family", choices=("u1", "up"), default="u1",
                           help="wave family (default %(default)s)")
-    p_evolve.add_argument("-p", type=int, default=3,
-                          help="terms for family up (default %(default)s)")
-    p_evolve.add_argument("-m", type=float, default=0.5,
-                          help="modulus parameter (default %(default)s)")
-    p_evolve.add_argument("--alpha", type=float, default=1.0,
-                          help="wavenumber scale (default %(default)s)")
-    p_evolve.add_argument("--beta", type=float, default=0.0,
-                          help="offset, in units of alpha^2 (default %(default)s)")
-    p_evolve.add_argument("--n", type=int, default=256,
-                          help="grid points, a power of 2 (default %(default)s)")
+    _add_wave_flags(p_evolve)
     p_evolve.add_argument("--periods-crossed", dest="periods_crossed",
                           type=float, default=1.0,
                           help="how many periods the wave travels "

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import _agm, _complete_KE, complete_E, jacobi_sn_cn_dn
+from .elliptic import _agm, _check_m, _complete_KE, complete_E, jacobi_sn_cn_dn
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
@@ -83,6 +83,8 @@ def _check_alpha(alpha: float) -> float:
 def _check_pm(p: int, m: float) -> tuple[int, float]:
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
         raise DomainError(f"p must be an integer >= 1, got {p!r}")
+    if p == 1:
+        return 1, _check_m(m)
     m = float(m)
     if not math.isfinite(m) or not 0.0 < m < 1.0:
         raise DomainError(f"modulus parameter must lie in (0, 1), got {m!r}")
@@ -163,7 +165,8 @@ def _nome(p: int, m: float) -> tuple[float, float, float, float]:
 def landen_map(p: int, m: float) -> LandenMap:
     """Build the full Landen data for (p, m), with gamma and m_tilde from _nome.
 
-    For p >= 2, dn on the shift lattice (no dn is shared with the nome) must
+    p = 1 is the identity map on 0 <= m <= 1; p >= 2 needs 0 < m < 1.  For
+    p >= 2, dn on the shift lattice (no dn is shared with the nome) must
     give gamma * sum_i dn(shifts[i]) = 1 within 5e-10 and the nome's A
     within 1e-8; either miss raises rather than returning a guess.
     """

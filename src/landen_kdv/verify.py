@@ -203,22 +203,23 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Check:
-    """A named, deferred metric with its tolerance key.
+    """A named metric, the keyword arguments it runs on, and its tolerance key.
 
-    ``lower_bound`` flips the comparison: the check passes when the metric
-    EXCEEDS the tolerance (used for separation properties, where a small
-    value would mean the discriminating signal vanished).
+    ``params`` are also what the report says was checked.  ``lower_bound``
+    flips the comparison: the check passes when the metric EXCEEDS the
+    tolerance (used for separation properties, where a small value would
+    mean the discriminating signal vanished).
     """
 
     name: str
+    metric: Callable[..., float]
     params: dict
     tol_key: str
-    fn: Callable[[], float]
     lower_bound: bool = False
 
     def run(self, tolerances: dict[str, float]) -> CheckResult:
         tol = tolerances[self.tol_key]
-        metric = float(self.fn())
+        metric = float(self.metric(**self.params))
         passed = metric >= tol if self.lower_bound else metric <= tol
         params = dict(self.params)
         if self.lower_bound:
@@ -246,8 +247,9 @@ def _dn2_identity_metric(p: int, m: float) -> float:
     return float(np.max(np.abs(lhs - dn2_landen_rhs(x, lmap))))
 
 
-def _p2_closed_form_metric(m: float) -> float:
-    lmap = landen_map(2, m)
+def _p2_closed_form_metric(p: int, m: float) -> float:
+    # the descending Landen closed form holds for p = 2 only
+    lmap = landen_map(p, m)
     kp = math.sqrt(1.0 - m)
     gamma_exact = 1.0 / (1.0 + kp)
     m_tilde_exact = ((1.0 - kp) / (1.0 + kp)) ** 2
@@ -278,27 +280,23 @@ def _quarter_period_metric(m: float) -> float:
     return float(np.max(np.abs(d[0] * d[1] - math.sqrt(1.0 - m))))
 
 
-def _residual_u1_metric() -> float:
-    params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=1)
-    return kdv_residual(params, params.natural_grid(256), t=0.0).normalized
+def _residual_up_metric(alpha: float, beta: float, m: float, N: int, p: int = 1) -> float:
+    params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
+    return kdv_residual(params, params.natural_grid(N)).normalized
 
 
-def _residual_up_metric() -> float:
-    params = DnWaveParams(alpha=1.0, beta=0.2, m=0.7, p=3)
-    return kdv_residual(params, params.natural_grid(256), t=0.0).normalized
-
-
-def _residual_non_solution_metric() -> float:
+def _residual_non_solution_metric(profile: str, m: float) -> float:
     # dn^3 with the cnoidal velocity law is not a solution; the residual
     # machinery must say so loudly
-    m = 0.5
+    if profile != "dn^3":
+        raise DomainError(f"unknown non-solution profile {profile!r}")
     wave = TravelingProfile(
         profile=lambda xs: jacobi_sn_cn_dn(xs, m)[2] ** 3,
         velocity=8.0 - 4.0 * m,
         spatial_period=2.0 * complete_K(m),
     )
     grid = PeriodicGrid(N=256, L=wave.spatial_period)
-    return kdv_residual(wave, grid, t=0.0).normalized
+    return kdv_residual(wave, grid).normalized
 
 
 def _as_written(params: PmWaveParams) -> TravelingProfile:
@@ -307,14 +305,23 @@ def _as_written(params: PmWaveParams) -> TravelingProfile:
                             params.q1 * params.alpha, params.spatial_period)
 
 
-def _residual_upm_metric(wave) -> float:
+def _upm_wave(alpha: float, m: float, sign: int, scaling: str):
+    """The u_pm wave at speed q1*alpha^2 ("standard") or q1*alpha ("as_written")."""
+    params = PmWaveParams(alpha=alpha, m=m, sign=sign)
+    if scaling not in ("standard", "as_written"):
+        raise DomainError(f"unknown u_pm scaling {scaling!r}")
+    return _as_written(params) if scaling == "as_written" else params
+
+
+def _residual_upm_metric(alpha: float, m: float, sign: int, scaling: str) -> float:
+    wave = _upm_wave(alpha, m, sign, scaling)
     return kdv_residual(wave, PeriodicGrid(N=512, L=wave.spatial_period), t=0.1).normalized
 
 
-def _upm_dn2_identity_metric(m: float, sign: int) -> float:
-    params = PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=sign)
+def _upm_dn2_identity_metric(alpha: float, m: float, sign: int, N: int) -> float:
+    params = PmWaveParams(alpha=alpha, m=m, sign=sign)
     dn_params, offset = _pm_as_dn2(params, 1)
-    x = params.natural_grid(256).x
+    x = params.natural_grid(N).x
     return float(np.max(np.abs(u_pm(x, 0.0, params) - u_p(x + offset, 0.0, dn_params))))
 
 
@@ -324,130 +331,80 @@ def _upm_sum(params: PmWaveParams, p: int) -> Callable[[np.ndarray], np.ndarray]
     return lambda xs: np.sum(u_pm(xs + offsets, 0.0, params), axis=0)
 
 
-def _residual_upm_sum_metric(p: int, m: float) -> float:
+def _residual_upm_sum_metric(p: int, alpha: float, m: float, sign: int, N: int) -> float:
     # the sum, travelling at the speed of its dn^2 form, must solve the PDE
-    params = PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=1)
+    params = PmWaveParams(alpha=alpha, m=m, sign=sign)
     wave = TravelingProfile(_upm_sum(params, p), _pm_as_dn2(params, p)[0].velocity,
                             params.spatial_period)
-    return kdv_residual(wave, params.natural_grid(256)).normalized
+    return kdv_residual(wave, params.natural_grid(N)).normalized
 
 
-def _equivalence_metric(p: int, m: float, alpha: float, beta: float) -> float:
+def _equivalence_metric(p: int, m: float, alpha: float, beta: float, t: list) -> float:
+    if tuple(t) != _EQUIV_SLICES:
+        raise DomainError(f"equivalence slices are {list(_EQUIV_SLICES)}, got {t!r}")
     params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
     grid = params.natural_grid(512, periods=2)
     return equivalence_check(params, landen_map(p, m), grid, t=0.0)
 
 
 def suite_identities() -> list[Check]:
-    checks: list[Check] = []
-    for p in _IDENTITY_PS:
-        for m in _IDENTITY_MS:
-            checks.append(Check(
-                name="dn_identity", params={"p": p, "m": m}, tol_key="dn_identity",
-                fn=lambda p=p, m=m: _dn_identity_metric(p, m)))
-    for p in _IDENTITY_PS:
-        for m in _IDENTITY_MS:
-            checks.append(Check(
-                name="dn2_identity", params={"p": p, "m": m}, tol_key="dn2_identity",
-                fn=lambda p=p, m=m: _dn2_identity_metric(p, m)))
-    for m in _IDENTITY_MS:
-        checks.append(Check(
-            name="p2_closed_form", params={"p": 2, "m": m}, tol_key="p2_closed_form",
-            fn=lambda m=m: _p2_closed_form_metric(m)))
-    for p in _IDENTITY_PS:
-        for m in _IDENTITY_MS:
-            if p >= 2:
-                checks.append(Check(
-                    name="cyclic_constancy", params={"p": p, "m": m},
-                    tol_key="cyclic_constancy",
-                    fn=lambda p=p, m=m: _cyclic_constancy_metric(p, m)))
-                checks.append(Check(
-                    name="cyclic_symmetry", params={"p": p, "m": m},
-                    tol_key="cyclic_symmetry",
-                    fn=lambda p=p, m=m: _cyclic_symmetry_metric(p, m)))
-    for m in _IDENTITY_MS:
-        checks.append(Check(
-            name="quarter_period_product", params={"m": m},
-            tol_key="quarter_period_product",
-            fn=lambda m=m: _quarter_period_metric(m)))
-    for m in _UPM_MS:
-        for sign in (1, -1):
-            checks.append(Check(
-                name="upm_dn2_identity",
-                params={"alpha": _UPM_ALPHA, "m": m, "sign": sign, "N": 256},
-                tol_key="dn2_identity",
-                fn=lambda m=m, s=sign: _upm_dn2_identity_metric(m, s)))
+    pms = [(p, m) for p in _IDENTITY_PS for m in _IDENTITY_MS]
+    checks = [Check("dn_identity", _dn_identity_metric, {"p": p, "m": m}, "dn_identity")
+              for p, m in pms]
+    checks += [Check("dn2_identity", _dn2_identity_metric, {"p": p, "m": m}, "dn2_identity")
+               for p, m in pms]
+    checks += [Check("p2_closed_form", _p2_closed_form_metric, {"p": 2, "m": m},
+                     "p2_closed_form") for m in _IDENTITY_MS]
+    checks += [Check(name, metric, {"p": p, "m": m}, name)
+               for p, m in pms if p >= 2
+               for name, metric in (("cyclic_constancy", _cyclic_constancy_metric),
+                                    ("cyclic_symmetry", _cyclic_symmetry_metric))]
+    checks += [Check("quarter_period_product", _quarter_period_metric, {"m": m},
+                     "quarter_period_product") for m in _IDENTITY_MS]
+    checks += [Check("upm_dn2_identity", _upm_dn2_identity_metric,
+                     {"alpha": _UPM_ALPHA, "m": m, "sign": sign, "N": 256}, "dn2_identity")
+               for m in _UPM_MS for sign in (1, -1)]
     return checks
 
 
 def suite_kdv() -> list[Check]:
     checks = [
-        Check(name="residual_u1", params={"alpha": 1.0, "beta": 0.0, "m": 0.5, "N": 256},
-              tol_key="residual_u1", fn=_residual_u1_metric),
-        Check(name="residual_up",
-              params={"p": 3, "alpha": 1.0, "beta": 0.2, "m": 0.7, "N": 256},
-              tol_key="residual_up", fn=_residual_up_metric),
-        Check(name="residual_non_solution", params={"profile": "dn^3", "m": 0.5},
-              tol_key="residual_non_solution", fn=_residual_non_solution_metric,
-              lower_bound=True),
+        Check("residual_u1", _residual_up_metric,
+              {"alpha": 1.0, "beta": 0.0, "m": 0.5, "N": 256}, "residual_u1"),
+        Check("residual_up", _residual_up_metric,
+              {"p": 3, "alpha": 1.0, "beta": 0.2, "m": 0.7, "N": 256}, "residual_up"),
+        Check("residual_non_solution", _residual_non_solution_metric,
+              {"profile": "dn^3", "m": 0.5}, "residual_non_solution", lower_bound=True),
     ]
-    for p in (2, 3, 5, 8):
-        for m in (0.3, 0.7, 0.9):
-            checks.append(Check(
-                name="dual_oracle_A", params={"p": p, "m": m}, tol_key="dual_oracle_A",
-                fn=lambda p=p, m=m: dual_oracle_gap(p, m)))
-    for m in _UPM_MS:
-        for sign in (1, -1):
-            checks.append(Check(
-                name="residual_upm",
-                params={"alpha": _UPM_ALPHA, "m": m, "sign": sign,
-                        "scaling": "standard"},
-                tol_key="residual_upm",
-                fn=lambda m=m, s=sign: _residual_upm_metric(
-                    PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=s))))
-            checks.append(Check(
-                name="residual_upm_rejected",
-                params={"alpha": _UPM_ALPHA, "m": m, "sign": sign,
-                        "scaling": "as_written"},
-                tol_key="residual_upm_rejected",
-                fn=lambda m=m, s=sign: _residual_upm_metric(
-                    _as_written(PmWaveParams(alpha=_UPM_ALPHA, m=m, sign=s))),
-                lower_bound=True))
-    for p in (2, 3):
-        for m in _UPM_MS:
-            checks.append(Check(
-                name="residual_upm_sum",
-                params={"p": p, "alpha": _UPM_ALPHA, "m": m, "sign": 1, "N": 256},
-                tol_key="residual_up",
-                fn=lambda p=p, m=m: _residual_upm_sum_metric(p, m)))
+    checks += [Check("dual_oracle_A", dual_oracle_gap, {"p": p, "m": m}, "dual_oracle_A")
+               for p in (2, 3, 5, 8) for m in (0.3, 0.7, 0.9)]
+    checks += [Check(name, _residual_upm_metric,
+                     {"alpha": _UPM_ALPHA, "m": m, "sign": sign, "scaling": scaling},
+                     name, lower_bound=scaling == "as_written")
+               for m in _UPM_MS for sign in (1, -1)
+               for name, scaling in (("residual_upm", "standard"),
+                                     ("residual_upm_rejected", "as_written"))]
+    checks += [Check("residual_upm_sum", _residual_upm_sum_metric,
+                     {"p": p, "alpha": _UPM_ALPHA, "m": m, "sign": 1, "N": 256}, "residual_up")
+               for p in (2, 3) for m in _UPM_MS]
     return checks
 
 
 def suite_equivalence() -> list[Check]:
-    checks: list[Check] = []
-    for p in _EQUIV_PS:
-        for m in _EQUIV_MS:
-            for alpha, beta in _EQUIV_AB:
-                checks.append(Check(
-                    name="equivalence",
-                    params={"p": p, "m": m, "alpha": alpha, "beta": beta,
-                            "t": list(_EQUIV_SLICES)},
-                    tol_key="equivalence",
-                    fn=lambda p=p, m=m, a=alpha, b=beta: _equivalence_metric(p, m, a, b)))
-    return checks
+    return [Check("equivalence", _equivalence_metric,
+                  {"p": p, "m": m, "alpha": alpha, "beta": beta, "t": list(_EQUIV_SLICES)},
+                  "equivalence")
+            for p in _EQUIV_PS for m in _EQUIV_MS for alpha, beta in _EQUIV_AB]
 
 
 def suite_limits() -> list[Check]:
     return [
-        Check(name="soliton_limit", params={"alpha": 1.0, "beta": 0.0, "epsilon": 1e-12},
-              tol_key="soliton_limit",
-              fn=lambda: soliton_limit_check(1.0, 0.0)),
-        Check(name="soliton_limit", params={"alpha": 2.0, "beta": 1.0, "epsilon": 1e-12},
-              tol_key="soliton_limit",
-              fn=lambda: soliton_limit_check(2.0, 1.0)),
-        Check(name="soliton_exact", params={"alpha": 1.0, "beta": 0.0, "epsilon": 0.0},
-              tol_key="soliton_exact",
-              fn=lambda: soliton_limit_check(1.0, 0.0, epsilon=0.0)),
+        Check("soliton_limit", soliton_limit_check,
+              {"alpha": 1.0, "beta": 0.0, "epsilon": 1e-12}, "soliton_limit"),
+        Check("soliton_limit", soliton_limit_check,
+              {"alpha": 2.0, "beta": 1.0, "epsilon": 1e-12}, "soliton_limit"),
+        Check("soliton_exact", soliton_limit_check,
+              {"alpha": 1.0, "beta": 0.0, "epsilon": 0.0}, "soliton_exact"),
     ]
 
 
@@ -460,14 +417,14 @@ SUITES: dict[str, Callable[[], list[Check]]] = {
 
 
 def run_suite(name: str, tolerances: dict[str, float] | None = None) -> list[CheckResult]:
-    """Execute a named suite ("all" concatenates them in a fixed order).
+    """Execute a named suite ("all" concatenates SUITES in insertion order).
 
     Results keep the build order of the checks, so identical inputs
-    produce identical reports.
+    produce identical reports.  An override must be finite and positive:
+    inf or a non-positive bound would pass its checks whatever the metric.
     """
     if name == "all":
-        checks = [c for key in ("identities", "kdv", "equivalence", "limits")
-                  for c in SUITES[key]()]
+        checks = [c for build in SUITES.values() for c in build()]
     elif name in SUITES:
         checks = SUITES[name]()
     else:
@@ -477,5 +434,8 @@ def run_suite(name: str, tolerances: dict[str, float] | None = None) -> list[Che
     for key, value in (tolerances or {}).items():
         if key not in tol:
             raise DomainError(f"unknown tolerance name {key!r}")
-        tol[key] = float(value)
+        value = float(value)
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"tolerance {key!r} must be finite and > 0, got {value!r}")
+        tol[key] = value
     return [c.run(tol) for c in checks]

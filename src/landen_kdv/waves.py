@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import _check_m, complete_K, jacobi_sn_cn_dn
+from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
 from .landen import _check_alpha, _dn_on_lattice, landen_map
@@ -41,7 +41,7 @@ class DnWaveParams:
     m = 1 is allowed only for p = 1 (the soliton limit); superpositions
     need the finite shift lattice, hence m < 1.  The speed coefficient
     b_p and the phase shifts 2(i-1)K(m)/p are taken from the Landen map
-    once at construction; p = 1 has the single shift 0 and needs no K.
+    once at construction; the p = 1 map is the identity, shift 0 and A = 0.
     """
 
     alpha: float
@@ -55,14 +55,10 @@ class DnWaveParams:
         _check_alpha(self.alpha)
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta!r}")
-        if self.p == 1:
-            m, a_const, shifts = _check_m(self.m), 0.0, (0.0,)
-        else:
-            # landen_map validates p and m, and needs 0 < m < 1
-            lmap = landen_map(self.p, self.m)
-            m, a_const, shifts = lmap.m, lmap.A, lmap.shifts
-        object.__setattr__(self, "b_p", 8.0 - 4.0 * m - 6.0 * self.beta + 12.0 * a_const)
-        object.__setattr__(self, "shifts", shifts)
+        # landen_map validates p and m
+        lmap = landen_map(self.p, self.m)
+        object.__setattr__(self, "b_p", 8.0 - 4.0 * lmap.m - 6.0 * self.beta + 12.0 * lmap.A)
+        object.__setattr__(self, "shifts", lmap.shifts)
 
     @property
     def velocity(self) -> float:

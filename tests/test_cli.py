@@ -43,6 +43,12 @@ class TestLandenCommand:
     def test_bad_modulus_exit_code(self):
         assert main(["landen", "-p", "2", "-m", "1.0"]) == 2
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_identity_map_takes_closed_interval(self, capsys, m):
+        assert main(["landen", "-p", "1", "-m", m, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["gamma"], record["m_tilde"], record["A"]) == (1.0, float(m), 0.0)
+
 
 class TestVerifyCommand:
     def test_limits_suite_passes(self, capsys):
@@ -104,6 +110,12 @@ class TestVerifyCommand:
     def test_unknown_tolerance_name(self, capsys):
         assert main(["verify", "--suite", "limits", "--tol", "bogus=1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_vacuous_tolerance_refused(self, capsys, value):
+        assert main(["verify", "--suite", "limits", "--tol", f"soliton_limit={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite and > 0" in err
 
     def test_malformed_tolerance(self):
         assert main(["verify", "--suite", "limits", "--tol", "equivalence"]) == 2
@@ -323,6 +335,14 @@ class TestConfigFile:
         assert main(["verify", "--config", str(config), "--tol", flag]) == code
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["tol"] for r in lines if r["check"] == "soliton_limit"] == [limit_tol] * 2
+
+    def test_vacuous_tol_in_file_refused(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "verify", "options": {
+            "suite": "limits", "tol": ["residual_non_solution=-1"]}}))
+        assert main(["verify", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "finite and > 0" in err
 
 
 # Every subcommand's option dests and defaults, pinned like PUBLIC_NAMES:

@@ -55,7 +55,8 @@ class TestTwoTermClosedForms:
 
 
 class TestOneTermIdentityMap:
-    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
+    # the closed interval: m = 0 and m = 1 need no shift lattice
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.0, 1.0])
     def test_exact_passthrough(self, m):
         lmap = landen_map(1, m)
         assert lmap.gamma == 1.0
@@ -269,7 +270,8 @@ class TestTransformParams:
 
 
 class TestValidationAndCache:
-    @pytest.mark.parametrize("p,m", [(0, 0.5), (-1, 0.5), (2, 0.0), (2, 1.0), (2, 1.3)])
+    @pytest.mark.parametrize("p,m", [(0, 0.5), (-1, 0.5), (2, 0.0), (2, 1.0), (2, 1.3),
+                                     (1, 1.3), (1, -0.1)])
     def test_rejects_bad_inputs(self, p, m):
         with pytest.raises(DomainError):
             landen_map(p, m)

@@ -2,7 +2,10 @@
 
 import contextlib
 import dataclasses
+import hashlib
+import inspect
 import json
+import math
 import warnings
 
 import numpy as np
@@ -282,3 +285,65 @@ class TestSuites:
         lines_a = [r.json_line() for r in run_suite("identities")]
         lines_b = [r.json_line() for r in run_suite("identities")]
         assert lines_a == lines_b
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_vacuous_tolerance_override_is_refused(self, value):
+        # inf or a bound <= 0 would pass every check of its family; nan
+        # would fail every one
+        with pytest.raises(DomainError, match="finite and > 0"):
+            run_suite("limits", tolerances={"soliton_limit": value})
+        with pytest.raises(DomainError, match="finite and > 0"):
+            run_suite("limits", tolerances={"residual_non_solution": value})
+
+    def test_report_structure_is_pinned(self):
+        # sha256 of the `verify --suite all` report with each line's metric
+        # dropped: a reordered, renamed, re-parameterized or re-toleranced
+        # check changes it, a last-bit metric difference does not
+        lines = []
+        for result in run_suite("all"):
+            record = json.loads(result.json_line())
+            del record["metric"]
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        assert len(lines) == 274
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "7b8931e0b33f0a669308a9eebfe236b01eb420b5884b48fddaca68601a80d1bf"
+
+
+def _all_checks():
+    return [c for build in SUITES.values() for c in build()]
+
+
+class TestChecksAreData:
+    """Each check's reported params are exactly its metric's arguments."""
+
+    def test_params_bind_to_metric_signature(self):
+        for check in _all_checks():
+            inspect.signature(check.metric).bind(**check.params)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("residual_u1", "N", 512),
+        ("residual_up", "beta", 0.3),
+        ("residual_non_solution", "m", 0.6),
+        ("residual_upm", "alpha", 1.5),
+        ("residual_upm_rejected", "alpha", 1.5),
+        ("residual_upm_sum", "N", 512),
+        ("upm_dn2_identity", "alpha", 1.5),
+        ("equivalence", "p", 2),  # the first check is p = 1, exact at any alpha
+        ("soliton_limit", "epsilon", 1e-10),
+    ])
+    def test_edited_param_changes_metric(self, name, key, value):
+        check = next(c for c in _all_checks() if c.name == name)
+        edited = dataclasses.replace(check, params={**check.params, key: value})
+        before, after = check.run(TOLERANCES), edited.run(TOLERANCES)
+        assert after.params[key] == value
+        assert after.metric != before.metric
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("equivalence", "t", [0.0, 0.2]),
+        ("residual_non_solution", "profile", "dn^4"),
+        ("residual_upm", "scaling", "linear"),
+    ])
+    def test_param_the_metric_cannot_honour_is_refused(self, name, key, value):
+        check = next(c for c in _all_checks() if c.name == name)
+        with pytest.raises(DomainError):
+            dataclasses.replace(check, params={**check.params, key: value}).run(TOLERANCES)
