@@ -52,7 +52,6 @@ from .verify import (
 from .waves import (
     DnWaveParams,
     PmWaveParams,
-    u1,
     u_p,
     u_pm,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "spectral_derivative",
     "transform_params",
     "translation_lag",
-    "u1",
     "u_p",
     "u_pm",
     "__version__",

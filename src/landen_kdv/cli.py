@@ -310,7 +310,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
     if args.output_dir:
         meta = {k: v for k, v in record.items() if k not in _RUN_ONLY}
-        meta.update(dealias=config.dealias, snapshot_times=list(traj.times))
+        meta["snapshot_times"] = list(traj.times)
         _write_snapshots(args.output_dir, traj, meta)
 
     if args.json:

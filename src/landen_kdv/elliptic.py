@@ -54,6 +54,9 @@ def _agm(b: float) -> tuple[float, float]:
     return a, c2_sum
 
 
+# keyed on float m; a cold landen_map asks for K(m) twice, from the nome
+# and from the kernel's ladder, and the second ask runs no AGM
+@lru_cache(maxsize=1024)
 def _complete_KE(m: float) -> tuple[float, float]:
     """K(m) and E(m) from one AGM run; 0 <= m < 1."""
     m = _check_m(m)

@@ -9,10 +9,10 @@ dt * 6 max|u| * k_max, and accuracy, which integrating-factor schemes can
 lose at isolated step sizes even well inside the CFL limit.
 ``choose_step`` therefore starts from the CFL cap and shrinks the step
 until a step-doubling pilot predicts a global error below
-``ERROR_TARGET``.  The 2/3-rule dealiasing mask is on by default: the
-product u^2 scatters energy to wavenumbers the grid cannot represent, and
-without the mask those corruptions fold back into resolved modes and
-pollute 1e-6 comparisons.
+``ERROR_TARGET``.  The nonlinear term is always filtered by the 2/3 rule
+(``fourier.kept_modes``): the product u^2 scatters energy to wavenumbers
+the grid cannot represent, and without the mask those corruptions fold
+back into resolved modes and pollute 1e-6 comparisons.
 
 The k = 0 mode is untouched by both the integrating factor and the
 nonlinear term (which carries a factor i*k), so the coefficient u_hat[0],
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import PeriodicGrid, fft, ifft, signed_modes
+from .fourier import PeriodicGrid, fft, ifft, kept_modes
 
 # Largest nonlinear CFL number a run may start with.  Cnoidal runs at
 # N = 256 and 512 were measured stable up to 2.5 and blowing up at 3.
@@ -63,7 +63,6 @@ class EvolverConfig:
     grid: PeriodicGrid
     dt: float
     T: float
-    dealias: bool = True
     snapshot_every: int = 0
 
     def __post_init__(self) -> None:
@@ -85,12 +84,12 @@ class EvolverConfig:
 
     @classmethod
     def for_duration(cls, grid: PeriodicGrid, duration: float,
-                     target_dt: float, **kwargs) -> "EvolverConfig":
+                     target_dt: float, snapshot_every: int = 0) -> "EvolverConfig":
         """Config reaching ``duration`` in whole steps of size <= target_dt."""
         if target_dt <= 0.0 or duration <= 0.0:
             raise DomainError("duration and target_dt must be positive")
         steps = max(1, math.ceil(duration / target_dt))
-        return cls(grid=grid, dt=duration / steps, T=duration, **kwargs)
+        return cls(grid=grid, dt=duration / steps, T=duration, snapshot_every=snapshot_every)
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,9 @@ class Trajectory:
 def cfl_number(u: np.ndarray, grid: PeriodicGrid, dt: float) -> float:
     """Nonlinear CFL number dt * 6 max|u| * k_max of a step from field u.
 
-    k_max = (2/3) pi N / L is the largest wavenumber the 2/3 dealiasing
-    rule keeps; the advection speed of u_t = 6 u u_x is 6 |u|.
+    k_max = (2/3) pi N / L is an upper bound on the wavenumbers the 2/3
+    rule keeps: at N = 256 the largest kept |k| is 84 * 2 pi / L, not
+    85.3 * 2 pi / L.  The advection speed of u_t = 6 u u_x is 6 |u|.
     """
     k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
     return dt * 6.0 * float(np.max(np.abs(u))) * k_max
@@ -123,16 +123,11 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return u0
 
 
-def _rk4_step_factory(grid: PeriodicGrid, dt: float,
-                      dealias: bool) -> Callable[[np.ndarray], np.ndarray]:
+def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     k = grid.k
     e_full = np.exp(1j * k**3 * dt)
     e_half = np.exp(1j * k**3 * (dt / 2.0))
-    if dealias:
-        mask = (np.abs(signed_modes(grid.N)) < grid.N // 3).astype(float)
-    else:
-        mask = np.ones(grid.N)
-    coeff = 3j * k * mask
+    coeff = 3j * k * kept_modes(grid.N)
 
     def nonlinear(v_hat: np.ndarray) -> np.ndarray:
         u = ifft(v_hat).real
@@ -156,20 +151,19 @@ def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> float:
     local errors add up, so the product is the global estimate.
     """
     grid, dt = config.grid, config.dt
-    full = _rk4_step_factory(grid, dt, config.dealias)
-    half = _rk4_step_factory(grid, dt / 2.0, config.dealias)
+    full = _rk4_step_factory(grid, dt)
+    half = _rk4_step_factory(grid, dt / 2.0)
     local = float(np.max(np.abs(ifft(full(u_hat) - half(half(u_hat))).real)))
     return config.steps * local
 
 
 def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
-                **kwargs) -> tuple[EvolverConfig, float]:
+                snapshot_every: int = 0) -> tuple[EvolverConfig, float]:
     """Config reaching ``duration`` with the largest step the guards allow.
 
     Starts from the CFL cap dt <= CFL_MAX / (6 max|u0| k_max), then shrinks
     dt until the step-doubling pilot from u0 predicts a global error at
     most ERROR_TARGET.  Returns the config and the pilot's estimate.
-    Extra keyword arguments go to EvolverConfig.
 
     Raises InstabilityError if no step meets the target within the pilot
     rounds (for instance when roundoff alone exceeds it); never returns an
@@ -183,7 +177,7 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
         duration, (1.0 - 1e-12) * CFL_MAX / rate)
     u_hat = fft(u0)
     for _ in range(_PILOT_ROUNDS):
-        config = EvolverConfig.for_duration(grid, duration, target_dt, **kwargs)
+        config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
         estimate = _pilot_error(u_hat, config)
         if estimate <= ERROR_TARGET:
             return config, estimate
@@ -212,7 +206,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"
         )
-    step = _rk4_step_factory(grid, config.dt, config.dealias)
+    step = _rk4_step_factory(grid, config.dt)
     u_hat = fft(u0)
     limit = _BLOWUP_FACTOR * float(np.max(np.abs(u_hat)))
     if limit == 0.0:

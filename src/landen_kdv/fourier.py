@@ -24,15 +24,16 @@ import numpy as np
 
 from .errors import AliasingWarning, DomainError
 
-# Spectral coefficients below this relative magnitude are rounding debris;
-# multiplying them by k^3 would otherwise let the noise floor grow with n.
-DROP_FLOOR = 1e-13
+# Spectral coefficients below DROP_FLOOR times eps * ||u_hat||_2 / sqrt(n),
+# the rounding level the samples leave in each coefficient (Parseval), are
+# debris; multiplying them by k^3 would let the noise floor grow with n.
+# Measured: at 30 the debris of flat superpositions clears the floor and
+# kdv_residual measures noise instead of refusing; at 3000 the floor cuts
+# real harmonics and the u_pm residuals rise from 9e-12 to 4.1e-11.
+DROP_FLOOR = 300.0
 
 # Top-third energy fraction above which PeriodicGrid.warn_if_aliased warns.
 ALIAS_THRESHOLD = 1e-12
-
-# |signed index| >= n/3: the band the 2/3 dealiasing rule discards.
-_TOP_THIRD = 3
 
 
 def _require_pow2(n: int) -> int:
@@ -91,22 +92,31 @@ def signed_modes(n: int) -> np.ndarray:
     return j
 
 
+def kept_modes(n: int) -> np.ndarray:
+    """Mask of the modes the 2/3 rule keeps: |signed index| < n // 3.
+
+    A product of two fields limited to this band aliases only into the
+    discarded top third, never back into the band itself.
+    """
+    return np.abs(signed_modes(n)) < n // 3
+
+
 def wavenumbers(n: int, length: float) -> np.ndarray:
     """Physical wavenumbers 2*pi*j/length in transform order."""
     return (2.0 * np.pi / length) * signed_modes(n)
 
 
 def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
-    """Zero coefficients below DROP_FLOOR times the spectral peak.
+    """Zero coefficients below DROP_FLOOR times the rounding level of the samples.
 
     Differentiation multiplies by powers of k; without this the rounding
     noise in empty modes is amplified until it dominates small residuals.
+    The level is eps * ||u_hat||_2 / sqrt(n), not a fraction of the peak:
+    a large mean would set the peak and cut real harmonics.
     """
-    peak = np.max(np.abs(u_hat))
-    if peak == 0.0:
-        return u_hat
+    rounding = np.finfo(float).eps * np.linalg.norm(u_hat) / math.sqrt(u_hat.size)
     out = u_hat.copy()
-    out[np.abs(out) < DROP_FLOOR * peak] = 0.0
+    out[np.abs(out) < DROP_FLOOR * rounding] = 0.0
     return out
 
 
@@ -116,16 +126,15 @@ def high_mode_energy_fraction(values: np.ndarray) -> float:
     This is the band the 2/3 rule would discard; energy here means products
     of the field alias back into resolved modes.  The mean is excluded so a
     large constant offset cannot mask genuine high-mode content.  Modes
-    under DROP_FLOOR are roundoff debris, not content: a field that is
+    under the drop floor are roundoff debris, not content: a field that is
     flat to roundoff would otherwise read as ~1/3 high-mode energy.
     """
     u_hat = drop_noise_floor(fft(np.asarray(values, dtype=float)))
-    j = np.abs(signed_modes(u_hat.size))
     power = np.abs(u_hat) ** 2
     total = float(np.sum(power[1:]))
     if total == 0.0:
         return 0.0
-    return float(np.sum(power[j >= u_hat.size // _TOP_THIRD]) / total)
+    return float(np.sum(power[~kept_modes(u_hat.size)]) / total)
 
 
 def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:

@@ -29,7 +29,7 @@ from .landen import (
     landen_map,
     transform_params,
 )
-from .waves import DnWaveParams, PmWaveParams, _pm_as_dn2, u1, u_p, u_pm
+from .waves import DnWaveParams, PmWaveParams, _pm_as_dn2, u_p, u_pm
 
 # Default tolerance profile; every suite check cites one entry by key.
 # Overrides replace values, never the comparison direction.
@@ -162,7 +162,7 @@ def equivalence_check(params: DnWaveParams, lmap: LandenMap,
 
 def soliton_limit_check(alpha: float, beta: float, x_range: float = 5.0,
                         epsilon: float = 1e-12) -> float:
-    """Deviation of u1 at m = 1 - epsilon from the sech^2 soliton profile.
+    """Deviation of u1 (u_p at p = 1) at m = 1 - epsilon from the sech^2 soliton.
 
     Compares on the window |alpha*x| <= x_range at t = 0.  epsilon = 0
     exercises the exact hyperbolic path and must agree to roundoff.
@@ -173,7 +173,7 @@ def soliton_limit_check(alpha: float, beta: float, x_range: float = 5.0,
         raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
     params = DnWaveParams(alpha=alpha, beta=beta, m=1.0 - epsilon, p=1)
     x = np.linspace(-x_range / alpha, x_range / alpha, 1001)
-    u = u1(x, 0.0, params)
+    u = u_p(x, 0.0, params)
     sech = 1.0 / np.cosh(alpha * x)
     reference = -2.0 * alpha**2 * sech**2 + beta * alpha**2
     return float(np.max(np.abs(u - reference)))

@@ -3,7 +3,7 @@
 Three families:
 
 * u1: the cnoidal wave -2 a^2 dn^2[a(x - b1 a^2 t), m] + b a^2 with speed
-  coefficient b1 = 8 - 4m - 6b (a = alpha, b = beta).
+  coefficient b1 = 8 - 4m - 6b (a = alpha, b = beta); it is u_p at p = 1.
 * u_p: the p-term superposition of dn^2 profiles shifted by 2(i-1)K/p,
   with speed coefficient b_p = 8 - 4m - 6*beta + 12*A(p, m).
 * u_pm: a^2 [m sn^2 +/- sqrt(m) cn dn] with speed q1 a^2, q1 = -1 - m.
@@ -30,8 +30,12 @@ from .fourier import PeriodicGrid
 from .landen import _check_alpha, _dn_on_lattice, landen_map
 
 # 1 - m1 below which dn at m1 is too coarse for the dn^2 form of u_pm: at
-# alpha = 1.3 the gap is 4.1e-11 at 6.3e-6 (m = 0.99), 1.0e-10 at 4.0e-6
+# alpha = 1.3 the gap is 4.1e-11 at 6.3e-6 (m = 0.99), 1.0e-10 at 4.0e-6.
+# The gap grows as alpha^2 / (1 - m1), so above _PM_ALPHA the floor grows
+# by (alpha / _PM_ALPHA)^2; unscaled, it would serve a 3.9e-10 gap at
+# alpha = 4, m = 0.99.
 _PM_M1_FLOOR = 5e-6
+_PM_ALPHA = 1.3
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,6 @@ def u_p(x, t: float | np.ndarray, params: DnWaveParams):
     return out
 
 
-def u1(x, t: float, params: DnWaveParams):
-    """Cnoidal wave, the p = 1 case; rejects params with p > 1."""
-    if params.p != 1:
-        raise DomainError(f"u1 requires p = 1 params, got p = {params.p}")
-    return u_p(x, t, params)
-
-
 @dataclass(frozen=True)
 class PmWaveParams:
     """Parameters of the u_pm family: alpha, m, and the +/- branch sign."""
@@ -159,14 +156,16 @@ def _pm_as_dn2(params: PmWaveParams, p: int) -> tuple[DnWaveParams, float]:
     dn^2(lam*alpha*x + delta, m1)], delta = K(m1) = 2 lam K(m) on the +
     branch (half the u_pm period in x) and 0 on the - branch.  At m = 1 the
     - branch is the soliton; the + branch has no period and raises.  Below
-    m = 1, 1 - m1 = ((1 - m)/(1 + k)^2)^2 under _PM_M1_FLOOR (m > ~0.991)
-    raises DomainError rather than return a form that misses the identity.
+    m = 1, 1 - m1 = ((1 - m)/(1 + k)^2)^2 under the alpha-scaled
+    _PM_M1_FLOOR (m > ~0.991 for alpha <= 1.3) raises DomainError rather
+    than return a form that misses the identity.
     """
     k = math.sqrt(params.m)
     m1_complement = ((1.0 - params.m) / (1.0 + k) ** 2) ** 2
-    if 0.0 < m1_complement < _PM_M1_FLOOR:
-        raise DomainError(
-            f"u_pm at m = {params.m!r} has no accurate dn^2 form (1 - m1 too small)")
+    floor = _PM_M1_FLOOR * max(1.0, (params.alpha / _PM_ALPHA) ** 2)
+    if 0.0 < m1_complement < floor:
+        raise DomainError(f"u_pm at alpha = {params.alpha!r}, m = {params.m!r} has no "
+                          "accurate dn^2 form (1 - m1 too small)")
     lam = 0.5 * (1.0 + k)
     offset = 0.5 * params.spatial_period if params.sign == 1 else 0.0
     dn_params = DnWaveParams(alpha=lam * params.alpha,

@@ -236,6 +236,9 @@ class TestEvolveCommand:
         snapshots = sorted(out_dir.glob("snapshot_*.csv"))
         assert len(snapshots) == 5
         meta = json.loads((out_dir / "metadata.json").read_text())
+        assert sorted(meta) == ["L", "N", "T", "cfl", "deviation", "dt",
+                                "error_estimate", "mass_drift", "momentum_drift",
+                                "schema", "snapshot_times"]
         assert meta["schema"] == "landen-kdv/1"
         assert len(meta["snapshot_times"]) == 5
         assert meta["error_estimate"] is None and 0.0 < meta["cfl"] < 2.0

@@ -21,6 +21,7 @@ from landen_kdv.fourier import (
     drop_noise_floor,
     fit_traveling_velocity,
     high_mode_energy_fraction,
+    kept_modes,
     signed_modes,
     wavenumbers,
 )
@@ -92,6 +93,18 @@ class TestModeBookkeeping:
         cleaned = drop_noise_floor(u_hat)
         assert cleaned[1] == 0.0 and cleaned[3] == 0.0
         assert cleaned[0] == 1.0 and cleaned[2] == 0.5
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_kept_modes_is_the_two_thirds_band(self, n):
+        j = signed_modes(n)
+        kept = kept_modes(n)
+        assert np.array_equal(kept, np.abs(j) < n // 3)
+        # at n = 256 the largest kept index is 84, under the bound 85.3
+        assert np.max(np.abs(j[kept])) == n // 3 - 1
+        # a product of two kept modes folds back only onto discarded ones
+        pairs = j[kept][:, None] + j[kept][None, :]
+        landed = pairs % n
+        assert not np.any(kept[landed[pairs != j[landed]]])
 
     def test_high_mode_fraction_smooth_field(self):
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)

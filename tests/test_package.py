@@ -1,7 +1,8 @@
 """The package's public surface, pinned so that changing it is deliberate.
 
 Also the no-black-box rule: the runtime needs only numpy, and never its
-transform; scipy, mpmath and numpy.fft are test oracles only.
+transform; scipy, mpmath and numpy.fft are test oracles only.  And no
+public function or class is kept alive by the tests alone.
 """
 
 import ast
@@ -49,7 +50,6 @@ PUBLIC_NAMES = [
     "spectral_derivative",
     "transform_params",
     "translation_lag",
-    "u1",
     "u_p",
     "u_pm",
 ]
@@ -119,3 +119,61 @@ def test_runtime_uses_no_oracle():
     assert "fourier.py" in {path.name for path in modules}
     offenders = {path.name: oracle_uses(path.read_text()) for path in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def public_definitions(path: Path) -> list[str]:
+    """Top-level def and class names of a module that do not start with "_"."""
+    return [node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def uses_outside_own_definition(path: Path) -> set[str]:
+    """Names a module uses, leaving out each top-level definition's uses of itself.
+
+    Identifiers, attributes, imported names and string constants all count:
+    the benchmark looks some functions up by their name as a string.
+    """
+    used = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            used.update(name for name in names if name != own)
+    return used
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f():\n    return f()\n", set()),
+    ("class C:\n    def g(self) -> 'C':\n        pass\n", set()),
+    ("LAYERS = ('fft', 'spectral_derivative')\n", {"LAYERS", "fft", "spectral_derivative"}),
+    ("from .fourier import fft\nimport numpy as np\nnp.linalg.norm(fft(x))\n",
+     {"fft", "numpy", "np", "linalg", "norm", "x"}),
+], ids=["recursion", "own-annotation", "string-lookup", "imports-and-attributes"])
+def test_uses_are_detected(tmp_path, source, expected):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert uses_outside_own_definition(path) == expected
+
+
+def test_no_public_definition_is_used_only_by_tests():
+    # a re-export in __init__.py is not a use: it only publishes the name
+    package = sorted((REPO / "src" / "landen_kdv").glob("*.py"))
+    users = [path for path in package if path.name != "__init__.py"]
+    users += sorted((REPO / "bench").glob("*.py"))
+    used = set().union(*(uses_outside_own_definition(path) for path in users))
+    unused = {f"{path.name}:{name}" for path in package
+              for name in public_definitions(path) if name not in used}
+    assert unused == set()

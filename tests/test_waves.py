@@ -18,13 +18,13 @@ from landen_kdv import (
     DnWaveParams,
     DomainError,
     PmWaveParams,
+    TOLERANCES,
     complete_K,
     landen_map,
-    u1,
     u_p,
     u_pm,
 )
-from landen_kdv.verify import _as_written
+from landen_kdv.verify import _as_written, _upm_dn2_identity_metric
 from landen_kdv.waves import _pm_as_dn2
 
 
@@ -78,7 +78,7 @@ class TestDnWaveParams:
 class TestDnWaveValues:
     def test_origin_single(self):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5)
-        assert u1(0.0, 0.0, params) == pytest.approx(-2.0, abs=1e-14)
+        assert u_p(0.0, 0.0, params) == pytest.approx(-2.0, abs=1e-14)
 
     def test_origin_pair(self):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=2)
@@ -90,17 +90,7 @@ class TestDnWaveValues:
         lifted = DnWaveParams(alpha=1.5, beta=0.8, m=0.5)
         x = np.linspace(0, 3, 50)
         assert np.allclose(
-            u1(x, 0.0, lifted), u1(x, 0.0, base) + 0.8 * 1.5**2, atol=1e-12)
-
-    def test_u_p_reduces_to_u1(self):
-        params = DnWaveParams(alpha=1.3, beta=0.4, m=0.7)
-        x = np.linspace(-4, 4, 101)
-        assert np.array_equal(u_p(x, 0.2, params), u1(x, 0.2, params))
-
-    def test_u1_rejects_superposition_params(self):
-        params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=2)
-        with pytest.raises(DomainError):
-            u1(0.0, 0.0, params)
+            u_p(x, 0.0, lifted), u_p(x, 0.0, base) + 0.8 * 1.5**2, atol=1e-12)
 
     def test_scipy_recomputation(self):
         params = DnWaveParams(alpha=1.2, beta=-0.3, m=0.65, p=3)
@@ -129,12 +119,12 @@ class TestDnWaveValues:
         x = np.linspace(-6, 6, 201)
         t = 0.05
         expected = -2.0 / np.cosh(x - 4 * t) ** 2
-        assert np.max(np.abs(u1(x, t, params) - expected)) < 1e-13
+        assert np.max(np.abs(u_p(x, t, params) - expected)) < 1e-13
 
     def test_flat_limit_at_zero_modulus(self):
         params = DnWaveParams(alpha=1.5, beta=0.2, m=0.0)
         x = np.linspace(-3, 3, 41)
-        assert np.allclose(u1(x, 0.4, params), -2 * 1.5**2 + 0.2 * 1.5**2, atol=1e-13)
+        assert np.allclose(u_p(x, 0.4, params), -2 * 1.5**2 + 0.2 * 1.5**2, atol=1e-13)
 
     def test_sample_matches_pointwise_evaluation(self):
         params = DnWaveParams(alpha=1.0, beta=0.1, m=0.5, p=2)
@@ -284,6 +274,12 @@ class TestPmAsDn2:
     @pytest.mark.parametrize("m", [1e-9, 0.2, 0.5, 0.8, 0.99, 1.0])
     def test_velocity_is_the_dn2_velocity(self, m, alpha):
         params = PmWaveParams(alpha=alpha, m=m, sign=-1)
+        if (m, alpha) == (0.99, 2.5):
+            # 1 - m1 = 6.3e-6 is under this alpha's floor of 1.8e-5: the
+            # dn^2 form would miss u_pm by 1.5e-10, so it is refused
+            with pytest.raises(DomainError):
+                _pm_as_dn2(params, 1)
+            return
         dn_velocity = _pm_as_dn2(params, 1)[0].velocity
         assert dn_velocity == pytest.approx(params.velocity, rel=1e-14)
 
@@ -294,6 +290,22 @@ class TestPmAsDn2:
         # 1 - 1e-8, against the 1e-10 identity tolerance
         with pytest.raises(DomainError):
             _pm_as_dn2(PmWaveParams(alpha=1.3, m=m, sign=sign), 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.0, 2.5, 4.0, 8.0])
+    def test_refuses_or_meets_identity_tolerance(self, alpha, sign):
+        # the gap grows as alpha^2 / (1 - m1); a floor on 1 - m1 alone
+        # served 18 forms of this grid that miss 1e-10, the worst by 2.0e-9
+        # (alpha = 8, m = 0.991) and 3.9e-10 at alpha = 4, m = 0.99
+        served = 0
+        for m in (0.9, 0.95, 0.97, 0.98, 0.99, 0.991, 0.995, 0.999):
+            try:
+                gap = _upm_dn2_identity_metric(alpha, m, sign, 256)
+            except DomainError:
+                continue
+            served += 1
+            assert gap <= TOLERANCES["dn2_identity"], (m, gap)
+        assert served >= 1
 
     def test_unit_modulus(self):
         # the - branch is the soliton; the + branch is the constant alpha^2
