@@ -32,7 +32,6 @@ from .fourier import PeriodicGrid, fft, ifft, spectral_derivative
 from .landen import (
     A_constant,
     LandenMap,
-    TransformedParams,
     dn2_landen_rhs,
     dn_landen_rhs,
     dual_oracle_gap,
@@ -75,7 +74,6 @@ __all__ = [
     "ResidualReport",
     "TOLERANCES",
     "Trajectory",
-    "TransformedParams",
     "TravelingProfile",
     "complete_K",
     "conservation_report",

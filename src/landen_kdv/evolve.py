@@ -85,9 +85,14 @@ class EvolverConfig:
     @classmethod
     def for_duration(cls, grid: PeriodicGrid, duration: float,
                      target_dt: float, snapshot_every: int = 0) -> "EvolverConfig":
-        """Config reaching ``duration`` in whole steps of size <= target_dt."""
-        if target_dt <= 0.0 or duration <= 0.0:
-            raise DomainError("duration and target_dt must be positive")
+        """Config reaching ``duration`` in whole steps of size <= target_dt.
+
+        target_dt = inf asks for a single step.
+        """
+        if not 0.0 < duration < math.inf:
+            raise DomainError(f"duration must be positive and finite, got {duration!r}")
+        if not target_dt > 0.0:
+            raise DomainError(f"target_dt must be positive, got {target_dt!r}")
         steps = max(1, math.ceil(duration / target_dt))
         return cls(grid=grid, dt=duration / steps, T=duration, snapshot_every=snapshot_every)
 

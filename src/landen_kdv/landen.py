@@ -63,23 +63,6 @@ class LandenMap:
         return math.fsum(self.a)
 
 
-@dataclass(frozen=True)
-class TransformedParams:
-    """Single-cnoidal parameters equivalent to a p-term superposition."""
-
-    alpha_tilde: float
-    c_tilde: float
-    beta_tilde: float
-    m_tilde: float
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return alpha
-
-
 def _check_pm(p: int, m: float) -> tuple[int, float]:
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
         raise DomainError(f"p must be an integer >= 1, got {p!r}")
@@ -240,22 +223,21 @@ def dn2_landen_rhs(x, lmap: LandenMap):
     return _lattice_power_sum(x, lmap, 2, lmap.cyclic_sum)
 
 
-def transform_params(alpha: float, beta: float, lmap: LandenMap) -> TransformedParams:
-    """Parameters of the single cnoidal wave equal to the (alpha, beta) superposition.
+def transform_params(alpha: float, beta: float, lmap: LandenMap):
+    """The single cnoidal wave equal to the (alpha, beta) superposition.
+
+    A DnWaveParams at p = 1 and m_tilde with
 
         alpha_tilde = alpha / gamma
-        c_tilde     = b_p * alpha^2        (b_p = 8 - 4m - 6*beta + 12*A)
         beta_tilde  = beta*gamma^2 + 2*gamma^2 * sum_r a_p(r)
+
+    It travels at its own p = 1 speed (8 - 4*m_tilde - 6*beta_tilde) *
+    alpha_tilde^2, which reads no A, so comparing it with the superposition
+    over time tests the superposition's b_p.
     """
-    alpha = _check_alpha(alpha)
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta!r}")
-    b_p = 8.0 - 4.0 * lmap.m - 6.0 * beta + 12.0 * lmap.A
+    # waves.py imports this module
+    from .waves import DnWaveParams
+
     g2 = lmap.gamma**2
-    return TransformedParams(
-        alpha_tilde=alpha / lmap.gamma,
-        c_tilde=b_p * alpha**2,
-        beta_tilde=beta * g2 + 2.0 * g2 * lmap.cyclic_sum,
-        m_tilde=lmap.m_tilde,
-    )
+    return DnWaveParams(alpha=alpha / lmap.gamma,
+                        beta=beta * g2 + 2.0 * g2 * lmap.cyclic_sum, m=lmap.m_tilde)

@@ -20,14 +20,14 @@ evolver without family-specific branching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
-from .landen import _check_alpha, _dn_on_lattice, landen_map
+from .landen import _dn_on_lattice, landen_map
 
 # 1 - m1 below which dn at m1 is too coarse for the dn^2 form of u_pm: at
 # alpha = 1.3 the gap is 4.1e-11 at 6.3e-6 (m = 0.99), 1.0e-10 at 4.0e-6.
@@ -38,31 +38,38 @@ _PM_M1_FLOOR = 5e-6
 _PM_ALPHA = 1.3
 
 
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"alpha must be positive, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class DnWaveParams:
     """Parameters of u1 (p = 1) and its p-term superposition u_p.
 
     m = 1 is allowed only for p = 1 (the soliton limit); superpositions
     need the finite shift lattice, hence m < 1.  The speed coefficient
-    b_p and the phase shifts 2(i-1)K(m)/p are taken from the Landen map
-    once at construction; the p = 1 map is the identity, shift 0 and A = 0.
+    b_p and the phase shifts 2(i-1)K(m)/p are read from the cached Landen
+    map; the p = 1 map is the identity, shift 0 and A = 0.
     """
 
     alpha: float
     beta: float
     m: float
     p: int = 1
-    b_p: float = field(init=False)
-    shifts: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         if not math.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta!r}")
         # landen_map validates p and m
+        landen_map(self.p, self.m)
+
+    @property
+    def b_p(self) -> float:
+        """Speed coefficient 8 - 4m - 6*beta + 12*A(p, m)."""
         lmap = landen_map(self.p, self.m)
-        object.__setattr__(self, "b_p", 8.0 - 4.0 * lmap.m - 6.0 * self.beta + 12.0 * lmap.A)
-        object.__setattr__(self, "shifts", lmap.shifts)
+        return 8.0 - 4.0 * lmap.m - 6.0 * self.beta + 12.0 * lmap.A
 
     @property
     def velocity(self) -> float:
@@ -92,7 +99,7 @@ def u_p(x, t: float | np.ndarray, params: DnWaveParams):
     alpha = params.alpha
     xi = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     total = np.zeros_like(xi)
-    for row in _dn_on_lattice(xi, params.shifts, params.m):
+    for row in _dn_on_lattice(xi, landen_map(params.p, params.m).shifts, params.m):
         total += row**2
     out = -2.0 * alpha**2 * total + params.beta * alpha**2
     if np.ndim(out) == 0:
@@ -107,7 +114,6 @@ class PmWaveParams:
     alpha: float
     m: float
     sign: int
-    q1: float = field(init=False)
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
@@ -116,7 +122,10 @@ class PmWaveParams:
             raise DomainError(f"modulus parameter must lie in (0, 1], got {m!r}")
         if self.sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
-        object.__setattr__(self, "q1", -1.0 - m)
+
+    @property
+    def q1(self) -> float:
+        return -1.0 - self.m
 
     @property
     def velocity(self) -> float:

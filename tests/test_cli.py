@@ -220,6 +220,13 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.count("instability") == 1
 
+    @pytest.mark.parametrize("option", [
+        "--T=nan", "--T=inf", "--dt=nan", "--periods-crossed=nan"])
+    def test_non_finite_duration_is_a_domain_error(self, capsys, option):
+        assert main(["evolve", "--family", "u1", "-m", "0.5", "--n", "64", option]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_mixed_family_rejected(self, capsys):
         # upm is not offered for evolution, so the parser itself refuses
         with pytest.raises(SystemExit) as exc:

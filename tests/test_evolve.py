@@ -5,6 +5,8 @@ checked against them directly; self-convergence at dt halving pins the
 fourth-order rate.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ class TestConfig:
         config = EvolverConfig.for_duration(grid, duration=1.0, target_dt=3e-4)
         assert config.dt <= 3e-4
         assert config.steps * config.dt == pytest.approx(1.0, rel=1e-12)
+        # an infinite target step asks for a single step
+        assert EvolverConfig.for_duration(grid, duration=1.0, target_dt=math.inf).steps == 1
+
+    @pytest.mark.parametrize("target_dt, duration", [
+        (1e-3, math.nan), (1e-3, math.inf), (math.nan, 1.0)])
+    def test_for_duration_refuses_non_finite_duration(self, target_dt, duration):
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(DomainError):
+            EvolverConfig.for_duration(grid, duration=duration, target_dt=target_dt)
 
     @pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
     def test_positive_durations(self, dt, T):

@@ -20,8 +20,8 @@ import landen_kdv.landen as landen_module
 from landen_kdv import (
     ConsistencyError,
     DomainError,
+    DnWaveParams,
     LandenMap,
-    TransformedParams,
     A_constant,
     complete_K,
     dn2_landen_rhs,
@@ -247,21 +247,27 @@ class TestTransformParams:
     def test_alpha_rescale(self):
         lmap = landen_map(2, 0.5)
         out = transform_params(1.0, 0.0, lmap)
-        assert isinstance(out, TransformedParams)
-        assert out.alpha_tilde == pytest.approx(1.0 + math.sqrt(0.5), rel=1e-13)
-        assert out.m_tilde == lmap.m_tilde
+        assert isinstance(out, DnWaveParams)
+        assert out.p == 1
+        assert out.alpha == pytest.approx(1.0 + math.sqrt(0.5), rel=1e-13)
+        assert out.m == lmap.m_tilde
 
     def test_one_term_velocity_and_offset(self):
         lmap = landen_map(1, 0.4)
         out = transform_params(1.3, -0.2, lmap)
-        assert out.c_tilde == pytest.approx((8 - 4 * 0.4 - 6 * -0.2) * 1.3**2, rel=1e-13)
-        assert out.beta_tilde == pytest.approx(-0.2, rel=1e-13)
+        assert out.velocity == pytest.approx((8 - 4 * 0.4 - 6 * -0.2) * 1.3**2, rel=1e-13)
+        assert out.beta == pytest.approx(-0.2, rel=1e-13)
+        # the single wave's own p = 1 speed is the superposition's b_p * alpha^2
+        for p in (1, 2, 3, 5, 8):
+            single = transform_params(1.3, -0.2, landen_map(p, 0.4))
+            assert single.velocity == pytest.approx(
+                DnWaveParams(alpha=1.3, beta=-0.2, m=0.4, p=p).velocity, rel=1e-12)
 
     def test_two_term_offset_shift(self):
         lmap = landen_map(2, 0.5)
         out = transform_params(1.0, 0.0, lmap)
         g = lmap.gamma
-        assert out.beta_tilde == pytest.approx(2.0 * g * g * math.sqrt(2.0), rel=1e-12)
+        assert out.beta == pytest.approx(2.0 * g * g * math.sqrt(2.0), rel=1e-12)
 
     def test_rejects_nonpositive_alpha(self):
         lmap = landen_map(2, 0.5)

@@ -6,6 +6,7 @@ public function or class is kept alive by the tests alone.
 """
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -30,7 +31,6 @@ PUBLIC_NAMES = [
     "ResidualReport",
     "TOLERANCES",
     "Trajectory",
-    "TransformedParams",
     "TravelingProfile",
     "__version__",
     "complete_K",
@@ -177,3 +177,22 @@ def test_no_public_definition_is_used_only_by_tests():
     unused = {f"{path.name}:{name}" for path in package
               for name in public_definitions(path) if name not in used}
     assert unused == set()
+
+
+def bench_layer_functions() -> dict[str, tuple[str, ...]]:
+    """LAYER_FUNCTIONS from bench/tracing.py, read without importing the bench."""
+    for node in ast.parse((REPO / "bench" / "tracing.py").read_text()).body:
+        if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and node.target.id == "LAYER_FUNCTIONS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no LAYER_FUNCTIONS")
+
+
+def test_bench_layer_functions_exist():
+    # the tracer wraps these by name; a missing one stops the benchmark
+    layers = bench_layer_functions()
+    assert "landen" in layers and "transform_params" in layers["landen"]
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"landen_kdv.{layer}"),
+                                       name, None))]
+    assert missing == []

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import landen_kdv.landen as landen_module
 import landen_kdv.verify as verify_module
 import landen_kdv.waves as waves_module
 from landen_kdv import (
@@ -170,6 +171,24 @@ class TestEquivalence:
             equivalence_check(params, landen_map(3, 0.5), params.natural_grid())
         with pytest.raises(DomainError):
             equivalence_check(params, landen_map(2, 0.6), params.natural_grid())
+
+    def test_shifted_offset_constant_fails_the_later_slices(self, monkeypatch):
+        # both A determinations go through _consistency_A, so a 1e-6 shift
+        # there passes dual_oracle_A; the single wave's own speed reads no A,
+        # so the slices at t = 0.1 and 0.5 must see the superposition's b_p
+        original = landen_module._consistency_A
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(landen_module, "_consistency_A",
+                              lambda *args: original(*args) + 1e-6)
+                landen_map.cache_clear()
+                shifted = run_suite("equivalence")
+                oracle = [r for r in run_suite("kdv") if r.check == "dual_oracle_A"]
+        finally:
+            landen_map.cache_clear()
+        assert all(r.passed for r in oracle)
+        assert sum(not r.passed for r in shifted) >= 40
+        assert all(r.passed for r in run_suite("equivalence"))
 
 
 class TestLimits:
