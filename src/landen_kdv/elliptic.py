@@ -55,7 +55,7 @@ def _agm(b: float) -> tuple[float, float]:
 
 
 # keyed on float m; a cold landen_map asks for K(m) twice, from the nome
-# and from the kernel's ladder, and the second ask runs no AGM
+# and from the kernel's argument reduction, and the second ask runs no AGM
 @lru_cache(maxsize=1024)
 def _complete_KE(m: float) -> tuple[float, float]:
     """K(m) and E(m) from one AGM run; 0 <= m < 1."""
@@ -86,16 +86,14 @@ def complete_E(m: float) -> float:
     return _complete_KE(m)[1]
 
 
-# keyed on float m; one verify --suite all run builds 53 ladders, each
-# holding K(m) as well, so a kernel call runs no AGM
+# keyed on float m; one verify --suite all run builds 53 ladders
 @lru_cache(maxsize=1024)
-def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float, float]:
-    """Descending sequence of moduli k_1, k_2, ..., the residual parameter and K(m).
+def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float]:
+    """Descending sequence of moduli k_1, k_2, ... and the residual parameter.
 
     Iterates k_{j+1} = k_j^2 / (1 + k'_j)^2 starting from k_1 derived from
     m, stopping once the squared modulus drops below ``_LADDER_FLOOR``.
-    Returns the moduli (top first), the parameter left at the bottom and
-    the quarter period K(m) that the argument reduction needs (m < 1).
+    Returns the moduli (top first) and the parameter left at the bottom.
     """
     ks: list[float] = []
     m_j = m
@@ -104,7 +102,7 @@ def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float, float]:
         k = m_j / (1.0 + kp) ** 2
         ks.append(k)
         m_j = k * k
-    return tuple(ks), m_j, complete_K(m)
+    return tuple(ks), m_j
 
 
 def jacobi_sn_cn_dn(x, m: float):
@@ -126,9 +124,9 @@ def jacobi_sn_cn_dn(x, m: float):
             sech = 1.0 / np.cosh(x_arr)
         s, c, d = np.tanh(x_arr), sech, sech.copy()
     else:
-        ks, m_bottom, big_k = _modulus_ladder(m)
+        ks, m_bottom = _modulus_ladder(m)
         # reduce mod the real period 4K; |z| <= 2K keeps the seed accurate
-        period = 4.0 * big_k
+        period = 4.0 * complete_K(m)
         z = np.divide(x_arr, period)
         np.round(z, out=z)
         z *= period

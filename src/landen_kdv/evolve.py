@@ -93,6 +93,9 @@ class EvolverConfig:
             raise DomainError(f"duration must be positive and finite, got {duration!r}")
         if not target_dt > 0.0:
             raise DomainError(f"target_dt must be positive, got {target_dt!r}")
+        if duration / target_dt == math.inf:
+            raise DomainError(f"duration {duration!r} over target_dt {target_dt!r} "
+                              "overflows the step count")
         steps = max(1, math.ceil(duration / target_dt))
         return cls(grid=grid, dt=duration / steps, T=duration, snapshot_every=snapshot_every)
 

@@ -16,13 +16,12 @@ solvers need and keeps n1 and n2 powers of two.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AliasingWarning, DomainError
+from .errors import DomainError
 
 # Spectral coefficients below DROP_FLOOR times eps * ||u_hat||_2 / sqrt(n),
 # the rounding level the samples leave in each coefficient (Parseval), are
@@ -31,9 +30,6 @@ from .errors import AliasingWarning, DomainError
 # kdv_residual measures noise instead of refusing; at 3000 the floor cuts
 # real harmonics and the u_pm residuals rise from 9e-12 to 4.1e-11.
 DROP_FLOOR = 300.0
-
-# Top-third energy fraction above which PeriodicGrid.warn_if_aliased warns.
-ALIAS_THRESHOLD = 1e-12
 
 
 def _require_pow2(n: int) -> int:
@@ -120,38 +116,38 @@ def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
     return out
 
 
-def high_mode_energy_fraction(values: np.ndarray) -> float:
+def high_mode_energy_fraction(u_hat: np.ndarray) -> float:
     """Fraction of non-mean spectral energy in the top third of modes.
 
-    This is the band the 2/3 rule would discard; energy here means products
-    of the field alias back into resolved modes.  The mean is excluded so a
-    large constant offset cannot mask genuine high-mode content.  Modes
-    under the drop floor are roundoff debris, not content: a field that is
-    flat to roundoff would otherwise read as ~1/3 high-mode energy.
+    ``u_hat`` has passed drop_noise_floor, so roundoff debris does not read
+    as content, and keeps at least one non-mean mode.  The top third is the
+    band the 2/3 rule would discard; energy here means products of the
+    field alias back into resolved modes.  The mean is excluded so a large
+    constant offset cannot mask genuine high-mode content.
     """
-    u_hat = drop_noise_floor(fft(np.asarray(values, dtype=float)))
     power = np.abs(u_hat) ** 2
-    total = float(np.sum(power[1:]))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(power[~kept_modes(u_hat.size)]) / total)
+    return float(np.sum(power[~kept_modes(u_hat.size)]) / np.sum(power[1:]))
 
 
-def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
-    """d^order/dx^order of a real periodic field sampled on n points.
+def _derivative_of_spectrum(u_hat: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
+    """d^order/dx^order of the real field whose floored spectrum is u_hat.
 
     Odd orders zero the Nyquist mode: it has no signed partner, so keeping
     it would turn a real field complex.
     """
+    d_hat = (1j * k) ** order * u_hat
+    if order % 2 == 1:
+        d_hat[u_hat.size // 2] = 0.0
+    return ifft(d_hat).real
+
+
+def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
+    """d^order/dx^order of a real periodic field sampled on n points."""
     values = np.asarray(values, dtype=float)
     if order < 1:
         raise DomainError("derivative order must be >= 1")
     u_hat = drop_noise_floor(fft(values))
-    k = wavenumbers(values.size, length)
-    d_hat = (1j * k) ** order * u_hat
-    if order % 2 == 1:
-        d_hat[values.size // 2] = 0.0
-    return ifft(d_hat).real
+    return _derivative_of_spectrum(u_hat, wavenumbers(values.size, length), order)
 
 
 def fit_traveling_velocity(values: np.ndarray, length: float) -> float:
@@ -204,15 +200,3 @@ class PeriodicGrid:
     @property
     def spacing(self) -> float:
         return self.L / self.N
-
-    def warn_if_aliased(self, values: np.ndarray) -> float:
-        """Measure high-mode energy and warn when products would alias."""
-        frac = high_mode_energy_fraction(values)
-        if frac > ALIAS_THRESHOLD:
-            warnings.warn(
-                f"top-third modes hold {frac:.3e} of spectral energy; "
-                "nonlinear products will alias on this grid",
-                AliasingWarning,
-                stacklevel=2,
-            )
-        return frac

@@ -136,12 +136,11 @@ def test_criterion_4_single_wave_equivalence():
     count = 0
     for p in range(1, 7):
         for m in (0.2, 0.5, 0.8, 0.9):
-            lmap = landen_map(p, m)
             for alpha, beta in ((1.0, 0.0), (1.7, -0.4), (2.0, 1.0)):
                 params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
                 grid = params.natural_grid(n=512, periods=2)
                 for t in (0.0, 0.1, 0.5):
-                    worst = max(worst, equivalence_check(params, lmap, grid, t=t))
+                    worst = max(worst, equivalence_check(params, grid, t=t))
                     count += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0

@@ -227,6 +227,12 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_overflowing_step_count_is_a_domain_error(self, capsys):
+        # 1e300 / 1e-10 is inf: refused, since no step count can hold it
+        assert main(["evolve", "--n", "64", "--T", "1e300", "--dt", "1e-10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_mixed_family_rejected(self, capsys):
         # upm is not offered for evolution, so the parser itself refuses
         with pytest.raises(SystemExit) as exc:

@@ -68,6 +68,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             EvolverConfig.for_duration(grid, duration=duration, target_dt=target_dt)
 
+    def test_for_duration_refuses_an_overflowing_step_count(self):
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(DomainError, match="overflows"):
+            EvolverConfig.for_duration(grid, duration=1e300, target_dt=1e-10)
+
     @pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
     def test_positive_durations(self, dt, T):
         grid = PeriodicGrid(N=64, L=2 * np.pi)

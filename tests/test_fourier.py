@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from landen_kdv import (
-    AliasingWarning,
     DomainError,
     PeriodicGrid,
     fft,
@@ -25,6 +24,11 @@ from landen_kdv.fourier import (
     signed_modes,
     wavenumbers,
 )
+
+
+def floored_spectrum(values):
+    """The spectrum high_mode_energy_fraction reads: transformed, then floored."""
+    return drop_noise_floor(fft(values))
 
 
 class TestTransformAgainstNumpy:
@@ -108,20 +112,24 @@ class TestModeBookkeeping:
 
     def test_high_mode_fraction_smooth_field(self):
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        assert high_mode_energy_fraction(np.cos(x)) < 1e-28
+        assert high_mode_energy_fraction(floored_spectrum(np.cos(x))) < 1e-28
 
     def test_high_mode_fraction_ignores_mean(self):
-        assert high_mode_energy_fraction(np.full(64, 7.0)) == 0.0
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        steep = np.cos(25 * x) + np.cos(x)
+        assert high_mode_energy_fraction(floored_spectrum(7.0 + steep)) == pytest.approx(
+            high_mode_energy_fraction(floored_spectrum(steep)), rel=1e-12)
 
     def test_high_mode_fraction_flags_steep_field(self):
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        assert high_mode_energy_fraction(np.cos(25 * x)) > 0.9
+        assert high_mode_energy_fraction(floored_spectrum(np.cos(25 * x))) > 0.9
 
     def test_high_mode_fraction_ignores_roundoff_debris(self):
-        # a field flat to roundoff has no high-mode content, whatever the
+        # debris under the drop floor is not high-mode content, whatever the
         # spectrum of its last bits
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        assert high_mode_energy_fraction(7.0 + 1e-15 * np.cos(25 * x)) == 0.0
+        field = 7.0 + np.cos(x) + 1e-15 * np.cos(25 * x)
+        assert high_mode_energy_fraction(floored_spectrum(field)) == 0.0
 
 
 class TestSpectralDerivative:
@@ -181,15 +189,6 @@ class TestPeriodicGrid:
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
             PeriodicGrid(N=64, L=0.0)
-
-    def test_aliasing_warning(self):
-        grid = PeriodicGrid(N=64, L=2 * np.pi)
-        with pytest.warns(AliasingWarning):
-            grid.warn_if_aliased(np.cos(25 * grid.x))
-
-    def test_no_warning_for_resolved_field(self):
-        grid = PeriodicGrid(N=64, L=2 * np.pi)
-        grid.warn_if_aliased(np.cos(3 * grid.x))
 
 
 class TestVelocityFit:

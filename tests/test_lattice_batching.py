@@ -122,7 +122,7 @@ def test_equivalence_check_matches_per_slice_loop(p, m):
     lmap = landen_map(p, m)
     grid = params.natural_grid(128, periods=2)
     for t in (0.0, 1.25):
-        assert equivalence_check(params, lmap, grid, t) == loop_equivalence(params, lmap, grid, t)
+        assert equivalence_check(params, grid, t) == loop_equivalence(params, lmap, grid, t)
 
 
 def test_sample_broadcasts_time_slices():
@@ -187,10 +187,10 @@ class TestOneKernelCallPerLattice:
 
     def test_equivalence_check(self, calls):
         params = DnWaveParams(alpha=1.0, beta=0.1, m=0.7, p=5)
-        lmap = landen_map(5, 0.7)
         grid = params.natural_grid(64)
+        landen_map(5, 0.7)  # warm: a cold map build makes a kernel call of its own
         calls[0] = 0
-        equivalence_check(params, lmap, grid)
+        equivalence_check(params, grid)
         assert calls[0] == 2
 
     def test_speed_probe_profile(self, calls):
