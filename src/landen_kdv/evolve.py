@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import PeriodicGrid, fft, ifft, kept_modes
+from .fourier import PeriodicGrid, _four_step, _inverse_plan, _plan, fft, ifft, kept_modes
 
 # Largest nonlinear CFL number a run may start with.  Cnoidal runs at
 # N = 256 and 512 were measured stable up to 2.5 and blowing up at 3.
@@ -39,6 +39,12 @@ CFL_MAX = 2.0
 # Global error, in max|u|, that choose_step allows its pilot to predict at
 # the final time: 1% of the 1e-6 deviation gate of the dynamical checks.
 ERROR_TARGET = 1e-8
+
+# Most steps a run may take.  Each step leaves about eps * max|u| of
+# roundoff, so past ERROR_TARGET / eps (about 4.5e7) steps roundoff alone
+# exceeds the target, whatever the step size.  At ~0.1 ms per N = 256 step
+# that is still an hour: the budget bounds a run, it does not make it short.
+_STEP_BUDGET = ERROR_TARGET / np.finfo(float).eps
 
 # Pilot rounds before choose_step gives up.  The global error scales as
 # dt^4, so one rescaling normally suffices; more rounds only help where
@@ -70,6 +76,10 @@ class EvolverConfig:
             raise DomainError(f"dt must be positive, got {self.dt!r}")
         if not math.isfinite(self.T) or self.T <= 0.0:
             raise DomainError(f"T must be positive, got {self.T!r}")
+        if self.T / self.dt > _STEP_BUDGET:
+            raise DomainError(
+                f"T = {self.T!r} takes more than {_STEP_BUDGET:.4g} steps of dt = {self.dt!r}"
+            )
         steps = round(self.T / self.dt)
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-9 * self.T:
             raise DomainError(
@@ -93,9 +103,9 @@ class EvolverConfig:
             raise DomainError(f"duration must be positive and finite, got {duration!r}")
         if not target_dt > 0.0:
             raise DomainError(f"target_dt must be positive, got {target_dt!r}")
-        if duration / target_dt == math.inf:
+        if duration / target_dt > _STEP_BUDGET:
             raise DomainError(f"duration {duration!r} over target_dt {target_dt!r} "
-                              "overflows the step count")
+                              f"overflows the budget of {_STEP_BUDGET:.4g} steps")
         steps = max(1, math.ceil(duration / target_dt))
         return cls(grid=grid, dt=duration / steps, T=duration, snapshot_every=snapshot_every)
 
@@ -132,21 +142,49 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    k = grid.k
-    e_full = np.exp(1j * k**3 * dt)
-    e_half = np.exp(1j * k**3 * (dt / 2.0))
-    coeff = 3j * k * kept_modes(grid.N)
+    """One IF-RK4 step of size dt on the grid, spectrum to spectrum.
+
+    The step computes, with the stages updated in place,
+    e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d).  Every product keeps
+    the operand order of that expression: with fused multiply-add a*b and
+    b*a can round differently, and swapping e_full*a alone changes the
+    step's last bits.
+    The fields reaching a step come from _checked_field, so the transforms
+    run the four-step helper on the resolved plans without re-checking.
+    """
+    forward, inverse = _plan(grid.N), _inverse_plan(grid.N)
+    ik3 = 1j * grid.k**3
+    e_full = np.exp(ik3 * dt)
+    e_half = np.exp(ik3 * (dt / 2.0))
+    dt_e_half = dt * e_half
+    two_e_half = 2.0 * e_half
+    half_dt, sixth_dt = dt / 2.0, dt / 6.0
+    coeff = 3j * grid.k * kept_modes(grid.N)
 
     def nonlinear(v_hat: np.ndarray) -> np.ndarray:
-        u = ifft(v_hat).real
-        return coeff * fft(u * u)
+        u = _four_step(v_hat, inverse).real
+        out = _four_step(u * u, forward)
+        return np.multiply(coeff, out, out=out)
 
     def step(u_hat: np.ndarray) -> np.ndarray:
+        e_u = e_full * u_hat
         a = nonlinear(u_hat)
-        b = nonlinear(e_half * (u_hat + (dt / 2.0) * a))
-        c = nonlinear(e_half * u_hat + (dt / 2.0) * b)
-        d = nonlinear(e_full * u_hat + dt * e_half * c)
-        return e_full * u_hat + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+        s = np.multiply(half_dt, a)
+        np.add(u_hat, s, out=s)
+        b = nonlinear(np.multiply(e_half, s, out=s))
+        np.multiply(e_half, u_hat, out=s)
+        s += half_dt * b
+        c = nonlinear(s)
+        np.multiply(dt_e_half, c, out=s)
+        d = nonlinear(np.add(e_u, s, out=s))
+        b += c
+        np.multiply(two_e_half, b, out=b)
+        np.multiply(e_full, a, out=a)
+        a += b
+        a += d
+        np.multiply(sixth_dt, a, out=a)
+        e_u += a
+        return e_u
 
     return step
 
@@ -193,9 +231,13 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
             break
         # global error ~ dt^4; aim 10% under the target
         target_dt = config.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
+        # past the step budget roundoff alone misses the target
+        if math.ceil(duration / target_dt) > _STEP_BUDGET:
+            break
     raise InstabilityError(
         f"no step meets the error target {ERROR_TARGET!r} within "
-        f"{_PILOT_ROUNDS} pilot rounds (last estimate {estimate!r})"
+        f"{_PILOT_ROUNDS} pilot rounds and {_STEP_BUDGET:.4g} steps "
+        f"(last estimate {estimate!r})"
     )
 
 

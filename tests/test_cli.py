@@ -233,6 +233,12 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_step_budget_is_a_domain_error(self, capsys):
+        # 1e11 steps is past the budget: refused at once, never run
+        assert main(["evolve", "--n", "64", "--T", "1", "--dt", "1e-11"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "steps" in err
+
     def test_mixed_family_rejected(self, capsys):
         # upm is not offered for evolution, so the parser itself refuses
         with pytest.raises(SystemExit) as exc:

@@ -17,6 +17,7 @@ from landen_kdv import (
     InstabilityError,
     PeriodicGrid,
     fft,
+    ifft,
 )
 from landen_kdv.evolve import (
     CFL_MAX,
@@ -29,6 +30,7 @@ from landen_kdv.evolve import (
     evolve_trajectory,
     translation_lag,
 )
+from landen_kdv.fourier import kept_modes
 
 
 def cnoidal_setup(n=256, m=0.5):
@@ -72,6 +74,22 @@ class TestConfig:
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         with pytest.raises(DomainError, match="overflows"):
             EvolverConfig.for_duration(grid, duration=1e300, target_dt=1e-10)
+
+    def test_step_budget_refused(self):
+        # 1e11 steps: roundoff alone would exceed the error target
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(DomainError, match="steps"):
+            EvolverConfig(grid=grid, dt=1e-11, T=1.0)
+        with pytest.raises(DomainError, match="steps"):
+            EvolverConfig.for_duration(grid, duration=1.0, target_dt=1e-11)
+
+    def test_config_at_the_step_budget_is_built(self):
+        # built only: running it would take hours
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        budget = math.floor(ERROR_TARGET / np.finfo(float).eps)
+        assert EvolverConfig(grid=grid, dt=1.0, T=float(budget)).steps == budget
+        with pytest.raises(DomainError, match="steps"):
+            EvolverConfig(grid=grid, dt=1.0, T=float(budget + 1))
 
     @pytest.mark.parametrize("dt,T", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0), (1e-3, -1.0)])
     def test_positive_durations(self, dt, T):
@@ -122,6 +140,34 @@ class TestAccuracy:
         config = EvolverConfig(grid=grid, dt=1e-4, T=1e-2)
         with pytest.raises(DomainError):
             evolve_trajectory(np.zeros(128), config)
+
+
+class TestStep:
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_step_is_the_textbook_expression_bit_for_bit(self, n):
+        # the factory's in-place stages keep every operand order of the
+        # textbook IF-RK4 step written with the public transforms
+        params, grid = cnoidal_setup(n=n)
+        dt = 1e-4
+        u_hat = fft(params.sample(grid, 0.0))
+        k = grid.k
+        e_full = np.exp(1j * k**3 * dt)
+        e_half = np.exp(1j * k**3 * (dt / 2.0))
+        coeff = 3j * k * kept_modes(n)
+
+        def nonlinear(v_hat):
+            u = ifft(v_hat).real
+            return coeff * fft(u * u)
+
+        a = nonlinear(u_hat)
+        b = nonlinear(e_half * (u_hat + (dt / 2.0) * a))
+        c = nonlinear(e_half * u_hat + (dt / 2.0) * b)
+        d = nonlinear(e_full * u_hat + dt * e_half * c)
+        expected = e_full * u_hat + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+        before = u_hat.copy()
+        ours = evolve_module._rk4_step_factory(grid, dt)(u_hat)
+        assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(u_hat, before)
 
 
 class TestTrajectory:

@@ -43,11 +43,26 @@ class TestTransformAgainstNumpy:
         ref = np.fft.fft(a)
         assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n", [4, 128, 512])
+    @pytest.mark.parametrize("n", [2, 4, 128, 512, 8192])
     def test_inverse_matches(self, n):
         rng = np.random.default_rng(n + 1)
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.max(np.abs(ifft(a) - np.fft.ifft(a))) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 64, 256, 8192])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_inverse_is_the_conjugated_forward_exactly(self, n, hermitian):
+        # the conjugated plan reproduces conj(fft(conj(a))) / n exactly; an
+        # exact zero may change sign, so the imaginary parts compare by value
+        # and the real parts, which every caller keeps, bit for bit
+        rng = np.random.default_rng(n + 2)
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if hermitian:
+            a = fft(a.real)
+        ours = ifft(a)
+        ref = np.conj(fft(np.conj(a))) / n
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(ours.real.view(np.uint64), ref.real.view(np.uint64))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
