@@ -13,6 +13,15 @@ the base of the ladder is seeded with circular functions, and one ascending
 back-substitution per level recovers (sn, cn, dn) at the original modulus.
 Arguments are first reduced modulo the real period 4K so accuracy does not
 degrade for large |x|.
+
+Two ascents share that front end (_ladder_base: the checks, the m = 1
+hyperbolic branch and the reduction).  jacobi_sn_cn_dn carries sn, cn and
+dn up every level.  _dn serves the callers that read dn alone: each
+level's dn is (1 - t)/(1 + t) with t = k sn^2 from the level below
+(DLMF 22.7(i)), so it carries only the sn chain, forms dn once at the top
+level and needs no cos and, below a non-empty ladder, no sqrt.  It keeps
+every operation it does perform in the same order on the same operands,
+so _dn(x, m) equals jacobi_sn_cn_dn(x, m)[2] bit for bit.
 """
 
 from __future__ import annotations
@@ -105,6 +114,35 @@ def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float]:
     return tuple(ks), m_j
 
 
+def _ladder_base(x, m: float):
+    """The front end both ascents share: checks, m = 1, argument reduction.
+
+    Returns (x, sech(x), None) at m = 1, where sech is both cn and dn, and
+    otherwise (x, z, (ks, m_bottom)) with z the argument at the base of
+    the ladder: x reduced mod 4K, then divided by 1 + k at every level.
+    x comes back as a float array of ndim >= 1 and is never written to.
+    """
+    m = _check_m(m)
+    # 1-d at least: the in-place steps of the ascents need array outputs
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x_arr)):
+        raise DomainError("argument must be finite")
+    if m == 1.0:
+        # cosh overflows to inf for |x| > ~710, where 1/inf = 0 is sech
+        with np.errstate(over="ignore"):
+            return x_arr, 1.0 / np.cosh(x_arr), None
+    ks, m_bottom = _modulus_ladder(m)
+    # reduce mod the real period 4K; |z| <= 2K keeps the seed accurate
+    period = 4.0 * complete_K(m)
+    z = np.divide(x_arr, period)
+    np.round(z, out=z)
+    z *= period
+    np.subtract(x_arr, z, out=z)
+    for k in ks:
+        z /= 1.0 + k
+    return x_arr, z, (ks, m_bottom)
+
+
 def jacobi_sn_cn_dn(x, m: float):
     """sn, cn and dn of x with modulus parameter m, elementwise.
 
@@ -112,27 +150,11 @@ def jacobi_sn_cn_dn(x, m: float):
     floats.  The input is never written to.  Handles the degenerate ends
     exactly: m = 0 gives (sin, cos, 1) and m = 1 gives (tanh, sech, sech).
     """
-    m = _check_m(m)
-    # 1-d at least: the in-place steps below need array outputs
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("argument must be finite")
-
-    if m == 1.0:
-        # cosh overflows to inf for |x| > ~710, where 1/inf = 0 is sech
-        with np.errstate(over="ignore"):
-            sech = 1.0 / np.cosh(x_arr)
-        s, c, d = np.tanh(x_arr), sech, sech.copy()
+    x_arr, z, ladder = _ladder_base(x, m)
+    if ladder is None:  # m = 1, z = sech(x)
+        s, c, d = np.tanh(x_arr), z, z.copy()
     else:
-        ks, m_bottom = _modulus_ladder(m)
-        # reduce mod the real period 4K; |z| <= 2K keeps the seed accurate
-        period = 4.0 * complete_K(m)
-        z = np.divide(x_arr, period)
-        np.round(z, out=z)
-        z *= period
-        np.subtract(x_arr, z, out=z)
-        for k in ks:
-            z /= 1.0 + k
+        ks, m_bottom = ladder
         # updated in place; each product keeps its operand order, as in
         # (k*s)*s and ((1+k)*s)/(1+t), and c takes the previous level's d
         s = np.sin(z)
@@ -155,3 +177,40 @@ def jacobi_sn_cn_dn(x, m: float):
     if np.ndim(x) == 0:
         return float(s[0]), float(c[0]), float(d[0])
     return s, c, d
+
+
+def _dn(x, m: float):
+    """dn alone, equal to jacobi_sn_cn_dn(x, m)[2] bit for bit.
+
+    The sn chain of jacobi_sn_cn_dn's ascent with the same operations in
+    the same order; dn is formed once, from the top level's t, and the top
+    level's own sn update is skipped.  The two ascents stay separate loops
+    rather than one loop that branches on what the caller reads.
+    """
+    _, z, ladder = _ladder_base(x, m)
+    if ladder is None:  # m = 1, z = sech(x)
+        d = z
+    elif not ladder[0]:
+        # empty ladder (m <= _LADDER_FLOOR): dn = sqrt(1 - m sn^2) at the seed
+        s = np.sin(z, out=z)
+        d = np.sqrt(1.0 - ladder[1] * s * s)
+    else:
+        ks = ladder[0]
+        s = np.sin(z, out=z)
+        t = np.empty_like(s)
+        denom = np.empty_like(s)
+        for k in reversed(ks[1:]):
+            np.multiply(k, s, out=t)
+            t *= s
+            np.add(1.0, t, out=denom)
+            s *= 1.0 + k
+            s /= denom
+        np.multiply(ks[0], s, out=t)
+        t *= s
+        np.add(1.0, t, out=denom)
+        d = np.subtract(1.0, t, out=s)
+        d /= denom
+
+    if np.ndim(x) == 0:
+        return float(d[0])
+    return d

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -141,6 +142,10 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return u0
 
 
+# keyed on (grid, dt); size 2 holds the pilot round's dt and dt/2 factories,
+# so evolve_trajectory reuses the accepted round's dt factory instead of
+# building it again.  A step holds no state between calls.
+@lru_cache(maxsize=2)
 def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[[np.ndarray], np.ndarray]:
     """One IF-RK4 step of size dt on the grid, spectrum to spectrum.
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import _agm, _check_m, _complete_KE, complete_E, jacobi_sn_cn_dn
+from .elliptic import _agm, _check_m, _complete_KE, _dn, complete_E
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
@@ -77,7 +77,7 @@ def _check_pm(p: int, m: float) -> tuple[int, float]:
 def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
     """dn(x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
     column = np.reshape(shifts, (len(shifts),) + (1,) * np.ndim(x))
-    return jacobi_sn_cn_dn(x + column, m)[2]
+    return _dn(x + column, m)
 
 
 def cyclic_sums(d: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ def cyclic_sums(d: np.ndarray) -> np.ndarray:
     constant when the lattice is right.
     """
     p = len(d)
-    rows = [np.sum(d * np.roll(d, -r, axis=0), axis=0) for r in range(1, p)]
+    rows = [np.sum(d * d[(np.arange(p) + r) % p], axis=0) for r in range(1, p)]
     return np.array(rows).reshape(p - 1, d.shape[1])
 
 

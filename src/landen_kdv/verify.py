@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import complete_K, jacobi_sn_cn_dn
+from .elliptic import _dn, complete_K
 from .errors import AliasingWarning, DomainError, PeriodMismatchError
 from .fourier import (
     PeriodicGrid,
@@ -243,14 +243,14 @@ def _identity_grid(m_tilde: float) -> np.ndarray:
 def _dn_identity_metric(p: int, m: float) -> float:
     lmap = landen_map(p, m)
     x = _identity_grid(lmap.m_tilde)
-    lhs = jacobi_sn_cn_dn(x, lmap.m_tilde)[2]
+    lhs = _dn(x, lmap.m_tilde)
     return float(np.max(np.abs(lhs - dn_landen_rhs(x, lmap))))
 
 
 def _dn2_identity_metric(p: int, m: float) -> float:
     lmap = landen_map(p, m)
     x = _identity_grid(lmap.m_tilde)
-    lhs = jacobi_sn_cn_dn(x, lmap.m_tilde)[2] ** 2
+    lhs = _dn(x, lmap.m_tilde) ** 2
     return float(np.max(np.abs(lhs - dn2_landen_rhs(x, lmap))))
 
 
@@ -283,7 +283,7 @@ def _quarter_period_metric(m: float) -> float:
     big_k = complete_K(m)
     x = np.linspace(0.0, 2.0 * big_k, 257)
     # rows x and x + K, from one kernel call
-    d = jacobi_sn_cn_dn(x + np.array([[0.0], [big_k]]), m)[2]
+    d = _dn(x + np.array([[0.0], [big_k]]), m)
     return float(np.max(np.abs(d[0] * d[1] - math.sqrt(1.0 - m))))
 
 
@@ -298,7 +298,7 @@ def _residual_non_solution_metric(profile: str, m: float) -> float:
     if profile != "dn^3":
         raise DomainError(f"unknown non-solution profile {profile!r}")
     wave = TravelingProfile(
-        profile=lambda xs: jacobi_sn_cn_dn(xs, m)[2] ** 3,
+        profile=lambda xs: _dn(xs, m) ** 3,
         velocity=8.0 - 4.0 * m,
         spatial_period=2.0 * complete_K(m),
     )

@@ -15,12 +15,12 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import landen_kdv.elliptic as elliptic_module
 import landen_kdv.landen as landen_module
 from landen_kdv import DomainError, complete_K, jacobi_sn_cn_dn
-from landen_kdv.elliptic import _agm, _modulus_ladder, complete_E
+from landen_kdv.elliptic import _agm, _dn, _modulus_ladder, complete_E
 
 mpmath.mp.dps = 40
 
@@ -218,6 +218,42 @@ class TestKernelArrays:
         for i, row in enumerate(x):
             for values, one_d in zip(stacked, jacobi_sn_cn_dn(row, m)):
                 assert np.array_equal(values[i], one_d)
+
+
+class TestDnOnly:
+    """_dn, the kernel of the callers that read dn alone, is the full
+    kernel's dn bit for bit: it runs the same sn chain in the same order."""
+
+    @given(m=st.floats(0.0, 1.0), x=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
+    @example(m=0.0, x=0.0, seed=0)
+    @example(m=5e-324, x=1e4, seed=1)
+    @example(m=1.0 - 1e-12, x=-7.3, seed=2)
+    @example(m=1.0, x=800.0, seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_full_kernel_bit_for_bit(self, m, x, seed):
+        d = _dn(x, m)
+        assert type(d) is float and d == jacobi_sn_cn_dn(x, m)[2]
+        rng = np.random.default_rng(seed)
+        for shape in ((4, 3, 64), (4, 64)):
+            # magnitudes from 1 to 1e4, so both the seed and the reduction vary
+            xs = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(0.0, 4.0, shape)
+            before = xs.copy()
+            d = _dn(xs, m)
+            assert np.array_equal(xs, before)
+            assert d.shape == shape
+            assert np.array_equal(d, jacobi_sn_cn_dn(xs, m)[2])
+
+    @pytest.mark.parametrize("x, m", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (np.array([0.0, -np.inf]), 0.0),
+        (np.array([[0.3], [np.nan]]), 1.0),
+        (0.5, -0.1), (0.5, 1.01), (0.5, float("nan")), (0.5, float("inf")),
+    ])
+    def test_refuses_what_the_full_kernel_refuses(self, x, m):
+        with pytest.raises(DomainError) as full:
+            jacobi_sn_cn_dn(x, m)
+        with pytest.raises(DomainError) as dn_only:
+            _dn(x, m)
+        assert str(dn_only.value) == str(full.value)
 
 
 class TestAlgebraicInvariants:

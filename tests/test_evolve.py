@@ -277,6 +277,20 @@ class TestStepChoice:
         assert np.max(np.abs(evolve_trajectory(u0, chosen).final - exact)) <= 1e-6
         assert np.max(np.abs(evolve_trajectory(u0, cfl_only).final - exact)) > 1e-6
 
+    def test_run_reuses_the_accepted_pilot_factory(self):
+        # the accepted pilot round built the factory for the chosen dt, so
+        # the run that follows takes it from the cache instead of building it
+        params, grid = cnoidal_setup(n=128)
+        u0 = params.sample(grid, 0.0)
+        factory = evolve_module._rk4_step_factory
+        factory.cache_clear()
+        chosen, _ = choose_step(u0, grid, 0.02)
+        before = factory.cache_info()
+        assert before.misses >= 2  # a full and a half step per pilot round
+        evolve_trajectory(u0, chosen)
+        after = factory.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
     def test_unreachable_target_raises(self):
         # a huge field: steps short enough to tame truncation error are so
         # many that their summed roundoff stays far above the target

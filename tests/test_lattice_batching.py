@@ -8,6 +8,7 @@ of kernel calls, so a per-shift loop cannot come back unnoticed.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from landen_kdv import (
     equivalence_check,
     jacobi_sn_cn_dn,
     landen_map,
+    run_suite,
     transform_params,
     u_p,
 )
+from landen_kdv.elliptic import _dn
 from landen_kdv.landen import _dn_on_lattice, cyclic_sums
 from landen_kdv.verify import _cyclic_constancy_metric, _quarter_period_metric, _upm_sum
 
@@ -159,57 +162,69 @@ def test_speed_probe_matches_per_phase_loop(p, sign):
 class TestOneKernelCallPerLattice:
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
+        # counts calls into either kernel, by name; the dn-only callers use _dn
+        count = Counter()
 
-        def counted(x, m):
-            count[0] += 1
-            return jacobi_sn_cn_dn(x, m)
+        def counting(name, kernel):
+            def counted(x, m):
+                count[name] += 1
+                return kernel(x, m)
+            return counted
 
-        for module in (landen_module, verify_module, waves_module):
-            monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
+        for name, kernel in (("jacobi_sn_cn_dn", jacobi_sn_cn_dn), ("_dn", _dn)):
+            for module in (landen_module, verify_module, waves_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, kernel))
         return count
 
     def test_u_p(self, calls):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=5)
         x = np.linspace(0.0, 3.0, 50)
-        calls[0] = 0
+        calls.clear()
         u_p(x, 0.2, params)
-        assert calls[0] == 1
+        assert calls.total() == 1
 
     def test_landen_rhs_and_cyclic_sums(self, calls):
         lmap = landen_map(6, 0.4)
         x = np.linspace(0.0, 3.0, 50)
         for evaluate in (lambda: dn_landen_rhs(x, lmap), lambda: dn2_landen_rhs(x, lmap),
                          lambda: _cyclic_constancy_metric(6, 0.4)):
-            calls[0] = 0
+            calls.clear()
             evaluate()
-            assert calls[0] == 1
+            assert calls.total() == 1
 
     def test_equivalence_check(self, calls):
         params = DnWaveParams(alpha=1.0, beta=0.1, m=0.7, p=5)
         grid = params.natural_grid(64)
         landen_map(5, 0.7)  # warm: a cold map build makes a kernel call of its own
-        calls[0] = 0
+        calls.clear()
         equivalence_check(params, grid)
-        assert calls[0] == 2
+        assert calls.total() == 2
 
     def test_speed_probe_profile(self, calls):
         profile = _upm_sum(PmWaveParams(alpha=1.0, m=0.5, sign=1), 3)
-        calls[0] = 0
+        calls.clear()
         profile(np.linspace(0.0, 3.0, 64))
-        assert calls[0] == 1
+        assert calls.total() == 1
 
     def test_cold_landen_map(self, calls):
         # dn(shifts) rides in column u = 0 of the cyclic-sum stack
         landen_map.cache_clear()
         try:
-            calls[0] = 0
+            calls.clear()
             landen_map(6, 0.4)
-            assert calls[0] == 1
+            assert calls.total() == 1
         finally:
             landen_map.cache_clear()
 
     def test_quarter_period_metric(self, calls):
-        calls[0] = 0
+        calls.clear()
         _quarter_period_metric(0.7)
-        assert calls[0] == 1
+        assert calls.total() == 1
+
+    @pytest.mark.parametrize("suite", ["equivalence", "limits"])
+    def test_dn_only_suites_make_no_three_output_call(self, calls, suite):
+        calls.clear()
+        run_suite(suite)
+        assert calls["_dn"] > 0
+        assert calls["jacobi_sn_cn_dn"] == 0
