@@ -16,7 +16,8 @@ degrade for large |x|.
 
 Two ascents share that front end (_ladder_base: the checks, the m = 1
 hyperbolic branch and the reduction).  jacobi_sn_cn_dn carries sn, cn and
-dn up every level.  _dn serves the callers that read dn alone: each
+dn up every level.  _dn serves the callers that read dn alone (all but
+waves.u_p, whose comment says why): each
 level's dn is (1 - t)/(1 + t) with t = k sn^2 from the level below
 (DLMF 22.7(i)), so it carries only the sn chain, forms dn once at the top
 level and needs no cos and, below a non-empty ladder, no sqrt.  It keeps

@@ -74,10 +74,14 @@ def _check_pm(p: int, m: float) -> tuple[int, float]:
     return int(p), m
 
 
+def _shift_lattice(x, shifts: tuple[float, ...]) -> np.ndarray:
+    """x + shifts[i] stacked as shape (p, *x.shape)."""
+    return x + np.reshape(shifts, (len(shifts),) + (1,) * np.ndim(x))
+
+
 def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
     """dn(x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
-    column = np.reshape(shifts, (len(shifts),) + (1,) * np.ndim(x))
-    return _dn(x + column, m)
+    return _dn(_shift_lattice(x, shifts), m)
 
 
 def cyclic_sums(d: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError
 from .fourier import PeriodicGrid
-from .landen import _dn_on_lattice, landen_map
+from .landen import _shift_lattice, landen_map
 
 # 1 - m1 below which dn at m1 is too coarse for the dn^2 form of u_pm: at
 # alpha = 1.3 the gap is 4.1e-11 at 6.3e-6 (m = 0.99), 1.0e-10 at 4.0e-6.
@@ -99,7 +99,11 @@ def u_p(x, t: float | np.ndarray, params: DnWaveParams):
     alpha = params.alpha
     xi = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     total = np.zeros_like(xi)
-    for row in _dn_on_lattice(xi, landen_map(params.p, params.m).shifts, params.m):
+    lattice = _shift_lattice(xi, landen_map(params.p, params.m).shifts)
+    # dn from the three-output kernel, not _dn, until bench/'s tracer times
+    # _dn: u_p is all the kernel work an evolve run does, and a traced run
+    # stops when its elliptic layer sees none (ROADMAP item 7)
+    for row in jacobi_sn_cn_dn(lattice, params.m)[2]:
         total += row**2
     out = -2.0 * alpha**2 * total + params.beta * alpha**2
     if np.ndim(out) == 0:

@@ -25,13 +25,19 @@ from landen_kdv import (
     equivalence_check,
     jacobi_sn_cn_dn,
     landen_map,
-    run_suite,
     transform_params,
     u_p,
 )
 from landen_kdv.elliptic import _dn
 from landen_kdv.landen import _dn_on_lattice, cyclic_sums
-from landen_kdv.verify import _cyclic_constancy_metric, _quarter_period_metric, _upm_sum
+from landen_kdv.verify import (
+    _cyclic_constancy_metric,
+    _dn2_identity_metric,
+    _dn_identity_metric,
+    _quarter_period_metric,
+    _residual_non_solution_metric,
+    _upm_sum,
+)
 
 MS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9)
 XS = (
@@ -222,9 +228,20 @@ class TestOneKernelCallPerLattice:
         _quarter_period_metric(0.7)
         assert calls.total() == 1
 
-    @pytest.mark.parametrize("suite", ["equivalence", "limits"])
-    def test_dn_only_suites_make_no_three_output_call(self, calls, suite):
-        calls.clear()
-        run_suite(suite)
-        assert calls["_dn"] > 0
-        assert calls["jacobi_sn_cn_dn"] == 0
+    @pytest.mark.parametrize("check", [
+        lambda: _dn_identity_metric(3, 0.6),
+        lambda: _dn2_identity_metric(3, 0.6),
+        lambda: _cyclic_constancy_metric(4, 0.6),
+        lambda: _quarter_period_metric(0.6),
+        lambda: _residual_non_solution_metric("dn^3", 0.5),
+    ], ids=["dn_identity", "dn2_identity", "cyclic_constancy", "quarter_period",
+            "non_solution"])
+    def test_dn_only_checks_make_no_three_output_call(self, calls, check):
+        landen_map.cache_clear()  # a cold map build is a dn-only path too
+        try:
+            calls.clear()
+            check()
+            assert calls["_dn"] > 0
+            assert calls["jacobi_sn_cn_dn"] == 0
+        finally:
+            landen_map.cache_clear()
