@@ -76,7 +76,8 @@ def _check_pm(p: int, m: float) -> tuple[int, float]:
 
 def _shift_lattice(x, shifts: tuple[float, ...]) -> np.ndarray:
     """x + shifts[i] stacked as shape (p, *x.shape)."""
-    return x + np.reshape(shifts, (len(shifts),) + (1,) * np.ndim(x))
+    # np.asarray first: np.reshape on a tuple takes numpy's slow wrapping path
+    return x + np.asarray(shifts).reshape((len(shifts),) + (1,) * np.ndim(x))
 
 
 def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
@@ -89,11 +90,13 @@ def cyclic_sums(d: np.ndarray) -> np.ndarray:
 
     With d[i, j] = dn(u_j + shifts[i], m), row r-1 holds the sums for
     r = 1..p-1, so the result has shape (p - 1, len(u)); each row is
-    constant when the lattice is right.
+    constant when the lattice is right.  Every partner row is gathered at
+    once into a (p - 1, p, len(u)) array, which is meant for probe stacks
+    (len(u) <= 16: 127 KB at p = 32), not for evaluation grids.
     """
     p = len(d)
-    rows = [np.sum(d * d[(np.arange(p) + r) % p], axis=0) for r in range(1, p)]
-    return np.array(rows).reshape(p - 1, d.shape[1])
+    partners = (np.arange(p) + np.arange(1, p)[:, np.newaxis]) % p
+    return np.sum(d * d[partners], axis=1)
 
 
 def _cyclic_constants(p: int, m: float, d: np.ndarray) -> tuple[float, ...]:
@@ -104,12 +107,14 @@ def _cyclic_constants(p: int, m: float, d: np.ndarray) -> tuple[float, ...]:
     wrong for this (p, m) and is an error, not a warning.
     """
     sums = cyclic_sums(d)
-    for r, row in enumerate(sums, start=1):
-        if np.std(row) > _CONSTANCY_TOL:
-            raise ConsistencyError(
-                f"a_{p}({r}) varies with x at m={m}: std {np.std(row):.3e}"
-            )
-    return tuple(float(np.mean(row)) for row in sums)
+    spread = np.std(sums, axis=1)
+    varying = np.flatnonzero(spread > _CONSTANCY_TOL)
+    if varying.size:
+        r = int(varying[0]) + 1
+        raise ConsistencyError(
+            f"a_{p}({r}) varies with x at m={m}: std {spread[r - 1]:.3e}"
+        )
+    return tuple(np.mean(sums, axis=1).tolist())
 
 
 def _consistency_A(m: float, gamma: float, m_tilde: float, cyclic_sum: float) -> float:

@@ -263,12 +263,15 @@ def _p2_closed_form_metric(p: int, m: float) -> float:
     return max(abs(lmap.gamma - gamma_exact), abs(lmap.m_tilde - m_tilde_exact))
 
 
+# Fresh constancy probes, denser than landen._PROBES (0.1 + 0.25i) and at
+# least 0.02 from each of them: 0.07 + 0.2j - 0.1 - 0.25i = (20j - 25i - 3)/100,
+# and 20j - 25i is a multiple of 5.
+_CONSTANCY_PROBES = 0.07 + 0.2 * np.arange(16)
+
+
 def _cyclic_constancy_metric(p: int, m: float) -> float:
-    # fresh probe set, denser than and disjoint from the one used at
-    # construction time
-    probes = 0.05 + 0.2 * np.arange(16)
-    sums = cyclic_sums(_dn_on_lattice(probes, landen_map(p, m).shifts, m))
-    return max((float(np.std(row)) for row in sums), default=0.0)
+    sums = cyclic_sums(_dn_on_lattice(_CONSTANCY_PROBES, landen_map(p, m).shifts, m))
+    return float(np.max(np.std(sums, axis=1), initial=0.0))
 
 
 def _cyclic_symmetry_metric(p: int, m: float) -> float:

@@ -133,6 +133,40 @@ class TestIdentityUnderScipy:
         assert landen_module.cyclic_sums(lattice).shape == (0, 7)
 
 
+class TestConstancyRefusal:
+    """_cyclic_constants refuses a lattice whose cyclic sums drift with x."""
+
+    P, M = 6, 0.4
+
+    def lattice(self, row, size):
+        shifts = landen_map(self.P, self.M).shifts
+        d = landen_module._dn_on_lattice(landen_module._PROBES, shifts, self.M)
+        d[row] += size * np.sin(3.0 * landen_module._PROBES)
+        return d
+
+    @pytest.mark.parametrize("row", [0, 4])
+    def test_drifting_row_is_refused(self, row):
+        # a perturbed dn row enters every pairing, so r = 1 fails first
+        with pytest.raises(ConsistencyError, match=r"a_6\(1\) varies with x at m=0\.4"):
+            landen_module._cyclic_constants(self.P, self.M, self.lattice(row, 1e-6))
+
+    def test_rounding_sized_drift_passes(self):
+        a = landen_module._cyclic_constants(self.P, self.M, self.lattice(2, 1e-13))
+        assert np.allclose(a, landen_map(self.P, self.M).a, rtol=0.0, atol=1e-12)
+
+    def test_refusal_names_the_first_drifting_r(self, monkeypatch):
+        original = landen_module.cyclic_sums
+
+        def drifting(d):
+            sums = original(d)
+            sums[[2, 4]] += 1e-6 * np.cos(landen_module._PROBES)
+            return sums
+
+        monkeypatch.setattr(landen_module, "cyclic_sums", drifting)
+        with pytest.raises(ConsistencyError, match=r"a_6\(3\) varies"):
+            landen_module._cyclic_constants(self.P, self.M, self.lattice(0, 0.0))
+
+
 class TestRhsHelpers:
     @pytest.mark.parametrize("p,m", [(1, 0.5), (2, 0.5), (3, 0.8), (6, 0.3)])
     def test_dn_rhs_matches_target_modulus(self, p, m):

@@ -78,6 +78,18 @@ def loop_cyclic_sums(m, shifts, probes):
     return np.array(rows).reshape(len(shifts) - 1, len(probes))
 
 
+def assert_cyclic_reductions_match_loops(p, m, n):
+    # the sums over the gathered partner stack, and std and mean along its
+    # rows, against a per-shift product loop and one call per row
+    shifts = landen_map(p, m).shifts
+    probes = 0.05 + 0.3 * np.arange(n)
+    sums = cyclic_sums(_dn_on_lattice(probes, shifts, m))
+    rows = loop_cyclic_sums(m, shifts, probes)
+    assert np.array_equal(sums, rows)
+    assert np.array_equal(np.std(sums, axis=1), [np.std(row) for row in rows])
+    assert np.array_equal(np.mean(sums, axis=1), [np.mean(row) for row in rows])
+
+
 def loop_equivalence(params, lmap, grid, t):
     single = transform_params(params.alpha, params.beta, lmap)
     worst = 0.0
@@ -119,10 +131,15 @@ class TestBitwiseAgainstPerShiftLoop:
             assert np.array_equal(dn2_landen_rhs(x, lmap), loop_dn2_rhs(x, lmap))
 
     def test_cyclic_sums(self, p, m):
-        shifts = landen_map(p, m).shifts
-        probes = 0.05 + 0.3 * np.arange(11)
-        assert np.array_equal(cyclic_sums(_dn_on_lattice(probes, shifts, m)),
-                              loop_cyclic_sums(m, shifts, probes))
+        for n in (11, 1, 2, 100):
+            assert_cyclic_reductions_match_loops(p, m, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 100])
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("p", [9, 16, 32])
+def test_cyclic_reductions_match_loops_at_large_p(p, m, n):
+    assert_cyclic_reductions_match_loops(p, m, n)
 
 
 @pytest.mark.parametrize("p, m", [(1, 0.5), (2, 0.3), (3, 0.7), (5, 0.9), (8, 0.5)])
@@ -245,3 +262,35 @@ class TestOneKernelCallPerLattice:
             assert calls["jacobi_sn_cn_dn"] == 0
         finally:
             landen_map.cache_clear()
+
+
+class TestOneReductionPerLattice:
+    """The cyclic sums' spread and mean are taken once per lattice, not per row."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        count = Counter()
+
+        def counting(name, reduce):
+            def counted(*args, **kwargs):
+                count[name] += 1
+                return reduce(*args, **kwargs)
+            return counted
+
+        for name in ("std", "mean"):
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        return count
+
+    def test_cold_landen_map(self, reductions):
+        landen_map.cache_clear()
+        try:
+            landen_map(8, 0.5)
+            assert reductions == {"std": 1, "mean": 1}
+        finally:
+            landen_map.cache_clear()
+
+    def test_cyclic_constancy_metric(self, reductions):
+        landen_map(8, 0.5)
+        reductions.clear()
+        _cyclic_constancy_metric(8, 0.5)
+        assert reductions == {"std": 1}

@@ -368,6 +368,13 @@ class TestSuites:
         assert digest == "7b8931e0b33f0a669308a9eebfe236b01eb420b5884b48fddaca68601a80d1bf"
 
 
+def test_constancy_probes_avoid_construction_probes():
+    # the cyclic_constancy check must not re-read the u values landen_map
+    # already tested at construction
+    gap = np.abs(verify_module._CONSTANCY_PROBES[:, None] - landen_module._PROBES)
+    assert np.min(gap) > 0.01
+
+
 def _all_checks():
     return [c for build in SUITES.values() for c in build()]
 
