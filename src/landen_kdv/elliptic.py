@@ -12,7 +12,9 @@ through k_{j+1} = k_j^2 / (1 + k'_j)^2, the argument is rescaled alongside,
 the base of the ladder is seeded with circular functions, and one ascending
 back-substitution per level recovers (sn, cn, dn) at the original modulus.
 Arguments are first reduced modulo the real period 4K so accuracy does not
-degrade for large |x|.
+degrade for large |x|.  That ladder is the AGM behind K and E written in
+modulus form, so one memo entry per m (_modulus) holds K(m), E(m) and the
+ladder, and a kernel call looks m up once.
 
 Two ascents share that front end (_ladder_base: the checks, the m = 1
 hyperbolic branch and the reduction).  jacobi_sn_cn_dn carries sn, cn and
@@ -64,17 +66,31 @@ def _agm(b: float) -> tuple[float, float]:
     return a, c2_sum
 
 
-# keyed on float m; a cold landen_map asks for K(m) twice, from the nome
-# and from the kernel's argument reduction, and the second ask runs no AGM
+# keyed on float m; one verify --suite all run fills 62 entries.  A cold
+# landen_map asks for m twice, from the nome and from the kernel's argument
+# reduction, and the second ask runs no AGM
 @lru_cache(maxsize=1024)
-def _complete_KE(m: float) -> tuple[float, float]:
-    """K(m) and E(m) from one AGM run; 0 <= m < 1."""
+def _modulus(m: float) -> tuple[float, float, tuple[float, ...], float]:
+    """K(m), E(m) and the descending ladder of m; 0 <= m < 1.
+
+    K and E come from one AGM run.  The ladder is that AGM in modulus
+    form: k_{j+1} = k_j^2 / (1 + k'_j)^2 from k_1 derived from m, stopping
+    once the squared modulus drops below ``_LADDER_FLOOR``; it is kept as
+    the moduli (top first) and the parameter left at the bottom.
+    """
     m = _check_m(m)
     if m == 1.0:
         raise DomainError("K(m) diverges at m = 1")
     a, c2_sum = _agm(math.sqrt(1.0 - m))
     big_k = math.pi / (2.0 * a)
-    return big_k, big_k * (1.0 - c2_sum)
+    ks: list[float] = []
+    m_j = m
+    while m_j > _LADDER_FLOOR:
+        kp = math.sqrt(1.0 - m_j)
+        k = m_j / (1.0 + kp) ** 2
+        ks.append(k)
+        m_j = k * k
+    return big_k, big_k * (1.0 - c2_sum), tuple(ks), m_j
 
 
 def complete_K(m: float) -> float:
@@ -84,7 +100,7 @@ def complete_K(m: float) -> float:
     quadratically, so a handful of iterations reach machine precision.
     Domain: 0 <= m < 1 (K diverges logarithmically as m -> 1).
     """
-    return _complete_KE(m)[0]
+    return _modulus(m)[0]
 
 
 def complete_E(m: float) -> float:
@@ -93,26 +109,7 @@ def complete_E(m: float) -> float:
     E = K (1 - sum_n 2^(n-1) c_n^2), from the AGM run that gives K;
     domain 0 <= m < 1.
     """
-    return _complete_KE(m)[1]
-
-
-# keyed on float m; one verify --suite all run builds 53 ladders
-@lru_cache(maxsize=1024)
-def _modulus_ladder(m: float) -> tuple[tuple[float, ...], float]:
-    """Descending sequence of moduli k_1, k_2, ... and the residual parameter.
-
-    Iterates k_{j+1} = k_j^2 / (1 + k'_j)^2 starting from k_1 derived from
-    m, stopping once the squared modulus drops below ``_LADDER_FLOOR``.
-    Returns the moduli (top first) and the parameter left at the bottom.
-    """
-    ks: list[float] = []
-    m_j = m
-    while m_j > _LADDER_FLOOR:
-        kp = math.sqrt(1.0 - m_j)
-        k = m_j / (1.0 + kp) ** 2
-        ks.append(k)
-        m_j = k * k
-    return tuple(ks), m_j
+    return _modulus(m)[1]
 
 
 def _ladder_base(x, m: float):
@@ -132,9 +129,9 @@ def _ladder_base(x, m: float):
         # cosh overflows to inf for |x| > ~710, where 1/inf = 0 is sech
         with np.errstate(over="ignore"):
             return x_arr, 1.0 / np.cosh(x_arr), None
-    ks, m_bottom = _modulus_ladder(m)
+    big_k, _, ks, m_bottom = _modulus(m)
     # reduce mod the real period 4K; |z| <= 2K keeps the seed accurate
-    period = 4.0 * complete_K(m)
+    period = 4.0 * big_k
     z = np.divide(x_arr, period)
     np.round(z, out=z)
     z *= period

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import PeriodicGrid, _four_step, _inverse_plan, _plan, fft, ifft, kept_modes
+from .fourier import PeriodicGrid, _four_step, _plan, fft, ifft, kept_modes
 
 # Largest nonlinear CFL number a run may start with.  Cnoidal runs at
 # N = 256 and 512 were measured stable up to 2.5 and blowing up at 3.
@@ -157,7 +157,7 @@ def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[[np.ndarray], n
     The fields reaching a step come from _checked_field, so the transforms
     run the four-step helper on the resolved plans without re-checking.
     """
-    forward, inverse = _plan(grid.N), _inverse_plan(grid.N)
+    forward, inverse = _plan(grid.N)
     ik3 = 1j * grid.k**3
     e_full = np.exp(ik3 * dt)
     e_half = np.exp(ik3 * (dt / 2.0))

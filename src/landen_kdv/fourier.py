@@ -54,21 +54,17 @@ def _roots(rows: int, cols: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _plan(n: int):
-    """Left DFT matrix, twiddle and right DFT matrix of the size-n transform.
+    """The forward and inverse plans of the size-n transform, as a pair.
 
-    n = n1 * n2 with n1 = 2^floor(log2(n) / 2); the twiddle is
-    exp(-2 pi i k1 j2 / n) on the (n1, n2) grid.
+    A plan is (left DFT matrix, twiddle, right DFT matrix), with n = n1 * n2,
+    n1 = 2^floor(log2(n) / 2) and the twiddle exp(-2 pi i k1 j2 / n) on the
+    (n1, n2) grid.  The inverse plan is the forward one conjugated, with
+    the 1/n normalization in the twiddle.
     """
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
-    return _roots(n1, n1, n1), _roots(n1, n2, n), _roots(n2, n2, n2)
-
-
-@lru_cache(maxsize=None)
-def _inverse_plan(n: int):
-    """The forward plan conjugated, with the 1/n normalization in the twiddle."""
-    left, twiddle, right = _plan(n)
-    return np.conj(left), np.conj(twiddle) / n, np.conj(right)
+    left, twiddle, right = _roots(n1, n1, n1), _roots(n1, n2, n), _roots(n2, n2, n2)
+    return (left, twiddle, right), (np.conj(left), np.conj(twiddle) / n, np.conj(right))
 
 
 def _four_step(a: np.ndarray, plan) -> np.ndarray:
@@ -97,13 +93,13 @@ def _checked(a: np.ndarray) -> np.ndarray:
 def fft(a: np.ndarray) -> np.ndarray:
     """Forward discrete Fourier transform of a 1-D array (four-step)."""
     a = _checked(a)
-    return _four_step(a, _plan(a.size))
+    return _four_step(a, _plan(a.size)[0])
 
 
 def ifft(a: np.ndarray) -> np.ndarray:
     """Inverse transform, normalized so ifft(fft(x)) == x."""
     a = _checked(a)
-    return _four_step(a, _inverse_plan(a.size))
+    return _four_step(a, _plan(a.size)[1])
 
 
 def signed_modes(n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import _agm, _check_m, _complete_KE, _dn, complete_E
+from .elliptic import _agm, _check_m, _dn, _modulus, complete_E
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
@@ -108,7 +108,7 @@ def _cyclic_constants(p: int, m: float, d: np.ndarray) -> tuple[float, ...]:
     """
     sums = cyclic_sums(d)
     spread = np.std(sums, axis=1)
-    varying = np.flatnonzero(spread > _CONSTANCY_TOL)
+    varying = np.flatnonzero(~(spread <= _CONSTANCY_TOL))
     if varying.size:
         r = int(varying[0]) + 1
         raise ConsistencyError(
@@ -137,7 +137,7 @@ def _nome(p: int, m: float) -> tuple[float, float, float, float]:
     sum_r a_p(r) = E(m~)/(gamma^2 K(m~)) - p E(m)/K(m).  Nothing cancels,
     so m~ keeps its relative precision while q~ stays a normal float.
     """
-    big_k, e_m = _complete_KE(m)
+    big_k, e_m, _, _ = _modulus(m)
     # K(1 - m) from AGM(1, sqrt(m)): rounding 1 - m would lose small m
     k_prime = 0.5 * math.pi / _agm(math.sqrt(m))[0]
     q = math.exp(-p * math.pi * k_prime / big_k)
@@ -152,7 +152,7 @@ def _nome(p: int, m: float) -> tuple[float, float, float, float]:
     return big_k, gamma, m_tilde, _consistency_A(m, gamma, m_tilde, cyclic_sum)
 
 
-# keyed on float m; one verify --suite all run builds 52 maps
+# keyed on float m; one verify --suite all run builds 83 maps
 @lru_cache(maxsize=1024)
 def landen_map(p: int, m: float) -> LandenMap:
     """Build the full Landen data for (p, m), with gamma and m_tilde from _nome.
@@ -160,7 +160,8 @@ def landen_map(p: int, m: float) -> LandenMap:
     p = 1 is the identity map on 0 <= m <= 1; p >= 2 needs 0 < m < 1.  For
     p >= 2, dn on the shift lattice (no dn is shared with the nome) must
     give gamma * sum_i dn(shifts[i]) = 1 within 5e-10 and the nome's A
-    within 1e-8; either miss raises rather than returning a guess.
+    within 1e-8; either miss, or a NaN in either, raises rather than
+    returning a guess.
     """
     p, m = _check_pm(p, m)
     if p == 1:
@@ -170,13 +171,13 @@ def landen_map(p: int, m: float) -> LandenMap:
     shifts = tuple(2.0 * i * big_k / p for i in range(p))
     d = _dn_on_lattice(_LATTICE_U, shifts, m)
     witness = abs(gamma * math.fsum(d[:, 0]) - 1.0)
-    if witness > _GAMMA_WITNESS_TOL:
+    if not witness <= _GAMMA_WITNESS_TOL:
         raise ConsistencyError(
             f"gamma({p}, {m}) from the nome misses the lattice by {witness:.3e}")
     a = _cyclic_constants(p, m, d[:, 1:])
 
     a_lattice = _consistency_A(m, gamma, m_tilde, math.fsum(a))
-    if abs(a_lattice - a_nome) > _A_AGREEMENT_TOL:
+    if not abs(a_lattice - a_nome) <= _A_AGREEMENT_TOL:
         raise ConsistencyError(
             f"A({p}, {m}) determinations disagree: shift lattice "
             f"{a_lattice!r} vs nome relation {a_nome!r}"

@@ -123,7 +123,9 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
     when the top-third band carries enough energy for products to alias.
     """
     period = wave.spatial_period
-    ratio = grid.L / period
+    # a nan, infinite or non-positive period holds no whole periods and is
+    # never divided by
+    ratio = grid.L / period if 0.0 < period < math.inf else 0.0
     if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or round(ratio) < 1:
         raise PeriodMismatchError(
             f"grid length {grid.L!r} is not an integer multiple of the "
@@ -300,12 +302,11 @@ def _residual_non_solution_metric(profile: str, m: float) -> float:
     # machinery must say so loudly
     if profile != "dn^3":
         raise DomainError(f"unknown non-solution profile {profile!r}")
-    wave = TravelingProfile(
-        profile=lambda xs: _dn(xs, m) ** 3,
-        velocity=8.0 - 4.0 * m,
-        spatial_period=2.0 * complete_K(m),
-    )
-    grid = PeriodicGrid(N=256, L=wave.spatial_period)
+    # the speed and one period of the single wave dn^2: b_1 = 8 - 4m, 2K(m)
+    u1 = DnWaveParams(alpha=1.0, beta=0.0, m=m)
+    grid = u1.natural_grid(256)
+    wave = TravelingProfile(profile=lambda xs: _dn(xs, m) ** 3,
+                            velocity=u1.velocity, spatial_period=grid.L)
     return kdv_residual(wave, grid).normalized
 
 

@@ -147,16 +147,17 @@ class PmWaveParams:
         return u_pm(grid.x, t, self)
 
 
-def u_pm(x, t: float, params: PmWaveParams):
+def u_pm(x, t: float | np.ndarray, params: PmWaveParams):
     """u_pm value: alpha^2 [m sn^2(eta) +/- sqrt(m) cn(eta) dn(eta)].
 
-    eta = alpha*(x - q1*alpha^2*t).
+    eta = alpha*(x - q1*alpha^2*t); x and t broadcast against each other.
+    Scalar x and t give a float, otherwise an array.
     """
     alpha = params.alpha
     eta = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     s, c, d = jacobi_sn_cn_dn(eta, params.m)
     out = alpha**2 * (params.m * s * s + params.sign * math.sqrt(params.m) * c * d)
-    if np.ndim(x) == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
 

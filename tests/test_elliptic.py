@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import landen_kdv.elliptic as elliptic_module
 import landen_kdv.landen as landen_module
 from landen_kdv import DomainError, complete_K, jacobi_sn_cn_dn
-from landen_kdv.elliptic import _agm, _dn, _modulus_ladder, complete_E
+from landen_kdv.elliptic import _agm, _dn, _modulus, complete_E
 
 mpmath.mp.dps = 40
 
@@ -95,8 +95,7 @@ class TestCompleteE:
             runs[0] += 1
             return _agm(b)
 
-        caches = (landen_module.landen_map, elliptic_module._modulus_ladder,
-                  elliptic_module._complete_KE)
+        caches = (landen_module.landen_map, elliptic_module._modulus)
 
         def cold():
             for cache in caches:
@@ -114,8 +113,8 @@ class TestCompleteE:
             cold()
             landen_module._nome(5, 0.5)
             assert runs[0] == 3
-            # a cold map: the kernel's ladder finds K(m) in the cache the
-            # nome filled, so it adds no run
+            # a cold map: the kernel finds K(m) and the ladder in the entry
+            # the nome filled, so it adds no run
             cold()
             landen_module.landen_map(5, 0.5)
             assert runs[0] == 3
@@ -294,8 +293,20 @@ class TestAlgebraicInvariants:
 def test_modulus_ladder_cache_is_bounded():
     # float keys never repeat in a parameter sweep; the cache must not grow
     # with the sweep
-    maxsize = _modulus_ladder.cache_info().maxsize
+    maxsize = _modulus.cache_info().maxsize
     assert maxsize is not None
     for j in range(maxsize + 10):
         jacobi_sn_cn_dn(0.3, 0.25 + 0.5 * j / maxsize)
-    assert _modulus_ladder.cache_info().currsize <= maxsize
+    assert _modulus.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("kernel", [jacobi_sn_cn_dn, _dn])
+def test_kernel_looks_its_modulus_up_once(kernel):
+    # K(m) for the argument reduction and the ladder come from one entry
+    def lookups():
+        info = _modulus.cache_info()
+        return info.hits + info.misses
+
+    before = lookups()
+    kernel(np.linspace(0.0, 5.0, 7), 0.3)
+    assert lookups() - before == 1

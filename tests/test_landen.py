@@ -219,6 +219,27 @@ class TestOffsetConstant:
         finally:
             landen_map.cache_clear()
 
+    @pytest.mark.parametrize("column, match", [
+        (0, r"gamma\(6, 0\.4\) from the nome misses the lattice by nan"),
+        (3, r"a_6\(1\) varies with x at m=0\.4: std nan"),
+    ], ids=["witness-column", "probe-column"])
+    def test_nan_in_the_lattice_raises(self, column, match, monkeypatch):
+        # every gate compares as not (value <= tol), so a NaN fails it
+        original = landen_module._dn_on_lattice
+
+        def with_nan(*args):
+            d = original(*args)
+            d[2, column] = np.nan
+            return d
+
+        landen_map.cache_clear()
+        monkeypatch.setattr(landen_module, "_dn_on_lattice", with_nan)
+        try:
+            with pytest.raises(ConsistencyError, match=match):
+                landen_map(6, 0.4)
+        finally:
+            landen_map.cache_clear()
+
     def test_disagreeing_oracles_raise(self, monkeypatch):
         original = landen_module._nome
         landen_map.cache_clear()

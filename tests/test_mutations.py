@@ -1,0 +1,115 @@
+"""Mutation floor: the smallest defect of each class the verify report catches.
+
+Each case injects one defect into the package, runs run_suite("all") on
+cold memo caches and asserts which check families fail.  The size is the
+smallest power of ten that fails at least one line; a check that is
+tightened, or an oracle that gets sharper, should move it down, never up.
+
+The defect classes (relative unless noted):
+* the kernel: dn * (1 + eps sn^2), in both jacobi_sn_cn_dn and _dn;
+* gamma * (1 + delta) and m_tilde * (1 + delta), out of the nome;
+* A + delta, absolute, on both routes, through _consistency_A;
+* shifts * (1 + delta), on maps built honestly;
+* the FFT: modes +3 and -3 raised by delta * max|u_hat|.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import landen_kdv.elliptic as elliptic_module
+import landen_kdv.fourier as fourier_module
+import landen_kdv.landen as landen_module
+from landen_kdv import run_suite
+from test_package import memo_caches, package_modules
+
+
+def kernel(eps):
+    original = elliptic_module.jacobi_sn_cn_dn
+
+    def sn_cn_dn(x, m):
+        s, c, d = original(x, m)
+        return s, c, d * (1.0 + eps * s * s)
+
+    def dn(x, m):
+        s, _, d = original(x, m)
+        return d * (1.0 + eps * s * s)
+
+    return [(original, sn_cn_dn), (elliptic_module._dn, dn)]
+
+
+def nome_output(index):
+    def defect(delta):
+        original = landen_module._nome
+
+        def nome(p, m):
+            out = list(original(p, m))
+            out[index] *= 1.0 + delta
+            return tuple(out)
+
+        return [(original, nome)]
+
+    return defect
+
+
+def offset_constant(delta):
+    original = landen_module._consistency_A
+    return [(original, lambda *args: original(*args) + delta)]
+
+
+def shifts(delta):
+    original = landen_module.landen_map
+
+    def shifted(p, m):
+        lmap = original(p, m)
+        return dataclasses.replace(lmap, shifts=tuple(s * (1.0 + delta) for s in lmap.shifts))
+
+    return [(original, shifted)]
+
+
+def fft_modes(delta):
+    original = fourier_module.fft
+
+    def fft(a):
+        out = original(a)
+        bump = delta * np.max(np.abs(out))
+        out[3] += bump
+        out[-3] += bump
+        return out
+
+    return [(original, fft)]
+
+
+# (defect, size, the families that fail); lines failed at the size, of 274:
+# kernel 13, gamma 31, m_tilde 1, A 3, shifts 1, fft 1
+FLOOR = [
+    (kernel, 1e-11, {"equivalence", "soliton_exact"}),
+    (nome_output(1), 1e-11, {"p2_closed_form", "equivalence"}),
+    (nome_output(2), 1e-11, {"p2_closed_form"}),
+    (offset_constant, 1e-11, {"equivalence"}),
+    (shifts, 1e-11, {"residual_up"}),
+    (fft_modes, 1e-11, {"residual_up"}),
+]
+
+
+@pytest.mark.parametrize("defect, size, failing", FLOOR,
+                         ids=["kernel", "gamma", "m_tilde", "A", "shifts", "fft"])
+def test_smallest_defect_the_report_catches(defect, size, failing, monkeypatch):
+    # taken before patching: a patched landen_map hides its cache
+    caches = memo_caches().values()
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            for original, replacement in defect(size):
+                # every module's name for the original, so no caller escapes
+                for module in package_modules():
+                    for name, value in list(vars(module).items()):
+                        if value is original:
+                            patch.setattr(module, name, replacement)
+            results = run_suite("all")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert {r.check for r in results if not r.passed} == failing

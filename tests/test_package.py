@@ -60,6 +60,42 @@ def test_public_names_are_pinned():
     assert all(hasattr(landen_kdv, name) for name in PUBLIC_NAMES)
 
 
+def package_modules() -> list[types.ModuleType]:
+    """Every module of the package, each imported once."""
+    names = sorted(path.stem for path in Path(landen_kdv.__file__).parent.glob("*.py"))
+    return [importlib.import_module("landen_kdv" if name == "__init__" else f"landen_kdv.{name}")
+            for name in names]
+
+
+def memo_caches() -> dict[str, object]:
+    """Every functools cache bound at module level in the package, by qualified name.
+
+    Found by shape (cache_clear plus cache_info), as bench/workloads.py
+    memo_caches() finds them, so a cache that is renamed or bounded still counts.
+    """
+    found = {}
+    for module in package_modules():
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)) and \
+                    callable(getattr(value, "cache_info", None)):
+                found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+# one cache per key: K(m), E(m) and the Landen ladder share the modulus
+# entry, the forward and inverse FFT plans share the size entry
+MEMO_CACHES = [
+    "landen_kdv.elliptic._modulus",
+    "landen_kdv.evolve._rk4_step_factory",
+    "landen_kdv.fourier._plan",
+    "landen_kdv.landen.landen_map",
+]
+
+
+def test_memo_caches_are_pinned():
+    assert sorted(memo_caches()) == MEMO_CACHES
+
+
 def test_submodules_are_not_shadowed():
     import landen_kdv.evolve as ev
 

@@ -76,6 +76,12 @@ class TestKdvResidual:
         with pytest.raises(PeriodMismatchError):
             kdv_residual(params, PeriodicGrid(N=256, L=1.0))
 
+    @pytest.mark.parametrize("period", [math.nan, 0.0, math.inf, -1.0])
+    def test_degenerate_period_is_refused(self, period):
+        wave = TravelingProfile(profile=np.cos, velocity=1.0, spatial_period=period)
+        with pytest.raises(PeriodMismatchError):
+            kdv_residual(wave, PeriodicGrid(N=256, L=2.0 * math.pi))
+
     def test_multiple_periods_accepted(self):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5)
         report = kdv_residual(params, params.natural_grid(n=512, periods=3))

@@ -164,6 +164,17 @@ class TestPmWaves:
             assert u_pm(0.0, 0.0, params) == pytest.approx(
                 sign * math.sqrt(0.5), abs=1e-14)
 
+    def test_scalar_rule_follows_u_p(self):
+        # a float only when x and t are both scalars, as for u_p
+        params = PmWaveParams(alpha=1.3, m=0.5, sign=1)
+        ts = np.array([[0.0], [0.1]])
+        out = u_pm(0.5, ts, params)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 1)
+        assert out[1, 0] == u_pm(0.5, 0.1, params)
+        assert isinstance(u_pm(0.5, 0.1, params), float)
+        dn_params = DnWaveParams(alpha=1.3, beta=0.0, m=0.5)
+        assert u_p(0.5, ts, dn_params).shape == (2, 1)
+
     def test_linear_coefficient(self):
         params = PmWaveParams(alpha=1.3, m=0.4, sign=1)
         assert params.q1 == -1.4
