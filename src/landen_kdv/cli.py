@@ -7,6 +7,10 @@ verify   run a verification suite; JSONL report, per-family summary, exit 0/1
 eval     dump (x, u) samples of one wave family as CSV
 evolve   integrate a family and compare against its exact translate
 
+The parser registers the four names and their help lines at once, but a
+subcommand's flags are added only when argparse dispatches to it, so a
+call pays for the flags of the one command it runs.
+
 Exit codes: 0 success, 1 failed checks / instability / I/O failure,
 2 usage or config errors.  Every command accepts --json for machine
 output; schemas carry the version tag below.  Outputs contain no
@@ -22,6 +26,7 @@ import math
 import os
 import re
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -289,11 +294,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.dt is not None:
         config = EvolverConfig.for_duration(
             grid, duration, args.dt, snapshot_every=args.snapshot_every)
-        error_estimate = None
+        error_estimate = start = None
     else:
-        config, error_estimate = choose_step(
+        config, error_estimate, start = choose_step(
             u0, grid, duration, snapshot_every=args.snapshot_every)
-    traj = evolve_trajectory(u0, config)
+    traj = evolve_trajectory(u0, config, start=start)
     cons = conservation_report(traj)
     predicted_lag = math.fmod(wave.velocity * config.T, grid.L)
     if predicted_lag < 0.0:
@@ -378,82 +383,120 @@ def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
                         help="grid points, a power of 2 (default %(default)s)")
 
 
+_CONFIG_HELP = "JSON config file; flags win, --tol merges by name"
+
+
+def _landen_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-p", type=int, default=1,
+                        help="number of superposed terms (default %(default)s)")
+    parser.add_argument("-m", type=float, default=0.5,
+                        help="modulus parameter, in [0, 1] for p = 1 and in "
+                             "(0, 1) otherwise (default %(default)s)")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--csv", action="store_true")
+    parser.add_argument("--config", help=_CONFIG_HELP)
+    parser.set_defaults(func=cmd_landen, parser=parser)
+
+
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--suite", choices=sorted(SUITES) + ["all"],
+                        default="all", help="suite to run (default %(default)s)")
+    parser.add_argument("--report",
+                        help="write JSONL report here instead of stdout")
+    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                        default=[], help="override one tolerance; repeatable")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable summary")
+    parser.add_argument("--config", help=_CONFIG_HELP)
+    parser.set_defaults(func=cmd_verify, parser=parser)
+
+
+def _eval_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=("u1", "up", "upm"), default="u1",
+                        help="wave family (default %(default)s)")
+    _add_wave_flags(parser)
+    parser.add_argument("--sign", type=int, choices=(1, -1), default=1,
+                        help="branch for family upm (default %(default)s)")
+    parser.add_argument("--scaling", choices=("standard", "as_written"),
+                        default="standard",
+                        help="upm phase velocity scaling (default %(default)s)")
+    parser.add_argument("--periods", type=int, default=1,
+                        help="spatial periods to span (default %(default)s)")
+    parser.add_argument("--length", type=float,
+                        help="explicit window length (overrides --periods)")
+    parser.add_argument("-t", type=float, default=0.0,
+                        help="time (default %(default)s)")
+    parser.add_argument("--output", help="CSV path (default stdout)")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--config", help=_CONFIG_HELP)
+    parser.set_defaults(func=cmd_eval, parser=parser)
+
+
+def _evolve_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=("u1", "up"), default="u1",
+                        help="wave family (default %(default)s)")
+    _add_wave_flags(parser)
+    parser.add_argument("--periods-crossed", dest="periods_crossed",
+                        type=float, default=1.0,
+                        help="how many periods the wave travels "
+                             "(default %(default)s)")
+    parser.add_argument("--T", dest="T", type=float,
+                        help="final time (overrides --periods-crossed)")
+    parser.add_argument("--dt", type=float,
+                        help="target step, reduced to land on T exactly "
+                             "(default: chosen from the CFL number and an "
+                             "error pilot)")
+    parser.add_argument("--snapshot-every", dest="snapshot_every", type=int,
+                        default=0, help="keep every s-th step (0: endpoints)")
+    parser.add_argument("--output-dir", dest="output_dir",
+                        help="write snapshot CSVs and metadata.json here")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--config", help=_CONFIG_HELP)
+    parser.set_defaults(func=cmd_evolve, parser=parser)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """Subparsers whose flags are added when argparse dispatches to them.
+
+    Every add_argument call builds a help formatter, which asks for the
+    terminal size, so adding all four subcommands' flags up front cost more
+    than an evolve run's integration.  The names and help lines are
+    registered at once, so the usage line, the top-level --help and the
+    invalid-choice error do not change.  Each subcommand's flags are added
+    once: a second parse_args (as --config makes) finds them in place.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._pending: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
+
+    def add_parser(self, name: str,
+                   add_flags: Callable[[argparse.ArgumentParser], None],
+                   **kwargs) -> argparse.ArgumentParser:
+        self._pending[name] = add_flags
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        add_flags = self._pending.pop(values[0], None)
+        if add_flags is not None:
+            add_flags(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="landen-kdv",
         description="Cnoidal KdV waves, p-term Landen maps, and numerical "
                     "verification that superpositions re-express single waves.")
-    sub = parser.add_subparsers(dest="command_name", required=True)
-    config_help = "JSON config file; flags win, --tol merges by name"
-
-    p_landen = sub.add_parser(
-        "landen", help="print the Landen map data for one (p, m)")
-    p_landen.add_argument("-p", type=int, default=1,
-                          help="number of superposed terms (default %(default)s)")
-    p_landen.add_argument("-m", type=float, default=0.5,
-                          help="modulus parameter, in [0, 1] for p = 1 and in "
-                               "(0, 1) otherwise (default %(default)s)")
-    p_landen.add_argument("--json", action="store_true")
-    p_landen.add_argument("--csv", action="store_true")
-    p_landen.add_argument("--config", help=config_help)
-    p_landen.set_defaults(func=cmd_landen, parser=p_landen)
-
-    p_verify = sub.add_parser(
-        "verify", help="run a verification suite and emit a JSONL report")
-    p_verify.add_argument("--suite", choices=sorted(SUITES) + ["all"],
-                          default="all", help="suite to run (default %(default)s)")
-    p_verify.add_argument("--report",
-                          help="write JSONL report here instead of stdout")
-    p_verify.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                          default=[], help="override one tolerance; repeatable")
-    p_verify.add_argument("--json", action="store_true",
-                          help="machine-readable summary")
-    p_verify.add_argument("--config", help=config_help)
-    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
-
-    p_eval = sub.add_parser("eval", help="dump (x, u) samples of one family")
-    p_eval.add_argument("--family", choices=("u1", "up", "upm"), default="u1",
-                        help="wave family (default %(default)s)")
-    _add_wave_flags(p_eval)
-    p_eval.add_argument("--sign", type=int, choices=(1, -1), default=1,
-                        help="branch for family upm (default %(default)s)")
-    p_eval.add_argument("--scaling", choices=("standard", "as_written"),
-                        default="standard",
-                        help="upm phase velocity scaling (default %(default)s)")
-    p_eval.add_argument("--periods", type=int, default=1,
-                        help="spatial periods to span (default %(default)s)")
-    p_eval.add_argument("--length", type=float,
-                        help="explicit window length (overrides --periods)")
-    p_eval.add_argument("-t", type=float, default=0.0,
-                        help="time (default %(default)s)")
-    p_eval.add_argument("--output", help="CSV path (default stdout)")
-    p_eval.add_argument("--json", action="store_true")
-    p_eval.add_argument("--config", help=config_help)
-    p_eval.set_defaults(func=cmd_eval, parser=p_eval)
-
-    p_evolve = sub.add_parser(
-        "evolve", help="integrate a family and compare to its exact translate")
-    p_evolve.add_argument("--family", choices=("u1", "up"), default="u1",
-                          help="wave family (default %(default)s)")
-    _add_wave_flags(p_evolve)
-    p_evolve.add_argument("--periods-crossed", dest="periods_crossed",
-                          type=float, default=1.0,
-                          help="how many periods the wave travels "
-                               "(default %(default)s)")
-    p_evolve.add_argument("--T", dest="T", type=float,
-                          help="final time (overrides --periods-crossed)")
-    p_evolve.add_argument("--dt", type=float,
-                          help="target step, reduced to land on T exactly "
-                               "(default: chosen from the CFL number and an "
-                               "error pilot)")
-    p_evolve.add_argument("--snapshot-every", dest="snapshot_every", type=int,
-                          default=0, help="keep every s-th step (0: endpoints)")
-    p_evolve.add_argument("--output-dir", dest="output_dir",
-                          help="write snapshot CSVs and metadata.json here")
-    p_evolve.add_argument("--json", action="store_true")
-    p_evolve.add_argument("--config", help=config_help)
-    p_evolve.set_defaults(func=cmd_evolve, parser=p_evolve)
-
+    sub = parser.add_subparsers(dest="command_name", required=True,
+                                action=_Subcommands)
+    sub.add_parser("landen", _landen_flags,
+                   help="print the Landen map data for one (p, m)")
+    sub.add_parser("verify", _verify_flags,
+                   help="run a verification suite and emit a JSONL report")
+    sub.add_parser("eval", _eval_flags, help="dump (x, u) samples of one family")
+    sub.add_parser("evolve", _evolve_flags,
+                   help="integrate a family and compare to its exact translate")
     return parser
 
 

@@ -194,27 +194,31 @@ def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[[np.ndarray], n
     return step
 
 
-def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> float:
-    """Predicted max|u| error at T of a run with this config, from u_hat.
+def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> tuple[float, np.ndarray]:
+    """Predicted max|u| error at T of a run with this config, and its first step.
 
     Step doubling: one step of dt and two of dt/2 differ by about the
     local error of the dt step.  The run takes config.steps such steps and
-    local errors add up, so the product is the global estimate.
+    local errors add up, so the product is the global estimate.  The dt
+    step from u_hat is the run's step 1, so it is returned for the run.
     """
     grid, dt = config.grid, config.dt
-    full = _rk4_step_factory(grid, dt)
+    first = _rk4_step_factory(grid, dt)(u_hat)
     half = _rk4_step_factory(grid, dt / 2.0)
-    local = float(np.max(np.abs(ifft(full(u_hat) - half(half(u_hat))).real)))
-    return config.steps * local
+    local = float(np.max(np.abs(ifft(first - half(half(u_hat))).real)))
+    return config.steps * local, first
 
 
 def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
-                snapshot_every: int = 0) -> tuple[EvolverConfig, float]:
+                snapshot_every: int = 0
+                ) -> tuple[EvolverConfig, float, tuple[np.ndarray, np.ndarray]]:
     """Config reaching ``duration`` with the largest step the guards allow.
 
     Starts from the CFL cap dt <= CFL_MAX / (6 max|u0| k_max), then shrinks
     dt until the step-doubling pilot from u0 predicts a global error at
-    most ERROR_TARGET.  Returns the config and the pilot's estimate.
+    most ERROR_TARGET.  Returns the config, the pilot's estimate and the
+    run's start: fft(u0) and the accepted round's step of dt from it, to
+    pass to evolve_trajectory as ``start``.
 
     Raises InstabilityError if no step meets the target within the pilot
     rounds (for instance when roundoff alone exceeds it); never returns an
@@ -229,9 +233,9 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
     u_hat = fft(u0)
     for _ in range(_PILOT_ROUNDS):
         config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
-        estimate = _pilot_error(u_hat, config)
+        estimate, first = _pilot_error(u_hat, config)
         if estimate <= ERROR_TARGET:
-            return config, estimate
+            return config, estimate, (u_hat, first)
         if not math.isfinite(estimate):
             break
         # global error ~ dt^4; aim 10% under the target
@@ -246,13 +250,19 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
     )
 
 
-def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
+def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
+                      start: tuple[np.ndarray, np.ndarray] | None = None) -> Trajectory:
     """Integrate u0 forward to T, keeping snapshots per the config.
 
     Raises InstabilityError before the first step if the CFL number of
     (u0, dt) exceeds CFL_MAX, and during the run if any spectral amplitude
     grows beyond 1e6 times the initial peak; the check runs before the
     report stage so a blown-up run never produces drift numbers.
+
+    ``start`` is (fft(u0), the spectrum one step of config.dt later), as
+    choose_step returns it: the run takes them as its initial spectrum and
+    its step 1 instead of computing them again.  Every guard still applies,
+    the spectral-peak check to the handed step 1 too.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
@@ -262,7 +272,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
             f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"
         )
     step = _rk4_step_factory(grid, config.dt)
-    u_hat = fft(u0)
+    u_hat, first = (fft(u0), None) if start is None else start
     limit = _BLOWUP_FACTOR * float(np.max(np.abs(u_hat)))
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
@@ -270,7 +280,10 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     times = [0.0]
     fields = [u0.copy()]
     for n in range(1, config.steps + 1):
-        u_hat = step(u_hat)
+        if first is None:
+            u_hat = step(u_hat)
+        else:
+            u_hat, first = first, None
         peak = float(np.max(np.abs(u_hat)))
         if not math.isfinite(peak) or peak > limit:
             raise InstabilityError(

@@ -46,24 +46,29 @@ def _require_pow2(n: int) -> int:
     return n
 
 
-def _roots(rows: int, cols: int, n: int) -> np.ndarray:
-    """exp(-2 pi i j k / n) for j < rows, k < cols, with j k reduced mod n."""
-    jk = np.outer(np.arange(rows), np.arange(cols)) % n
-    return np.exp(-2j * np.pi * jk / n)
-
-
 @lru_cache(maxsize=None)
 def _plan(n: int):
     """The forward and inverse plans of the size-n transform, as a pair.
 
     A plan is (left DFT matrix, twiddle, right DFT matrix), with n = n1 * n2,
     n1 = 2^floor(log2(n) / 2) and the twiddle exp(-2 pi i k1 j2 / n) on the
-    (n1, n2) grid.  The inverse plan is the forward one conjugated, with
-    the 1/n normalization in the twiddle.
+    (n1, n2) grid.  Every entry is read from one table of the n roots
+    exp(-2 pi i j / n): an entry of a size-s DFT matrix, with angle
+    2 pi (j k mod s) / s, is the root at (j k mod s) * (n / s), and scaling
+    by a power of two leaves the reduced angle's rounding unchanged.  The
+    inverse plan is the forward one conjugated, with the 1/n normalization
+    in the twiddle.
     """
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
-    left, twiddle, right = _roots(n1, n1, n1), _roots(n1, n2, n), _roots(n2, n2, n2)
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+
+    def dft(size: int) -> np.ndarray:
+        j = np.arange(size)
+        return roots[np.outer(j, j) % size * (n // size)]
+
+    left, right = dft(n1), dft(n2)
+    twiddle = roots[np.outer(np.arange(n1), np.arange(n2)) % n]
     return (left, twiddle, right), (np.conj(left), np.conj(twiddle) / n, np.conj(right))
 
 

@@ -215,8 +215,8 @@ def test_criterion_7_dynamical_confirmation():
         grid = params.natural_grid(n=256)
         duration = grid.L / abs(params.velocity)  # one full period crossing
         u0 = params.sample(grid, 0.0)
-        config, _ = choose_step(u0, grid, duration, snapshot_every=100)
-        traj = evolve_trajectory(u0, config)
+        config, _, handover = choose_step(u0, grid, duration, snapshot_every=100)
+        traj = evolve_trajectory(u0, config, start=handover)
         deviation = float(np.max(np.abs(traj.final - params.sample(grid, config.T))))
         drift = conservation_report(traj).mass_drift
         crossed = abs(params.velocity) * config.T / grid.L

@@ -1,13 +1,17 @@
 """Command-line interface tests, driven in-process through main()."""
 
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import landen_kdv.cli as cli_module
+import landen_kdv.evolve as evolve_module
 from landen_kdv import A_constant, DnWaveParams, landen_map, u_p
 from landen_kdv.cli import build_parser, main
 
@@ -279,6 +283,44 @@ class TestEvolveCommand:
         text = capsys.readouterr().out
         assert "cfl " in text and "error estimate " in text
 
+    @pytest.mark.parametrize("wave, rounds", [
+        (["--family", "u1", "-m", "0.5"], 2),
+        (["--family", "up", "-p", "3", "-m", "0.6", "--beta=-1.0"], 1),
+    ])
+    def test_run_takes_its_first_step_from_the_pilot(
+            self, monkeypatch, capsys, wave, rounds):
+        # each pilot round makes one step of dt and two of dt/2; the
+        # accepted round's step of dt is the run's step 1
+        argv = ["evolve", *wave, "--n", "128", "--periods-crossed", "0.05", "--json"]
+        assert main(argv) == 0
+        handed = capsys.readouterr().out
+
+        factory, pilot, trajectory = (evolve_module._rk4_step_factory,
+                                      evolve_module._pilot_error,
+                                      cli_module.evolve_trajectory)
+        steps, pilots = [], []
+
+        def counting_factory(*args):
+            step = factory(*args)
+            return lambda u_hat: steps.append(args) or step(u_hat)
+
+        monkeypatch.setattr(evolve_module, "_rk4_step_factory", counting_factory)
+        monkeypatch.setattr(evolve_module, "_pilot_error",
+                            lambda *args: pilots.append(args) or pilot(*args))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == handed
+        record = json.loads(handed)
+        assert len(pilots) == rounds
+        assert len(steps) == 3 * rounds + record["steps"] - 1
+
+        # the run with its first step computed again writes the same record
+        monkeypatch.setattr(cli_module, "evolve_trajectory",
+                            lambda u0, config, start: trajectory(u0, config))
+        steps.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == handed
+        assert len(steps) == 3 * rounds + record["steps"]
+
 
 class TestConfigFile:
     def test_options_load_from_file(self, tmp_path, capsys):
@@ -408,6 +450,61 @@ class TestCliSurface:
         configured = main([command, "--config", str(config), *extra]), capsys.readouterr()
         assert plain[0] == 0
         assert configured == plain
+
+
+USAGE = "usage: landen-kdv [-h] {landen,verify,eval,evolve} ...\n"
+
+
+def subcommand_parsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParserSurface:
+    # a subcommand's flags are added when argparse dispatches to it; the
+    # usage line, the errors and each --help read as if all were added at once
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "argument command_name: invalid choice: 'bogus' "
+                    "(choose from 'landen', 'verify', 'eval', 'evolve')"),
+        (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{USAGE}landen-kdv: error: {message}\n"
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(USAGE)
+        assert "evolve              integrate a family and compare to its exact translate" in out
+
+    @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
+    def test_subcommand_help_shows_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: landen-kdv {command} [-h]")
+        missing = [dest for dest in CLI_DEFAULTS[command] if not re.search(
+            rf"(?<![\w-])--?{re.escape(dest.replace('_', '-'))}(?![\w-])", out)]
+        assert missing == []
+
+    @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
+    def test_only_the_dispatched_subcommand_gets_its_flags(self, command):
+        parser = build_parser()
+        parser.parse_args([command])
+        flags = {name: set(sub.flags) for name, sub in subcommand_parsers(parser).items()}
+        assert flags.pop(command) == {"help", *CLI_DEFAULTS[command]}
+        assert flags == {name: {"help"} for name in CLI_DEFAULTS if name != command}
 
 
 class TestEntryPoint:

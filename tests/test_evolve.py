@@ -50,7 +50,7 @@ class TestConfig:
             1e-4 * 6.0 * 0.7 * k_max, rel=1e-13)
         # a constant state has no local error, so the CFL cap alone sets dt
         cap = CFL_MAX / cfl_number(u, grid, 1.0)
-        chosen, estimate = choose_step(u, grid, 0.5)
+        chosen, estimate, _ = choose_step(u, grid, 0.5)
         assert estimate <= ERROR_TARGET
         assert chosen.steps == int(np.ceil(0.5 / cap))
         assert cfl_number(u, grid, chosen.dt) <= CFL_MAX
@@ -269,7 +269,7 @@ class TestStepChoice:
         grid = params.natural_grid(n=128)
         duration = grid.L / abs(params.velocity)  # one full period crossing
         u0 = params.sample(grid, 0.0)
-        chosen, estimate = choose_step(u0, grid, duration)
+        chosen, estimate, _ = choose_step(u0, grid, duration)
         cfl_only = EvolverConfig.for_duration(
             grid, duration, CFL_MAX / cfl_number(u0, grid, 1.0))
         exact = params.sample(grid, duration)
@@ -284,12 +284,35 @@ class TestStepChoice:
         u0 = params.sample(grid, 0.0)
         factory = evolve_module._rk4_step_factory
         factory.cache_clear()
-        chosen, _ = choose_step(u0, grid, 0.02)
+        chosen, _, start = choose_step(u0, grid, 0.02)
         before = factory.cache_info()
         assert before.misses >= 2  # a full and a half step per pilot round
-        evolve_trajectory(u0, chosen)
+        evolve_trajectory(u0, chosen, start=start)
         after = factory.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    def test_handed_start_reproduces_the_run_bit_for_bit(self):
+        # the accepted round's fft(u0) and step of dt are the run's own
+        # initial spectrum and step 1, so every snapshot is unchanged
+        params, grid = cnoidal_setup(n=128)
+        u0 = params.sample(grid, 0.0)
+        chosen, _, start = choose_step(u0, grid, 0.05, snapshot_every=7)
+        assert np.array_equal(start[0], fft(u0))
+        handed = evolve_trajectory(u0, chosen, start=start)
+        computed = evolve_trajectory(u0, chosen)
+        assert handed.times == computed.times
+        assert len(handed.fields) == len(computed.fields) > 2
+        for ours, theirs in zip(handed.fields, computed.fields):
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+    def test_non_finite_handed_step_is_caught(self):
+        params, grid = cnoidal_setup(n=128)
+        u0 = params.sample(grid, 0.0)
+        chosen, _, (u_hat, first) = choose_step(u0, grid, 0.05)
+        first = first.copy()
+        first[3] = complex(np.nan, 0.0)
+        with pytest.raises(InstabilityError, match="spectral peak .* after step 1 "):
+            evolve_trajectory(u0, chosen, start=(u_hat, first))
 
     def test_unreachable_target_raises(self):
         # a huge field: steps short enough to tame truncation error are so

@@ -17,6 +17,7 @@ from landen_kdv import (
     spectral_derivative,
 )
 from landen_kdv.fourier import (
+    _plan,
     drop_noise_floor,
     fit_traveling_velocity,
     high_mode_energy_fraction,
@@ -63,6 +64,24 @@ class TestTransformAgainstNumpy:
         ref = np.conj(fft(np.conj(a))) / n
         assert np.array_equal(ours, ref)
         assert np.array_equal(ours.real.view(np.uint64), ref.real.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
+    def test_plan_from_one_table_is_the_per_entry_formula(self, n):
+        # read from one table of n roots, every plan entry is the root of its
+        # own reduced angle, exp(-2 pi i (j k mod size) / size), bit for bit
+        def roots(rows, cols, size):
+            jk = np.outer(np.arange(rows), np.arange(cols)) % size
+            return np.exp(-2j * np.pi * jk / size)
+
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        n2 = n // n1
+        left, twiddle, right = roots(n1, n1, n1), roots(n1, n2, n), roots(n2, n2, n2)
+        expected = ((left, twiddle, right),
+                    (np.conj(left), np.conj(twiddle) / n, np.conj(right)))
+        for plan, ref in zip(_plan(n), expected):
+            for ours, theirs in zip(plan, ref):
+                assert ours.shape == theirs.shape
+                assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
