@@ -8,8 +8,8 @@ eval     dump (x, u) samples of one wave family as CSV
 evolve   integrate a family and compare against its exact translate
 
 The parser registers the four names and their help lines at once, but a
-subcommand's flags are added only when argparse dispatches to it, so a
-call pays for the flags of the one command it runs.
+subcommand's parser and its flags are built only when argparse dispatches
+to it, so a call pays for the one command it runs.
 
 Exit codes: 0 success, 1 failed checks / instability / I/O failure,
 2 usage or config errors.  Every command accepts --json for machine
@@ -456,30 +456,35 @@ def _evolve_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _Subcommands(argparse._SubParsersAction):
-    """Subparsers whose flags are added when argparse dispatches to them.
+    """Subparsers that are built when argparse dispatches to them.
 
-    Every add_argument call builds a help formatter, which asks for the
-    terminal size, so adding all four subcommands' flags up front cost more
-    than an evolve run's integration.  The names and help lines are
-    registered at once, so the usage line, the top-level --help and the
-    invalid-choice error do not change.  Each subcommand's flags are added
-    once: a second parse_args (as --config makes) finds them in place.
+    Building a parser and adding its flags costs a help formatter, and a
+    terminal-size query, per add_argument call; building all four up front
+    cost more than an evolve run's integration.  add_parser registers only
+    the name, in _name_parser_map (the invalid-choice listing), and the
+    help line, as the _ChoicesPseudoAction argparse would make, so the
+    usage line, the top-level --help and the errors do not change.  The
+    dispatched subcommand's parser is built once, with the prog argparse
+    would give it: a second parse_args (as --config makes) reuses it.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._pending: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
+        self._add_flags: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
 
     def add_parser(self, name: str,
                    add_flags: Callable[[argparse.ArgumentParser], None],
-                   **kwargs) -> argparse.ArgumentParser:
-        self._pending[name] = add_flags
-        return super().add_parser(name, **kwargs)
+                   help: str) -> None:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = None
+        self._add_flags[name] = add_flags
 
     def __call__(self, parser, namespace, values, option_string=None) -> None:
-        add_flags = self._pending.pop(values[0], None)
-        if add_flags is not None:
-            add_flags(self._name_parser_map[values[0]])
+        name = values[0]
+        if self._name_parser_map[name] is None:
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            self._add_flags[name](sub)
+            self._name_parser_map[name] = sub
         super().__call__(parser, namespace, values, option_string)
 
 

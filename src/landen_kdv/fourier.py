@@ -77,14 +77,16 @@ def _four_step(a: np.ndarray, plan) -> np.ndarray:
 
     With j = j1 n2 + j2 and k = k1 + n1 k2, the sum over j1 is an n1-point
     DFT down the columns of a.reshape(n1, n2), the twiddle carries the
-    cross term k1 j2, and the sum over j2 is an n2-point DFT along rows;
-    the result at (k1, k2) sits at flat index k1 + n1 k2, hence the
-    transpose.
+    cross term k1 j2, and the sum over j2 is an n2-point DFT along rows.
+    The result at (k1, k2) belongs at flat index k1 + n1 k2, so the last
+    product is taken as right @ cols.T, which is (cols @ right).T because
+    every DFT matrix is symmetric: its (k2, k1) entry lands in natural
+    order and ravel returns a view, with no transpose copy.
     """
     left, twiddle, right = plan
     cols = left @ a.reshape(left.shape[0], -1)
     cols *= twiddle
-    return (cols @ right).T.ravel()
+    return (right @ cols.T).ravel()
 
 
 def _checked(a: np.ndarray) -> np.ndarray:

@@ -67,10 +67,12 @@ ALIAS_THRESHOLD = 1e-12
 _SOLITON_WINDOW = 5.0
 
 # Suite parameter grids.  Small enough to run in seconds, wide enough to
-# cover the claimed (p, m) ranges.
-_IDENTITY_PS = range(1, 9)
+# cover the claimed (p, m) ranges.  p starts at 2: landen_map(1, m) is the
+# identity and transform_params returns the p = 1 wave itself, so a p = 1
+# line would compare a value with itself and read 0 whatever the code did.
+_IDENTITY_PS = range(2, 9)
 _IDENTITY_MS = (0.1, 0.3, 0.5, 0.7, 0.9)
-_EQUIV_PS = range(1, 7)
+_EQUIV_PS = range(2, 7)
 _EQUIV_MS = (0.2, 0.5, 0.8, 0.9)
 _EQUIV_AB = ((1.0, 0.0), (1.7, -0.4), (2.0, 1.0))
 # alpha != 1 so the as-written u_pm speed q1*alpha genuinely differs from
@@ -366,10 +368,13 @@ def suite_identities() -> list[Check]:
                for p, m in pms]
     checks += [Check("p2_closed_form", _p2_closed_form_metric, {"p": 2, "m": m},
                      "p2_closed_form") for m in _IDENTITY_MS]
+    # at p = 2 the only symmetric pair is a(1) with itself
     checks += [Check(name, metric, {"p": p, "m": m}, name)
-               for p, m in pms if p >= 2
-               for name, metric in (("cyclic_constancy", _cyclic_constancy_metric),
-                                    ("cyclic_symmetry", _cyclic_symmetry_metric))]
+               for p, m in pms
+               for name, metric, p_min in (
+                   ("cyclic_constancy", _cyclic_constancy_metric, 2),
+                   ("cyclic_symmetry", _cyclic_symmetry_metric, 3))
+               if p >= p_min]
     checks += [Check("quarter_period_product", _quarter_period_metric, {"m": m},
                      "quarter_period_product") for m in _IDENTITY_MS]
     checks += [Check("upm_dn2_identity", _upm_dn2_identity_metric,

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,6 +455,10 @@ class TestCliSurface:
 
 USAGE = "usage: landen-kdv [-h] {landen,verify,eval,evolve} ...\n"
 
+# stdout, stderr and exit code of each --help and usage error, keyed by
+# terminal width and argv, with the Python version that printed them
+SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
+
 
 def subcommand_parsers(parser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -461,8 +466,8 @@ def subcommand_parsers(parser) -> dict:
 
 
 class TestParserSurface:
-    # a subcommand's flags are added when argparse dispatches to it; the
-    # usage line, the errors and each --help read as if all were added at once
+    # a subcommand's parser is built when argparse dispatches to it; the
+    # usage line, the errors and each --help read as if all were built at once
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -498,13 +503,45 @@ class TestParserSurface:
             rf"(?<![\w-])--?{re.escape(dest.replace('_', '-'))}(?![\w-])", out)]
         assert missing == []
 
+    @pytest.mark.skipif(sys.version_info[:2] != tuple(map(int, SURFACE["python"].split("."))),
+                        reason="argparse lays out help differently in other Pythons")
+    @pytest.mark.parametrize("columns, argv", [
+        (columns, argv) for columns, texts in SURFACE["columns"].items() for argv in texts])
+    def test_help_and_usage_error_bytes_are_pinned(self, monkeypatch, capsys, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        expected = SURFACE["columns"][columns][argv]
+        assert (exc.value.code, out, err) == (
+            expected["code"], expected["stdout"], expected["stderr"])
+
     @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
     def test_only_the_dispatched_subcommand_gets_its_flags(self, command):
         parser = build_parser()
         parser.parse_args([command])
-        flags = {name: set(sub.flags) for name, sub in subcommand_parsers(parser).items()}
-        assert flags.pop(command) == {"help", *CLI_DEFAULTS[command]}
-        assert flags == {name: {"help"} for name in CLI_DEFAULTS if name != command}
+        subs = subcommand_parsers(parser)
+        assert list(subs) == ["landen", "verify", "eval", "evolve"]
+        built = {name: sub for name, sub in subs.items() if sub is not None}
+        assert list(built) == [command]
+        assert built[command].prog == f"landen-kdv {command}"
+        assert set(built[command].flags) == {"help", *CLI_DEFAULTS[command]}
+
+    def test_config_run_builds_its_subparser_once(self, monkeypatch, tmp_path, capsys):
+        progs = []
+        init = cli_module._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "__init__", counting_init)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "landen", "options": {"p": 2}}))
+        for _ in range(2):  # and nothing is cached across main calls
+            assert main(["landen", "--config", str(config), "--json"]) == 0
+        assert progs == ["landen-kdv", "landen-kdv landen"] * 2
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["p"] == 2
 
 
 class TestEntryPoint:

@@ -17,6 +17,7 @@ from landen_kdv import (
     spectral_derivative,
 )
 from landen_kdv.fourier import (
+    _four_step,
     _plan,
     drop_noise_floor,
     fit_traveling_velocity,
@@ -82,6 +83,31 @@ class TestTransformAgainstNumpy:
             for ours, theirs in zip(plan, ref):
                 assert ours.shape == theirs.shape
                 assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
+    def test_plan_dft_matrices_are_symmetric(self, n):
+        # what lets _four_step take right @ cols.T for (cols @ right).T
+        for left, _, right in _plan(n):
+            for dft in (left, right):
+                transpose = np.ascontiguousarray(dft.T)
+                assert np.array_equal(dft.view(np.uint64), transpose.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
+    def test_four_step_equals_the_transposed_product(self, n):
+        # the product written in natural order is the old transposed one,
+        # bit for bit.  At n = 4 and 8 (two-row products) BLAS picks another
+        # kernel and the last bit can differ, at the same accuracy.
+        rng = np.random.default_rng(n + 3)
+        for plan in _plan(n):
+            left, twiddle, right = plan
+            for _ in range(20):
+                for a in (rng.standard_normal(n),
+                          rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                    cols = left @ a.reshape(left.shape[0], -1) * twiddle
+                    transposed = (cols @ right).T.ravel()
+                    ours = _four_step(a, plan)
+                    assert np.array_equal(ours.view(np.uint64),
+                                          transposed.view(np.uint64))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)

@@ -29,6 +29,7 @@ from landen_kdv import (
     landen_map,
     run_suite,
     soliton_limit_check,
+    transform_params,
 )
 from landen_kdv.verify import SUITES, CheckResult, _as_written, _upm_sum
 from landen_kdv.waves import _pm_as_dn2
@@ -369,9 +370,25 @@ class TestSuites:
             record = json.loads(result.json_line())
             del record["metric"]
             lines.append(json.dumps(record, sort_keys=True) + "\n")
-        assert len(lines) == 274
+        assert len(lines) == 247
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "7b8931e0b33f0a669308a9eebfe236b01eb420b5884b48fddaca68601a80d1bf"
+        assert digest == "9c1bdb7e5398be7b175877ae1c8779ab1e83c8554af38d97c8a8c9eaa2f75ec6"
+
+    def test_no_line_compares_a_value_with_itself(self):
+        # p = 1 identity and equivalence lines and p = 2 cyclic_symmetry
+        # lines read exactly 0 whatever the code does (see the next test)
+        vacuous = {("dn_identity", 1), ("dn2_identity", 1), ("equivalence", 1),
+                   ("cyclic_symmetry", 2)}
+        assert [c for c in _all_checks()
+                if (c.name, c.params.get("p")) in vacuous] == []
+
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
+    def test_p1_map_and_transform_are_the_identity(self, m):
+        # why the p = 1 lines went: both sides of each made the same call
+        lmap = landen_map(1, m)
+        assert (lmap.gamma, lmap.m_tilde, lmap.shifts) == (1.0, m, (0.0,))
+        assert (transform_params(1.7, -0.4, lmap)
+                == DnWaveParams(alpha=1.7, beta=-0.4, m=m))
 
 
 def test_constancy_probes_avoid_construction_probes():
@@ -400,7 +417,7 @@ class TestChecksAreData:
         ("residual_upm_rejected", "alpha", 1.5),
         ("residual_upm_sum", "N", 512),
         ("upm_dn2_identity", "alpha", 1.5),
-        ("equivalence", "p", 2),  # the first check is p = 1, exact at any alpha
+        ("equivalence", "p", 3),  # the first check is p = 2
         ("soliton_limit", "epsilon", 1e-10),
     ])
     def test_edited_param_changes_metric(self, name, key, value):
