@@ -21,10 +21,12 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import sys
 from typing import Callable
 
@@ -458,14 +460,15 @@ def _evolve_flags(parser: argparse.ArgumentParser) -> None:
 class _Subcommands(argparse._SubParsersAction):
     """Subparsers that are built when argparse dispatches to them.
 
-    Building a parser and adding its flags costs a help formatter, and a
-    terminal-size query, per add_argument call; building all four up front
-    cost more than an evolve run's integration.  add_parser registers only
-    the name, in _name_parser_map (the invalid-choice listing), and the
-    help line, as the _ChoicesPseudoAction argparse would make, so the
-    usage line, the top-level --help and the errors do not change.  The
-    dispatched subcommand's parser is built once, with the prog argparse
-    would give it: a second parse_args (as --config makes) reuses it.
+    Building a parser and adding its flags costs a help formatter per
+    add_argument call; building all four up front cost more than an evolve
+    run's integration.  add_parser registers only the name, in
+    _name_parser_map (the invalid-choice listing), and the help line, as
+    the _ChoicesPseudoAction argparse would make, so the usage line, the
+    top-level --help and the errors do not change.  The dispatched
+    subcommand's parser is built once, with the prog argparse would give
+    it and the parent's formatter class: a second parse_args (as --config
+    makes) reuses it.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -482,19 +485,27 @@ class _Subcommands(argparse._SubParsersAction):
     def __call__(self, parser, namespace, values, option_string=None) -> None:
         name = values[0]
         if self._name_parser_map[name] is None:
-            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}",
+                                     formatter_class=parser.formatter_class)
             self._add_flags[name](sub)
             self._name_parser_map[name] = sub
         super().__call__(parser, namespace, values, option_string)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter per add_argument, and each one asks
+    # for the terminal size; ask once, with the width HelpFormatter would
+    # take, and hand the bound formatter to the subparser that is built
+    width = shutil.get_terminal_size().columns - 2
     parser = _Parser(
         prog="landen-kdv",
         description="Cnoidal KdV waves, p-term Landen maps, and numerical "
-                    "verification that superpositions re-express single waves.")
+                    "verification that superpositions re-express single waves.",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width))
+    # prog as argparse would derive it from a usage pass: the parser has no
+    # positionals before this one
     sub = parser.add_subparsers(dest="command_name", required=True,
-                                action=_Subcommands)
+                                action=_Subcommands, prog=parser.prog)
     sub.add_parser("landen", _landen_flags,
                    help="print the Landen map data for one (p, m)")
     sub.add_parser("verify", _verify_flags,

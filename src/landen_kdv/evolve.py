@@ -142,56 +142,102 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return u0
 
 
-# keyed on (grid, dt); size 2 holds the pilot round's dt and dt/2 factories,
-# so evolve_trajectory reuses the accepted round's dt factory instead of
-# building it again.  A step holds no state between calls.
-@lru_cache(maxsize=2)
-def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """One IF-RK4 step of size dt on the grid, spectrum to spectrum.
+class _GridSteps:
+    """The IF-RK4 steps of one grid and the tables they share.
 
-    The step computes, with the stages updated in place,
-    e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d).  Every product keeps
-    the operand order of that expression: with fused multiply-add a*b and
-    b*a can round differently, and swapping e_full*a alone changes the
-    step's last bits.
-    The fields reaching a step come from _checked_field, so the transforms
-    run the four-step helper on the resolved plans without re-checking.
+    i k^3 and the dealiased coefficient 3 i k are computed once per grid,
+    and exp(i k^3 h) once per h: a step of dt reads h = dt and dt/2, so the
+    pilot's dt/2 step takes its e_full from the dt step's e_half, the same
+    expression and so the same bits.  Only the last two step sizes built
+    are held (a pilot round's dt and dt/2; the run then reuses the accepted
+    dt), with the exponentials they read.  A step holds no state between
+    calls.
     """
-    forward, inverse = _plan(grid.N)
-    ik3 = 1j * grid.k**3
-    e_full = np.exp(ik3 * dt)
-    e_half = np.exp(ik3 * (dt / 2.0))
-    dt_e_half = dt * e_half
-    two_e_half = 2.0 * e_half
-    half_dt, sixth_dt = dt / 2.0, dt / 6.0
-    coeff = 3j * grid.k * kept_modes(grid.N)
 
-    def nonlinear(v_hat: np.ndarray) -> np.ndarray:
-        u = _four_step(v_hat, inverse).real
-        out = _four_step(u * u, forward)
-        return np.multiply(coeff, out, out=out)
+    def __init__(self, grid: PeriodicGrid) -> None:
+        self.forward, self.inverse = _plan(grid.N)
+        self.ik3 = 1j * grid.k**3
+        self.coeff = 3j * grid.k * kept_modes(grid.N)
+        self.exps: dict[float, np.ndarray] = {}
+        self.steps: dict[float, Callable[..., np.ndarray]] = {}
 
-    def step(u_hat: np.ndarray) -> np.ndarray:
-        e_u = e_full * u_hat
-        a = nonlinear(u_hat)
-        s = np.multiply(half_dt, a)
-        np.add(u_hat, s, out=s)
-        b = nonlinear(np.multiply(e_half, s, out=s))
-        np.multiply(e_half, u_hat, out=s)
-        s += half_dt * b
-        c = nonlinear(s)
-        np.multiply(dt_e_half, c, out=s)
-        d = nonlinear(np.add(e_u, s, out=s))
-        b += c
-        np.multiply(two_e_half, b, out=b)
-        np.multiply(e_full, a, out=a)
-        a += b
-        a += d
-        np.multiply(sixth_dt, a, out=a)
-        e_u += a
-        return e_u
+    def nonlinear(self, v_hat: np.ndarray) -> np.ndarray:
+        """The dealiased 3 i k fft(u^2) of the spectrum v_hat, a new array.
 
-    return step
+        The fields reaching a step come from _checked_field, so the
+        transforms run the four-step helper on the resolved plans without
+        re-checking.
+        """
+        u = _four_step(v_hat, self.inverse).real
+        out = _four_step(u * u, self.forward)
+        return np.multiply(self.coeff, out, out=out)
+
+    def _exp(self, h: float) -> np.ndarray:
+        e = self.exps.get(h)
+        if e is None:
+            e = self.exps[h] = np.exp(self.ik3 * h)
+        return e
+
+    def step(self, dt: float) -> Callable[..., np.ndarray]:
+        step = self.steps.get(dt)
+        if step is None:
+            if len(self.steps) == 2:
+                del self.steps[next(iter(self.steps))]
+            step = self.steps[dt] = self._build(dt)
+            held = {h for d in self.steps for h in (d, d / 2.0)}
+            self.exps = {h: e for h, e in self.exps.items() if h in held}
+        return step
+
+    def _build(self, dt: float) -> Callable[..., np.ndarray]:
+        """One IF-RK4 step of size dt on the grid, spectrum to spectrum.
+
+        The step computes, with the stages updated in place,
+        e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d).  Every product
+        keeps the operand order of that expression: with fused multiply-add
+        a*b and b*a can round differently, and swapping e_full*a alone
+        changes the step's last bits.  A caller that already holds the
+        first stage a = nonlinear(u_hat) may pass it; the step overwrites it.
+        """
+        nonlinear = self.nonlinear
+        e_full = self._exp(dt)
+        e_half = self._exp(dt / 2.0)
+        dt_e_half = dt * e_half
+        two_e_half = 2.0 * e_half
+        half_dt, sixth_dt = dt / 2.0, dt / 6.0
+
+        def step(u_hat: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
+            e_u = e_full * u_hat
+            if a is None:
+                a = nonlinear(u_hat)
+            s = np.multiply(half_dt, a)
+            np.add(u_hat, s, out=s)
+            b = nonlinear(np.multiply(e_half, s, out=s))
+            np.multiply(e_half, u_hat, out=s)
+            s += half_dt * b
+            c = nonlinear(s)
+            np.multiply(dt_e_half, c, out=s)
+            d = nonlinear(np.add(e_u, s, out=s))
+            b += c
+            np.multiply(two_e_half, b, out=b)
+            np.multiply(e_full, a, out=a)
+            a += b
+            a += d
+            np.multiply(sixth_dt, a, out=a)
+            e_u += a
+            return e_u
+
+        return step
+
+
+# one entry per grid; a run's pilot and its integration share it
+@lru_cache(maxsize=2)
+def _grid_steps(grid: PeriodicGrid) -> _GridSteps:
+    return _GridSteps(grid)
+
+
+def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[..., np.ndarray]:
+    """The IF-RK4 step of size dt on the grid; see _GridSteps._build."""
+    return _grid_steps(grid).step(dt)
 
 
 def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> tuple[float, np.ndarray]:
@@ -201,11 +247,16 @@ def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> tuple[float, np.nd
     local error of the dt step.  The run takes config.steps such steps and
     local errors add up, so the product is the global estimate.  The dt
     step from u_hat is the run's step 1, so it is returned for the run.
+    The dt step and the first dt/2 step start from the same stage
+    nonlinear(u_hat), evaluated once; each step overwrites the stage it
+    is given, so the dt step takes a copy.
     """
     grid, dt = config.grid, config.dt
-    first = _rk4_step_factory(grid, dt)(u_hat)
+    full = _rk4_step_factory(grid, dt)
     half = _rk4_step_factory(grid, dt / 2.0)
-    local = float(np.max(np.abs(ifft(first - half(half(u_hat))).real)))
+    a = _grid_steps(grid).nonlinear(u_hat)
+    first = full(u_hat, a.copy())
+    local = float(np.max(np.abs(ifft(first - half(half(u_hat, a))).real)))
     return config.steps * local, first
 
 
@@ -313,13 +364,15 @@ def conservation_report(trajectory: Trajectory) -> ConservationReport:
     of 1 so an initial invariant near zero does not inflate the ratio.
     """
     u0 = trajectory.fields[0]
-    mass0 = float(np.mean(u0))
-    mom0 = float(np.mean(u0**2))
+    n = u0.size
+    # sum / n is what np.mean computes, without its per-call dispatch
+    mass0 = float(u0.sum()) / n
+    mom0 = float((u0 * u0).sum()) / n
     mass_drift = 0.0
     mom_drift = 0.0
     for u in trajectory.fields[1:]:
-        mass_drift = max(mass_drift, abs(float(np.mean(u)) - mass0))
-        mom_drift = max(mom_drift, abs(float(np.mean(u**2)) - mom0))
+        mass_drift = max(mass_drift, abs(float(u.sum()) / n - mass0))
+        mom_drift = max(mom_drift, abs(float((u * u).sum()) / n - mom0))
     return ConservationReport(
         mass_drift=mass_drift / max(1.0, abs(mass0)),
         momentum_drift=mom_drift / max(1.0, abs(mom0)),

@@ -57,7 +57,8 @@ def _plan(n: int):
     2 pi (j k mod s) / s, is the root at (j k mod s) * (n / s), and scaling
     by a power of two leaves the reduced angle's rounding unchanged.  The
     inverse plan is the forward one conjugated, with the 1/n normalization
-    in the twiddle.
+    in the twiddle.  When n1 == n2 (n an even power of two) the left matrix
+    is the right one, built and conjugated once.
     """
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
@@ -67,9 +68,12 @@ def _plan(n: int):
         j = np.arange(size)
         return roots[np.outer(j, j) % size * (n // size)]
 
-    left, right = dft(n1), dft(n2)
+    left = dft(n1)
+    right = left if n2 == n1 else dft(n2)
     twiddle = roots[np.outer(np.arange(n1), np.arange(n2)) % n]
-    return (left, twiddle, right), (np.conj(left), np.conj(twiddle) / n, np.conj(right))
+    conj_left = np.conj(left)
+    conj_right = conj_left if right is left else np.conj(right)
+    return (left, twiddle, right), (conj_left, np.conj(twiddle) / n, conj_right)
 
 
 def _four_step(a: np.ndarray, plan) -> np.ndarray:

@@ -152,7 +152,7 @@ def _nome(p: int, m: float) -> tuple[float, float, float, float]:
     return big_k, gamma, m_tilde, _consistency_A(m, gamma, m_tilde, cyclic_sum)
 
 
-# keyed on float m; one verify --suite all run builds 83 maps
+# keyed on float m; one verify --suite all run builds 77 maps
 @lru_cache(maxsize=1024)
 def landen_map(p: int, m: float) -> LandenMap:
     """Build the full Landen data for (p, m), with gamma and m_tilde from _nome.

@@ -102,7 +102,7 @@ def u_p(x, t: float | np.ndarray, params: DnWaveParams):
     lattice = _shift_lattice(xi, landen_map(params.p, params.m).shifts)
     # dn from the three-output kernel, not _dn, until bench/'s tracer times
     # _dn: u_p is all the kernel work an evolve run does, and a traced run
-    # stops when its elliptic layer sees none (ROADMAP item 7)
+    # stops when its elliptic layer sees none (ROADMAP item 1)
     for row in jacobi_sn_cn_dn(lattice, params.m)[2]:
         total += row**2
     out = -2.0 * alpha**2 * total + params.beta * alpha**2

@@ -1,9 +1,11 @@
 """Command-line interface tests, driven in-process through main()."""
 
 import argparse
+import contextlib
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -303,7 +305,7 @@ class TestEvolveCommand:
 
         def counting_factory(*args):
             step = factory(*args)
-            return lambda u_hat: steps.append(args) or step(u_hat)
+            return lambda *given: steps.append(args) or step(*given)
 
         monkeypatch.setattr(evolve_module, "_rk4_step_factory", counting_factory)
         monkeypatch.setattr(evolve_module, "_pilot_error",
@@ -542,6 +544,23 @@ class TestParserSurface:
             assert main(["landen", "--config", str(config), "--json"]) == 0
         assert progs == ["landen-kdv", "landen-kdv landen"] * 2
         assert json.loads(capsys.readouterr().out.splitlines()[0])["p"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--n", "64", "--T", "0.001", "--json"],
+        ["evolve", "--help"],
+    ])
+    def test_one_terminal_size_query_per_main(self, monkeypatch, capsys, argv):
+        # argparse's HelpFormatter asks for the terminal size whenever it
+        # is built without a width, once per add_argument; the width is
+        # asked once per build_parser and bound into every formatter
+        queries = []
+        query = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size",
+                            lambda *args: queries.append(args) or query(*args))
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert capsys.readouterr().out
+        assert len(queries) == 1
 
 
 class TestEntryPoint:

@@ -142,7 +142,42 @@ class TestAccuracy:
             evolve_trajectory(np.zeros(128), config)
 
 
+def textbook_step(grid, dt, u_hat):
+    """The IF-RK4 step written out with the public transforms."""
+    k = grid.k
+    e_full = np.exp(1j * k**3 * dt)
+    e_half = np.exp(1j * k**3 * (dt / 2.0))
+    coeff = 3j * k * kept_modes(grid.N)
+
+    def nonlinear(v_hat):
+        u = ifft(v_hat).real
+        return coeff * fft(u * u)
+
+    a = nonlinear(u_hat)
+    b = nonlinear(e_half * (u_hat + (dt / 2.0) * a))
+    c = nonlinear(e_half * u_hat + (dt / 2.0) * b)
+    d = nonlinear(e_full * u_hat + dt * e_half * c)
+    return e_full * u_hat + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+
+
 class TestStep:
+    @pytest.mark.parametrize("n", [256, 512])  # a square plan, and not
+    def test_full_and_half_steps_are_the_textbook_expression(self, n):
+        # built in the pilot's order on a fresh grid entry, the dt/2 step
+        # reads its full-step factor from the dt step's half-step one
+        params, grid = cnoidal_setup(n=n)
+        u_hat = fft(params.sample(grid, 0.0))
+        before = u_hat.copy()
+        evolve_module._grid_steps.cache_clear()
+        dt = 1e-4
+        steps = [(h, evolve_module._rk4_step_factory(grid, h)) for h in (dt, dt / 2.0)]
+        stage = evolve_module._grid_steps(grid).nonlinear(u_hat)
+        for h, step in steps:
+            expected = textbook_step(grid, h, u_hat).view(np.uint64)
+            assert np.array_equal(step(u_hat).view(np.uint64), expected)
+            assert np.array_equal(step(u_hat, stage.copy()).view(np.uint64), expected)
+        assert np.array_equal(u_hat, before)
+
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_step_is_the_textbook_expression_bit_for_bit(self, n):
         # the factory's in-place stages keep every operand order of the
@@ -150,20 +185,7 @@ class TestStep:
         params, grid = cnoidal_setup(n=n)
         dt = 1e-4
         u_hat = fft(params.sample(grid, 0.0))
-        k = grid.k
-        e_full = np.exp(1j * k**3 * dt)
-        e_half = np.exp(1j * k**3 * (dt / 2.0))
-        coeff = 3j * k * kept_modes(n)
-
-        def nonlinear(v_hat):
-            u = ifft(v_hat).real
-            return coeff * fft(u * u)
-
-        a = nonlinear(u_hat)
-        b = nonlinear(e_half * (u_hat + (dt / 2.0) * a))
-        c = nonlinear(e_half * u_hat + (dt / 2.0) * b)
-        d = nonlinear(e_full * u_hat + dt * e_half * c)
-        expected = e_full * u_hat + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+        expected = textbook_step(grid, dt, u_hat)
         before = u_hat.copy()
         ours = evolve_module._rk4_step_factory(grid, dt)(u_hat)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
@@ -277,19 +299,51 @@ class TestStepChoice:
         assert np.max(np.abs(evolve_trajectory(u0, chosen).final - exact)) <= 1e-6
         assert np.max(np.abs(evolve_trajectory(u0, cfl_only).final - exact)) > 1e-6
 
-    def test_run_reuses_the_accepted_pilot_factory(self):
-        # the accepted pilot round built the factory for the chosen dt, so
-        # the run that follows takes it from the cache instead of building it
+    def test_run_reuses_the_accepted_pilot_factory(self, monkeypatch):
+        # the accepted pilot round built the step for the chosen dt in the
+        # grid's entry, so the run that follows takes it instead of building it
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
-        factory = evolve_module._rk4_step_factory
-        factory.cache_clear()
+        cache = evolve_module._grid_steps
+        cache.cache_clear()
         chosen, _, start = choose_step(u0, grid, 0.02)
-        before = factory.cache_info()
-        assert before.misses >= 2  # a full and a half step per pilot round
+        # a full and a half step per pilot round; the last round's are held
+        assert list(cache(grid).steps) == [chosen.dt, chosen.dt / 2.0]
+        before = cache.cache_info()
+        built = []
+        build = evolve_module._GridSteps._build
+        monkeypatch.setattr(evolve_module._GridSteps, "_build",
+                            lambda self, dt: built.append(dt) or build(self, dt))
         evolve_trajectory(u0, chosen, start=start)
-        after = factory.cache_info()
+        after = cache.cache_info()
+        assert built == []
         assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    def test_shared_first_stage_leaves_the_pilot_unchanged(self):
+        # the dt step and the first dt/2 step share nonlinear(u_hat); the
+        # pilot equals step doubling with every stage computed afresh
+        params, grid = cnoidal_setup(n=256)
+        u_hat = fft(params.sample(grid, 0.0))
+        before = u_hat.copy()
+        config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
+        estimate, first = evolve_module._pilot_error(u_hat, config)
+        full = evolve_module._rk4_step_factory(grid, config.dt)
+        half = evolve_module._rk4_step_factory(grid, config.dt / 2.0)
+        expected_first = full(u_hat)
+        local = float(np.max(np.abs(ifft(expected_first - half(half(u_hat))).real)))
+        assert np.array_equal(first.view(np.uint64), expected_first.view(np.uint64))
+        assert estimate == config.steps * local
+        assert np.array_equal(u_hat, before)
+
+    def test_grid_entry_holds_the_last_two_steps(self):
+        # the per-dt state stays bounded however many pilot rounds run
+        params, grid = cnoidal_setup(n=128)
+        evolve_module._grid_steps.cache_clear()
+        for dt in (1e-3, 5e-4, 3e-4, 1.5e-4):
+            evolve_module._rk4_step_factory(grid, dt)
+        entry = evolve_module._grid_steps(grid)
+        assert list(entry.steps) == [3e-4, 1.5e-4]
+        assert set(entry.exps) == {3e-4, 1.5e-4, 7.5e-5}
 
     def test_handed_start_reproduces_the_run_bit_for_bit(self):
         # the accepted round's fft(u0) and step of dt are the run's own

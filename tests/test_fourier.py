@@ -84,6 +84,14 @@ class TestTransformAgainstNumpy:
                 assert ours.shape == theirs.shape
                 assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_square_plan_shares_its_dft_matrix(self, n):
+        # n1 == n2 at n = 256: one matrix serves as left and right, and the
+        # inverse plan conjugates it once
+        square = n == 256
+        for left, _, right in _plan(n):
+            assert (right is left) == square
+
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
     def test_plan_dft_matrices_are_symmetric(self, n):
         # what lets _four_step take right @ cols.T for (cols @ right).T

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import landen_kdv.elliptic as elliptic_module
 import landen_kdv.fourier as fourier_module
 import landen_kdv.landen as landen_module
 import landen_kdv.verify as verify_module
@@ -373,6 +374,15 @@ class TestSuites:
         assert len(lines) == 247
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == "9c1bdb7e5398be7b175877ae1c8779ab1e83c8554af38d97c8a8c9eaa2f75ec6"
+
+    def test_cold_run_builds_the_entries_the_cache_comments_cite(self):
+        # the comments above landen_map and elliptic._modulus cite these
+        # counts; a suite change that moves them must edit those comments
+        caches = (landen_module.landen_map, elliptic_module._modulus)
+        for cache in caches:
+            cache.cache_clear()
+        run_suite("all")
+        assert [cache.cache_info().misses for cache in caches] == [77, 62]
 
     def test_no_line_compares_a_value_with_itself(self):
         # p = 1 identity and equivalence lines and p = 2 cyclic_symmetry
