@@ -292,12 +292,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if speed == 0.0:
             raise DomainError("wave speed is zero; pass --T explicitly")
         duration = args.periods_crossed * grid.L / speed
-    u0 = wave.sample(grid, 0.0)
-    if args.dt is not None:
-        config = EvolverConfig.for_duration(
-            grid, duration, args.dt, snapshot_every=args.snapshot_every)
-        error_estimate = start = None
-    else:
+    # for_duration refuses a bad duration before it is sampled as a time;
+    # without --dt, choose_step replaces this single-step config
+    config = EvolverConfig.for_duration(
+        grid, duration, math.inf if args.dt is None else args.dt,
+        snapshot_every=args.snapshot_every)
+    # config.T is duration, so u0 and the exact field at T are one kernel call
+    u0, exact = wave.sample(grid, np.array([[0.0], [duration]]))
+    error_estimate = start = None
+    if args.dt is None:
         config, error_estimate, start = choose_step(
             u0, grid, duration, snapshot_every=args.snapshot_every)
     traj = evolve_trajectory(u0, config, start=start)
@@ -310,7 +313,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "dt": config.dt, "T": config.T, "steps": config.steps,
         "cfl": cfl_number(u0, grid, config.dt),
         "error_estimate": error_estimate,
-        "deviation": float(np.max(np.abs(traj.final - wave.sample(grid, config.T)))),
+        "deviation": float(np.abs(traj.final - exact).max()),
         "mass_drift": cons.mass_drift, "momentum_drift": cons.momentum_drift,
         "lag": translation_lag(u0, traj.final, grid),
         "predicted_lag": predicted_lag}

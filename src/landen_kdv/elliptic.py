@@ -121,9 +121,12 @@ def _ladder_base(x, m: float):
     x comes back as a float array of ndim >= 1 and is never written to.
     """
     m = _check_m(m)
-    # 1-d at least: the in-place steps of the ascents need array outputs
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x_arr)):
+    # 1-d at least: the in-place steps of the ascents need array outputs.
+    # np.array, the method .all() and np.rint below are the operations of
+    # np.atleast_1d(np.asarray(...)), np.all and np.round without their
+    # Python-level wrappers, which cost ~5 us a call
+    x_arr = np.array(x, dtype=float, ndmin=1, copy=None)
+    if not np.isfinite(x_arr).all():
         raise DomainError("argument must be finite")
     if m == 1.0:
         # cosh overflows to inf for |x| > ~710, where 1/inf = 0 is sech
@@ -133,7 +136,7 @@ def _ladder_base(x, m: float):
     # reduce mod the real period 4K; |z| <= 2K keeps the seed accurate
     period = 4.0 * big_k
     z = np.divide(x_arr, period)
-    np.round(z, out=z)
+    np.rint(z, out=z)
     z *= period
     np.subtract(x_arr, z, out=z)
     for k in ks:

@@ -132,7 +132,7 @@ def cfl_number(u: np.ndarray, grid: PeriodicGrid, dt: float) -> float:
     85.3 * 2 pi / L.  The advection speed of u_t = 6 u u_x is 6 |u|.
     """
     k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
-    return dt * 6.0 * float(np.max(np.abs(u))) * k_max
+    return dt * 6.0 * float(np.abs(u).max()) * k_max
 
 
 def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -256,7 +256,7 @@ def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> tuple[float, np.nd
     half = _rk4_step_factory(grid, dt / 2.0)
     a = _grid_steps(grid).nonlinear(u_hat)
     first = full(u_hat, a.copy())
-    local = float(np.max(np.abs(ifft(first - half(half(u_hat, a))).real)))
+    local = float(np.abs(ifft(first - half(half(u_hat, a))).real).max())
     return config.steps * local, first
 
 
@@ -324,7 +324,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
         )
     step = _rk4_step_factory(grid, config.dt)
     u_hat, first = (fft(u0), None) if start is None else start
-    limit = _BLOWUP_FACTOR * float(np.max(np.abs(u_hat)))
+    limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
 
@@ -335,7 +335,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
             u_hat = step(u_hat)
         else:
             u_hat, first = first, None
-        peak = float(np.max(np.abs(u_hat)))
+        peak = float(np.abs(u_hat).max())
         if not math.isfinite(peak) or peak > limit:
             raise InstabilityError(
                 f"spectral peak {peak!r} after step {n} (limit {limit!r})"

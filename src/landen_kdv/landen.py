@@ -205,13 +205,24 @@ def dual_oracle_gap(p: int, m: float) -> float:
     return abs(landen_map(p, m).A - _nome(p, m)[3])
 
 
+def _landen_lattice(x: np.ndarray, lmap: LandenMap) -> np.ndarray:
+    """dn(gamma*x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
+    return _dn_on_lattice(lmap.gamma * x, lmap.shifts, lmap.m)
+
+
+def _power_sum(d: np.ndarray, lmap: LandenMap, power: int, start: float) -> np.ndarray:
+    """gamma^power * (start + sum_i d[i]^power) for a stack from _landen_lattice."""
+    total = np.full_like(d[0], start)
+    for row in d:
+        total += row**power
+    total *= lmap.gamma**power
+    return total
+
+
 def _lattice_power_sum(x, lmap: LandenMap, power: int, start: float):
     """gamma^power * (start + sum_i dn^power(gamma*x + shifts[i], m))."""
     x_arr = np.asarray(x, dtype=float)
-    total = np.full_like(x_arr, start)
-    for row in _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m):
-        total += row**power
-    total *= lmap.gamma**power
+    total = _power_sum(_landen_lattice(x_arr, lmap), lmap, power, start)
     return float(total) if np.ndim(x) == 0 else total
 
 

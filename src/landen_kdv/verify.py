@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -27,10 +28,11 @@ from .fourier import (
     high_mode_energy_fraction,
 )
 from .landen import (
+    LandenMap,
     _dn_on_lattice,
+    _landen_lattice,
+    _power_sum,
     cyclic_sums,
-    dn2_landen_rhs,
-    dn_landen_rhs,
     dual_oracle_gap,
     landen_map,
     transform_params,
@@ -244,18 +246,31 @@ def _identity_grid(m_tilde: float) -> np.ndarray:
     return np.linspace(0.0, 4.0 * complete_K(m_tilde), 512, endpoint=False)
 
 
-def _dn_identity_metric(p: int, m: float) -> float:
-    lmap = landen_map(p, m)
+# keyed on the map's value, not on (p, m): a map rebuilt with other values is
+# a new entry.  The dn and dn^2 lines of one map read the same two kernel
+# calls; a verify --suite all run fills 35 entries of two floats each
+@lru_cache(maxsize=1024)
+def _identity_gaps(lmap: LandenMap) -> tuple[float, float]:
+    """Max gaps of the dn identity and of its square on the identity grid.
+
+    dn(x, m_tilde) and the shift lattice are evaluated once and serve both
+    sides: dn_landen_rhs and dn2_landen_rhs are the two power sums of that
+    lattice.
+    """
     x = _identity_grid(lmap.m_tilde)
     lhs = _dn(x, lmap.m_tilde)
-    return float(np.max(np.abs(lhs - dn_landen_rhs(x, lmap))))
+    d = _landen_lattice(x, lmap)
+    dn_gap = np.abs(lhs - _power_sum(d, lmap, 1, 0.0)).max()
+    dn2_gap = np.abs(lhs**2 - _power_sum(d, lmap, 2, lmap.cyclic_sum)).max()
+    return float(dn_gap), float(dn2_gap)
+
+
+def _dn_identity_metric(p: int, m: float) -> float:
+    return _identity_gaps(landen_map(p, m))[0]
 
 
 def _dn2_identity_metric(p: int, m: float) -> float:
-    lmap = landen_map(p, m)
-    x = _identity_grid(lmap.m_tilde)
-    lhs = _dn(x, lmap.m_tilde) ** 2
-    return float(np.max(np.abs(lhs - dn2_landen_rhs(x, lmap))))
+    return _identity_gaps(landen_map(p, m))[1]
 
 
 def _p2_closed_form_metric(p: int, m: float) -> float:

@@ -201,6 +201,33 @@ class TestKernelArrays:
             jacobi_sn_cn_dn(x, m)
             assert np.array_equal(x, before)
 
+    @pytest.mark.parametrize("convert", [
+        list, lambda v: v.astype(np.int64), lambda v: v.astype(np.float32),
+        lambda v: np.asarray(v[1])], ids=["list", "int", "float32", "0-d"])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kernel", [jacobi_sn_cn_dn, _dn])
+    def test_other_inputs_give_the_float64_bits(self, kernel, m, convert):
+        x = convert(np.array([-41.0, -0.5, 0.0, 3.0, 7.25]))
+        before = np.array(x, copy=True)
+        got, expected = kernel(x, m), kernel(np.asarray(x, dtype=float), m)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert np.array_equal(x, before) and np.asarray(x).dtype == before.dtype
+
+    @pytest.mark.parametrize("convert", [
+        list, lambda v: v.astype(np.float32), lambda v: np.asarray(v[1])],
+        ids=["list", "float32", "0-d"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kernel", [jacobi_sn_cn_dn, _dn])
+    def test_other_inputs_are_refused_as_float64(self, kernel, bad, convert):
+        # an int array holds no non-finite value, so it has no refusal case
+        x = convert(np.array([0.5, bad]))
+        with pytest.raises(DomainError) as as_float64:
+            kernel(np.asarray(x, dtype=float), 0.5)
+        with pytest.raises(DomainError) as given:
+            kernel(x, 0.5)
+        assert str(given.value) == str(as_float64.value)
+
     @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
     def test_scalar_forms_return_python_floats(self, m):
         results = [jacobi_sn_cn_dn(x, m) for x in (0.7, np.float64(0.7), np.asarray(0.7))]

@@ -25,9 +25,11 @@ from landen_kdv import (
     equivalence_check,
     jacobi_sn_cn_dn,
     landen_map,
+    run_suite,
     transform_params,
     u_p,
 )
+from landen_kdv.cli import main
 from landen_kdv.elliptic import _dn
 from landen_kdv.landen import _dn_on_lattice, cyclic_sums
 from landen_kdv.verify import (
@@ -38,6 +40,7 @@ from landen_kdv.verify import (
     _residual_non_solution_metric,
     _upm_sum,
 )
+from test_package import memo_caches
 
 MS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-9)
 XS = (
@@ -133,6 +136,16 @@ class TestBitwiseAgainstPerShiftLoop:
     def test_cyclic_sums(self, p, m):
         for n in (11, 1, 2, 100):
             assert_cyclic_reductions_match_loops(p, m, n)
+
+    def test_identity_metrics(self, p, m):
+        # the dn and dn^2 lines share one evaluation and read the bits that
+        # separate evaluations of each side give
+        lmap = landen_map(p, m)
+        x = verify_module._identity_grid(lmap.m_tilde)
+        lhs = jacobi_sn_cn_dn(x, lmap.m_tilde)[2]
+        assert _dn_identity_metric(p, m) == float(np.max(np.abs(lhs - loop_dn_rhs(x, lmap))))
+        assert _dn2_identity_metric(p, m) == float(
+            np.max(np.abs(lhs**2 - loop_dn2_rhs(x, lmap))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 100])
@@ -244,6 +257,31 @@ class TestOneKernelCallPerLattice:
         calls.clear()
         _quarter_period_metric(0.7)
         assert calls.total() == 1
+
+    def test_dn2_identity_reads_the_dn_identity_evaluation(self, calls):
+        _dn_identity_metric(3, 0.6)
+        calls.clear()
+        _dn2_identity_metric(3, 0.6)
+        assert calls.total() == 0
+
+    def test_cold_verify_all(self, calls):
+        # the dn and dn^2 lines of each of the 35 identity maps share one dn
+        # call and one lattice call
+        for cache in memo_caches().values():
+            cache.cache_clear()
+        calls.clear()
+        run_suite("all")
+        assert calls.total() == 317
+
+    def test_cold_evolve(self, calls, capsys):
+        # u0 and the exact field at T are two time slices of one call
+        for cache in memo_caches().values():
+            cache.cache_clear()
+        calls.clear()
+        assert main(["evolve", "--family", "up", "-p", "3", "-m", "0.6", "--n", "128",
+                     "--periods-crossed", "0.05", "--json"]) == 0
+        capsys.readouterr()
+        assert calls["jacobi_sn_cn_dn"] == 1
 
     @pytest.mark.parametrize("check", [
         lambda: _dn_identity_metric(3, 0.6),
