@@ -122,10 +122,12 @@ def _ladder_base(x, m: float):
     """
     m = _check_m(m)
     # 1-d at least: the in-place steps of the ascents need array outputs.
-    # np.array, the method .all() and np.rint below are the operations of
-    # np.atleast_1d(np.asarray(...)), np.all and np.round without their
-    # Python-level wrappers, which cost ~5 us a call
-    x_arr = np.array(x, dtype=float, ndmin=1, copy=None)
+    # The reshape, the method .all() and np.rint below are the operations of
+    # np.atleast_1d, np.all and np.round without their Python-level
+    # wrappers, which cost ~5 us a call
+    x_arr = np.asarray(x, dtype=float)
+    if x_arr.ndim == 0:
+        x_arr = x_arr.reshape(1)
     if not np.isfinite(x_arr).all():
         raise DomainError("argument must be finite")
     if m == 1.0:

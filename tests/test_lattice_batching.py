@@ -292,7 +292,10 @@ class TestOneKernelCallPerLattice:
     ], ids=["dn_identity", "dn2_identity", "cyclic_constancy", "quarter_period",
             "non_solution"])
     def test_dn_only_checks_make_no_three_output_call(self, calls, check):
-        landen_map.cache_clear()  # a cold map build is a dn-only path too
+        # a cold map build is a dn-only path too; the identity memo is
+        # cleared so each identity case evaluates its own lattice
+        landen_map.cache_clear()
+        verify_module._identity_gaps.cache_clear()
         try:
             calls.clear()
             check()
@@ -300,6 +303,7 @@ class TestOneKernelCallPerLattice:
             assert calls["jacobi_sn_cn_dn"] == 0
         finally:
             landen_map.cache_clear()
+            verify_module._identity_gaps.cache_clear()
 
 
 class TestOneReductionPerLattice:
