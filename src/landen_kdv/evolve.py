@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -139,27 +138,23 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.N,):
         raise DomainError(f"u0 must have shape ({grid.N},), got {u0.shape}")
+    if not np.isfinite(u0).all():
+        raise DomainError("u0 must be finite")
     return u0
 
 
 class _GridSteps:
-    """The IF-RK4 steps of one grid and the tables they share.
+    """The per-grid tables of the IF-RK4 steps, and the steps built on them.
 
-    i k^3 and the dealiased coefficient 3 i k are computed once per grid,
-    and exp(i k^3 h) once per h: a step of dt reads h = dt and dt/2, so the
-    pilot's dt/2 step takes its e_full from the dt step's e_half, the same
-    expression and so the same bits.  Only the last two step sizes built
-    are held (a pilot round's dt and dt/2; the run then reuses the accepted
-    dt), with the exponentials they read.  A step holds no state between
-    calls.
+    The FFT plans, i k^3 and the dealiased 3 i k are computed once per
+    grid.  A step of dt reads exp(i k^3 h) at h = dt and dt/2, which its
+    caller passes in.  A step holds no state between calls.
     """
 
     def __init__(self, grid: PeriodicGrid) -> None:
         self.forward, self.inverse = _plan(grid.N)
         self.ik3 = 1j * grid.k**3
         self.coeff = 3j * grid.k * kept_modes(grid.N)
-        self.exps: dict[float, np.ndarray] = {}
-        self.steps: dict[float, Callable[..., np.ndarray]] = {}
 
     def nonlinear(self, v_hat: np.ndarray) -> np.ndarray:
         """The dealiased 3 i k fft(u^2) of the spectrum v_hat, a new array.
@@ -172,24 +167,13 @@ class _GridSteps:
         out = _four_step(u * u, self.forward)
         return np.multiply(self.coeff, out, out=out)
 
-    def _exp(self, h: float) -> np.ndarray:
-        e = self.exps.get(h)
-        if e is None:
-            e = self.exps[h] = np.exp(self.ik3 * h)
-        return e
+    def exp(self, h: float) -> np.ndarray:
+        """The integrating factor exp(i k^3 h) over a time h."""
+        return np.exp(self.ik3 * h)
 
-    def step(self, dt: float) -> Callable[..., np.ndarray]:
-        step = self.steps.get(dt)
-        if step is None:
-            if len(self.steps) == 2:
-                del self.steps[next(iter(self.steps))]
-            step = self.steps[dt] = self._build(dt)
-            held = {h for d in self.steps for h in (d, d / 2.0)}
-            self.exps = {h: e for h, e in self.exps.items() if h in held}
-        return step
-
-    def _build(self, dt: float) -> Callable[..., np.ndarray]:
-        """One IF-RK4 step of size dt on the grid, spectrum to spectrum.
+    def step(self, dt: float, e_full: np.ndarray,
+             e_half: np.ndarray) -> Callable[..., np.ndarray]:
+        """One IF-RK4 step of size dt, spectrum to spectrum; e_full = exp(dt).
 
         The step computes, with the stages updated in place,
         e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d).  Every product
@@ -199,8 +183,6 @@ class _GridSteps:
         first stage a = nonlinear(u_hat) may pass it; the step overwrites it.
         """
         nonlinear = self.nonlinear
-        e_full = self._exp(dt)
-        e_half = self._exp(dt / 2.0)
         dt_e_half = dt * e_half
         two_e_half = 2.0 * e_half
         half_dt, sixth_dt = dt / 2.0, dt / 6.0
@@ -229,47 +211,48 @@ class _GridSteps:
         return step
 
 
-# one entry per grid; a run's pilot and its integration share it
-@lru_cache(maxsize=2)
-def _grid_steps(grid: PeriodicGrid) -> _GridSteps:
-    return _GridSteps(grid)
+@dataclass(frozen=True)
+class _Start:
+    """choose_step's hand-over: the step of dt on the grid, fft(u0) and step 1."""
+
+    grid: PeriodicGrid
+    dt: float
+    step: Callable[..., np.ndarray]
+    u_hat: np.ndarray
+    first: np.ndarray
 
 
-def _rk4_step_factory(grid: PeriodicGrid, dt: float) -> Callable[..., np.ndarray]:
-    """The IF-RK4 step of size dt on the grid; see _GridSteps._build."""
-    return _grid_steps(grid).step(dt)
-
-
-def _pilot_error(u_hat: np.ndarray, config: EvolverConfig) -> tuple[float, np.ndarray]:
-    """Predicted max|u| error at T of a run with this config, and its first step.
+def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
+                 ) -> tuple[float, Callable[..., np.ndarray], np.ndarray]:
+    """Predicted max|u| error at T of a run with this config, its step and step 1.
 
     Step doubling: one step of dt and two of dt/2 differ by about the
     local error of the dt step.  The run takes config.steps such steps and
     local errors add up, so the product is the global estimate.  The dt
-    step from u_hat is the run's step 1, so it is returned for the run.
-    The dt step and the first dt/2 step start from the same stage
-    nonlinear(u_hat), evaluated once; each step overwrites the stage it
-    is given, so the dt step takes a copy.
+    step and its result from u_hat are the run's step and step 1.  The dt/2
+    step's e_full is the dt step's e_half, the same bits.  Both steps start
+    from the stage nonlinear(u_hat), evaluated once; each step overwrites
+    the stage it is given, so the dt step takes a copy.
     """
-    grid, dt = config.grid, config.dt
-    full = _rk4_step_factory(grid, dt)
-    half = _rk4_step_factory(grid, dt / 2.0)
-    a = _grid_steps(grid).nonlinear(u_hat)
+    dt = config.dt
+    e_half = tables.exp(dt / 2.0)
+    full = tables.step(dt, tables.exp(dt), e_half)
+    half = tables.step(dt / 2.0, e_half, tables.exp(dt / 4.0))
+    a = tables.nonlinear(u_hat)
     first = full(u_hat, a.copy())
     local = float(np.abs(ifft(first - half(half(u_hat, a))).real).max())
-    return config.steps * local, first
+    return config.steps * local, full, first
 
 
 def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
-                snapshot_every: int = 0
-                ) -> tuple[EvolverConfig, float, tuple[np.ndarray, np.ndarray]]:
+                snapshot_every: int = 0) -> tuple[EvolverConfig, float, _Start]:
     """Config reaching ``duration`` with the largest step the guards allow.
 
     Starts from the CFL cap dt <= CFL_MAX / (6 max|u0| k_max), then shrinks
     dt until the step-doubling pilot from u0 predicts a global error at
-    most ERROR_TARGET.  Returns the config, the pilot's estimate and the
-    run's start: fft(u0) and the accepted round's step of dt from it, to
-    pass to evolve_trajectory as ``start``.
+    most ERROR_TARGET; the rounds share one _GridSteps.  Returns the
+    config, the pilot's estimate and the accepted round's step, fft(u0) and
+    step 1, to pass to evolve_trajectory as ``start``.
 
     Raises InstabilityError if no step meets the target within the pilot
     rounds (for instance when roundoff alone exceeds it); never returns an
@@ -281,12 +264,13 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
     # step past the refusal in evolve_trajectory
     target_dt = duration if rate == 0.0 else min(
         duration, (1.0 - 1e-12) * CFL_MAX / rate)
+    tables = _GridSteps(grid)
     u_hat = fft(u0)
     for _ in range(_PILOT_ROUNDS):
         config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
-        estimate, first = _pilot_error(u_hat, config)
+        estimate, step, first = _pilot_error(tables, u_hat, config)
         if estimate <= ERROR_TARGET:
-            return config, estimate, (u_hat, first)
+            return config, estimate, _Start(grid, config.dt, step, u_hat, first)
         if not math.isfinite(estimate):
             break
         # global error ~ dt^4; aim 10% under the target
@@ -302,7 +286,7 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
 
 
 def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
-                      start: tuple[np.ndarray, np.ndarray] | None = None) -> Trajectory:
+                      start: _Start | None = None) -> Trajectory:
     """Integrate u0 forward to T, keeping snapshots per the config.
 
     Raises InstabilityError before the first step if the CFL number of
@@ -310,10 +294,10 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
     grows beyond 1e6 times the initial peak; the check runs before the
     report stage so a blown-up run never produces drift numbers.
 
-    ``start`` is (fft(u0), the spectrum one step of config.dt later), as
-    choose_step returns it: the run takes them as its initial spectrum and
-    its step 1 instead of computing them again.  Every guard still applies,
-    the spectral-peak check to the handed step 1 too.
+    ``start`` is choose_step's hand-over for this config: the run takes its
+    step, fft(u0) and step 1 instead of computing them again, and raises
+    DomainError if it was made for another grid or dt.  Every guard still
+    applies, the spectral-peak check to the handed step 1 too.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
@@ -322,19 +306,26 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"
         )
-    step = _rk4_step_factory(grid, config.dt)
-    u_hat, first = (fft(u0), None) if start is None else start
+    if start is None:
+        tables = _GridSteps(grid)
+        step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
+        u_hat = fft(u0)
+        first = step(u_hat)
+    elif start.grid != grid or start.dt != config.dt:
+        raise DomainError(f"start was made for dt = {start.dt!r} on {start.grid}, "
+                          f"not dt = {config.dt!r} on {grid}")
+    else:
+        step, u_hat, first = start.step, start.u_hat, start.first
     limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
 
     times = [0.0]
     fields = [u0.copy()]
+    u_hat = first
     for n in range(1, config.steps + 1):
-        if first is None:
+        if n > 1:
             u_hat = step(u_hat)
-        else:
-            u_hat, first = first, None
         peak = float(np.abs(u_hat).max())
         if not math.isfinite(peak) or peak > limit:
             raise InstabilityError(

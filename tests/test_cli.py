@@ -298,16 +298,16 @@ class TestEvolveCommand:
         assert main(argv) == 0
         handed = capsys.readouterr().out
 
-        factory, pilot, trajectory = (evolve_module._rk4_step_factory,
-                                      evolve_module._pilot_error,
-                                      cli_module.evolve_trajectory)
+        build, pilot, trajectory = (evolve_module._GridSteps.step,
+                                    evolve_module._pilot_error,
+                                    cli_module.evolve_trajectory)
         steps, pilots = [], []
 
-        def counting_factory(*args):
-            step = factory(*args)
+        def counting_build(self, *args):
+            step = build(self, *args)
             return lambda *given: steps.append(args) or step(*given)
 
-        monkeypatch.setattr(evolve_module, "_rk4_step_factory", counting_factory)
+        monkeypatch.setattr(evolve_module._GridSteps, "step", counting_build)
         monkeypatch.setattr(evolve_module, "_pilot_error",
                             lambda *args: pilots.append(args) or pilot(*args))
         assert main(argv) == 0

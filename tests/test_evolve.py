@@ -5,6 +5,7 @@ checked against them directly; self-convergence at dt halving pins the
 fourth-order rate.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from landen_kdv import (
     fft,
     ifft,
 )
+from landen_kdv.cli import main
 from landen_kdv.evolve import (
     CFL_MAX,
     ERROR_TARGET,
@@ -141,6 +143,18 @@ class TestAccuracy:
         with pytest.raises(DomainError):
             evolve_trajectory(np.zeros(128), config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        # refused as the kernel refuses it, not as a blow-up after step 1
+        # or a pilot that finds no step
+        params, grid = cnoidal_setup(n=128)
+        u0 = params.sample(grid, 0.0)
+        u0[5] = bad
+        with pytest.raises(DomainError, match="finite"):
+            evolve_trajectory(u0, EvolverConfig.for_duration(grid, 0.02, 1e-4))
+        with pytest.raises(DomainError, match="finite"):
+            choose_step(u0, grid, 0.02)
+
 
 def textbook_step(grid, dt, u_hat):
     """The IF-RK4 step written out with the public transforms."""
@@ -163,15 +177,17 @@ def textbook_step(grid, dt, u_hat):
 class TestStep:
     @pytest.mark.parametrize("n", [256, 512])  # a square plan, and not
     def test_full_and_half_steps_are_the_textbook_expression(self, n):
-        # built in the pilot's order on a fresh grid entry, the dt/2 step
-        # reads its full-step factor from the dt step's half-step one
+        # built as the pilot builds them, the dt/2 step reads its full-step
+        # factor from the dt step's half-step one
         params, grid = cnoidal_setup(n=n)
         u_hat = fft(params.sample(grid, 0.0))
         before = u_hat.copy()
-        evolve_module._grid_steps.cache_clear()
+        tables = evolve_module._GridSteps(grid)
         dt = 1e-4
-        steps = [(h, evolve_module._rk4_step_factory(grid, h)) for h in (dt, dt / 2.0)]
-        stage = evolve_module._grid_steps(grid).nonlinear(u_hat)
+        e_half = tables.exp(dt / 2.0)
+        steps = [(dt, tables.step(dt, tables.exp(dt), e_half)),
+                 (dt / 2.0, tables.step(dt / 2.0, e_half, tables.exp(dt / 4.0)))]
+        stage = tables.nonlinear(u_hat)
         for h, step in steps:
             expected = textbook_step(grid, h, u_hat).view(np.uint64)
             assert np.array_equal(step(u_hat).view(np.uint64), expected)
@@ -180,14 +196,15 @@ class TestStep:
 
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_step_is_the_textbook_expression_bit_for_bit(self, n):
-        # the factory's in-place stages keep every operand order of the
+        # the step's in-place stages keep every operand order of the
         # textbook IF-RK4 step written with the public transforms
         params, grid = cnoidal_setup(n=n)
         dt = 1e-4
         u_hat = fft(params.sample(grid, 0.0))
         expected = textbook_step(grid, dt, u_hat)
         before = u_hat.copy()
-        ours = evolve_module._rk4_step_factory(grid, dt)(u_hat)
+        tables = evolve_module._GridSteps(grid)
+        ours = tables.step(dt, tables.exp(dt), tables.exp(dt / 2.0))(u_hat)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(u_hat, before)
 
@@ -225,11 +242,11 @@ class TestConservation:
         # u_hat[0] bit for bit; only sampling the mean adds rounding
         params, grid = cnoidal_setup()
         u0 = params.sample(grid, 0.0)
-        factory = evolve_module._rk4_step_factory
+        build = evolve_module._GridSteps.step
         zero_modes = []
 
-        def recording_factory(*args):
-            step = factory(*args)
+        def recording_build(self, *args):
+            step = build(self, *args)
 
             def recorded(u_hat):
                 out = step(u_hat)
@@ -238,7 +255,7 @@ class TestConservation:
 
             return recorded
 
-        monkeypatch.setattr(evolve_module, "_rk4_step_factory", recording_factory)
+        monkeypatch.setattr(evolve_module._GridSteps, "step", recording_build)
         config = EvolverConfig.for_duration(
             grid, duration=0.05, target_dt=1e-4, snapshot_every=100)
         traj = evolve_trajectory(u0, config)
@@ -256,10 +273,10 @@ class TestInstability:
         u0 = params.sample(grid, 0.0)
         cap = CFL_MAX / cfl_number(u0, grid, 1.0)
 
-        def no_steps(*args):
-            raise AssertionError("the refusal must come before any step")
+        def no_tables(grid):
+            raise AssertionError("the refusal must come before any table or step")
 
-        monkeypatch.setattr(evolve_module, "_rk4_step_factory", no_steps)
+        monkeypatch.setattr(evolve_module, "_GridSteps", no_tables)
         config = EvolverConfig(grid=grid, dt=1.01 * cap, T=20 * 1.01 * cap)
         with pytest.raises(InstabilityError, match="CFL"):
             evolve_trajectory(u0, config)
@@ -269,8 +286,8 @@ class TestInstability:
         # at a step the CFL check accepts: 2^20 is the first power of two
         # past the 1e6 growth limit, so the guard fires after step 20
         params, grid = cnoidal_setup()
-        monkeypatch.setattr(evolve_module, "_rk4_step_factory",
-                            lambda grid, dt: lambda u_hat: 2.0 * u_hat)
+        monkeypatch.setattr(evolve_module._GridSteps, "step",
+                            lambda self, *args: lambda u_hat: 2.0 * u_hat)
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
         with pytest.raises(InstabilityError, match="spectral peak .* after step 20 "):
             evolve_trajectory(params.sample(grid, 0.0), config)
@@ -299,25 +316,31 @@ class TestStepChoice:
         assert np.max(np.abs(evolve_trajectory(u0, chosen).final - exact)) <= 1e-6
         assert np.max(np.abs(evolve_trajectory(u0, cfl_only).final - exact)) > 1e-6
 
-    def test_run_reuses_the_accepted_pilot_factory(self, monkeypatch):
-        # the accepted pilot round built the step for the chosen dt in the
-        # grid's entry, so the run that follows takes it instead of building it
+    def test_one_table_build_per_evolve_run(self, monkeypatch, capsys):
+        # the pilot rounds share one set of tables and hand the run the
+        # accepted step; a run with --dt builds its own tables and one step
+        tables, built = [], []
+        init, build = evolve_module._GridSteps.__init__, evolve_module._GridSteps.step
+        monkeypatch.setattr(evolve_module._GridSteps, "__init__",
+                            lambda self, grid: tables.append(grid) or init(self, grid))
+        monkeypatch.setattr(evolve_module._GridSteps, "step",
+                            lambda self, dt, *exps: built.append(dt) or build(self, dt, *exps))
+        wave = ["evolve", "--family", "u1", "-m", "0.5", "--n", "128", "--json"]
+        assert main([*wave, "--periods-crossed", "0.05"]) == 0
+        assert len(tables) == 1
+        tables.clear()
+        built.clear()
+        assert main([*wave, "--T", "0.02", "--dt", "1e-4"]) == 0
+        assert (len(tables), built) == (1, [1e-4])
+        capsys.readouterr()
+
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
-        cache = evolve_module._grid_steps
-        cache.cache_clear()
         chosen, _, start = choose_step(u0, grid, 0.02)
-        # a full and a half step per pilot round; the last round's are held
-        assert list(cache(grid).steps) == [chosen.dt, chosen.dt / 2.0]
-        before = cache.cache_info()
-        built = []
-        build = evolve_module._GridSteps._build
-        monkeypatch.setattr(evolve_module._GridSteps, "_build",
-                            lambda self, dt: built.append(dt) or build(self, dt))
+        tables.clear()
+        built.clear()
         evolve_trajectory(u0, chosen, start=start)
-        after = cache.cache_info()
-        assert built == []
-        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+        assert (tables, built) == ([], [])
 
     def test_shared_first_stage_leaves_the_pilot_unchanged(self):
         # the dt step and the first dt/2 step share nonlinear(u_hat); the
@@ -326,32 +349,25 @@ class TestStepChoice:
         u_hat = fft(params.sample(grid, 0.0))
         before = u_hat.copy()
         config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
-        estimate, first = evolve_module._pilot_error(u_hat, config)
-        full = evolve_module._rk4_step_factory(grid, config.dt)
-        half = evolve_module._rk4_step_factory(grid, config.dt / 2.0)
-        expected_first = full(u_hat)
-        local = float(np.max(np.abs(ifft(expected_first - half(half(u_hat))).real)))
+        tables = evolve_module._GridSteps(grid)
+        estimate, step, first = evolve_module._pilot_error(tables, u_hat, config)
+        dt = config.dt
+        expected_first = textbook_step(grid, dt, u_hat)
+        halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, u_hat))
+        local = float(np.max(np.abs(ifft(expected_first - halves).real)))
         assert np.array_equal(first.view(np.uint64), expected_first.view(np.uint64))
+        assert np.array_equal(step(u_hat).view(np.uint64), expected_first.view(np.uint64))
         assert estimate == config.steps * local
         assert np.array_equal(u_hat, before)
 
-    def test_grid_entry_holds_the_last_two_steps(self):
-        # the per-dt state stays bounded however many pilot rounds run
-        params, grid = cnoidal_setup(n=128)
-        evolve_module._grid_steps.cache_clear()
-        for dt in (1e-3, 5e-4, 3e-4, 1.5e-4):
-            evolve_module._rk4_step_factory(grid, dt)
-        entry = evolve_module._grid_steps(grid)
-        assert list(entry.steps) == [3e-4, 1.5e-4]
-        assert set(entry.exps) == {3e-4, 1.5e-4, 7.5e-5}
-
     def test_handed_start_reproduces_the_run_bit_for_bit(self):
-        # the accepted round's fft(u0) and step of dt are the run's own
-        # initial spectrum and step 1, so every snapshot is unchanged
+        # the accepted round's step, fft(u0) and step 1 are the run's own,
+        # so every snapshot is unchanged
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
         chosen, _, start = choose_step(u0, grid, 0.05, snapshot_every=7)
-        assert np.array_equal(start[0], fft(u0))
+        assert (start.grid, start.dt) == (grid, chosen.dt)
+        assert np.array_equal(start.u_hat, fft(u0))
         handed = evolve_trajectory(u0, chosen, start=start)
         computed = evolve_trajectory(u0, chosen)
         assert handed.times == computed.times
@@ -362,11 +378,25 @@ class TestStepChoice:
     def test_non_finite_handed_step_is_caught(self):
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
-        chosen, _, (u_hat, first) = choose_step(u0, grid, 0.05)
-        first = first.copy()
+        chosen, _, start = choose_step(u0, grid, 0.05)
+        first = start.first.copy()
         first[3] = complex(np.nan, 0.0)
         with pytest.raises(InstabilityError, match="spectral peak .* after step 1 "):
-            evolve_trajectory(u0, chosen, start=(u_hat, first))
+            evolve_trajectory(u0, chosen, start=dataclasses.replace(start, first=first))
+
+    def test_foreign_start_is_refused(self):
+        # the pilot's step of dt run under a config of dt/2 takes twice the
+        # steps of dt and ends 2.2e-3 from the exact wave, not 1.3e-10
+        params, grid = cnoidal_setup(n=256)
+        u0 = params.sample(grid, 0.0)
+        chosen, _, start = choose_step(u0, grid, 0.05)
+        halved = EvolverConfig.for_duration(grid, 0.05, chosen.dt / 2.0)
+        assert halved.steps == 2 * chosen.steps
+        with pytest.raises(DomainError, match="start was made for"):
+            evolve_trajectory(u0, halved, start=start)
+        wider = dataclasses.replace(chosen, grid=PeriodicGrid(N=grid.N, L=2.0 * grid.L))
+        with pytest.raises(DomainError, match="start was made for"):
+            evolve_trajectory(u0, wider, start=start)
 
     def test_unreachable_target_raises(self):
         # a huge field: steps short enough to tame truncation error are so

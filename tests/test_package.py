@@ -83,12 +83,11 @@ def memo_caches() -> dict[str, object]:
 
 
 # one cache per key: K(m), E(m) and the Landen ladder share the modulus
-# entry, the forward and inverse FFT plans share the size entry, the
-# IF-RK4 tables and steps share the grid entry, and the dn and dn^2
-# identity gaps share the Landen map entry
+# entry, the forward and inverse FFT plans share the size entry, and the
+# dn and dn^2 identity gaps share the Landen map entry; the evolver's
+# tables live for one choose_step or evolve_trajectory call, not in a cache
 MEMO_CACHES = [
     "landen_kdv.elliptic._modulus",
-    "landen_kdv.evolve._grid_steps",
     "landen_kdv.fourier._plan",
     "landen_kdv.landen.landen_map",
     "landen_kdv.verify._identity_gaps",
