@@ -7,9 +7,11 @@ verify   run a verification suite; JSONL report, per-family summary, exit 0/1
 eval     dump (x, u) samples of one wave family as CSV
 evolve   integrate a family and compare against its exact translate
 
-The parser registers the four names and their help lines at once, but a
-subcommand's parser and its flags are built only when argparse dispatches
-to it, so a call pays for the one command it runs.
+When the first argument names a command, main builds that command's
+parser alone and parses the rest with it, so a call pays for the one
+command it runs.  --help, an empty command line and an unknown command go
+to the full tree (build_parser), and so do the usage errors, which read
+as if the full tree had parsed the whole command line.
 
 Exit codes: 0 success, 1 failed checks / instability / I/O failure,
 2 usage or config errors.  Every command accepts --json for machine
@@ -460,74 +462,67 @@ def _evolve_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(func=cmd_evolve, parser=parser)
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subparsers that are built when argparse dispatches to them.
+# each command's flags and --help line, in the order --help lists them
+_COMMANDS: dict[str, tuple[Callable[[argparse.ArgumentParser], None], str]] = {
+    "landen": (_landen_flags, "print the Landen map data for one (p, m)"),
+    "verify": (_verify_flags, "run a verification suite and emit a JSONL report"),
+    "eval": (_eval_flags, "dump (x, u) samples of one family"),
+    "evolve": (_evolve_flags, "integrate a family and compare to its exact translate"),
+}
 
-    Building a parser and adding its flags costs a help formatter per
-    add_argument call; building all four up front cost more than an evolve
-    run's integration.  add_parser registers only the name, in
-    _name_parser_map (the invalid-choice listing), and the help line, as
-    the _ChoicesPseudoAction argparse would make, so the usage line, the
-    top-level --help and the errors do not change.  The dispatched
-    subcommand's parser is built once, with the prog argparse would give
-    it and the parent's formatter class: a second parse_args (as --config
-    makes) reuses it.
-    """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._add_flags: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
-
-    def add_parser(self, name: str,
-                   add_flags: Callable[[argparse.ArgumentParser], None],
-                   help: str) -> None:
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = None
-        self._add_flags[name] = add_flags
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        name = values[0]
-        if self._name_parser_map[name] is None:
-            sub = self._parser_class(prog=f"{self._prog_prefix} {name}",
-                                     formatter_class=parser.formatter_class)
-            self._add_flags[name](sub)
-            self._name_parser_map[name] = sub
-        super().__call__(parser, namespace, values, option_string)
+def _formatter_class():
+    # argparse makes a help formatter per add_argument, and each one asks
+    # for the terminal size; ask once, with the width HelpFormatter would take
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a help formatter per add_argument, and each one asks
-    # for the terminal size; ask once, with the width HelpFormatter would
-    # take, and hand the bound formatter to the subparser that is built
-    width = shutil.get_terminal_size().columns - 2
+    """The whole command tree, for --help and the usage errors main reports."""
+    formatter_class = _formatter_class()
     parser = _Parser(
         prog="landen-kdv",
         description="Cnoidal KdV waves, p-term Landen maps, and numerical "
                     "verification that superpositions re-express single waves.",
-        formatter_class=functools.partial(argparse.HelpFormatter, width=width))
-    # prog as argparse would derive it from a usage pass: the parser has no
-    # positionals before this one
-    sub = parser.add_subparsers(dest="command_name", required=True,
-                                action=_Subcommands, prog=parser.prog)
-    sub.add_parser("landen", _landen_flags,
-                   help="print the Landen map data for one (p, m)")
-    sub.add_parser("verify", _verify_flags,
-                   help="run a verification suite and emit a JSONL report")
-    sub.add_parser("eval", _eval_flags, help="dump (x, u) samples of one family")
-    sub.add_parser("evolve", _evolve_flags,
-                   help="integrate a family and compare to its exact translate")
+        formatter_class=formatter_class)
+    sub = parser.add_subparsers(dest="command_name", required=True)
+    for name, (add_flags, help_line) in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line,
+                                 formatter_class=formatter_class))
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser build_parser would dispatch name's arguments to."""
+    parser = _Parser(prog=f"landen-kdv {name}",
+                     formatter_class=_formatter_class())
+    _COMMANDS[name][0](parser)
+    parser.set_defaults(command_name=name)
+    return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # reported as the top-level parse_args would: its usage line
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser, argv = _command_parser(argv[0]), argv[1:]
+    else:  # --help, an empty command line, an unknown command
+        parser = build_parser()
+    args = _parse(parser, argv)
     try:
         if args.config:
             # config values become the subcommand's defaults, so typed
             # flags still win and a repeated --tol appends to the file's list
             args.parser.set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            args = _parse(parser, argv)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

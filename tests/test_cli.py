@@ -429,14 +429,35 @@ CLI_DEFAULTS = {
 }
 
 
+def tree_route(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the full command tree, config file included."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args.parser.set_defaults(**cli_module._config_defaults(args))
+        args = parser.parse_args(argv)
+    return args
+
+
+def direct_route(monkeypatch, argv: list[str]) -> argparse.Namespace:
+    """The namespace main hands argv's command, with the command stubbed out."""
+    seen = []
+    monkeypatch.setattr(cli_module, f"cmd_{argv[0]}",
+                        lambda args: seen.append(args) or 0)
+    assert main(argv) == 0
+    (args,) = seen
+    return args
+
+
 class TestCliSurface:
     @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
-    def test_option_defaults_are_pinned(self, command):
-        args = vars(build_parser().parse_args([command]))
-        for key in ("func", "parser", "command_name"):
-            args.pop(key)
-        assert args == CLI_DEFAULTS[command]
-        assert all(type(args[k]) is type(v) for k, v in CLI_DEFAULTS[command].items())
+    def test_option_defaults_are_pinned(self, monkeypatch, command):
+        for args in (tree_route([command]), direct_route(monkeypatch, [command])):
+            args = vars(args)
+            for key in ("func", "parser", "command_name"):
+                args.pop(key)
+            assert args == CLI_DEFAULTS[command]
+            assert all(type(args[k]) is type(v) for k, v in CLI_DEFAULTS[command].items())
 
     @pytest.mark.parametrize("command, extra", [
         ("landen", []),
@@ -462,14 +483,10 @@ USAGE = "usage: landen-kdv [-h] {landen,verify,eval,evolve} ...\n"
 SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
 
 
-def subcommand_parsers(parser) -> dict:
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
 class TestParserSurface:
-    # a subcommand's parser is built when argparse dispatches to it; the
-    # usage line, the errors and each --help read as if all were built at once
+    # main parses a command's arguments with that command's parser alone;
+    # the usage line, the errors and each --help read as if the full tree
+    # had parsed the whole command line
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -519,15 +536,23 @@ class TestParserSurface:
             expected["code"], expected["stdout"], expected["stderr"])
 
     @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
-    def test_only_the_dispatched_subcommand_gets_its_flags(self, command):
-        parser = build_parser()
-        parser.parse_args([command])
-        subs = subcommand_parsers(parser)
-        assert list(subs) == ["landen", "verify", "eval", "evolve"]
-        built = {name: sub for name, sub in subs.items() if sub is not None}
-        assert list(built) == [command]
-        assert built[command].prog == f"landen-kdv {command}"
-        assert set(built[command].flags) == {"help", *CLI_DEFAULTS[command]}
+    def test_only_the_dispatched_subcommand_gets_its_flags(self, monkeypatch, command):
+        # a successful call builds the one parser it runs, never the full tree
+        parsers, trees = [], []
+        init = cli_module._Parser.__init__
+
+        def recording_init(self, *args, **kwargs):
+            parsers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "__init__", recording_init)
+        monkeypatch.setattr(cli_module, "build_parser",
+                            lambda build=build_parser: trees.append(1) or build())
+        args = direct_route(monkeypatch, [command])
+        assert trees == []
+        assert parsers == [args.parser]
+        assert args.parser.prog == f"landen-kdv {command}"
+        assert set(args.parser.flags) == {"help", *CLI_DEFAULTS[command]}
 
     def test_config_run_builds_its_subparser_once(self, monkeypatch, tmp_path, capsys):
         progs = []
@@ -542,7 +567,7 @@ class TestParserSurface:
         config.write_text(json.dumps({"command": "landen", "options": {"p": 2}}))
         for _ in range(2):  # and nothing is cached across main calls
             assert main(["landen", "--config", str(config), "--json"]) == 0
-        assert progs == ["landen-kdv", "landen-kdv landen"] * 2
+        assert progs == ["landen-kdv landen"] * 2
         assert json.loads(capsys.readouterr().out.splitlines()[0])["p"] == 2
 
     @pytest.mark.parametrize("argv", [
@@ -552,7 +577,7 @@ class TestParserSurface:
     def test_one_terminal_size_query_per_main(self, monkeypatch, capsys, argv):
         # argparse's HelpFormatter asks for the terminal size whenever it
         # is built without a width, once per add_argument; the width is
-        # asked once per build_parser and bound into every formatter
+        # asked once per parser build and bound into every formatter
         queries = []
         query = shutil.get_terminal_size
         monkeypatch.setattr(shutil, "get_terminal_size",
@@ -561,6 +586,75 @@ class TestParserSurface:
             main(argv)
         assert capsys.readouterr().out
         assert len(queries) == 1
+
+
+# each command's flags with a value to set, None for a switch
+ROUTE_FLAGS = {
+    "landen": [("-p", "2"), ("-m", "0.3"), ("--json", None), ("--csv", None)],
+    "verify": [("--suite", "limits"), ("--report", "r.jsonl"),
+               ("--tol", "equivalence=1e-9"), ("--json", None)],
+    "eval": [("--family", "upm"), ("-p", "2"), ("-m", "0.3"), ("--alpha", "1.5"),
+             ("--beta", "-1e-05"), ("--n", "64"), ("--sign", "-1"),
+             ("--scaling", "as_written"), ("--periods", "2"), ("--length", "10"),
+             ("-t", "0.5"), ("--output", "u.csv"), ("--json", None)],
+    "evolve": [("--family", "up"), ("-p", "2"), ("-m", "0.3"), ("--alpha", "1.5"),
+               ("--beta", "-1e-05"), ("--n", "64"), ("--periods-crossed", "0.5"),
+               ("--T", "0.01"), ("--dt", "1e-3"), ("--snapshot-every", "2"),
+               ("--output-dir", "out"), ("--json", None)],
+}
+
+
+def route_argvs(command: str) -> list[list[str]]:
+    """Defaults, each flag alone in split and NAME=VALUE form, all flags at once."""
+    flags = ROUTE_FLAGS[command]
+    split = [[flag] if value is None else [flag, value] for flag, value in flags]
+    joined = [[flag if value is None else f"{flag}={value}"] for flag, value in flags]
+    return ([[command]] + [[command, *f] for f in split + joined]
+            + [[command, *sum(split, [])], [command, *sum(joined, [])]])
+
+
+class TestRouteEquivalence:
+    # main's direct route reads every command line as the full tree would;
+    # unlike the byte pins, this holds on every Python the package supports
+    @staticmethod
+    def assert_same_namespace(monkeypatch, argv):
+        direct = vars(direct_route(monkeypatch, argv))
+        tree = vars(tree_route(argv))  # built with the same stubbed command
+        assert direct.pop("parser") is not tree.pop("parser")
+        assert direct == tree
+
+    @pytest.mark.parametrize("argv", [
+        *(argv for command in ROUTE_FLAGS for argv in route_argvs(command)),
+        ["verify", "--tol", "equivalence=1e-9", "--tol=kdv=1e-8",
+         "--tol", "equivalence=1e-7"],
+    ], ids=" ".join)
+    def test_same_namespace(self, monkeypatch, argv):
+        self.assert_same_namespace(monkeypatch, argv)
+
+    @pytest.mark.parametrize("command, options, flags", [
+        ("landen", {"p": 2, "json": True}, ["-m", "0.3"]),
+        ("verify", {"suite": "limits", "tol": ["soliton_limit=1e-3"]},
+         ["--tol", "equivalence=1e-9"]),
+        ("eval", {"family": "upm", "m": 1, "alpha": "1.3", "length": 10}, ["--n=64"]),
+        ("evolve", {"family": "up", "T": 0.01, "n": 64}, ["--beta", "-1e-05", "--n", "128"]),
+    ])
+    def test_config_file(self, monkeypatch, tmp_path, command, options, flags):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": command, "options": options}))
+        self.assert_same_namespace(monkeypatch, [command, "--config", str(config), *flags])
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--bogus"], ["evolve", "--n", "abc"], ["evolve", "stray"],
+        ["verify", "--suite", "nope"], ["landen", "-p"],
+    ], ids=" ".join)
+    def test_same_usage_error(self, capsys, argv):
+        outcomes = []
+        for route in (main, tree_route):
+            with pytest.raises(SystemExit) as exc:
+                route(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2 and outcomes[0][2].startswith("usage: landen-kdv")
 
 
 class TestEntryPoint:
