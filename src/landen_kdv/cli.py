@@ -7,11 +7,11 @@ verify   run a verification suite; JSONL report, per-family summary, exit 0/1
 eval     dump (x, u) samples of one wave family as CSV
 evolve   integrate a family and compare against its exact translate
 
-When the first argument names a command, main builds that command's
-parser alone and parses the rest with it, so a call pays for the one
-command it runs.  --help, an empty command line and an unknown command go
-to the full tree (build_parser), and so do the usage errors, which read
-as if the full tree had parsed the whole command line.
+When the first argument names a command, main parses the rest with that
+command's parser alone.  Any other command line goes to build_parser's
+tree, which knows only the command names and always exits: with --help,
+or with a usage error naming every token it does not know, so
+"-x evolve --n 3" reports "unrecognized arguments: -x --n 3".
 
 Exit codes: 0 success, 1 failed checks / instability / I/O failure,
 2 usage or config errors.  Every command accepts --json for machine
@@ -106,25 +106,22 @@ def _config_value(flag: argparse.Action, value):
     return parsed
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
+def _config_defaults(path: str, command: str, flags: dict) -> dict:
     """The config file's options, checked like their flags, keyed by dest."""
-    command = args.command_name
-    cfg_command, options = _read_config(args.config)
+    cfg_command, options = _read_config(path)
     if cfg_command and cfg_command != command:
         raise DomainError(
-            f"config {args.config} is for command {cfg_command!r}, "
-            f"not {command!r}")
-    flags = args.parser.flags
+            f"config {path} is for command {cfg_command!r}, not {command!r}")
     unknown = set(options) - (set(flags) - {"help", "config"})
     if unknown:
-        raise DomainError(f"config {args.config} has unknown options: "
+        raise DomainError(f"config {path} has unknown options: "
                           f"{sorted(unknown)}")
     values = {}
     for key, value in options.items():
         try:
             values[key] = _config_value(flags[key], value)
         except ValueError as exc:
-            raise DomainError(f"config {args.config}: {key}: {exc}") from None
+            raise DomainError(f"config {path}: {key}: {exc}") from None
     return values
 
 
@@ -390,9 +387,6 @@ def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
                         help="grid points, a power of 2 (default %(default)s)")
 
 
-_CONFIG_HELP = "JSON config file; flags win, --tol merges by name"
-
-
 def _landen_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-p", type=int, default=1,
                         help="number of superposed terms (default %(default)s)")
@@ -401,8 +395,6 @@ def _landen_flags(parser: argparse.ArgumentParser) -> None:
                              "(0, 1) otherwise (default %(default)s)")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--csv", action="store_true")
-    parser.add_argument("--config", help=_CONFIG_HELP)
-    parser.set_defaults(func=cmd_landen, parser=parser)
 
 
 def _verify_flags(parser: argparse.ArgumentParser) -> None:
@@ -414,8 +406,6 @@ def _verify_flags(parser: argparse.ArgumentParser) -> None:
                         default=[], help="override one tolerance; repeatable")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable summary")
-    parser.add_argument("--config", help=_CONFIG_HELP)
-    parser.set_defaults(func=cmd_verify, parser=parser)
 
 
 def _eval_flags(parser: argparse.ArgumentParser) -> None:
@@ -435,8 +425,6 @@ def _eval_flags(parser: argparse.ArgumentParser) -> None:
                         help="time (default %(default)s)")
     parser.add_argument("--output", help="CSV path (default stdout)")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--config", help=_CONFIG_HELP)
-    parser.set_defaults(func=cmd_eval, parser=parser)
 
 
 def _evolve_flags(parser: argparse.ArgumentParser) -> None:
@@ -458,16 +446,17 @@ def _evolve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", dest="output_dir",
                         help="write snapshot CSVs and metadata.json here")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--config", help=_CONFIG_HELP)
-    parser.set_defaults(func=cmd_evolve, parser=parser)
 
 
-# each command's flags and --help line, in the order --help lists them
-_COMMANDS: dict[str, tuple[Callable[[argparse.ArgumentParser], None], str]] = {
-    "landen": (_landen_flags, "print the Landen map data for one (p, m)"),
-    "verify": (_verify_flags, "run a verification suite and emit a JSONL report"),
-    "eval": (_eval_flags, "dump (x, u) samples of one family"),
-    "evolve": (_evolve_flags, "integrate a family and compare to its exact translate"),
+# each command's flags, --help line and runner, in the order --help lists them
+_COMMANDS: dict[str, tuple[Callable[[argparse.ArgumentParser], None], str,
+                           Callable[[argparse.Namespace], int]]] = {
+    "landen": (_landen_flags, "print the Landen map data for one (p, m)", cmd_landen),
+    "verify": (_verify_flags, "run a verification suite and emit a JSONL report",
+               cmd_verify),
+    "eval": (_eval_flags, "dump (x, u) samples of one family", cmd_eval),
+    "evolve": (_evolve_flags, "integrate a family and compare to its exact translate",
+               cmd_evolve),
 }
 
 
@@ -479,7 +468,7 @@ def _formatter_class():
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree, for --help and the usage errors main reports."""
+    """The command names without their flags, for --help and the usage errors."""
     formatter_class = _formatter_class()
     parser = _Parser(
         prog="landen-kdv",
@@ -487,18 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification that superpositions re-express single waves.",
         formatter_class=formatter_class)
     sub = parser.add_subparsers(dest="command_name", required=True)
-    for name, (add_flags, help_line) in _COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_line,
-                                 formatter_class=formatter_class))
+    for name, (_, help_line, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_line, formatter_class=formatter_class)
     return parser
 
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser build_parser would dispatch name's arguments to."""
+    """name's flags and --config, under the usage line of landen-kdv name."""
     parser = _Parser(prog=f"landen-kdv {name}",
                      formatter_class=_formatter_class())
     _COMMANDS[name][0](parser)
-    parser.set_defaults(command_name=name)
+    parser.add_argument("--config",
+                        help="JSON config file; flags win, --tol merges by name")
     return parser
 
 
@@ -512,18 +501,18 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        parser, argv = _command_parser(argv[0]), argv[1:]
-    else:  # --help, an empty command line, an unknown command
-        parser = build_parser()
+    if not argv or argv[0] not in _COMMANDS:
+        _parse(build_parser(), argv)  # prints help or a usage error; exits
+    name, argv = argv[0], argv[1:]
+    parser = _command_parser(name)
     args = _parse(parser, argv)
     try:
         if args.config:
-            # config values become the subcommand's defaults, so typed
-            # flags still win and a repeated --tol appends to the file's list
-            args.parser.set_defaults(**_config_defaults(args))
+            # config values become the command's defaults, so typed flags
+            # still win and a repeated --tol appends to the file's list
+            parser.set_defaults(**_config_defaults(args.config, name, parser.flags))
             args = _parse(parser, argv)
-        return args.func(args)
+        return _COMMANDS[name][2](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

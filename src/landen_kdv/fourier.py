@@ -215,6 +215,8 @@ class PeriodicGrid:
     L: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
+            raise DomainError(f"grid size must be an integer, got {self.N!r}")
         _require_pow2(self.N)
         if self.N < 64:
             raise DomainError(f"grid needs at least 64 points, got {self.N}")

@@ -465,8 +465,11 @@ def run_suite(name: str, tolerances: dict[str, float] | None = None) -> list[Che
     for key, value in (tolerances or {}).items():
         if key not in tol:
             raise DomainError(f"unknown tolerance name {key!r}")
-        value = float(value)
-        if not (math.isfinite(value) and value > 0.0):
+        try:  # True is an int, not a tolerance
+            bound = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
+        except (TypeError, ValueError):
+            bound = math.nan
+        if not (math.isfinite(bound) and bound > 0.0):
             raise DomainError(f"tolerance {key!r} must be finite and > 0, got {value!r}")
-        tol[key] = value
+        tol[key] = bound
     return [c.run(tol) for c in checks]

@@ -429,21 +429,12 @@ CLI_DEFAULTS = {
 }
 
 
-def tree_route(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the full command tree, config file included."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        args.parser.set_defaults(**cli_module._config_defaults(args))
-        args = parser.parse_args(argv)
-    return args
-
-
 def direct_route(monkeypatch, argv: list[str]) -> argparse.Namespace:
     """The namespace main hands argv's command, with the command stubbed out."""
     seen = []
-    monkeypatch.setattr(cli_module, f"cmd_{argv[0]}",
-                        lambda args: seen.append(args) or 0)
+    add_flags, help_line, _ = cli_module._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli_module._COMMANDS, argv[0],
+                        (add_flags, help_line, lambda args: seen.append(args) or 0))
     assert main(argv) == 0
     (args,) = seen
     return args
@@ -452,12 +443,10 @@ def direct_route(monkeypatch, argv: list[str]) -> argparse.Namespace:
 class TestCliSurface:
     @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
     def test_option_defaults_are_pinned(self, monkeypatch, command):
-        for args in (tree_route([command]), direct_route(monkeypatch, [command])):
-            args = vars(args)
-            for key in ("func", "parser", "command_name"):
-                args.pop(key)
-            assert args == CLI_DEFAULTS[command]
-            assert all(type(args[k]) is type(v) for k, v in CLI_DEFAULTS[command].items())
+        # the namespace holds the option dests and nothing else
+        args = vars(direct_route(monkeypatch, [command]))
+        assert args == CLI_DEFAULTS[command]
+        assert all(type(args[k]) is type(v) for k, v in CLI_DEFAULTS[command].items())
 
     @pytest.mark.parametrize("command, extra", [
         ("landen", []),
@@ -485,8 +474,7 @@ SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
 
 class TestParserSurface:
     # main parses a command's arguments with that command's parser alone;
-    # the usage line, the errors and each --help read as if the full tree
-    # had parsed the whole command line
+    # any other command line goes to the flagless tree, which exits
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -495,6 +483,8 @@ class TestParserSurface:
         (["bogus"], "argument command_name: invalid choice: 'bogus' "
                     "(choose from 'landen', 'verify', 'eval', 'evolve')"),
         (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
+        # the tree knows no command's flags, so it reports --n 3 as well
+        (["-x", "evolve", "--n", "3"], "unrecognized arguments: -x --n 3"),
     ])
     def test_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -535,6 +525,26 @@ class TestParserSurface:
         assert (exc.value.code, out, err) == (
             expected["code"], expected["stdout"], expected["stderr"])
 
+    def test_the_tree_holds_no_command_flags(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(CLI_DEFAULTS)
+        assert all(set(command.flags) == {"help"} for command in sub.choices.values())
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h", "evolve"], ["bogus"], ["--", "landen"],
+        ["-x", "evolve", "--n", "3"],
+    ], ids=repr)
+    def test_only_command_lines_without_a_command_reach_the_tree(
+            self, monkeypatch, capsys, argv):
+        trees, commands = [], []
+        monkeypatch.setattr(cli_module, "build_parser",
+                            lambda build=build_parser: trees.append(1) or build())
+        monkeypatch.setattr(cli_module, "_command_parser", commands.append)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert trees and commands == []
+
     @pytest.mark.parametrize("command", sorted(CLI_DEFAULTS))
     def test_only_the_dispatched_subcommand_gets_its_flags(self, monkeypatch, command):
         # a successful call builds the one parser it runs, never the full tree
@@ -548,11 +558,11 @@ class TestParserSurface:
         monkeypatch.setattr(cli_module._Parser, "__init__", recording_init)
         monkeypatch.setattr(cli_module, "build_parser",
                             lambda build=build_parser: trees.append(1) or build())
-        args = direct_route(monkeypatch, [command])
+        direct_route(monkeypatch, [command])
         assert trees == []
-        assert parsers == [args.parser]
-        assert args.parser.prog == f"landen-kdv {command}"
-        assert set(args.parser.flags) == {"help", *CLI_DEFAULTS[command]}
+        (parser,) = parsers
+        assert parser.prog == f"landen-kdv {command}"
+        assert set(parser.flags) == {"help", *CLI_DEFAULTS[command]}
 
     def test_config_run_builds_its_subparser_once(self, monkeypatch, tmp_path, capsys):
         progs = []
@@ -573,6 +583,7 @@ class TestParserSurface:
     @pytest.mark.parametrize("argv", [
         ["evolve", "--n", "64", "--T", "0.001", "--json"],
         ["evolve", "--help"],
+        ["--help"],
     ])
     def test_one_terminal_size_query_per_main(self, monkeypatch, capsys, argv):
         # argparse's HelpFormatter asks for the terminal size whenever it
@@ -588,48 +599,71 @@ class TestParserSurface:
         assert len(queries) == 1
 
 
-# each command's flags with a value to set, None for a switch
+# each command's flags with a value to set (None for a switch) and the
+# value main must hand the command
 ROUTE_FLAGS = {
-    "landen": [("-p", "2"), ("-m", "0.3"), ("--json", None), ("--csv", None)],
-    "verify": [("--suite", "limits"), ("--report", "r.jsonl"),
-               ("--tol", "equivalence=1e-9"), ("--json", None)],
-    "eval": [("--family", "upm"), ("-p", "2"), ("-m", "0.3"), ("--alpha", "1.5"),
-             ("--beta", "-1e-05"), ("--n", "64"), ("--sign", "-1"),
-             ("--scaling", "as_written"), ("--periods", "2"), ("--length", "10"),
-             ("-t", "0.5"), ("--output", "u.csv"), ("--json", None)],
-    "evolve": [("--family", "up"), ("-p", "2"), ("-m", "0.3"), ("--alpha", "1.5"),
-               ("--beta", "-1e-05"), ("--n", "64"), ("--periods-crossed", "0.5"),
-               ("--T", "0.01"), ("--dt", "1e-3"), ("--snapshot-every", "2"),
-               ("--output-dir", "out"), ("--json", None)],
+    "landen": [("-p", "2", 2), ("-m", "0.3", 0.3), ("--json", None, True),
+               ("--csv", None, True)],
+    "verify": [("--suite", "limits", "limits"), ("--report", "r.jsonl", "r.jsonl"),
+               ("--tol", "equivalence=1e-9", ["equivalence=1e-9"]),
+               ("--json", None, True)],
+    "eval": [("--family", "upm", "upm"), ("-p", "2", 2), ("-m", "0.3", 0.3),
+             ("--alpha", "1.5", 1.5), ("--beta", "-1e-05", -1e-05), ("--n", "64", 64),
+             ("--sign", "-1", -1), ("--scaling", "as_written", "as_written"),
+             ("--periods", "2", 2), ("--length", "10", 10.0), ("-t", "0.5", 0.5),
+             ("--output", "u.csv", "u.csv"), ("--json", None, True)],
+    "evolve": [("--family", "up", "up"), ("-p", "2", 2), ("-m", "0.3", 0.3),
+               ("--alpha", "1.5", 1.5), ("--beta", "-1e-05", -1e-05), ("--n", "64", 64),
+               ("--periods-crossed", "0.5", 0.5), ("--T", "0.01", 0.01),
+               ("--dt", "1e-3", 1e-3), ("--snapshot-every", "2", 2),
+               ("--output-dir", "out", "out"), ("--json", None, True)],
 }
 
 
-def route_argvs(command: str) -> list[list[str]]:
-    """Defaults, each flag alone in split and NAME=VALUE form, all flags at once."""
+def route_cases(command: str) -> list:
+    """Defaults, each flag alone in split and NAME=VALUE form, all flags at
+    once; each argv with the dests it sets."""
     flags = ROUTE_FLAGS[command]
-    split = [[flag] if value is None else [flag, value] for flag, value in flags]
-    joined = [[flag if value is None else f"{flag}={value}"] for flag, value in flags]
-    return ([[command]] + [[command, *f] for f in split + joined]
-            + [[command, *sum(split, [])], [command, *sum(joined, [])]])
+    split = [[flag] if text is None else [flag, text] for flag, text, _ in flags]
+    joined = [[flag if text is None else f"{flag}={text}"] for flag, text, _ in flags]
+    values = [{flag.lstrip("-").replace("-", "_"): value} for flag, _, value in flags]
+    every = {k: v for value in values for k, v in value.items()}
+    return ([([command], {})]
+            + [([command, *argv], value)
+               for argv, value in zip(split + joined, values + values)]
+            + [([command, *sum(split, [])], every), ([command, *sum(joined, [])], every)])
 
 
 class TestRouteEquivalence:
-    # main's direct route reads every command line as the full tree would;
-    # unlike the byte pins, this holds on every Python the package supports
+    # every command line main dispatches reaches the command as the values
+    # written here; unlike the byte pins, this holds on every Python the
+    # package supports
     @staticmethod
-    def assert_same_namespace(monkeypatch, argv):
-        direct = vars(direct_route(monkeypatch, argv))
-        tree = vars(tree_route(argv))  # built with the same stubbed command
-        assert direct.pop("parser") is not tree.pop("parser")
-        assert direct == tree
+    def assert_namespace(monkeypatch, argv, changed):
+        args = vars(direct_route(monkeypatch, argv))
+        expected = {**CLI_DEFAULTS[argv[0]], **changed}
+        assert args == expected
+        assert {k: type(v) for k, v in args.items()} == {
+            k: type(v) for k, v in expected.items()}
 
-    @pytest.mark.parametrize("argv", [
-        *(argv for command in ROUTE_FLAGS for argv in route_argvs(command)),
-        ["verify", "--tol", "equivalence=1e-9", "--tol=kdv=1e-8",
-         "--tol", "equivalence=1e-7"],
-    ], ids=" ".join)
-    def test_same_namespace(self, monkeypatch, argv):
-        self.assert_same_namespace(monkeypatch, argv)
+    @pytest.mark.parametrize("argv, changed", [
+        *(pytest.param(argv, changed, id=" ".join(argv))
+          for command in ROUTE_FLAGS for argv, changed in route_cases(command)),
+        pytest.param(["verify", "--tol", "equivalence=1e-9", "--tol=kdv=1e-8",
+                      "--tol", "equivalence=1e-7"],
+                     {"tol": ["equivalence=1e-9", "kdv=1e-8", "equivalence=1e-7"]},
+                     id="verify --tol equivalence=1e-9 --tol=kdv=1e-8 --tol equivalence=1e-7"),
+    ])
+    def test_same_namespace(self, monkeypatch, argv, changed):
+        self.assert_namespace(monkeypatch, argv, changed)
+
+    # the dests each config run below sets, file and flags together
+    CONFIGURED = {
+        "landen": {"p": 2, "json": True, "m": 0.3},
+        "verify": {"suite": "limits", "tol": ["soliton_limit=1e-3", "equivalence=1e-9"]},
+        "eval": {"family": "upm", "m": 1.0, "alpha": 1.3, "length": 10.0, "n": 64},
+        "evolve": {"family": "up", "T": 0.01, "n": 128, "beta": -1e-05},
+    }
 
     @pytest.mark.parametrize("command, options, flags", [
         ("landen", {"p": 2, "json": True}, ["-m", "0.3"]),
@@ -641,20 +675,20 @@ class TestRouteEquivalence:
     def test_config_file(self, monkeypatch, tmp_path, command, options, flags):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"command": command, "options": options}))
-        self.assert_same_namespace(monkeypatch, [command, "--config", str(config), *flags])
+        self.assert_namespace(monkeypatch, [command, "--config", str(config), *flags],
+                              {**self.CONFIGURED[command], "config": str(config)})
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--bogus"], ["evolve", "--n", "abc"], ["evolve", "stray"],
         ["verify", "--suite", "nope"], ["landen", "-p"],
     ], ids=" ".join)
     def test_same_usage_error(self, capsys, argv):
-        outcomes = []
-        for route in (main, tree_route):
-            with pytest.raises(SystemExit) as exc:
-                route(argv)
-            outcomes.append((exc.value.code, *capsys.readouterr()))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == 2 and outcomes[0][2].startswith("usage: landen-kdv")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: landen-kdv")
+        assert re.match(rf"landen-kdv( {argv[0]})?: error: ", err.splitlines()[-1])
 
 
 class TestEntryPoint:

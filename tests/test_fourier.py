@@ -254,6 +254,14 @@ class TestPeriodicGrid:
         with pytest.raises(DomainError):
             PeriodicGrid(N=n, L=1.0)
 
+    @pytest.mark.parametrize("n", [64.0, "64", True, None])
+    def test_rejects_non_integral_sizes(self, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            PeriodicGrid(N=n, L=1.0)
+
+    def test_accepts_numpy_integer_size(self):
+        assert PeriodicGrid(N=np.int64(64), L=1.0).x.size == 64
+
     def test_rejects_bad_length(self):
         with pytest.raises(DomainError):
             PeriodicGrid(N=64, L=0.0)

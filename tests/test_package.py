@@ -2,11 +2,13 @@
 
 Also the no-black-box rule: the runtime needs only numpy, and never its
 transform; scipy, mpmath and numpy.fft are test oracles only.  And no
-public function or class is kept alive by the tests alone.
+public function or class is kept alive by the tests alone, and every
+module parses under the oldest Python that pyproject.toml admits.
 """
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -234,3 +236,26 @@ def test_bench_layer_functions_exist():
                if not callable(getattr(importlib.import_module(f"landen_kdv.{layer}"),
                                        name, None))]
     assert missing == []
+
+
+def python_floor() -> tuple[int, int]:
+    """(major, minor) of requires-python; a regex, since 3.10 has no tomllib."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.M)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def test_floor_check_detects_newer_syntax():
+    # an except* block needs 3.11, so a floor of 3.10 refuses it
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
+
+
+def test_sources_parse_at_the_python_floor():
+    floor = python_floor()
+    modules = sorted(Path(landen_kdv.__file__).parent.glob("*.py"))
+    assert "cli.py" in {path.name for path in modules}
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

@@ -353,10 +353,12 @@ class TestSuites:
         lines_b = [r.json_line() for r in run_suite("identities")]
         assert lines_a == lines_b
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0,
+                                       "abc", None, [1], 1e-3 + 0j, True, np.True_])
     def test_vacuous_tolerance_override_is_refused(self, value):
         # inf or a bound <= 0 would pass every check of its family; nan
-        # would fail every one
+        # would fail every one; a non-number is no bound, and True would
+        # read as 1.0
         with pytest.raises(DomainError, match="finite and > 0"):
             run_suite("limits", tolerances={"soliton_limit": value})
         with pytest.raises(DomainError, match="finite and > 0"):
