@@ -42,7 +42,6 @@ from .errors import (
 )
 from .evolve import (
     EvolverConfig,
-    cfl_number,
     choose_step,
     conservation_report,
     evolve_trajectory,
@@ -310,7 +309,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     record = {
         "schema": SCHEMA, "family": args.family, "N": grid.N, "L": grid.L,
         "dt": config.dt, "T": config.T, "steps": config.steps,
-        "cfl": cfl_number(u0, grid, config.dt),
+        "cfl": traj.cfl,
         "error_estimate": error_estimate,
         "deviation": float(np.abs(traj.final - exact).max()),
         "mass_drift": cons.mass_drift, "momentum_drift": cons.momentum_drift,

@@ -1,24 +1,30 @@
 """Pseudo-spectral time integration of u_t - 6 u u_x + u_xxx = 0.
 
-The linear dispersive part is propagated exactly in spectral space with
-the integrating factor exp(i k^3 t); only the quadratic term is stepped,
-with classical RK4 on the transformed variable.  This removes the k^3
-stiffness entirely, so the remaining step-size limits come from the
-nonlinear term: stability, through the nonlinear CFL number
-dt * 6 max|u| * k_max, and accuracy, which integrating-factor schemes can
-lose at isolated step sizes even well inside the CFL limit.
+Write u = ubar + v, where ubar is the mean of u, which the flow conserves
+exactly.  KdV is Galilean invariant: 6 u u_x = 6 ubar v_x + 6 v v_x, and
+the first term is linear.  The linear part, dispersion and advection by
+the mean, is propagated exactly in spectral space with the integrating
+factor exp(i (k^3 + 6 ubar k) t); only the quadratic term 6 v v_x is
+stepped, with classical RK4 on the transformed variable.  This removes the
+k^3 stiffness and the mean's advection, so the remaining step-size limits
+come from the oscillation v: stability, through the nonlinear CFL number
+dt * 6 max|u - ubar| * k_max, and accuracy, which integrating-factor
+schemes can lose at isolated step sizes even well inside the CFL limit.
+A p-term dn^2 sum is mostly its mean: at (p, m, alpha, beta) =
+(3, 0.6, 1, -1), max|u| = 5.01 but max|u - ubar| = 0.017.
 ``choose_step`` therefore starts from the CFL cap and shrinks the step
 until a step-doubling pilot predicts a global error below
 ``ERROR_TARGET``.  The nonlinear term is always filtered by the 2/3 rule
-(``fourier.kept_modes``): the product u^2 scatters energy to wavenumbers
+(``fourier.kept_modes``): the product v^2 scatters energy to wavenumbers
 the grid cannot represent, and without the mask those corruptions fold
 back into resolved modes and pollute 1e-6 comparisons.
 
 The k = 0 mode is untouched by both the integrating factor and the
-nonlinear term (which carries a factor i*k), so the coefficient u_hat[0],
-N times the mean of u, is the same to the last bit after every step.  The
-mean of a sampled field, mean(ifft(u_hat).real), is not: the inverse
-transform and the sum round it, so it drifts by a few ulps.
+nonlinear term (which carry a factor k), so the coefficient u_hat[0],
+N times the mean of u, is the same to the last bit after every step, and
+ubar = u_hat[0].real / N is one number for the whole run.  The mean of a
+sampled field, mean(ifft(u_hat).real), is not: the inverse transform and
+the sum round it, so it drifts by a few ulps.
 """
 
 from __future__ import annotations
@@ -32,9 +38,14 @@ import numpy as np
 from .errors import DomainError, InstabilityError
 from .fourier import PeriodicGrid, _four_step, _plan, fft, ifft, kept_modes
 
-# Largest nonlinear CFL number a run may start with.  Cnoidal runs at
-# N = 256 and 512 were measured stable up to 2.5 and blowing up at 3.
-CFL_MAX = 2.0
+# Largest nonlinear CFL number, on max|u - ubar|, a run may start with.
+# Measured on one full crossing at a fixed step of c times the cap, over
+# p in {1, 2, 3}, m in {0.2, 0.5, 0.9, 0.99}, alpha in {0.5, 1, 2} and
+# N in {128, 256, 512}: at c = 0.25 none of the 108 runs blows up or ends
+# more than 1e-2 of the oscillation off; at 0.3, 3 do and at 0.5, 9 blow
+# up, all at N = 512.  Stability also depends on N: at N = 1024 and
+# m >= 0.9 runs blow up even at this cap (README).
+CFL_MAX = 0.25
 
 # Global error, in max|u|, that choose_step allows its pilot to predict at
 # the final time: 1% of the 1e-6 deviation gate of the dynamical checks.
@@ -48,8 +59,12 @@ _STEP_BUDGET = ERROR_TARGET / np.finfo(float).eps
 
 # Pilot rounds before choose_step gives up.  The global error scales as
 # dt^4, so one rescaling normally suffices; more rounds only help where
-# the error is not yet in its asymptotic regime.
-_PILOT_ROUNDS = 4
+# the error is not yet in its asymptotic regime.  A slow wave with a small
+# oscillation starts far outside it, from a cap the mean no longer
+# shrinks: one full crossing of (3, 0.2, alpha, 0) at N = 128 to 512
+# needs 5 or 6 rounds, against at most 4 for every other wave of the CFL
+# sweep at beta = 0 and -1.
+_PILOT_ROUNDS = 8
 
 # A spectral amplitude beyond this multiple of the initial peak means the
 # integration has blown up.
@@ -112,11 +127,15 @@ class EvolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one evolution; fields[i] is u(., times[i])."""
+    """Snapshots of one evolution; fields[i] is u(., times[i]).
+
+    ``cfl`` is the CFL number of the run's step from fields[0].
+    """
 
     grid: PeriodicGrid
     times: tuple[float, ...]
     fields: tuple[np.ndarray, ...]
+    cfl: float
 
     @property
     def final(self) -> np.ndarray:
@@ -124,14 +143,19 @@ class Trajectory:
 
 
 def cfl_number(u: np.ndarray, grid: PeriodicGrid, dt: float) -> float:
-    """Nonlinear CFL number dt * 6 max|u| * k_max of a step from field u.
+    """Nonlinear CFL number dt * 6 max|u - ubar| * k_max of a step from u.
 
-    k_max = (2/3) pi N / L is an upper bound on the wavenumbers the 2/3
-    rule keeps: at N = 256 the largest kept |k| is 84 * 2 pi / L, not
-    85.3 * 2 pi / L.  The advection speed of u_t = 6 u u_x is 6 |u|.
+    ubar is the mean of u.  The integrating factor carries the advection
+    6 ubar u_x exactly, so the stepped term 6 v v_x, v = u - ubar, has the
+    advection speed 6 |v|.  k_max = (2/3) pi N / L is an upper bound on the
+    wavenumbers the 2/3 rule keeps: at N = 256 the largest kept |k| is
+    84 * 2 pi / L, not 85.3 * 2 pi / L.
     """
     k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
-    return dt * 6.0 * float(np.abs(u).max()) * k_max
+    # sum / size is what np.mean computes, without its per-call dispatch
+    oscillation = float(np.abs(u - float(u.sum()) / u.size).max())
+    # dt times the rate at dt = 1, so the rate times dt is this to the bit
+    return dt * (6.0 * oscillation * k_max)
 
 
 def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -144,32 +168,35 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 class _GridSteps:
-    """The per-grid tables of the IF-RK4 steps, and the steps built on them.
+    """The tables of the IF-RK4 steps of one run, and the steps built on them.
 
-    The FFT plans, i k^3 and the dealiased 3 i k are computed once per
-    grid.  A step of dt reads exp(i k^3 h) at h = dt and dt/2, which its
-    caller passes in.  A step holds no state between calls.
+    The FFT plans, i (k^3 + 6 ubar k) and the dealiased 3 i k are computed
+    once per run, for its grid and its conserved mean ubar.  A step of dt
+    reads the integrating factor at h = dt and dt/2, which its caller
+    passes in.  A step holds no state between calls.
     """
 
-    def __init__(self, grid: PeriodicGrid) -> None:
+    def __init__(self, grid: PeriodicGrid, mean: float) -> None:
         self.forward, self.inverse = _plan(grid.N)
-        self.ik3 = 1j * grid.k**3
-        self.coeff = 3j * grid.k * kept_modes(grid.N)
+        self.mean = mean
+        k = grid.k
+        self.linear = 1j * (k * k * k + 6.0 * mean * k)
+        self.coeff = 3j * k * kept_modes(grid.N)
 
-    def nonlinear(self, v_hat: np.ndarray) -> np.ndarray:
-        """The dealiased 3 i k fft(u^2) of the spectrum v_hat, a new array.
+    def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
+        """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar, a new array.
 
         The fields reaching a step come from _checked_field, so the
         transforms run the four-step helper on the resolved plans without
         re-checking.
         """
-        u = _four_step(v_hat, self.inverse).real
-        out = _four_step(u * u, self.forward)
+        v = _four_step(u_hat, self.inverse).real - self.mean
+        out = _four_step(v * v, self.forward)
         return np.multiply(self.coeff, out, out=out)
 
     def exp(self, h: float) -> np.ndarray:
-        """The integrating factor exp(i k^3 h) over a time h."""
-        return np.exp(self.ik3 * h)
+        """The integrating factor exp(i (k^3 + 6 ubar k) h) over a time h."""
+        return np.exp(self.linear * h)
 
     def step(self, dt: float, e_full: np.ndarray,
              e_half: np.ndarray) -> Callable[..., np.ndarray]:
@@ -213,10 +240,11 @@ class _GridSteps:
 
 @dataclass(frozen=True)
 class _Start:
-    """choose_step's hand-over: the step of dt on the grid, fft(u0) and step 1."""
+    """choose_step's hand-over: the step of dt, its CFL number, fft(u0), step 1."""
 
     grid: PeriodicGrid
     dt: float
+    cfl: float
     step: Callable[..., np.ndarray]
     u_hat: np.ndarray
     first: np.ndarray
@@ -248,11 +276,12 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
                 snapshot_every: int = 0) -> tuple[EvolverConfig, float, _Start]:
     """Config reaching ``duration`` with the largest step the guards allow.
 
-    Starts from the CFL cap dt <= CFL_MAX / (6 max|u0| k_max), then shrinks
-    dt until the step-doubling pilot from u0 predicts a global error at
-    most ERROR_TARGET; the rounds share one _GridSteps.  Returns the
-    config, the pilot's estimate and the accepted round's step, fft(u0) and
-    step 1, to pass to evolve_trajectory as ``start``.
+    Starts from the CFL cap dt <= CFL_MAX / (6 max|u0 - ubar| k_max), then
+    shrinks dt until the step-doubling pilot from u0 predicts a global
+    error at most ERROR_TARGET; the rounds share one _GridSteps.  Returns
+    the config, the pilot's estimate and the accepted round's step, its
+    CFL number, fft(u0) and step 1, to pass to evolve_trajectory as
+    ``start``.
 
     Raises InstabilityError if no step meets the target within the pilot
     rounds (for instance when roundoff alone exceeds it); never returns an
@@ -264,13 +293,14 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
     # step past the refusal in evolve_trajectory
     target_dt = duration if rate == 0.0 else min(
         duration, (1.0 - 1e-12) * CFL_MAX / rate)
-    tables = _GridSteps(grid)
     u_hat = fft(u0)
+    tables = _GridSteps(grid, u_hat[0].real / grid.N)
     for _ in range(_PILOT_ROUNDS):
         config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
         estimate, step, first = _pilot_error(tables, u_hat, config)
         if estimate <= ERROR_TARGET:
-            return config, estimate, _Start(grid, config.dt, step, u_hat, first)
+            start = _Start(grid, config.dt, rate * config.dt, step, u_hat, first)
+            return config, estimate, start
         if not math.isfinite(estimate):
             break
         # global error ~ dt^4; aim 10% under the target
@@ -292,28 +322,29 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
     Raises InstabilityError before the first step if the CFL number of
     (u0, dt) exceeds CFL_MAX, and during the run if any spectral amplitude
     grows beyond 1e6 times the initial peak; the check runs before the
-    report stage so a blown-up run never produces drift numbers.
+    report stage so a blown-up run never produces drift numbers.  The
+    trajectory keeps the CFL number.
 
     ``start`` is choose_step's hand-over for this config: the run takes its
-    step, fft(u0) and step 1 instead of computing them again, and raises
-    DomainError if it was made for another grid or dt.  Every guard still
-    applies, the spectral-peak check to the handed step 1 too.
+    CFL number, step, fft(u0) and step 1 instead of computing them again,
+    and raises DomainError if it was made for another grid or dt.  Every
+    guard still applies, the spectral-peak check to the handed step 1 too.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
-    cfl = cfl_number(u0, grid, config.dt)
+    if start is not None and (start.grid != grid or start.dt != config.dt):
+        raise DomainError(f"start was made for dt = {start.dt!r} on {start.grid}, "
+                          f"not dt = {config.dt!r} on {grid}")
+    cfl = cfl_number(u0, grid, config.dt) if start is None else start.cfl
     if cfl > CFL_MAX:
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"
         )
     if start is None:
-        tables = _GridSteps(grid)
-        step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
         u_hat = fft(u0)
+        tables = _GridSteps(grid, u_hat[0].real / grid.N)
+        step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
         first = step(u_hat)
-    elif start.grid != grid or start.dt != config.dt:
-        raise DomainError(f"start was made for dt = {start.dt!r} on {start.grid}, "
-                          f"not dt = {config.dt!r} on {grid}")
     else:
         step, u_hat, first = start.step, start.u_hat, start.first
     limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
@@ -337,7 +368,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
         if keep:
             times.append(n * config.dt)
             fields.append(ifft(u_hat).real)
-    return Trajectory(grid=grid, times=tuple(times), fields=tuple(fields))
+    return Trajectory(grid=grid, times=tuple(times), fields=tuple(fields), cfl=cfl)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import landen_kdv.cli as cli_module
 import landen_kdv.evolve as evolve_module
 from landen_kdv import A_constant, DnWaveParams, landen_map, u_p
 from landen_kdv.cli import build_parser, main
+from landen_kdv.elliptic import complete_E, complete_K
 
 
 class TestLandenCommand:
@@ -215,7 +216,11 @@ class TestEvolveCommand:
         assert record["steps"] == 100
         assert record["error_estimate"] is None
         k_max = (2.0 / 3.0) * math.pi * record["N"] / record["L"]
-        assert record["cfl"] == pytest.approx(record["dt"] * 6.0 * 2.0 * k_max, rel=1e-12)
+        # u = -2 dn^2 peaks at -2 on the grid point x = 0, and its mean is
+        # -2 E / K, so the oscillation about the mean is 2 (1 - E / K)
+        oscillation = 2.0 * (1.0 - complete_E(0.5) / complete_K(0.5))
+        assert record["cfl"] == pytest.approx(
+            record["dt"] * 6.0 * oscillation * k_max, rel=1e-12)
         assert record["deviation"] < 1e-8
         assert record["mass_drift"] == 0.0
         spacing = record["L"] / record["N"]
@@ -267,7 +272,7 @@ class TestEvolveCommand:
                                 "schema", "snapshot_times"]
         assert meta["schema"] == "landen-kdv/1"
         assert len(meta["snapshot_times"]) == 5
-        assert meta["error_estimate"] is None and 0.0 < meta["cfl"] < 2.0
+        assert meta["error_estimate"] is None and 0.0 < meta["cfl"] <= evolve_module.CFL_MAX
         first = snapshots[0].read_text().splitlines()
         assert first[0] == "x,u"
 
@@ -279,7 +284,7 @@ class TestEvolveCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         record = json.loads(first)
-        assert 0.0 < record["cfl"] <= 2.0
+        assert 0.0 < record["cfl"] <= evolve_module.CFL_MAX
         assert 0.0 <= record["error_estimate"] <= 1e-8
         assert record["deviation"] <= 1e-6
         assert main(argv[:-1]) == 0
@@ -288,7 +293,7 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("wave, rounds", [
         (["--family", "u1", "-m", "0.5"], 2),
-        (["--family", "up", "-p", "3", "-m", "0.6", "--beta=-1.0"], 1),
+        (["--family", "up", "-p", "3", "-m", "0.6", "--beta=-1.0"], 3),
     ])
     def test_run_takes_its_first_step_from_the_pilot(
             self, monkeypatch, capsys, wave, rounds):

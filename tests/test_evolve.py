@@ -46,16 +46,26 @@ class TestConfig:
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         config = EvolverConfig(grid=grid, dt=1e-4, T=1e-2)
         assert config.steps == 100
-        u = np.full(64, -0.7)
+        # the cap reads the oscillation about the mean, not the mean
+        u = -0.7 + 0.2 * np.cos(grid.x)
         k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
         assert cfl_number(u, grid, 1e-4) == pytest.approx(
-            1e-4 * 6.0 * 0.7 * k_max, rel=1e-13)
-        # a constant state has no local error, so the CFL cap alone sets dt
-        cap = CFL_MAX / cfl_number(u, grid, 1.0)
-        chosen, estimate, _ = choose_step(u, grid, 0.5)
+            1e-4 * 6.0 * 0.2 * k_max, rel=1e-13)
+        # a short run of the cnoidal wave is accurate at the cap, so the
+        # CFL cap alone sets dt: 95 steps, with an estimate of 1.5e-9
+        params, wave_grid = cnoidal_setup()
+        u = params.sample(wave_grid, 0.0)
+        cap = CFL_MAX / cfl_number(u, wave_grid, 1.0)
+        chosen, estimate, start = choose_step(u, wave_grid, 0.05)
         assert estimate <= ERROR_TARGET
-        assert chosen.steps == int(np.ceil(0.5 / cap))
-        assert cfl_number(u, grid, chosen.dt) <= CFL_MAX
+        assert chosen.steps == int(np.ceil(0.05 / cap)) > 1
+        assert start.cfl == cfl_number(u, wave_grid, 1.0) * chosen.dt <= CFL_MAX
+        # a constant state has no oscillation: one step crosses any duration
+        u = np.full(64, -0.7)
+        chosen, estimate, start = choose_step(u, grid, 0.5)
+        assert estimate <= ERROR_TARGET
+        assert chosen.steps == 1
+        assert start.cfl <= CFL_MAX
 
     def test_for_duration_rounds_steps_up(self):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
@@ -157,15 +167,21 @@ class TestAccuracy:
 
 
 def textbook_step(grid, dt, u_hat):
-    """The IF-RK4 step written out with the public transforms."""
+    """The IF-RK4 step of u = ubar + v written out with the public transforms.
+
+    The integrating factor carries dispersion and the advection 6 ubar u_x
+    by the mean ubar = u_hat[0].real / N; the stages step 6 v v_x alone.
+    """
     k = grid.k
-    e_full = np.exp(1j * k**3 * dt)
-    e_half = np.exp(1j * k**3 * (dt / 2.0))
+    mean = u_hat[0].real / grid.N
+    linear = 1j * (k * k * k + 6.0 * mean * k)
+    e_full = np.exp(linear * dt)
+    e_half = np.exp(linear * (dt / 2.0))
     coeff = 3j * k * kept_modes(grid.N)
 
-    def nonlinear(v_hat):
-        u = ifft(v_hat).real
-        return coeff * fft(u * u)
+    def nonlinear(w_hat):
+        v = ifft(w_hat).real - mean
+        return coeff * fft(v * v)
 
     a = nonlinear(u_hat)
     b = nonlinear(e_half * (u_hat + (dt / 2.0) * a))
@@ -182,7 +198,7 @@ class TestStep:
         params, grid = cnoidal_setup(n=n)
         u_hat = fft(params.sample(grid, 0.0))
         before = u_hat.copy()
-        tables = evolve_module._GridSteps(grid)
+        tables = evolve_module._GridSteps(grid, u_hat[0].real / grid.N)
         dt = 1e-4
         e_half = tables.exp(dt / 2.0)
         steps = [(dt, tables.step(dt, tables.exp(dt), e_half)),
@@ -203,7 +219,7 @@ class TestStep:
         u_hat = fft(params.sample(grid, 0.0))
         expected = textbook_step(grid, dt, u_hat)
         before = u_hat.copy()
-        tables = evolve_module._GridSteps(grid)
+        tables = evolve_module._GridSteps(grid, u_hat[0].real / grid.N)
         ours = tables.step(dt, tables.exp(dt), tables.exp(dt / 2.0))(u_hat)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(u_hat, before)
@@ -293,18 +309,22 @@ class TestInstability:
             evolve_trajectory(params.sample(grid, 0.0), config)
 
     def test_three_copy_wave_refused_at_coarse_step(self):
-        params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
+        # the oscillation about the mean sets the cap: max|u - ubar| = 0.49
+        # against max|u| = 3.1, and dt = 8e-4 is twice the cap
+        params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.99, p=3)
         grid = params.natural_grid(n=256)
-        config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=4e-4)
-        with pytest.raises(InstabilityError):
-            evolve_trajectory(params.sample(grid, 0.0), config)
+        config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=8e-4)
+        u0 = params.sample(grid, 0.0)
+        assert cfl_number(u0, grid, config.dt) > 2.0 * CFL_MAX
+        with pytest.raises(InstabilityError, match="CFL"):
+            evolve_trajectory(u0, config)
 
 
 class TestStepChoice:
     def test_pilot_catches_what_the_cfl_cap_misses(self):
-        # u_2 at m = 0.9, alpha = 2: the CFL cap alone lands on a step
-        # where the integrating factor loses accuracy
-        params = DnWaveParams(alpha=2.0, beta=0.0, m=0.9, p=2)
+        # u_2 at m = 0.2, alpha = 2: the CFL cap alone crosses in 10 steps
+        # and ends 2.3e-5 from the exact wave; the pilot takes 208
+        params = DnWaveParams(alpha=2.0, beta=0.0, m=0.2, p=2)
         grid = params.natural_grid(n=128)
         duration = grid.L / abs(params.velocity)  # one full period crossing
         u0 = params.sample(grid, 0.0)
@@ -322,7 +342,7 @@ class TestStepChoice:
         tables, built = [], []
         init, build = evolve_module._GridSteps.__init__, evolve_module._GridSteps.step
         monkeypatch.setattr(evolve_module._GridSteps, "__init__",
-                            lambda self, grid: tables.append(grid) or init(self, grid))
+                            lambda self, grid, mean: tables.append(grid) or init(self, grid, mean))
         monkeypatch.setattr(evolve_module._GridSteps, "step",
                             lambda self, dt, *exps: built.append(dt) or build(self, dt, *exps))
         wave = ["evolve", "--family", "u1", "-m", "0.5", "--n", "128", "--json"]
@@ -349,7 +369,7 @@ class TestStepChoice:
         u_hat = fft(params.sample(grid, 0.0))
         before = u_hat.copy()
         config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
-        tables = evolve_module._GridSteps(grid)
+        tables = evolve_module._GridSteps(grid, u_hat[0].real / grid.N)
         estimate, step, first = evolve_module._pilot_error(tables, u_hat, config)
         dt = config.dt
         expected_first = textbook_step(grid, dt, u_hat)
@@ -386,17 +406,73 @@ class TestStepChoice:
 
     def test_foreign_start_is_refused(self):
         # the pilot's step of dt run under a config of dt/2 takes twice the
-        # steps of dt and ends 2.2e-3 from the exact wave, not 1.3e-10
+        # steps of dt and ends 0.26 from the exact wave, not 7.6e-11
         params, grid = cnoidal_setup(n=256)
         u0 = params.sample(grid, 0.0)
         chosen, _, start = choose_step(u0, grid, 0.05)
-        halved = EvolverConfig.for_duration(grid, 0.05, chosen.dt / 2.0)
+        halved = EvolverConfig(grid=grid, dt=chosen.dt / 2.0, T=chosen.T)
         assert halved.steps == 2 * chosen.steps
         with pytest.raises(DomainError, match="start was made for"):
             evolve_trajectory(u0, halved, start=start)
         wider = dataclasses.replace(chosen, grid=PeriodicGrid(N=grid.N, L=2.0 * grid.L))
         with pytest.raises(DomainError, match="start was made for"):
             evolve_trajectory(u0, wider, start=start)
+
+    def test_three_copy_criterion_7_wave_takes_under_400_steps(self):
+        # the mean, 99.7% of max|u|, rides in the integrating factor: 333
+        # steps cross where stepping it took 1221
+        params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
+        grid = params.natural_grid(n=256)
+        duration = grid.L / abs(params.velocity)
+        chosen, estimate, _ = choose_step(params.sample(grid, 0.0), grid, duration)
+        assert estimate <= ERROR_TARGET
+        assert chosen.steps < 400
+
+    def test_mostly_mean_wave_crosses_in_one_step(self):
+        # eight copies at m = 0.7: an oscillation of 5.7e-7 about a mean of
+        # -6.5 crosses in one step and ends 6.8e-14 from the exact wave
+        params = DnWaveParams(alpha=1.0, beta=0.2, m=0.7, p=8)
+        grid = params.natural_grid(n=256)
+        duration = grid.L / abs(params.velocity)
+        u0 = params.sample(grid, 0.0)
+        chosen, _, start = choose_step(u0, grid, duration)
+        assert chosen.steps == 1
+        oscillation = np.max(np.abs(u0 - np.mean(u0)))
+        final = evolve_trajectory(u0, chosen, start=start).final
+        assert np.max(np.abs(final - params.sample(grid, duration))) <= 1e-6 * oscillation
+
+    def test_slow_small_oscillation_wave_gets_a_step(self, monkeypatch):
+        # three copies at m = 0.2, beta = 0 barely move and barely oscillate:
+        # the cap allows dt = 0.49, far outside the dt^4 regime, and the
+        # pilot needs 5 rounds to reach the target
+        params = DnWaveParams(alpha=1.0, beta=0.0, m=0.2, p=3)
+        grid = params.natural_grid(n=128)
+        duration = grid.L / abs(params.velocity)
+        pilot, rounds = evolve_module._pilot_error, []
+        monkeypatch.setattr(evolve_module, "_pilot_error",
+                            lambda *args: rounds.append(args) or pilot(*args))
+        chosen, estimate, _ = choose_step(params.sample(grid, 0.0), grid, duration)
+        assert estimate <= ERROR_TARGET
+        assert len(rounds) == 5
+
+    @pytest.mark.parametrize("p, m", [
+        # ended 2.6e-2 off under the old cap of 2 on max|u|, and 9e-3 off
+        # under a cap of 0.5 on max|u - ubar|; 3.1e-8 at the swept cap
+        (1, 0.9),
+        pytest.param(2, 0.99, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "the pilot's own step ends 1.2e-5 from the exact wave and no "
+                "guard fires: the pilot sees one step, not the slow growth of "
+                "the top kept modes"))),
+    ])
+    def test_pilot_step_crosses_accurately_at_n_512(self, p, m):
+        params = DnWaveParams(alpha=1.0, beta=0.0, m=m, p=p)
+        grid = params.natural_grid(n=512)
+        duration = grid.L / abs(params.velocity)
+        u0 = params.sample(grid, 0.0)
+        chosen, _, start = choose_step(u0, grid, duration)
+        final = evolve_trajectory(u0, chosen, start=start).final
+        assert np.max(np.abs(final - params.sample(grid, duration))) <= 1e-6
 
     def test_unreachable_target_raises(self):
         # a huge field: steps short enough to tame truncation error are so
