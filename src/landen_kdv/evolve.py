@@ -240,10 +240,10 @@ class _GridSteps:
 
 @dataclass(frozen=True)
 class _Start:
-    """choose_step's hand-over: the step of dt, its CFL number, fft(u0), step 1."""
+    """choose_step's hand-over: u0, the config, its CFL number and step, fft(u0), step 1."""
 
-    grid: PeriodicGrid
-    dt: float
+    u0: np.ndarray
+    config: EvolverConfig
     cfl: float
     step: Callable[..., np.ndarray]
     u_hat: np.ndarray
@@ -299,7 +299,7 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
         config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
         estimate, step, first = _pilot_error(tables, u_hat, config)
         if estimate <= ERROR_TARGET:
-            start = _Start(grid, config.dt, rate * config.dt, step, u_hat, first)
+            start = _Start(u0.copy(), config, rate * config.dt, step, u_hat, first)
             return config, estimate, start
         if not math.isfinite(estimate):
             break
@@ -325,17 +325,20 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
     report stage so a blown-up run never produces drift numbers.  The
     trajectory keeps the CFL number.
 
-    ``start`` is choose_step's hand-over for this config: the run takes its
-    CFL number, step, fft(u0) and step 1 instead of computing them again,
-    and raises DomainError if it was made for another grid or dt.  Every
-    guard still applies, the spectral-peak check to the handed step 1 too.
+    ``start`` is choose_step's hand-over for this u0 and config: the run
+    takes its u0, CFL number, step, fft(u0) and step 1 instead of computing
+    them again, and raises DomainError if it was made for another u0 or
+    config.  Every guard still applies, the spectral-peak check to the
+    handed step 1 too.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
-    if start is not None and (start.grid != grid or start.dt != config.dt):
-        raise DomainError(f"start was made for dt = {start.dt!r} on {start.grid}, "
-                          f"not dt = {config.dt!r} on {grid}")
-    cfl = cfl_number(u0, grid, config.dt) if start is None else start.cfl
+    if start is None:
+        cfl = cfl_number(u0, grid, config.dt)
+    elif start.config == config and np.array_equal(start.u0, u0):
+        u0, cfl = start.u0, start.cfl
+    else:
+        raise DomainError(f"start was made for another u0 or config than {config}")
     if cfl > CFL_MAX:
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"

@@ -30,7 +30,6 @@ from .fourier import (
 from .landen import (
     LandenMap,
     _dn_on_lattice,
-    _landen_lattice,
     _power_sum,
     cyclic_sums,
     dual_oracle_gap,
@@ -46,7 +45,6 @@ TOLERANCES: dict[str, float] = {
     "dn2_identity": 1e-10,
     "p2_closed_form": 1e-12,
     "cyclic_constancy": 1e-10,
-    "cyclic_symmetry": 1e-10,
     "quarter_period_product": 1e-11,
     "residual_u1": 1e-9,
     "residual_up": 1e-8,
@@ -246,23 +244,33 @@ def _identity_grid(m_tilde: float) -> np.ndarray:
     return np.linspace(0.0, 4.0 * complete_K(m_tilde), 512, endpoint=False)
 
 
-# keyed on the map's value, not on (p, m): a map rebuilt with other values is
-# a new entry.  The dn and dn^2 lines of one map read the same two kernel
-# calls; a verify --suite all run fills 35 entries of two floats each
-@lru_cache(maxsize=1024)
-def _identity_gaps(lmap: LandenMap) -> tuple[float, float]:
-    """Max gaps of the dn identity and of its square on the identity grid.
+# Fresh constancy probes, denser than landen._PROBES (0.1 + 0.25i) and at
+# least 0.02 from each of them: 0.07 + 0.2j - 0.1 - 0.25i = (20j - 25i - 3)/100,
+# and 20j - 25i is a multiple of 5.
+_CONSTANCY_PROBES = 0.07 + 0.2 * np.arange(16)
 
-    dn(x, m_tilde) and the shift lattice are evaluated once and serve both
+
+# keyed on the map's value, not on (p, m): a map rebuilt with other values is
+# a new entry.  The dn, dn^2 and constancy lines of one map read the same two
+# kernel calls; a verify --suite all run fills 35 entries of three floats each
+@lru_cache(maxsize=1024)
+def _identity_gaps(lmap: LandenMap) -> tuple[float, float, float]:
+    """Max gaps of the dn identity and of its square, and the cyclic sums' spread.
+
+    dn(x, m_tilde) is evaluated once, and the shift lattice at gamma*x and
+    at _CONSTANCY_PROBES in one more call.  The identity columns serve both
     sides: dn_landen_rhs and dn2_landen_rhs are the two power sums of that
-    lattice.
+    lattice.  The probe columns give the largest std of a cyclic sum.
     """
     x = _identity_grid(lmap.m_tilde)
     lhs = _dn(x, lmap.m_tilde)
-    d = _landen_lattice(x, lmap)
+    lattice = _dn_on_lattice(np.concatenate((lmap.gamma * x, _CONSTANCY_PROBES)),
+                             lmap.shifts, lmap.m)
+    d, probes = lattice[:, :x.size], lattice[:, x.size:]
     dn_gap = np.abs(lhs - _power_sum(d, lmap, 1, 0.0)).max()
     dn2_gap = np.abs(lhs**2 - _power_sum(d, lmap, 2, lmap.cyclic_sum)).max()
-    return float(dn_gap), float(dn2_gap)
+    spread = np.max(np.std(cyclic_sums(probes), axis=1), initial=0.0)
+    return float(dn_gap), float(dn2_gap), float(spread)
 
 
 def _dn_identity_metric(p: int, m: float) -> float:
@@ -282,23 +290,8 @@ def _p2_closed_form_metric(p: int, m: float) -> float:
     return max(abs(lmap.gamma - gamma_exact), abs(lmap.m_tilde - m_tilde_exact))
 
 
-# Fresh constancy probes, denser than landen._PROBES (0.1 + 0.25i) and at
-# least 0.02 from each of them: 0.07 + 0.2j - 0.1 - 0.25i = (20j - 25i - 3)/100,
-# and 20j - 25i is a multiple of 5.
-_CONSTANCY_PROBES = 0.07 + 0.2 * np.arange(16)
-
-
 def _cyclic_constancy_metric(p: int, m: float) -> float:
-    sums = cyclic_sums(_dn_on_lattice(_CONSTANCY_PROBES, landen_map(p, m).shifts, m))
-    return float(np.max(np.std(sums, axis=1), initial=0.0))
-
-
-def _cyclic_symmetry_metric(p: int, m: float) -> float:
-    a = landen_map(p, m).a
-    worst = 0.0
-    for r in range(1, p):
-        worst = max(worst, abs(a[r - 1] - a[p - r - 1]))
-    return worst
+    return _identity_gaps(landen_map(p, m))[2]
 
 
 def _quarter_period_metric(m: float) -> float:
@@ -383,13 +376,8 @@ def suite_identities() -> list[Check]:
                for p, m in pms]
     checks += [Check("p2_closed_form", _p2_closed_form_metric, {"p": 2, "m": m},
                      "p2_closed_form") for m in _IDENTITY_MS]
-    # at p = 2 the only symmetric pair is a(1) with itself
-    checks += [Check(name, metric, {"p": p, "m": m}, name)
-               for p, m in pms
-               for name, metric, p_min in (
-                   ("cyclic_constancy", _cyclic_constancy_metric, 2),
-                   ("cyclic_symmetry", _cyclic_symmetry_metric, 3))
-               if p >= p_min]
+    checks += [Check("cyclic_constancy", _cyclic_constancy_metric, {"p": p, "m": m},
+                     "cyclic_constancy") for p, m in pms]
     checks += [Check("quarter_period_product", _quarter_period_metric, {"m": m},
                      "quarter_period_product") for m in _IDENTITY_MS]
     checks += [Check("upm_dn2_identity", _upm_dn2_identity_metric,

@@ -386,7 +386,7 @@ class TestStepChoice:
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
         chosen, _, start = choose_step(u0, grid, 0.05, snapshot_every=7)
-        assert (start.grid, start.dt) == (grid, chosen.dt)
+        assert start.config == chosen
         assert np.array_equal(start.u_hat, fft(u0))
         handed = evolve_trajectory(u0, chosen, start=start)
         computed = evolve_trajectory(u0, chosen)
@@ -417,6 +417,20 @@ class TestStepChoice:
         wider = dataclasses.replace(chosen, grid=PeriodicGrid(N=grid.N, L=2.0 * grid.L))
         with pytest.raises(DomainError, match="start was made for"):
             evolve_trajectory(u0, wider, start=start)
+
+    def test_start_for_another_u0_is_refused(self):
+        # a start checked only by grid and dt evolved the u0 it was made for
+        # under the name of another: with u0 shifted by a quarter period the
+        # final field ended 0.72 from an honest run, and no error was raised
+        params, grid = cnoidal_setup(n=256)
+        u0 = params.sample(grid, 0.0)
+        chosen, _, start = choose_step(u0, grid, 0.05)
+        with pytest.raises(DomainError, match="start was made for"):
+            evolve_trajectory(np.roll(u0, 64), chosen, start=start)
+        # the start keeps its own copy, so editing u0 in place is caught too
+        u0 += 0.1
+        with pytest.raises(DomainError, match="start was made for"):
+            evolve_trajectory(u0, chosen, start=start)
 
     def test_three_copy_criterion_7_wave_takes_under_400_steps(self):
         # the mean, 99.7% of max|u|, rides in the integrating factor: 333

@@ -223,11 +223,16 @@ class TestOneKernelCallPerLattice:
     def test_landen_rhs_and_cyclic_sums(self, calls):
         lmap = landen_map(6, 0.4)
         x = np.linspace(0.0, 3.0, 50)
-        for evaluate in (lambda: dn_landen_rhs(x, lmap), lambda: dn2_landen_rhs(x, lmap),
-                         lambda: _cyclic_constancy_metric(6, 0.4)):
+        for evaluate in (lambda: dn_landen_rhs(x, lmap), lambda: dn2_landen_rhs(x, lmap)):
             calls.clear()
             evaluate()
             assert calls.total() == 1
+        # a cold constancy metric makes the identity evaluation's two calls:
+        # dn on the identity grid, and the lattice with the probes appended
+        verify_module._identity_gaps.cache_clear()
+        calls.clear()
+        _cyclic_constancy_metric(6, 0.4)
+        assert calls.total() == 2
 
     def test_equivalence_check(self, calls):
         params = DnWaveParams(alpha=1.0, beta=0.1, m=0.7, p=5)
@@ -259,19 +264,21 @@ class TestOneKernelCallPerLattice:
         assert calls.total() == 1
 
     def test_dn2_identity_reads_the_dn_identity_evaluation(self, calls):
+        # and so does the constancy metric
         _dn_identity_metric(3, 0.6)
         calls.clear()
         _dn2_identity_metric(3, 0.6)
+        _cyclic_constancy_metric(3, 0.6)
         assert calls.total() == 0
 
     def test_cold_verify_all(self, calls):
-        # the dn and dn^2 lines of each of the 35 identity maps share one dn
-        # call and one lattice call
+        # the dn, dn^2 and constancy lines of each of the 35 identity maps
+        # share one dn call and one lattice call
         for cache in memo_caches().values():
             cache.cache_clear()
         calls.clear()
         run_suite("all")
-        assert calls.total() == 317
+        assert calls.total() == 282
 
     def test_cold_evolve(self, calls, capsys):
         # u0 and the exact field at T are two time slices of one call
@@ -333,6 +340,7 @@ class TestOneReductionPerLattice:
 
     def test_cyclic_constancy_metric(self, reductions):
         landen_map(8, 0.5)
+        verify_module._identity_gaps.cache_clear()  # the metric reads this memo
         reductions.clear()
         _cyclic_constancy_metric(8, 0.5)
         assert reductions == {"std": 1}

@@ -11,6 +11,9 @@ The defect classes (relative unless noted):
 * A + delta, absolute, on both routes, through _consistency_A;
 * shifts * (1 + delta), on maps built honestly;
 * the FFT: modes +3 and -3 raised by delta * max|u_hat|.
+
+A wrong partner in the cyclic sums is no matter of size: every such
+defect stops the run before a report line is written.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ import pytest
 import landen_kdv.elliptic as elliptic_module
 import landen_kdv.fourier as fourier_module
 import landen_kdv.landen as landen_module
-from landen_kdv import run_suite
+from landen_kdv import ConsistencyError, run_suite
 from test_package import memo_caches, package_modules
 
 
@@ -81,7 +84,7 @@ def fft_modes(delta):
     return [(original, fft)]
 
 
-# (defect, size, the families that fail); lines failed at the size, of 247:
+# (defect, size, the families that fail); lines failed at the size, of 217:
 # kernel 13, gamma 31, m_tilde 1, A 3, shifts 1, fft 1
 FLOOR = [
     (kernel, 1e-11, {"equivalence", "soliton_exact"}),
@@ -93,23 +96,56 @@ FLOOR = [
 ]
 
 
-@pytest.mark.parametrize("defect, size, failing", FLOOR,
-                         ids=["kernel", "gamma", "m_tilde", "A", "shifts", "fft"])
-def test_smallest_defect_the_report_catches(defect, size, failing, monkeypatch):
+def cyclic_partners(partner):
+    """cyclic_sums with row i at offset r paired with row partner(i, r) mod p."""
+    original = landen_module.cyclic_sums
+
+    def sums(d):
+        p = len(d)
+        i, r = np.arange(p), np.arange(1, p)[:, np.newaxis]
+        return np.sum(d * d[partner(i, r) % p], axis=1)
+
+    return [(original, sums)]
+
+
+# the honest partner is i + r; each of these pairs the sums wrongly
+PARTNERS = {
+    "2r": lambda i, r: i + 2 * r,
+    "1-r": lambda i, r: i + 1 - r,
+    "reversed_rows": lambda i, r: (i + r)[:, ::-1],
+}
+
+
+def run_patched(replacements, monkeypatch):
+    """run_suite("all") on cold memo caches with each original replaced."""
     # taken before patching: a patched landen_map hides its cache
     caches = memo_caches().values()
     for cache in caches:
         cache.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            for original, replacement in defect(size):
+            for original, replacement in replacements:
                 # every module's name for the original, so no caller escapes
                 for module in package_modules():
                     for name, value in list(vars(module).items()):
                         if value is original:
                             patch.setattr(module, name, replacement)
-            results = run_suite("all")
+            return run_suite("all")
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+@pytest.mark.parametrize("defect, size, failing", FLOOR,
+                         ids=["kernel", "gamma", "m_tilde", "A", "shifts", "fft"])
+def test_smallest_defect_the_report_catches(defect, size, failing, monkeypatch):
+    results = run_patched(defect(size), monkeypatch)
     assert {r.check for r in results if not r.passed} == failing
+
+
+@pytest.mark.parametrize("partner", PARTNERS.values(), ids=PARTNERS.keys())
+def test_wrong_cyclic_partner_stops_the_run(partner, monkeypatch):
+    # the first map built, landen_map(2, 0.1), refuses its cyclic constants;
+    # a(r) against a(p - r) read the same products and added nothing
+    with pytest.raises(ConsistencyError, match=r"a_2\(1\) varies with x at m=0\.1"):
+        run_patched(cyclic_partners(partner), monkeypatch)
