@@ -34,7 +34,6 @@ from .landen import (
     LandenMap,
     dn2_landen_rhs,
     dn_landen_rhs,
-    dual_oracle_gap,
     landen_map,
     transform_params,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "conservation_report",
     "dn2_landen_rhs",
     "dn_landen_rhs",
-    "dual_oracle_gap",
     "equivalence_check",
     "evolve_trajectory",
     "fft",

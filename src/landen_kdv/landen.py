@@ -196,22 +196,8 @@ def A_constant(p: int, m: float) -> float:
     return landen_map(p, m).A
 
 
-def dual_oracle_gap(p: int, m: float) -> float:
-    """|A(p, m)| gap between the shift lattice and the nome relation.
-
-    landen_map enforces agreement at construction for p >= 2; this
-    recomputes the nome determination to report the gap as a metric.
-    """
-    return abs(landen_map(p, m).A - _nome(p, m)[3])
-
-
-def _landen_lattice(x: np.ndarray, lmap: LandenMap) -> np.ndarray:
-    """dn(gamma*x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
-    return _dn_on_lattice(lmap.gamma * x, lmap.shifts, lmap.m)
-
-
 def _power_sum(d: np.ndarray, lmap: LandenMap, power: int, start: float) -> np.ndarray:
-    """gamma^power * (start + sum_i d[i]^power) for a stack from _landen_lattice."""
+    """gamma^power * (start + sum_i d[i]^power) for a stack of dn on the shift lattice."""
     total = np.full_like(d[0], start)
     for row in d:
         total += row**power
@@ -222,7 +208,8 @@ def _power_sum(d: np.ndarray, lmap: LandenMap, power: int, start: float) -> np.n
 def _lattice_power_sum(x, lmap: LandenMap, power: int, start: float):
     """gamma^power * (start + sum_i dn^power(gamma*x + shifts[i], m))."""
     x_arr = np.asarray(x, dtype=float)
-    total = _power_sum(_landen_lattice(x_arr, lmap), lmap, power, start)
+    d = _dn_on_lattice(lmap.gamma * x_arr, lmap.shifts, lmap.m)
+    total = _power_sum(d, lmap, power, start)
     return float(total) if np.ndim(x) == 0 else total
 
 

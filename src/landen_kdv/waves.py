@@ -39,8 +39,9 @@ _PM_ALPHA = 1.3
 
 
 def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
+    # the speed scales as alpha**2, which overflows to an OverflowError past ~1.3e154
+    if not (alpha > 0.0 and math.isfinite(alpha * alpha)):
+        raise DomainError(f"alpha must be positive with a finite square, got {alpha!r}")
 
 
 @dataclass(frozen=True)

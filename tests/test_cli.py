@@ -102,7 +102,7 @@ class TestVerifyCommand:
         rejected = metrics("residual_upm_rejected")
         assert min(rejected) < max(rejected)
         assert float(row[2]) == pytest.approx(min(rejected), rel=1e-3)
-        assert rows["kdv:"] == ["kdv:", "33/33", "checks", "passed"]
+        assert rows["kdv:"] == ["kdv:", "21/21", "checks", "passed"]
 
     def test_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -116,8 +116,10 @@ class TestVerifyCommand:
         capsys.readouterr()
 
     def test_unknown_tolerance_name(self, capsys):
-        assert main(["verify", "--suite", "limits", "--tol", "bogus=1"]) == 2
-        capsys.readouterr()
+        # landen_map enforces the A agreement itself, so dual_oracle_A is no knob
+        for override in ("bogus=1", "dual_oracle_A=1e-8"):
+            assert main(["verify", "--suite", "limits", "--tol", override]) == 2
+            assert "unknown tolerance name" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     def test_vacuous_tolerance_refused(self, capsys, value):
@@ -196,6 +198,17 @@ class TestEvalCommand:
 
     def test_rejects_bad_copy_count(self):
         assert main(["eval", "--family", "up", "-p", "0", "-m", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "1e200", "--n", "64"],
+        ["eval", "--family", "up", "-p", "2", "--alpha", "1e160", "--n", "64"],
+        ["evolve", "--alpha", "1e200", "--n", "64"],
+    ])
+    def test_alpha_with_overflowing_square_is_a_domain_error(self, capsys, argv):
+        # the speed scales as alpha**2, which would raise OverflowError
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_negative_values_in_scientific_notation(self, capsys):
         assert main(["eval", "--family", "u1", "-m", "0.5", "--n", "64",

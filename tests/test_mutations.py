@@ -84,7 +84,7 @@ def fft_modes(delta):
     return [(original, fft)]
 
 
-# (defect, size, the families that fail); lines failed at the size, of 217:
+# (defect, size, the families that fail); lines failed at the size, of 205:
 # kernel 13, gamma 31, m_tilde 1, A 3, shifts 1, fft 1
 FLOOR = [
     (kernel, 1e-11, {"equivalence", "soliton_exact"}),

@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "conservation_report",
     "dn2_landen_rhs",
     "dn_landen_rhs",
-    "dual_oracle_gap",
     "equivalence_check",
     "evolve_trajectory",
     "fft",

@@ -49,11 +49,17 @@ class TestKdvResidual:
 
     def test_report_internal_consistency(self):
         params = DnWaveParams(alpha=1.3, beta=-0.1, m=0.6, p=2)
-        report = kdv_residual(params, params.natural_grid(n=256), t=0.15)
+        grid = params.natural_grid(n=256)
+        report = kdv_residual(params, grid, t=0.15)
+        u = params.sample(grid, 0.15)
+        u_hat = fourier_module.drop_noise_floor(fourier_module.fft(u))
+        u_x, u_xxx = (fourier_module._derivative_of_spectrum(u_hat, grid.k, order)
+                      for order in (1, 3))
+        terms = (-params.velocity * u_x, 6.0 * u * u_x, u_xxx)
+        assert report.scale == pytest.approx(max(np.max(np.abs(v)) for v in terms), rel=1e-12)
+        assert report.linf == pytest.approx(
+            np.max(np.abs(terms[0] - terms[1] + terms[2])), rel=1e-12)
         assert report.normalized == pytest.approx(report.linf / report.scale, rel=1e-12)
-        assert len(report.term_breakdown) == 3
-        assert report.scale == pytest.approx(max(report.term_breakdown), rel=1e-12)
-        assert report.l2 <= report.linf + 1e-15
 
     def test_residual_plateau_under_refinement(self):
         # once the spectrum is resolved, doubling N must not inflate the
@@ -212,8 +218,11 @@ class TestEquivalence:
 
     def test_shifted_offset_constant_fails_the_later_slices(self, monkeypatch):
         # both A determinations go through _consistency_A, so a 1e-6 shift
-        # there passes dual_oracle_A; the single wave's own speed reads no A,
-        # so the slices at t = 0.1 and 0.5 must see the superposition's b_p
+        # there passes landen_map's A-agreement gate; the single wave's own
+        # speed reads no A, so the slices at t = 0.1 and 0.5 must see the
+        # superposition's b_p
+        pms = [(p, m) for p in verify_module._EQUIV_PS for m in verify_module._EQUIV_MS]
+        unshifted = {pm: landen_map(*pm).A for pm in pms}
         original = landen_module._consistency_A
         try:
             with monkeypatch.context() as patch:
@@ -221,10 +230,13 @@ class TestEquivalence:
                               lambda *args: original(*args) + 1e-6)
                 landen_map.cache_clear()
                 shifted = run_suite("equivalence")
-                oracle = [r for r in run_suite("kdv") if r.check == "dual_oracle_A"]
+                maps = {pm: landen_map(*pm) for pm in pms}
+                nome_A = {pm: landen_module._nome(*pm)[3] for pm in pms}
         finally:
             landen_map.cache_clear()
-        assert all(r.passed for r in oracle)
+        for pm, lmap in maps.items():
+            assert lmap.A - unshifted[pm] == pytest.approx(1e-6, abs=1e-12)
+            assert abs(lmap.A - nome_A[pm]) < 1e-13
         assert sum(not r.passed for r in shifted) >= 40
         assert all(r.passed for r in run_suite("equivalence"))
 
@@ -323,6 +335,11 @@ class TestSuites:
         with pytest.raises(DomainError):
             run_suite("nonsense")
 
+    def test_every_tolerance_is_cited_by_a_check(self):
+        # a family deleted without its knob, or a knob left without a family,
+        # would leave a --tol name that changes nothing
+        assert set(TOLERANCES) == {c.tol_key for c in _all_checks()}
+
     def test_unknown_tolerance_key(self):
         with pytest.raises(DomainError):
             run_suite("limits", tolerances={"bogus": 1.0})
@@ -373,9 +390,9 @@ class TestSuites:
             record = json.loads(result.json_line())
             del record["metric"]
             lines.append(json.dumps(record, sort_keys=True) + "\n")
-        assert len(lines) == 217
+        assert len(lines) == 205
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "12a96116405cf1bd60846186a96b7a1a2a393d59f8355fdbdd377cec3794e7d5"
+        assert digest == "4910b15786dc5e6bce45b3bcafa11af1c94e8ba2ff0317a4e6575b662159bed8"
 
     def test_cold_run_builds_the_entries_the_cache_comments_cite(self):
         # the comments above landen_map and elliptic._modulus cite these

@@ -67,6 +67,7 @@ class TestDnWaveParams:
             {"alpha": 1.0, "beta": 0.0, "m": 0.5, "p": 0},
             {"alpha": 1.0, "beta": 0.0, "m": 0.0, "p": 2},
             {"alpha": 1.0, "beta": 0.0, "m": 1.0, "p": 2},
+            {"alpha": 1e200, "beta": 0.0, "m": 0.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -249,6 +250,7 @@ class TestPmWaves:
             {"alpha": 1.0, "m": 1.1, "sign": 1},
             {"alpha": 1.0, "m": 0.5, "sign": 0},
             {"alpha": 1.0, "m": 0.5, "sign": 2},
+            {"alpha": 1e200, "m": 0.5, "sign": 1},
         ],
     )
     def test_validation(self, kwargs):
