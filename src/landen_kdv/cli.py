@@ -8,10 +8,11 @@ eval     dump (x, u) samples of one wave family as CSV
 evolve   integrate a family and compare against its exact translate
 
 When the first argument names a command, main parses the rest with that
-command's parser alone.  Any other command line goes to build_parser's
-tree, which knows only the command names and always exits: with --help,
-or with a usage error naming every token it does not know, so
-"-x evolve --n 3" reports "unrecognized arguments: -x --n 3".
+command's parser alone, which reports their errors under its own usage
+line.  Any other command line goes to build_parser's tree, which knows
+only the command names and always exits: with --help, or with a usage
+error naming every token it does not know, so "-x evolve --n 3" reports
+"unrecognized arguments: -x --n 3".
 
 Exit codes: 0 success, 1 failed checks / instability / I/O failure,
 2 usage or config errors.  Every command accepts --json for machine
@@ -357,19 +358,12 @@ class _Parser(argparse.ArgumentParser):
 
     Stock argparse recognizes only -1 and -1.5 as negative numbers, so
     "--beta -1e-05" was an unknown option; subparsers inherit this class.
-    ``flags`` maps each dest to its action, for checking config values.
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        self.flags: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        self.flags[action.dest] = action
-        return action
 
 
 def _add_wave_flags(parser: argparse.ArgumentParser) -> None:
@@ -467,7 +461,7 @@ def _formatter_class():
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command names without their flags, for --help and the usage errors."""
+    """The command names alone, for --help and the errors before a command."""
     formatter_class = _formatter_class()
     parser = _Parser(
         prog="landen-kdv",
@@ -490,27 +484,20 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        # reported as the top-level parse_args would: its usage line
-        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in _COMMANDS:
-        _parse(build_parser(), argv)  # prints help or a usage error; exits
+        build_parser().parse_args(argv)  # prints help or a usage error; exits
     name, argv = argv[0], argv[1:]
     parser = _command_parser(name)
-    args = _parse(parser, argv)
+    args = parser.parse_args(argv)
     try:
         if args.config:
             # config values become the command's defaults, so typed flags
             # still win and a repeated --tol appends to the file's list
-            parser.set_defaults(**_config_defaults(args.config, name, parser.flags))
-            args = _parse(parser, argv)
+            parser.set_defaults(**_config_defaults(
+                args.config, name, {a.dest: a for a in parser._actions}))
+            args = parser.parse_args(argv)
         return _COMMANDS[name][2](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -295,19 +295,22 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
         duration, (1.0 - 1e-12) * CFL_MAX / rate)
     u_hat = fft(u0)
     tables = _GridSteps(grid, u_hat[0].real / grid.N)
-    for _ in range(_PILOT_ROUNDS):
-        config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
-        estimate, step, first = _pilot_error(tables, u_hat, config)
-        if estimate <= ERROR_TARGET:
-            start = _Start(u0.copy(), config, rate * config.dt, step, u_hat, first)
-            return config, estimate, start
-        if not math.isfinite(estimate):
-            break
-        # global error ~ dt^4; aim 10% under the target
-        target_dt = config.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
-        # past the step budget roundoff alone misses the target
-        if math.ceil(duration / target_dt) > _STEP_BUDGET:
-            break
+    # a round whose stages overflow (see evolve_trajectory) gives a
+    # non-finite estimate, which ends the rounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_PILOT_ROUNDS):
+            config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
+            estimate, step, first = _pilot_error(tables, u_hat, config)
+            if estimate <= ERROR_TARGET:
+                start = _Start(u0.copy(), config, rate * config.dt, step, u_hat, first)
+                return config, estimate, start
+            if not math.isfinite(estimate):
+                break
+            # global error ~ dt^4; aim 10% under the target
+            target_dt = config.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
+            # past the step budget roundoff alone misses the target
+            if math.ceil(duration / target_dt) > _STEP_BUDGET:
+                break
     raise InstabilityError(
         f"no step meets the error target {ERROR_TARGET!r} within "
         f"{_PILOT_ROUNDS} pilot rounds and {_STEP_BUDGET:.4g} steps "
@@ -347,30 +350,33 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
         u_hat = fft(u0)
         tables = _GridSteps(grid, u_hat[0].real / grid.N)
         step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
-        first = step(u_hat)
     else:
-        step, u_hat, first = start.step, start.u_hat, start.first
+        step, u_hat = start.step, start.u_hat
     limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
 
     times = [0.0]
     fields = [u0.copy()]
-    u_hat = first
-    for n in range(1, config.steps + 1):
-        if n > 1:
-            u_hat = step(u_hat)
-        peak = float(np.abs(u_hat).max())
-        if not math.isfinite(peak) or peak > limit:
-            raise InstabilityError(
-                f"spectral peak {peak!r} after step {n} (limit {limit!r})"
+    # under a huge mean, v = ifft(u_hat) - ubar still holds the transforms'
+    # rounding of the mean, and the stages can overflow on it; the peak
+    # check turns the non-finite spectrum into InstabilityError
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_hat = step(u_hat) if start is None else start.first
+        for n in range(1, config.steps + 1):
+            if n > 1:
+                u_hat = step(u_hat)
+            peak = float(np.abs(u_hat).max())
+            if not math.isfinite(peak) or peak > limit:
+                raise InstabilityError(
+                    f"spectral peak {peak!r} after step {n} (limit {limit!r})"
+                )
+            keep = n == config.steps or (
+                config.snapshot_every > 0 and n % config.snapshot_every == 0
             )
-        keep = n == config.steps or (
-            config.snapshot_every > 0 and n % config.snapshot_every == 0
-        )
-        if keep:
-            times.append(n * config.dt)
-            fields.append(ifft(u_hat).real)
+            if keep:
+                times.append(n * config.dt)
+                fields.append(ifft(u_hat).real)
     return Trajectory(grid=grid, times=tuple(times), fields=tuple(fields), cfl=cfl)
 
 

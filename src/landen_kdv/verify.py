@@ -380,6 +380,10 @@ def suite_kdv() -> list[Check]:
               {"alpha": 1.0, "beta": 0.0, "m": 0.5, "N": 256}, "residual_u1"),
         Check("residual_up", _residual_up_metric,
               {"p": 3, "alpha": 1.0, "beta": 0.2, "m": 0.7, "N": 256}, "residual_up"),
+        # alpha != 1 and p * alpha = 3.9: a period formula that misplaces
+        # alpha builds a grid the wave does not fit
+        Check("residual_up", _residual_up_metric,
+              {"p": 3, "alpha": 1.3, "beta": 0.2, "m": 0.7, "N": 256}, "residual_up"),
         Check("residual_non_solution", _residual_non_solution_metric,
               {"profile": "dn^3", "m": 0.5}, "residual_non_solution", lower_bound=True),
     ]

@@ -102,7 +102,7 @@ class TestVerifyCommand:
         rejected = metrics("residual_upm_rejected")
         assert min(rejected) < max(rejected)
         assert float(row[2]) == pytest.approx(min(rejected), rel=1e-3)
-        assert rows["kdv:"] == ["kdv:", "21/21", "checks", "passed"]
+        assert rows["kdv:"] == ["kdv:", "22/22", "checks", "passed"]
 
     def test_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -244,6 +244,16 @@ class TestEvolveCommand:
                      "--T", "0.1", "--dt", "0.01"]) == 1
         err = capsys.readouterr().err
         assert err.count("instability") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "1e20", "--T", "0.01"],
+        ["--beta", "1e150", "--T", "0.01", "--dt", "1e-3"],
+    ], ids=" ".join)
+    def test_huge_offset_is_one_instability_line(self, capsys, flags):
+        assert main(["evolve", "--family", "up", "-p", "3", "-m", "0.5", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("instability: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("option", [
         "--T=nan", "--T=inf", "--dt=nan", "--periods-crossed=nan"])
@@ -491,8 +501,9 @@ SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
 
 
 class TestParserSurface:
-    # main parses a command's arguments with that command's parser alone;
-    # any other command line goes to the flagless tree, which exits
+    # main parses a command's arguments with that command's parser alone,
+    # which reports every error in them; any other command line goes to
+    # the flagless tree, which exits
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -503,13 +514,23 @@ class TestParserSurface:
         (["evolve", "--bogus"], "unrecognized arguments: --bogus"),
         # the tree knows no command's flags, so it reports --n 3 as well
         (["-x", "evolve", "--n", "3"], "unrecognized arguments: -x --n 3"),
+        ([], "the following arguments are required: command_name"),
+        *(([command, token], f"unrecognized arguments: {token}")
+          for command in CLI_DEFAULTS for token in ("--bogus", "stray")
+          if [command, token] != ["evolve", "--bogus"]),
     ])
     def test_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"{USAGE}landen-kdv: error: {message}\n"
+        if argv and argv[0] in CLI_DEFAULTS:
+            prog = f"landen-kdv {argv[0]}"
+            usage = cli_module._command_parser(argv[0]).format_usage()
+        else:
+            prog, usage = "landen-kdv", USAGE
+        assert usage.startswith(f"usage: {prog} [-h]")
+        assert out == "" and err == f"{usage}{prog}: error: {message}\n"
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -547,7 +568,8 @@ class TestParserSurface:
         parser = build_parser()
         (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(CLI_DEFAULTS)
-        assert all(set(command.flags) == {"help"} for command in sub.choices.values())
+        assert all({a.dest for a in command._actions} == {"help"}
+                   for command in sub.choices.values())
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["-h", "evolve"], ["bogus"], ["--", "landen"],
@@ -580,7 +602,7 @@ class TestParserSurface:
         assert trees == []
         (parser,) = parsers
         assert parser.prog == f"landen-kdv {command}"
-        assert set(parser.flags) == {"help", *CLI_DEFAULTS[command]}
+        assert {a.dest for a in parser._actions} == {"help", *CLI_DEFAULTS[command]}
 
     def test_config_run_builds_its_subparser_once(self, monkeypatch, tmp_path, capsys):
         progs = []
@@ -705,8 +727,8 @@ class TestRouteEquivalence:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
-        assert err.startswith("usage: landen-kdv")
-        assert re.match(rf"landen-kdv( {argv[0]})?: error: ", err.splitlines()[-1])
+        assert err.startswith(f"usage: landen-kdv {argv[0]} [-h]")
+        assert err.splitlines()[-1].startswith(f"landen-kdv {argv[0]}: error: ")
 
 
 class TestEntryPoint:

@@ -319,6 +319,27 @@ class TestInstability:
         with pytest.raises(InstabilityError, match="CFL"):
             evolve_trajectory(u0, config)
 
+    # a huge offset: the sampled oscillation rounds to 0, so the CFL cap is
+    # off, while ifft(fft(u0)) - ubar keeps the transforms' rounding of the
+    # mean, and the stages overflow on it; a typed refusal, no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e20, 1e150])
+    def test_huge_offset_pilot_raises(self, beta):
+        params = DnWaveParams(alpha=1.0, beta=beta, m=0.5, p=3)
+        grid = params.natural_grid(n=256)
+        u0 = params.sample(grid, 0.0)
+        assert cfl_number(u0, grid, 1.0) == 0.0
+        with pytest.raises(InstabilityError, match="error target"):
+            choose_step(u0, grid, 0.01)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_offset_fixed_step_run_raises(self):
+        params = DnWaveParams(alpha=1.0, beta=1e150, m=0.5, p=3)
+        grid = params.natural_grid(n=256)
+        config = EvolverConfig.for_duration(grid, duration=0.01, target_dt=1e-3)
+        with pytest.raises(InstabilityError, match="spectral peak .* after step 1 "):
+            evolve_trajectory(params.sample(grid, 0.0), config)
+
 
 class TestStepChoice:
     def test_pilot_catches_what_the_cfl_cap_misses(self):

@@ -278,7 +278,7 @@ class TestOneKernelCallPerLattice:
             cache.cache_clear()
         calls.clear()
         run_suite("all")
-        assert calls.total() == 282
+        assert calls.total() == 283
 
     def test_cold_evolve(self, calls, capsys):
         # u0 and the exact field at T are two time slices of one call

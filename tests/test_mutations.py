@@ -13,10 +13,13 @@ The defect classes (relative unless noted):
 * the FFT: modes +3 and -3 raised by delta * max|u_hat|.
 
 A wrong partner in the cyclic sums is no matter of size: every such
-defect stops the run before a report line is written.
+defect stops the run before a report line is written.  Nor is a spatial
+period with alpha on the wrong side: it fails the one kdv line whose
+grid it builds at alpha != 1.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ import pytest
 import landen_kdv.elliptic as elliptic_module
 import landen_kdv.fourier as fourier_module
 import landen_kdv.landen as landen_module
-from landen_kdv import ConsistencyError, run_suite
+from landen_kdv import AliasingWarning, ConsistencyError, DnWaveParams, run_suite
+from landen_kdv.elliptic import complete_K
 from test_package import memo_caches, package_modules
 
 
@@ -84,8 +88,8 @@ def fft_modes(delta):
     return [(original, fft)]
 
 
-# (defect, size, the families that fail); lines failed at the size, of 205:
-# kernel 13, gamma 31, m_tilde 1, A 3, shifts 1, fft 1
+# (defect, size, the families that fail); lines failed at the size, of 206:
+# kernel 13, gamma 31, m_tilde 1, A 3, shifts 2, fft 2
 FLOOR = [
     (kernel, 1e-11, {"equivalence", "soliton_exact"}),
     (nome_output(1), 1e-11, {"p2_closed_form", "equivalence"}),
@@ -149,3 +153,16 @@ def test_wrong_cyclic_partner_stops_the_run(partner, monkeypatch):
     # a(r) against a(p - r) read the same products and added nothing
     with pytest.raises(ConsistencyError, match=r"a_2\(1\) varies with x at m=0\.1"):
         run_patched(cyclic_partners(partner), monkeypatch)
+
+
+def test_spatial_period_with_alpha_inverted_fails_one_kdv_line(monkeypatch):
+    # 2K/(p/alpha) for 2K/(p alpha); at alpha = 1 both give one length, so
+    # every other kdv line that builds its grid from spatial_period passes
+    monkeypatch.setattr(DnWaveParams, "spatial_period", property(
+        lambda wave: 2.0 * complete_K(wave.m) / (wave.p / wave.alpha)))
+    with warnings.catch_warnings():
+        # the wave does not fit the grid, so its spectrum aliases too
+        warnings.simplefilter("ignore", AliasingWarning)
+        results = run_suite("kdv")
+    assert [(r.check, r.params) for r in results if not r.passed] == [
+        ("residual_up", {"p": 3, "alpha": 1.3, "beta": 0.2, "m": 0.7, "N": 256})]

@@ -390,9 +390,9 @@ class TestSuites:
             record = json.loads(result.json_line())
             del record["metric"]
             lines.append(json.dumps(record, sort_keys=True) + "\n")
-        assert len(lines) == 205
+        assert len(lines) == 206
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "4910b15786dc5e6bce45b3bcafa11af1c94e8ba2ff0317a4e6575b662159bed8"
+        assert digest == "c3d9e675c6811f167d50b0658cc4d579f56e1e472bbdc76d2aec29dadb6f1f97"
 
     def test_cold_run_builds_the_entries_the_cache_comments_cite(self):
         # the comments above landen_map and elliptic._modulus cite these
