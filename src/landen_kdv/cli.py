@@ -43,7 +43,6 @@ from .errors import (
 )
 from .evolve import (
     EvolverConfig,
-    choose_step,
     conservation_report,
     evolve_trajectory,
     translation_lag,
@@ -292,17 +291,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             raise DomainError("wave speed is zero; pass --T explicitly")
         duration = args.periods_crossed * grid.L / speed
     # for_duration refuses a bad duration before it is sampled as a time;
-    # without --dt, choose_step replaces this single-step config
+    # without --dt, the run chooses its step
     config = EvolverConfig.for_duration(
-        grid, duration, math.inf if args.dt is None else args.dt,
-        snapshot_every=args.snapshot_every)
+        grid, duration, args.dt, snapshot_every=args.snapshot_every)
     # config.T is duration, so u0 and the exact field at T are one kernel call
     u0, exact = wave.sample(grid, np.array([[0.0], [duration]]))
-    error_estimate = start = None
-    if args.dt is None:
-        config, error_estimate, start = choose_step(
-            u0, grid, duration, snapshot_every=args.snapshot_every)
-    traj = evolve_trajectory(u0, config, start=start)
+    traj = evolve_trajectory(u0, config)
+    config, error_estimate = traj.config, traj.error_estimate
     cons = conservation_report(traj)
     predicted_lag = math.fmod(wave.velocity * config.T, grid.L)
     if predicted_lag < 0.0:
@@ -345,7 +340,7 @@ def _write_snapshots(out_dir: str, traj, meta: dict) -> None:
         raise _IOFailure(f"cannot create {out_dir}: {exc}") from exc
     for idx, u in enumerate(traj.fields):
         _write_text(os.path.join(out_dir, f"snapshot_{idx:04d}.csv"),
-                    _xu_csv(traj.grid.x, u))
+                    _xu_csv(traj.config.grid.x, u))
     _write_text(os.path.join(out_dir, "metadata.json"), _dump_json(meta) + "\n")
 
 

@@ -12,8 +12,8 @@ dt * 6 max|u - ubar| * k_max, and accuracy, which integrating-factor
 schemes can lose at isolated step sizes even well inside the CFL limit.
 A p-term dn^2 sum is mostly its mean: at (p, m, alpha, beta) =
 (3, 0.6, 1, -1), max|u| = 5.01 but max|u - ubar| = 0.017.
-``choose_step`` therefore starts from the CFL cap and shrinks the step
-until a step-doubling pilot predicts a global error below
+A run given no step therefore starts from the CFL cap and shrinks the
+step until a step-doubling pilot predicts a global error below
 ``ERROR_TARGET``.  The nonlinear term is always filtered by the 2/3 rule
 (``fourier.kept_modes``): the product v^2 scatters energy to wavenumbers
 the grid cannot represent, and without the mask those corruptions fold
@@ -47,7 +47,7 @@ from .fourier import PeriodicGrid, _four_step, _plan, fft, ifft, kept_modes
 # m >= 0.9 runs blow up even at this cap (README).
 CFL_MAX = 0.25
 
-# Global error, in max|u|, that choose_step allows its pilot to predict at
+# Global error, in max|u|, that a run's step-choosing pilot may predict at
 # the final time: 1% of the 1e-6 deviation gate of the dynamical checks.
 ERROR_TARGET = 1e-8
 
@@ -57,7 +57,7 @@ ERROR_TARGET = 1e-8
 # that is still an hour: the budget bounds a run, it does not make it short.
 _STEP_BUDGET = ERROR_TARGET / np.finfo(float).eps
 
-# Pilot rounds before choose_step gives up.  The global error scales as
+# Pilot rounds before evolve_trajectory gives up.  The global error scales as
 # dt^4, so one rescaling normally suffices; more rounds only help where
 # the error is not yet in its asymptotic regime.  A slow wave with a small
 # oscillation starts far outside it, from a cap the mean no longer
@@ -73,24 +73,29 @@ _BLOWUP_FACTOR = 1e6
 
 @dataclass(frozen=True)
 class EvolverConfig:
-    """Grid, fixed step size, final time and output options for one run.
+    """Grid, step size, final time and output options for one run.
 
-    T must be an integer number of steps (dt * round(T/dt) == T to 1e-9
-    relative); anything else silently lands at the wrong final time.
-    ``snapshot_every`` = s keeps every s-th step in the trajectory
-    (0 keeps only the endpoints).
+    dt = None lets the run choose its step (see evolve_trajectory).  A
+    given dt must divide T into an integer number of steps
+    (dt * round(T/dt) == T to 1e-9 relative); anything else silently lands
+    at the wrong final time.  ``snapshot_every`` = s keeps every s-th step
+    in the trajectory (0 keeps only the endpoints).
     """
 
     grid: PeriodicGrid
-    dt: float
+    dt: float | None
     T: float
     snapshot_every: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt!r}")
         if not math.isfinite(self.T) or self.T <= 0.0:
             raise DomainError(f"T must be positive, got {self.T!r}")
+        if self.snapshot_every < 0:
+            raise DomainError("snapshot_every must be >= 0")
+        if self.dt is None:
+            return
+        if not math.isfinite(self.dt) or self.dt <= 0.0:
+            raise DomainError(f"dt must be positive, got {self.dt!r}")
         if self.T / self.dt > _STEP_BUDGET:
             raise DomainError(
                 f"T = {self.T!r} takes more than {_STEP_BUDGET:.4g} steps of dt = {self.dt!r}"
@@ -100,22 +105,24 @@ class EvolverConfig:
             raise DomainError(
                 f"T = {self.T!r} is not an integer number of steps of dt = {self.dt!r}"
             )
-        if self.snapshot_every < 0:
-            raise DomainError("snapshot_every must be >= 0")
 
     @property
     def steps(self) -> int:
+        if self.dt is None:
+            raise DomainError("a config without dt has no step count until a run chooses dt")
         return round(self.T / self.dt)
 
     @classmethod
     def for_duration(cls, grid: PeriodicGrid, duration: float,
-                     target_dt: float, snapshot_every: int = 0) -> "EvolverConfig":
+                     target_dt: float | None, snapshot_every: int = 0) -> "EvolverConfig":
         """Config reaching ``duration`` in whole steps of size <= target_dt.
 
-        target_dt = inf asks for a single step.
+        target_dt = inf asks for a single step, None for the run's own step.
         """
         if not 0.0 < duration < math.inf:
             raise DomainError(f"duration must be positive and finite, got {duration!r}")
+        if target_dt is None:
+            return cls(grid=grid, dt=None, T=duration, snapshot_every=snapshot_every)
         if not target_dt > 0.0:
             raise DomainError(f"target_dt must be positive, got {target_dt!r}")
         if duration / target_dt > _STEP_BUDGET:
@@ -129,13 +136,16 @@ class EvolverConfig:
 class Trajectory:
     """Snapshots of one evolution; fields[i] is u(., times[i]).
 
-    ``cfl`` is the CFL number of the run's step from fields[0].
+    ``config`` is the run's config with the step it took, ``cfl`` the CFL
+    number of that step from fields[0], and ``error_estimate`` the pilot's
+    predicted global error, or None for a run given its step.
     """
 
-    grid: PeriodicGrid
+    config: EvolverConfig
     times: tuple[float, ...]
     fields: tuple[np.ndarray, ...]
     cfl: float
+    error_estimate: float | None
 
     @property
     def final(self) -> np.ndarray:
@@ -162,8 +172,15 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.N,):
         raise DomainError(f"u0 must have shape ({grid.N},), got {u0.shape}")
-    if not np.isfinite(u0).all():
-        raise DomainError("u0 must be finite")
+    # a non-finite sample makes the sum non-finite, and so does a finite
+    # field whose sum overflows, which would reach the CFL number as inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(u0.sum())
+    if not math.isfinite(total):
+        if not np.isfinite(u0).all():
+            raise DomainError("u0 must be finite")
+        raise DomainError(
+            f"the sum of u0 overflows (max|u0| = {float(np.abs(u0).max())!r})")
     return u0
 
 
@@ -238,18 +255,6 @@ class _GridSteps:
         return step
 
 
-@dataclass(frozen=True)
-class _Start:
-    """choose_step's hand-over: u0, the config, its CFL number and step, fft(u0), step 1."""
-
-    u0: np.ndarray
-    config: EvolverConfig
-    cfl: float
-    step: Callable[..., np.ndarray]
-    u_hat: np.ndarray
-    first: np.ndarray
-
-
 def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
                  ) -> tuple[float, Callable[..., np.ndarray], np.ndarray]:
     """Predicted max|u| error at T of a run with this config, its step and step 1.
@@ -272,45 +277,37 @@ def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
     return config.steps * local, full, first
 
 
-def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
-                snapshot_every: int = 0) -> tuple[EvolverConfig, float, _Start]:
-    """Config reaching ``duration`` with the largest step the guards allow.
+def _choose_step(tables: _GridSteps, u_hat: np.ndarray, rate: float,
+                 config: EvolverConfig
+                 ) -> tuple[EvolverConfig, float, Callable[..., np.ndarray], np.ndarray]:
+    """The config with the largest step the guards allow, its estimate, step and step 1.
 
-    Starts from the CFL cap dt <= CFL_MAX / (6 max|u0 - ubar| k_max), then
-    shrinks dt until the step-doubling pilot from u0 predicts a global
-    error at most ERROR_TARGET; the rounds share one _GridSteps.  Returns
-    the config, the pilot's estimate and the accepted round's step, its
-    CFL number, fft(u0) and step 1, to pass to evolve_trajectory as
-    ``start``.
-
-    Raises InstabilityError if no step meets the target within the pilot
-    rounds (for instance when roundoff alone exceeds it); never returns an
-    unchecked step.
+    Starts from the CFL cap dt <= CFL_MAX / rate, rate = 6 max|u0 - ubar|
+    k_max, then shrinks dt until the step-doubling pilot from u_hat
+    predicts a global error at most ERROR_TARGET; the rounds share the
+    run's tables.  Raises InstabilityError if no step meets the target
+    within the pilot rounds (for instance when roundoff alone exceeds it);
+    never returns an unchecked step.
     """
-    u0 = _checked_field(u0, grid)
-    rate = cfl_number(u0, grid, 1.0)
+    duration = config.T
     # a hair under the cap, so rounding in T / steps cannot push the chosen
-    # step past the refusal in evolve_trajectory
+    # step past it
     target_dt = duration if rate == 0.0 else min(
         duration, (1.0 - 1e-12) * CFL_MAX / rate)
-    u_hat = fft(u0)
-    tables = _GridSteps(grid, u_hat[0].real / grid.N)
-    # a round whose stages overflow (see evolve_trajectory) gives a
-    # non-finite estimate, which ends the rounds
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_PILOT_ROUNDS):
-            config = EvolverConfig.for_duration(grid, duration, target_dt, snapshot_every)
-            estimate, step, first = _pilot_error(tables, u_hat, config)
-            if estimate <= ERROR_TARGET:
-                start = _Start(u0.copy(), config, rate * config.dt, step, u_hat, first)
-                return config, estimate, start
-            if not math.isfinite(estimate):
-                break
-            # global error ~ dt^4; aim 10% under the target
-            target_dt = config.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
-            # past the step budget roundoff alone misses the target
-            if math.ceil(duration / target_dt) > _STEP_BUDGET:
-                break
+    for _ in range(_PILOT_ROUNDS):
+        chosen = EvolverConfig.for_duration(config.grid, duration, target_dt,
+                                            config.snapshot_every)
+        estimate, step, first = _pilot_error(tables, u_hat, chosen)
+        if estimate <= ERROR_TARGET:
+            return chosen, estimate, step, first
+        # a round whose stages overflow gives a non-finite estimate
+        if not math.isfinite(estimate):
+            break
+        # global error ~ dt^4; aim 10% under the target
+        target_dt = chosen.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
+        # past the step budget roundoff alone misses the target
+        if math.ceil(duration / target_dt) > _STEP_BUDGET:
+            break
     raise InstabilityError(
         f"no step meets the error target {ERROR_TARGET!r} within "
         f"{_PILOT_ROUNDS} pilot rounds and {_STEP_BUDGET:.4g} steps "
@@ -318,51 +315,45 @@ def choose_step(u0: np.ndarray, grid: PeriodicGrid, duration: float,
     )
 
 
-def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
-                      start: _Start | None = None) -> Trajectory:
+def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     """Integrate u0 forward to T, keeping snapshots per the config.
 
-    Raises InstabilityError before the first step if the CFL number of
-    (u0, dt) exceeds CFL_MAX, and during the run if any spectral amplitude
-    grows beyond 1e6 times the initial peak; the check runs before the
-    report stage so a blown-up run never produces drift numbers.  The
-    trajectory keeps the CFL number.
-
-    ``start`` is choose_step's hand-over for this u0 and config: the run
-    takes its u0, CFL number, step, fft(u0) and step 1 instead of computing
-    them again, and raises DomainError if it was made for another u0 or
-    config.  Every guard still applies, the spectral-peak check to the
-    handed step 1 too.
+    With config.dt = None the run takes the largest step whose pilot
+    predicts a global error at most ERROR_TARGET, and raises
+    InstabilityError if no step does.  A given dt is refused with
+    InstabilityError before the first step if the CFL number of (u0, dt)
+    exceeds CFL_MAX.  Either run raises InstabilityError if any spectral
+    amplitude grows beyond 1e6 times the initial peak; the check runs
+    before the report stage so a blown-up run never produces drift
+    numbers.  The trajectory keeps the config with the step taken, its CFL
+    number and the pilot's estimate.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
-    if start is None:
-        cfl = cfl_number(u0, grid, config.dt)
-    elif start.config == config and np.array_equal(start.u0, u0):
-        u0, cfl = start.u0, start.cfl
-    else:
-        raise DomainError(f"start was made for another u0 or config than {config}")
-    if cfl > CFL_MAX:
+    rate = cfl_number(u0, grid, 1.0)
+    if config.dt is not None and rate * config.dt > CFL_MAX:
         raise InstabilityError(
-            f"dt = {config.dt!r} gives CFL number {cfl!r} > {CFL_MAX}"
+            f"dt = {config.dt!r} gives CFL number {rate * config.dt!r} > {CFL_MAX}"
         )
-    if start is None:
-        u_hat = fft(u0)
-        tables = _GridSteps(grid, u_hat[0].real / grid.N)
-        step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
-    else:
-        step, u_hat = start.step, start.u_hat
+    u_hat = fft(u0)
+    tables = _GridSteps(grid, u_hat[0].real / grid.N)
     limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
 
+    error_estimate = None
     times = [0.0]
     fields = [u0.copy()]
     # under a huge mean, v = ifft(u_hat) - ubar still holds the transforms'
     # rounding of the mean, and the stages can overflow on it; the peak
-    # check turns the non-finite spectrum into InstabilityError
+    # check turns the non-finite spectrum into InstabilityError, and the
+    # pilot's non-finite estimate ends its rounds
     with np.errstate(over="ignore", invalid="ignore"):
-        u_hat = step(u_hat) if start is None else start.first
+        if config.dt is None:
+            config, error_estimate, step, u_hat = _choose_step(tables, u_hat, rate, config)
+        else:
+            step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
+            u_hat = step(u_hat)
         for n in range(1, config.steps + 1):
             if n > 1:
                 u_hat = step(u_hat)
@@ -377,7 +368,8 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig, *,
             if keep:
                 times.append(n * config.dt)
                 fields.append(ifft(u_hat).real)
-    return Trajectory(grid=grid, times=tuple(times), fields=tuple(fields), cfl=cfl)
+    return Trajectory(config=config, times=tuple(times), fields=tuple(fields),
+                      cfl=rate * config.dt, error_estimate=error_estimate)
 
 
 @dataclass(frozen=True)

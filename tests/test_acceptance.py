@@ -24,7 +24,7 @@ from landen_kdv import (
     soliton_limit_check,
 )
 from landen_kdv.cli import main as cli_main
-from landen_kdv.evolve import choose_step, conservation_report, evolve_trajectory
+from landen_kdv.evolve import EvolverConfig, conservation_report, evolve_trajectory
 from landen_kdv.verify import _as_written
 
 
@@ -216,8 +216,8 @@ def test_criterion_7_dynamical_confirmation():
         grid = params.natural_grid(n=256)
         duration = grid.L / abs(params.velocity)  # one full period crossing
         u0 = params.sample(grid, 0.0)
-        config, _, handover = choose_step(u0, grid, duration, snapshot_every=100)
-        traj = evolve_trajectory(u0, config, start=handover)
+        traj = evolve_trajectory(u0, EvolverConfig(grid, None, duration, snapshot_every=100))
+        config = traj.config
         deviation = float(np.max(np.abs(traj.final - params.sample(grid, config.T))))
         drift = conservation_report(traj).mass_drift
         crossed = abs(params.velocity) * config.T / grid.L

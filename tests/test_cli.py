@@ -255,6 +255,17 @@ class TestEvolveCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("instability: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--dt", "1e-3"]], ids=" ".join)
+    def test_offset_whose_sum_overflows_is_one_error_line(self, capsys, flags):
+        # the field is finite but its sum is not: an input refusal that
+        # names max|u0|, not a target_dt of 0 or a CFL number of inf
+        argv = ["evolve", "--family", "up", "-p", "3", "-m", "0.5",
+                "--beta", "1e306", "--T", "0.01", *flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the sum of u0 overflows (max|u0| = 1e+306)\n"
+
     @pytest.mark.parametrize("option", [
         "--T=nan", "--T=inf", "--dt=nan", "--periods-crossed=nan"])
     def test_non_finite_duration_is_a_domain_error(self, capsys, option):
@@ -326,9 +337,9 @@ class TestEvolveCommand:
         assert main(argv) == 0
         handed = capsys.readouterr().out
 
-        build, pilot, trajectory = (evolve_module._GridSteps.step,
-                                    evolve_module._pilot_error,
-                                    cli_module.evolve_trajectory)
+        build, pilot, choose = (evolve_module._GridSteps.step,
+                                evolve_module._pilot_error,
+                                evolve_module._choose_step)
         steps, pilots = [], []
 
         def counting_build(self, *args):
@@ -345,8 +356,11 @@ class TestEvolveCommand:
         assert len(steps) == 3 * rounds + record["steps"] - 1
 
         # the run with its first step computed again writes the same record
-        monkeypatch.setattr(cli_module, "evolve_trajectory",
-                            lambda u0, config, start: trajectory(u0, config))
+        def recomputed_first(tables, u_hat, rate, config):
+            chosen, estimate, step, _ = choose(tables, u_hat, rate, config)
+            return chosen, estimate, step, step(u_hat)
+
+        monkeypatch.setattr(evolve_module, "_choose_step", recomputed_first)
         steps.clear()
         assert main(argv) == 0
         assert capsys.readouterr().out == handed

@@ -5,7 +5,6 @@ checked against them directly; self-convergence at dt halving pins the
 fourth-order rate.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from landen_kdv.evolve import (
     ConservationReport,
     EvolverConfig,
     cfl_number,
-    choose_step,
     conservation_report,
     evolve_trajectory,
     translation_lag,
@@ -56,16 +54,16 @@ class TestConfig:
         params, wave_grid = cnoidal_setup()
         u = params.sample(wave_grid, 0.0)
         cap = CFL_MAX / cfl_number(u, wave_grid, 1.0)
-        chosen, estimate, start = choose_step(u, wave_grid, 0.05)
-        assert estimate <= ERROR_TARGET
-        assert chosen.steps == int(np.ceil(0.05 / cap)) > 1
-        assert start.cfl == cfl_number(u, wave_grid, 1.0) * chosen.dt <= CFL_MAX
+        traj = evolve_trajectory(u, EvolverConfig(wave_grid, None, 0.05))
+        assert traj.error_estimate <= ERROR_TARGET
+        assert traj.config.steps == int(np.ceil(0.05 / cap)) > 1
+        assert traj.cfl == cfl_number(u, wave_grid, traj.config.dt) <= CFL_MAX
         # a constant state has no oscillation: one step crosses any duration
         u = np.full(64, -0.7)
-        chosen, estimate, start = choose_step(u, grid, 0.5)
-        assert estimate <= ERROR_TARGET
-        assert chosen.steps == 1
-        assert start.cfl <= CFL_MAX
+        traj = evolve_trajectory(u, EvolverConfig(grid, None, 0.5))
+        assert traj.error_estimate <= ERROR_TARGET
+        assert traj.config.steps == 1
+        assert traj.cfl <= CFL_MAX
 
     def test_for_duration_rounds_steps_up(self):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
@@ -74,9 +72,13 @@ class TestConfig:
         assert config.steps * config.dt == pytest.approx(1.0, rel=1e-12)
         # an infinite target step asks for a single step
         assert EvolverConfig.for_duration(grid, duration=1.0, target_dt=math.inf).steps == 1
+        # no target step leaves the step to the run
+        assert EvolverConfig.for_duration(grid, 1.0, None, 3) == EvolverConfig(
+            grid=grid, dt=None, T=1.0, snapshot_every=3)
 
     @pytest.mark.parametrize("target_dt, duration", [
-        (1e-3, math.nan), (1e-3, math.inf), (math.nan, 1.0)])
+        (1e-3, math.nan), (1e-3, math.inf), (math.nan, 1.0), (None, math.nan),
+        (None, -1.0)])
     def test_for_duration_refuses_non_finite_duration(self, target_dt, duration):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         with pytest.raises(DomainError):
@@ -118,6 +120,21 @@ class TestConfig:
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         with pytest.raises(DomainError):
             EvolverConfig(grid=grid, dt=1e-4, T=1e-2, snapshot_every=-1)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_config_without_a_step_still_checks_T(self, T):
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(DomainError, match="T must be positive"):
+            EvolverConfig(grid=grid, dt=None, T=T)
+
+    def test_config_without_a_step_still_checks_snapshots(self):
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(DomainError, match="snapshot_every"):
+            EvolverConfig(grid=grid, dt=None, T=1e-2, snapshot_every=-1)
+        unchosen = EvolverConfig(grid=grid, dt=None, T=1e-2, snapshot_every=0)
+        # the run chooses the step count; until then there is none to read
+        with pytest.raises(DomainError, match="no step count"):
+            unchosen.steps
 
 
 class TestAccuracy:
@@ -163,7 +180,7 @@ class TestAccuracy:
         with pytest.raises(DomainError, match="finite"):
             evolve_trajectory(u0, EvolverConfig.for_duration(grid, 0.02, 1e-4))
         with pytest.raises(DomainError, match="finite"):
-            choose_step(u0, grid, 0.02)
+            evolve_trajectory(u0, EvolverConfig(grid, None, 0.02))
 
 
 def textbook_step(grid, dt, u_hat):
@@ -242,6 +259,15 @@ class TestTrajectory:
         config = EvolverConfig.for_duration(grid, duration=0.02, target_dt=1e-4)
         traj = evolve_trajectory(params.sample(grid, 0.0), config)
         assert len(traj.times) == 2
+
+    def test_fixed_step_run_keeps_its_config(self):
+        params, grid = cnoidal_setup(n=128)
+        u0 = params.sample(grid, 0.0)
+        config = EvolverConfig.for_duration(grid, duration=0.02, target_dt=1e-4)
+        traj = evolve_trajectory(u0, config)
+        assert traj.config is config
+        assert traj.error_estimate is None
+        assert traj.cfl == cfl_number(u0, grid, config.dt)
 
 
 # Sampled-mean drift allowed, in ulps of 1: mean(ifft(u_hat).real) rounds
@@ -330,7 +356,7 @@ class TestInstability:
         u0 = params.sample(grid, 0.0)
         assert cfl_number(u0, grid, 1.0) == 0.0
         with pytest.raises(InstabilityError, match="error target"):
-            choose_step(u0, grid, 0.01)
+            evolve_trajectory(u0, EvolverConfig(grid, None, 0.01))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_offset_fixed_step_run_raises(self):
@@ -339,6 +365,19 @@ class TestInstability:
         config = EvolverConfig.for_duration(grid, duration=0.01, target_dt=1e-3)
         with pytest.raises(InstabilityError, match="spectral peak .* after step 1 "):
             evolve_trajectory(params.sample(grid, 0.0), config)
+
+    # an offset near the float range: the field is finite but its sum is
+    # not, which the CFL number read as inf; refused as an input, for a
+    # chosen and a given step alike, with no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_offset_whose_sum_overflows_is_refused(self, dt):
+        params = DnWaveParams(alpha=1.0, beta=1e306, m=0.5, p=3)
+        grid = params.natural_grid(n=256)
+        u0 = params.sample(grid, 0.0)
+        assert np.isfinite(u0).all()
+        with pytest.raises(DomainError, match=r"sum of u0 overflows \(max\|u0\| = 1e\+306\)"):
+            evolve_trajectory(u0, EvolverConfig.for_duration(grid, 0.01, dt))
 
 
 class TestStepChoice:
@@ -349,23 +388,29 @@ class TestStepChoice:
         grid = params.natural_grid(n=128)
         duration = grid.L / abs(params.velocity)  # one full period crossing
         u0 = params.sample(grid, 0.0)
-        chosen, estimate, _ = choose_step(u0, grid, duration)
+        chosen = evolve_trajectory(u0, EvolverConfig(grid, None, duration))
         cfl_only = EvolverConfig.for_duration(
             grid, duration, CFL_MAX / cfl_number(u0, grid, 1.0))
         exact = params.sample(grid, duration)
-        assert estimate <= ERROR_TARGET
-        assert np.max(np.abs(evolve_trajectory(u0, chosen).final - exact)) <= 1e-6
+        assert chosen.error_estimate <= ERROR_TARGET
+        assert np.max(np.abs(chosen.final - exact)) <= 1e-6
         assert np.max(np.abs(evolve_trajectory(u0, cfl_only).final - exact)) > 1e-6
 
-    def test_one_table_build_per_evolve_run(self, monkeypatch, capsys):
-        # the pilot rounds share one set of tables and hand the run the
-        # accepted step; a run with --dt builds its own tables and one step
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The grids of the _GridSteps built and the dt of each step built on them."""
         tables, built = [], []
         init, build = evolve_module._GridSteps.__init__, evolve_module._GridSteps.step
         monkeypatch.setattr(evolve_module._GridSteps, "__init__",
                             lambda self, grid, mean: tables.append(grid) or init(self, grid, mean))
         monkeypatch.setattr(evolve_module._GridSteps, "step",
                             lambda self, dt, *exps: built.append(dt) or build(self, dt, *exps))
+        return tables, built
+
+    def test_one_table_build_per_evolve_run(self, builds, capsys):
+        # the pilot rounds share the run's one set of tables and the run
+        # takes the accepted step; a run with --dt builds one step
+        tables, built = builds
         wave = ["evolve", "--family", "u1", "-m", "0.5", "--n", "128", "--json"]
         assert main([*wave, "--periods-crossed", "0.05"]) == 0
         assert len(tables) == 1
@@ -375,13 +420,18 @@ class TestStepChoice:
         assert (len(tables), built) == (1, [1e-4])
         capsys.readouterr()
 
+    def test_chosen_run_pilots_on_one_set_of_tables(self, builds, monkeypatch):
+        # each pilot round builds a step of dt and one of dt/2 on the run's
+        # tables, and the run steps with the accepted round's dt step
+        tables, built = builds
+        pilot, rounds = evolve_module._pilot_error, []
+        monkeypatch.setattr(evolve_module, "_pilot_error",
+                            lambda *args: rounds.append(args[2].dt) or pilot(*args))
         params, grid = cnoidal_setup(n=128)
-        u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, 0.02)
-        tables.clear()
-        built.clear()
-        evolve_trajectory(u0, chosen, start=start)
-        assert (tables, built) == ([], [])
+        traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, 0.02))
+        assert tables == [grid]
+        assert len(rounds) >= 1 and rounds[-1] == traj.config.dt
+        assert built == [h for dt in rounds for h in (dt, dt / 2.0)]
 
     def test_shared_first_stage_leaves_the_pilot_unchanged(self):
         # the dt step and the first dt/2 step share nonlinear(u_hat); the
@@ -401,57 +451,35 @@ class TestStepChoice:
         assert estimate == config.steps * local
         assert np.array_equal(u_hat, before)
 
-    def test_handed_start_reproduces_the_run_bit_for_bit(self):
-        # the accepted round's step, fft(u0) and step 1 are the run's own,
-        # so every snapshot is unchanged
+    def test_chosen_run_equals_a_fixed_run_at_its_config(self):
+        # the pilot's step and step 1 are the run's own, so every snapshot
+        # is the one a run given the chosen step computes afresh
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, 0.05, snapshot_every=7)
-        assert start.config == chosen
-        assert np.array_equal(start.u_hat, fft(u0))
-        handed = evolve_trajectory(u0, chosen, start=start)
-        computed = evolve_trajectory(u0, chosen)
-        assert handed.times == computed.times
-        assert len(handed.fields) == len(computed.fields) > 2
-        for ours, theirs in zip(handed.fields, computed.fields):
+        chosen = evolve_trajectory(u0, EvolverConfig(grid, None, 0.05, snapshot_every=7))
+        assert chosen.config.dt is not None and chosen.config.snapshot_every == 7
+        fixed = evolve_trajectory(u0, chosen.config)
+        assert fixed.error_estimate is None and fixed.cfl == chosen.cfl
+        assert fixed.times == chosen.times
+        assert len(fixed.fields) == len(chosen.fields) > 2
+        for ours, theirs in zip(chosen.fields, fixed.fields):
             assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
-    def test_non_finite_handed_step_is_caught(self):
+    def test_non_finite_handed_step_is_caught(self, monkeypatch):
+        # the pilot hands the run its step 1, which the peak check guards
+        # as it guards every step
+        pilot = evolve_module._pilot_error
+
+        def poisoned(*args):
+            estimate, step, first = pilot(*args)
+            first = first.copy()
+            first[3] = complex(np.nan, 0.0)
+            return estimate, step, first
+
+        monkeypatch.setattr(evolve_module, "_pilot_error", poisoned)
         params, grid = cnoidal_setup(n=128)
-        u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, 0.05)
-        first = start.first.copy()
-        first[3] = complex(np.nan, 0.0)
         with pytest.raises(InstabilityError, match="spectral peak .* after step 1 "):
-            evolve_trajectory(u0, chosen, start=dataclasses.replace(start, first=first))
-
-    def test_foreign_start_is_refused(self):
-        # the pilot's step of dt run under a config of dt/2 takes twice the
-        # steps of dt and ends 0.26 from the exact wave, not 7.6e-11
-        params, grid = cnoidal_setup(n=256)
-        u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, 0.05)
-        halved = EvolverConfig(grid=grid, dt=chosen.dt / 2.0, T=chosen.T)
-        assert halved.steps == 2 * chosen.steps
-        with pytest.raises(DomainError, match="start was made for"):
-            evolve_trajectory(u0, halved, start=start)
-        wider = dataclasses.replace(chosen, grid=PeriodicGrid(N=grid.N, L=2.0 * grid.L))
-        with pytest.raises(DomainError, match="start was made for"):
-            evolve_trajectory(u0, wider, start=start)
-
-    def test_start_for_another_u0_is_refused(self):
-        # a start checked only by grid and dt evolved the u0 it was made for
-        # under the name of another: with u0 shifted by a quarter period the
-        # final field ended 0.72 from an honest run, and no error was raised
-        params, grid = cnoidal_setup(n=256)
-        u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, 0.05)
-        with pytest.raises(DomainError, match="start was made for"):
-            evolve_trajectory(np.roll(u0, 64), chosen, start=start)
-        # the start keeps its own copy, so editing u0 in place is caught too
-        u0 += 0.1
-        with pytest.raises(DomainError, match="start was made for"):
-            evolve_trajectory(u0, chosen, start=start)
+            evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, 0.05))
 
     def test_three_copy_criterion_7_wave_takes_under_400_steps(self):
         # the mean, 99.7% of max|u|, rides in the integrating factor: 333
@@ -459,9 +487,9 @@ class TestStepChoice:
         params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
         grid = params.natural_grid(n=256)
         duration = grid.L / abs(params.velocity)
-        chosen, estimate, _ = choose_step(params.sample(grid, 0.0), grid, duration)
-        assert estimate <= ERROR_TARGET
-        assert chosen.steps < 400
+        traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, duration))
+        assert traj.error_estimate <= ERROR_TARGET
+        assert traj.config.steps < 400
 
     def test_mostly_mean_wave_crosses_in_one_step(self):
         # eight copies at m = 0.7: an oscillation of 5.7e-7 about a mean of
@@ -470,10 +498,10 @@ class TestStepChoice:
         grid = params.natural_grid(n=256)
         duration = grid.L / abs(params.velocity)
         u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, duration)
-        assert chosen.steps == 1
+        traj = evolve_trajectory(u0, EvolverConfig(grid, None, duration))
+        assert traj.config.steps == 1
         oscillation = np.max(np.abs(u0 - np.mean(u0)))
-        final = evolve_trajectory(u0, chosen, start=start).final
+        final = traj.final
         assert np.max(np.abs(final - params.sample(grid, duration))) <= 1e-6 * oscillation
 
     def test_slow_small_oscillation_wave_gets_a_step(self, monkeypatch):
@@ -486,8 +514,8 @@ class TestStepChoice:
         pilot, rounds = evolve_module._pilot_error, []
         monkeypatch.setattr(evolve_module, "_pilot_error",
                             lambda *args: rounds.append(args) or pilot(*args))
-        chosen, estimate, _ = choose_step(params.sample(grid, 0.0), grid, duration)
-        assert estimate <= ERROR_TARGET
+        traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, duration))
+        assert traj.error_estimate <= ERROR_TARGET
         assert len(rounds) == 5
 
     @pytest.mark.parametrize("p, m", [
@@ -505,8 +533,7 @@ class TestStepChoice:
         grid = params.natural_grid(n=512)
         duration = grid.L / abs(params.velocity)
         u0 = params.sample(grid, 0.0)
-        chosen, _, start = choose_step(u0, grid, duration)
-        final = evolve_trajectory(u0, chosen, start=start).final
+        final = evolve_trajectory(u0, EvolverConfig(grid, None, duration)).final
         assert np.max(np.abs(final - params.sample(grid, duration))) <= 1e-6
 
     def test_unreachable_target_raises(self):
@@ -514,7 +541,7 @@ class TestStepChoice:
         # many that their summed roundoff stays far above the target
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         with pytest.raises(InstabilityError, match="error target"):
-            choose_step(1e9 * np.sin(grid.x), grid, 1e-6)
+            evolve_trajectory(1e9 * np.sin(grid.x), EvolverConfig(grid, None, 1e-6))
 
 
 class TestTranslationLag:
