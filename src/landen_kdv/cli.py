@@ -299,9 +299,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     traj = evolve_trajectory(u0, config)
     config, error_estimate = traj.config, traj.error_estimate
     cons = conservation_report(traj)
-    predicted_lag = math.fmod(wave.velocity * config.T, grid.L)
-    if predicted_lag < 0.0:
+    # V*T mod L in [-dx/2, L - dx/2), whose nearest grid shift is the one
+    # translation_lag reads in [0, L); + 0.0 turns a -0.0 into 0.0
+    predicted_lag = math.fmod(wave.velocity * config.T, grid.L) + 0.0
+    half_dx = grid.spacing / 2.0
+    if predicted_lag < -half_dx:
         predicted_lag += grid.L
+    elif predicted_lag >= grid.L - half_dx:
+        predicted_lag -= grid.L
     record = {
         "schema": SCHEMA, "family": args.family, "N": grid.N, "L": grid.L,
         "dt": config.dt, "T": config.T, "steps": config.steps,

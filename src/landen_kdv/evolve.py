@@ -152,28 +152,12 @@ class Trajectory:
         return self.fields[-1]
 
 
-def cfl_number(u: np.ndarray, grid: PeriodicGrid, dt: float) -> float:
-    """Nonlinear CFL number dt * 6 max|u - ubar| * k_max of a step from u.
-
-    ubar is the mean of u.  The integrating factor carries the advection
-    6 ubar u_x exactly, so the stepped term 6 v v_x, v = u - ubar, has the
-    advection speed 6 |v|.  k_max = (2/3) pi N / L is an upper bound on the
-    wavenumbers the 2/3 rule keeps: at N = 256 the largest kept |k| is
-    84 * 2 pi / L, not 85.3 * 2 pi / L.
-    """
-    k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
-    # sum / size is what np.mean computes, without its per-call dispatch
-    oscillation = float(np.abs(u - float(u.sum()) / u.size).max())
-    # dt times the rate at dt = 1, so the rate times dt is this to the bit
-    return dt * (6.0 * oscillation * k_max)
-
-
 def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.N,):
         raise DomainError(f"u0 must have shape ({grid.N},), got {u0.shape}")
     # a non-finite sample makes the sum non-finite, and so does a finite
-    # field whose sum overflows, which would reach the CFL number as inf
+    # field whose sum overflows, which would reach ubar and the CFL rate
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(u0.sum())
     if not math.isfinite(total):
@@ -185,20 +169,28 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 class _GridSteps:
-    """The tables of the IF-RK4 steps of one run, and the steps built on them.
+    """The IF-RK4 scheme of one run: its tables, its CFL rate and its steps.
 
-    The FFT plans, i (k^3 + 6 ubar k) and the dealiased 3 i k are computed
-    once per run, for its grid and its conserved mean ubar.  A step of dt
-    reads the integrating factor at h = dt and dt/2, which its caller
-    passes in.  A step holds no state between calls.
+    Built once per run from u0 and u_hat = fft(u0): the FFT plans, the
+    conserved mean ubar = u_hat[0].real / N, i (k^3 + 6 ubar k), the
+    dealiased 3 i k and the CFL rate 6 max|u0 - ubar| k_max.  The stepped
+    term 6 v v_x, v = u - ubar, advects at 6 |v|, and k_max = (2/3) pi N / L
+    bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
+    |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  Each integrating factor a
+    step reads, at h = dt and dt/2, is computed once per run, so the pilot's
+    dt/2 step reuses the dt step's half-step factor.  A step holds no state
+    between calls.
     """
 
-    def __init__(self, grid: PeriodicGrid, mean: float) -> None:
+    def __init__(self, grid: PeriodicGrid, u0: np.ndarray, u_hat: np.ndarray) -> None:
         self.forward, self.inverse = _plan(grid.N)
-        self.mean = mean
+        self.mean = mean = u_hat[0].real / grid.N
+        k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
+        self.rate = 6.0 * float(np.abs(u0 - mean).max()) * k_max
         k = grid.k
         self.linear = 1j * (k * k * k + 6.0 * mean * k)
         self.coeff = 3j * k * kept_modes(grid.N)
+        self._factors: dict[float, np.ndarray] = {}
 
     def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
         """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar, a new array.
@@ -211,21 +203,25 @@ class _GridSteps:
         out = _four_step(v * v, self.forward)
         return np.multiply(self.coeff, out, out=out)
 
-    def exp(self, h: float) -> np.ndarray:
+    def _factor(self, h: float) -> np.ndarray:
         """The integrating factor exp(i (k^3 + 6 ubar k) h) over a time h."""
-        return np.exp(self.linear * h)
+        factor = self._factors.get(h)
+        if factor is None:
+            factor = self._factors[h] = np.exp(self.linear * h)
+        return factor
 
-    def step(self, dt: float, e_full: np.ndarray,
-             e_half: np.ndarray) -> Callable[..., np.ndarray]:
-        """One IF-RK4 step of size dt, spectrum to spectrum; e_full = exp(dt).
+    def step(self, dt: float) -> Callable[..., np.ndarray]:
+        """One IF-RK4 step of size dt, spectrum to spectrum.
 
-        The step computes, with the stages updated in place,
+        With e_full and e_half the integrating factors at dt and dt/2, the
+        step computes, with the stages updated in place,
         e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d).  Every product
         keeps the operand order of that expression: with fused multiply-add
         a*b and b*a can round differently, and swapping e_full*a alone
         changes the step's last bits.  A caller that already holds the
         first stage a = nonlinear(u_hat) may pass it; the step overwrites it.
         """
+        e_full, e_half = self._factor(dt), self._factor(dt / 2.0)
         nonlinear = self.nonlinear
         dt_e_half = dt * e_half
         two_e_half = 2.0 * e_half
@@ -262,34 +258,30 @@ def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
     Step doubling: one step of dt and two of dt/2 differ by about the
     local error of the dt step.  The run takes config.steps such steps and
     local errors add up, so the product is the global estimate.  The dt
-    step and its result from u_hat are the run's step and step 1.  The dt/2
-    step's e_full is the dt step's e_half, the same bits.  Both steps start
-    from the stage nonlinear(u_hat), evaluated once; each step overwrites
-    the stage it is given, so the dt step takes a copy.
+    step and its result from u_hat are the run's step and step 1.  Both
+    steps start from the stage nonlinear(u_hat), evaluated once; each step
+    overwrites the stage it is given, so the dt step takes a copy.
     """
     dt = config.dt
-    e_half = tables.exp(dt / 2.0)
-    full = tables.step(dt, tables.exp(dt), e_half)
-    half = tables.step(dt / 2.0, e_half, tables.exp(dt / 4.0))
+    full, half = tables.step(dt), tables.step(dt / 2.0)
     a = tables.nonlinear(u_hat)
     first = full(u_hat, a.copy())
     local = float(np.abs(ifft(first - half(half(u_hat, a))).real).max())
     return config.steps * local, full, first
 
 
-def _choose_step(tables: _GridSteps, u_hat: np.ndarray, rate: float,
-                 config: EvolverConfig
+def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
                  ) -> tuple[EvolverConfig, float, Callable[..., np.ndarray], np.ndarray]:
     """The config with the largest step the guards allow, its estimate, step and step 1.
 
-    Starts from the CFL cap dt <= CFL_MAX / rate, rate = 6 max|u0 - ubar|
-    k_max, then shrinks dt until the step-doubling pilot from u_hat
-    predicts a global error at most ERROR_TARGET; the rounds share the
-    run's tables.  Raises InstabilityError if no step meets the target
-    within the pilot rounds (for instance when roundoff alone exceeds it);
-    never returns an unchecked step.
+    Starts from the CFL cap dt <= CFL_MAX / tables.rate, then shrinks dt
+    until the step-doubling pilot from u_hat predicts a global error at
+    most ERROR_TARGET; the rounds share the run's tables.  Raises
+    InstabilityError if no step meets the target within the pilot rounds
+    (for instance when roundoff alone exceeds it); never returns an
+    unchecked step.
     """
-    duration = config.T
+    duration, rate = config.T, tables.rate
     # a hair under the cap, so rounding in T / steps cannot push the chosen
     # step past it
     target_dt = duration if rate == 0.0 else min(
@@ -330,13 +322,12 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
-    rate = cfl_number(u0, grid, 1.0)
-    if config.dt is not None and rate * config.dt > CFL_MAX:
-        raise InstabilityError(
-            f"dt = {config.dt!r} gives CFL number {rate * config.dt!r} > {CFL_MAX}"
-        )
     u_hat = fft(u0)
-    tables = _GridSteps(grid, u_hat[0].real / grid.N)
+    tables = _GridSteps(grid, u0, u_hat)
+    if config.dt is not None and tables.rate * config.dt > CFL_MAX:
+        raise InstabilityError(
+            f"dt = {config.dt!r} gives CFL number {tables.rate * config.dt!r} > {CFL_MAX}"
+        )
     limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
@@ -350,9 +341,9 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     # pilot's non-finite estimate ends its rounds
     with np.errstate(over="ignore", invalid="ignore"):
         if config.dt is None:
-            config, error_estimate, step, u_hat = _choose_step(tables, u_hat, rate, config)
+            config, error_estimate, step, u_hat = _choose_step(tables, u_hat, config)
         else:
-            step = tables.step(config.dt, tables.exp(config.dt), tables.exp(config.dt / 2.0))
+            step = tables.step(config.dt)
             u_hat = step(u_hat)
         for n in range(1, config.steps + 1):
             if n > 1:
@@ -369,7 +360,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
                 times.append(n * config.dt)
                 fields.append(ifft(u_hat).real)
     return Trajectory(config=config, times=tuple(times), fields=tuple(fields),
-                      cfl=rate * config.dt, error_estimate=error_estimate)
+                      cfl=tables.rate * config.dt, error_estimate=error_estimate)
 
 
 @dataclass(frozen=True)

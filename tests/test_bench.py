@@ -6,7 +6,8 @@ own: ``cli.main`` and its routing, ``EvolverConfig(grid=, dt=, T=)``,
 functions its tracer wraps.  Each workload declared in BENCHMARK.json sets
 up, runs and gates its first items here, and one more item runs under the
 tracer, so a change that breaks what the benchmark reads fails here and
-not only in a benchmark run.
+not only in a benchmark run.  One traced item pair of each workload must
+also measure every per-layer metric BENCHMARK.json declares.
 """
 
 import json
@@ -16,7 +17,9 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-DECLARED = [w["name"] for w in json.loads((REPO / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text())
+DECLARED = [w["name"] for w in BENCHMARK["workloads"]]
+DECLARED_LAYERS = [m["name"] for m in BENCHMARK["per_layer"]]
 
 
 @pytest.fixture
@@ -59,9 +62,8 @@ def test_declared_workload_runs_and_traces(bench, tmp_path, name):
         wl.close()
 
 
-def test_probes_run(bench, monkeypatch):
-    # each probe's call once, untimed: the probes build their own inputs,
-    # EvolverConfig(grid=, dt=, T=) among them
+def untimed_probes(bench, monkeypatch) -> dict:
+    """The kernel probes with each probe's call made once, untimed."""
     import probes
 
     def once(fn, *args, **kwargs):
@@ -73,6 +75,35 @@ def test_probes_run(bench, monkeypatch):
             cache.cache_clear()
 
     monkeypatch.setattr(probes, "_median_call_s", once)
-    out = probes.run_probes(clear_caches)
+    return probes.run_probes(clear_caches)
+
+
+def test_probes_run(bench, monkeypatch):
+    # the probes build their own inputs, EvolverConfig(grid=, dt=, T=) among them
+    out = untimed_probes(bench, monkeypatch)
     assert out and all(math.isfinite(v) for v in out.values())
     assert out["probe.evolve_step_deviation"] < 1e-6
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_traced_run_measures_every_declared_layer_metric(bench, monkeypatch, tmp_path, name):
+    # run.py --trace 1 exits 2 when a per-layer metric BENCHMARK.json
+    # declares is None and no probe produces it; one item pair through the
+    # worker's own traced loop and layer metrics finds that here
+    tracing, workloads = bench
+    import landen_kdv
+    import worker
+    wl = workloads.WORKLOADS[name](seed=7, scratch=str(tmp_path))
+    try:
+        wl.setup()
+        items = wl.items()
+        tracer = tracing.Tracer()
+        plain, traced, extras = worker.run_traced(
+            wl, next(items), items, 0.0, tracing.typed_errors(),
+            landen_kdv.AliasingWarning, tracer)
+        measured = worker.layer_metrics(tracer, plain, traced, extras)
+    finally:
+        wl.close()
+    assert plain.failures == traced.failures == []
+    probed = untimed_probes(bench, monkeypatch)
+    assert [n for n in DECLARED_LAYERS if measured.get(n) is None and n not in probed] == []

@@ -239,6 +239,20 @@ class TestEvolveCommand:
         spacing = record["L"] / record["N"]
         assert abs(record["lag"] - record["predicted_lag"]) <= spacing
 
+    @pytest.mark.parametrize("wave", [
+        # V*T lands a hair under a whole period: the lag reads 0
+        ["--family", "u1", "-m", "0.7", "--periods-crossed", "3"],
+        # V*T is exactly -L, which fmod reduces to -0.0
+        ["--family", "u1", "-m", "0.5", "--beta", "2"],
+    ], ids=" ".join)
+    def test_predicted_lag_is_the_nearest_grid_shift(self, capsys, wave):
+        assert main(["evolve", *wave, "--json"]) == 0
+        out = capsys.readouterr().out
+        record = json.loads(out)
+        spacing = record["L"] / record["N"]
+        assert abs(record["lag"] - record["predicted_lag"]) <= spacing
+        assert '"predicted_lag": -0.0' not in out
+
     def test_instability_exit(self, capsys):
         assert main(["evolve", "--family", "u1", "-m", "0.5", "--n", "256",
                      "--T", "0.1", "--dt", "0.01"]) == 1
@@ -342,9 +356,9 @@ class TestEvolveCommand:
                                 evolve_module._choose_step)
         steps, pilots = [], []
 
-        def counting_build(self, *args):
-            step = build(self, *args)
-            return lambda *given: steps.append(args) or step(*given)
+        def counting_build(self, dt):
+            step = build(self, dt)
+            return lambda *given: steps.append(dt) or step(*given)
 
         monkeypatch.setattr(evolve_module._GridSteps, "step", counting_build)
         monkeypatch.setattr(evolve_module, "_pilot_error",
@@ -356,8 +370,8 @@ class TestEvolveCommand:
         assert len(steps) == 3 * rounds + record["steps"] - 1
 
         # the run with its first step computed again writes the same record
-        def recomputed_first(tables, u_hat, rate, config):
-            chosen, estimate, step, _ = choose(tables, u_hat, rate, config)
+        def recomputed_first(tables, u_hat, config):
+            chosen, estimate, step, _ = choose(tables, u_hat, config)
             return chosen, estimate, step, step(u_hat)
 
         monkeypatch.setattr(evolve_module, "_choose_step", recomputed_first)

@@ -25,7 +25,6 @@ from landen_kdv.evolve import (
     ERROR_TARGET,
     ConservationReport,
     EvolverConfig,
-    cfl_number,
     conservation_report,
     evolve_trajectory,
     translation_lag,
@@ -39,6 +38,18 @@ def cnoidal_setup(n=256, m=0.5):
     return params, grid
 
 
+def cfl_rate(u0, grid):
+    """6 max|u0 - ubar| k_max, ubar = fft(u0)[0].real / N: the CFL number at dt = 1."""
+    k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
+    return 6.0 * float(np.abs(u0 - fft(u0)[0].real / grid.N).max()) * k_max
+
+
+def grid_steps(grid, u0):
+    """The run's scheme for u0, built as evolve_trajectory builds it."""
+    u_hat = fft(u0)
+    return evolve_module._GridSteps(grid, u0, u_hat), u_hat
+
+
 class TestConfig:
     def test_steps_and_cap(self):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
@@ -47,17 +58,16 @@ class TestConfig:
         # the cap reads the oscillation about the mean, not the mean
         u = -0.7 + 0.2 * np.cos(grid.x)
         k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
-        assert cfl_number(u, grid, 1e-4) == pytest.approx(
-            1e-4 * 6.0 * 0.2 * k_max, rel=1e-13)
+        assert grid_steps(grid, u)[0].rate == pytest.approx(6.0 * 0.2 * k_max, rel=1e-13)
         # a short run of the cnoidal wave is accurate at the cap, so the
         # CFL cap alone sets dt: 95 steps, with an estimate of 1.5e-9
         params, wave_grid = cnoidal_setup()
         u = params.sample(wave_grid, 0.0)
-        cap = CFL_MAX / cfl_number(u, wave_grid, 1.0)
+        cap = CFL_MAX / cfl_rate(u, wave_grid)
         traj = evolve_trajectory(u, EvolverConfig(wave_grid, None, 0.05))
         assert traj.error_estimate <= ERROR_TARGET
         assert traj.config.steps == int(np.ceil(0.05 / cap)) > 1
-        assert traj.cfl == cfl_number(u, wave_grid, traj.config.dt) <= CFL_MAX
+        assert traj.cfl == cfl_rate(u, wave_grid) * traj.config.dt <= CFL_MAX
         # a constant state has no oscillation: one step crosses any duration
         u = np.full(64, -0.7)
         traj = evolve_trajectory(u, EvolverConfig(grid, None, 0.5))
@@ -213,13 +223,10 @@ class TestStep:
         # built as the pilot builds them, the dt/2 step reads its full-step
         # factor from the dt step's half-step one
         params, grid = cnoidal_setup(n=n)
-        u_hat = fft(params.sample(grid, 0.0))
+        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
         before = u_hat.copy()
-        tables = evolve_module._GridSteps(grid, u_hat[0].real / grid.N)
         dt = 1e-4
-        e_half = tables.exp(dt / 2.0)
-        steps = [(dt, tables.step(dt, tables.exp(dt), e_half)),
-                 (dt / 2.0, tables.step(dt / 2.0, e_half, tables.exp(dt / 4.0)))]
+        steps = [(dt, tables.step(dt)), (dt / 2.0, tables.step(dt / 2.0))]
         stage = tables.nonlinear(u_hat)
         for h, step in steps:
             expected = textbook_step(grid, h, u_hat).view(np.uint64)
@@ -233,11 +240,10 @@ class TestStep:
         # textbook IF-RK4 step written with the public transforms
         params, grid = cnoidal_setup(n=n)
         dt = 1e-4
-        u_hat = fft(params.sample(grid, 0.0))
+        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
         expected = textbook_step(grid, dt, u_hat)
         before = u_hat.copy()
-        tables = evolve_module._GridSteps(grid, u_hat[0].real / grid.N)
-        ours = tables.step(dt, tables.exp(dt), tables.exp(dt / 2.0))(u_hat)
+        ours = tables.step(dt)(u_hat)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(u_hat, before)
 
@@ -267,7 +273,19 @@ class TestTrajectory:
         traj = evolve_trajectory(u0, config)
         assert traj.config is config
         assert traj.error_estimate is None
-        assert traj.cfl == cfl_number(u0, grid, config.dt)
+        assert traj.cfl == cfl_rate(u0, grid) * config.dt
+
+    def test_cfl_reads_the_mean_the_integrating_factor_uses(self):
+        # ubar = fft(u0)[0].real / N, not the sampled mean sum(u0) / N,
+        # which rounds differently: one mean for the factor and the rate
+        params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
+        grid = params.natural_grid(n=256)
+        u0 = params.sample(grid, 0.0)
+        duration = 0.05 * grid.L / abs(params.velocity)
+        traj = evolve_trajectory(u0, EvolverConfig(grid, None, duration))
+        k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
+        mean = fft(u0)[0].real / grid.N
+        assert traj.cfl == 6.0 * float(np.abs(u0 - mean).max()) * k_max * traj.config.dt
 
 
 # Sampled-mean drift allowed, in ulps of 1: mean(ifft(u_hat).real) rounds
@@ -287,8 +305,8 @@ class TestConservation:
         build = evolve_module._GridSteps.step
         zero_modes = []
 
-        def recording_build(self, *args):
-            step = build(self, *args)
+        def recording_build(self, dt):
+            step = build(self, dt)
 
             def recorded(u_hat):
                 out = step(u_hat)
@@ -313,12 +331,12 @@ class TestInstability:
     def test_oversized_step_rejected_before_integration(self, monkeypatch):
         params, grid = cnoidal_setup()
         u0 = params.sample(grid, 0.0)
-        cap = CFL_MAX / cfl_number(u0, grid, 1.0)
+        cap = CFL_MAX / cfl_rate(u0, grid)
 
-        def no_tables(grid):
-            raise AssertionError("the refusal must come before any table or step")
+        def no_step(self, dt):
+            raise AssertionError("the refusal must come before any step")
 
-        monkeypatch.setattr(evolve_module, "_GridSteps", no_tables)
+        monkeypatch.setattr(evolve_module._GridSteps, "step", no_step)
         config = EvolverConfig(grid=grid, dt=1.01 * cap, T=20 * 1.01 * cap)
         with pytest.raises(InstabilityError, match="CFL"):
             evolve_trajectory(u0, config)
@@ -329,7 +347,7 @@ class TestInstability:
         # past the 1e6 growth limit, so the guard fires after step 20
         params, grid = cnoidal_setup()
         monkeypatch.setattr(evolve_module._GridSteps, "step",
-                            lambda self, *args: lambda u_hat: 2.0 * u_hat)
+                            lambda self, dt: lambda u_hat: 2.0 * u_hat)
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
         with pytest.raises(InstabilityError, match="spectral peak .* after step 20 "):
             evolve_trajectory(params.sample(grid, 0.0), config)
@@ -341,7 +359,7 @@ class TestInstability:
         grid = params.natural_grid(n=256)
         config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=8e-4)
         u0 = params.sample(grid, 0.0)
-        assert cfl_number(u0, grid, config.dt) > 2.0 * CFL_MAX
+        assert cfl_rate(u0, grid) * config.dt > 2.0 * CFL_MAX
         with pytest.raises(InstabilityError, match="CFL"):
             evolve_trajectory(u0, config)
 
@@ -354,7 +372,7 @@ class TestInstability:
         params = DnWaveParams(alpha=1.0, beta=beta, m=0.5, p=3)
         grid = params.natural_grid(n=256)
         u0 = params.sample(grid, 0.0)
-        assert cfl_number(u0, grid, 1.0) == 0.0
+        assert grid_steps(grid, u0)[0].rate == 0.0
         with pytest.raises(InstabilityError, match="error target"):
             evolve_trajectory(u0, EvolverConfig(grid, None, 0.01))
 
@@ -390,7 +408,7 @@ class TestStepChoice:
         u0 = params.sample(grid, 0.0)
         chosen = evolve_trajectory(u0, EvolverConfig(grid, None, duration))
         cfl_only = EvolverConfig.for_duration(
-            grid, duration, CFL_MAX / cfl_number(u0, grid, 1.0))
+            grid, duration, CFL_MAX / cfl_rate(u0, grid))
         exact = params.sample(grid, duration)
         assert chosen.error_estimate <= ERROR_TARGET
         assert np.max(np.abs(chosen.final - exact)) <= 1e-6
@@ -402,9 +420,9 @@ class TestStepChoice:
         tables, built = [], []
         init, build = evolve_module._GridSteps.__init__, evolve_module._GridSteps.step
         monkeypatch.setattr(evolve_module._GridSteps, "__init__",
-                            lambda self, grid, mean: tables.append(grid) or init(self, grid, mean))
+                            lambda self, grid, *u: tables.append(grid) or init(self, grid, *u))
         monkeypatch.setattr(evolve_module._GridSteps, "step",
-                            lambda self, dt, *exps: built.append(dt) or build(self, dt, *exps))
+                            lambda self, dt: built.append(dt) or build(self, dt))
         return tables, built
 
     def test_one_table_build_per_evolve_run(self, builds, capsys):
@@ -433,14 +451,33 @@ class TestStepChoice:
         assert len(rounds) >= 1 and rounds[-1] == traj.config.dt
         assert built == [h for dt in rounds for h in (dt, dt / 2.0)]
 
+    @pytest.mark.parametrize("dt, factors", [
+        (None, lambda dt: [dt, dt / 2.0, dt / 4.0]),
+        (1e-4, lambda dt: [dt, dt / 2.0]),
+    ], ids=["chosen", "given"])
+    def test_each_factor_is_computed_once(self, monkeypatch, dt, factors):
+        # a pilot round steps at dt and dt/2, and its dt/2 step reuses the
+        # dt step's half-step factor: three exponentials, not four; a run
+        # given its step computes two
+        schemes, rounds = [], []
+        init, pilot = evolve_module._GridSteps.__init__, evolve_module._pilot_error
+        monkeypatch.setattr(evolve_module._GridSteps, "__init__",
+                            lambda self, *args: schemes.append(self) or init(self, *args))
+        monkeypatch.setattr(evolve_module, "_pilot_error",
+                            lambda *args: rounds.append(args[2].dt) or pilot(*args))
+        params, grid = cnoidal_setup()
+        traj = evolve_trajectory(params.sample(grid, 0.0),
+                                 EvolverConfig.for_duration(grid, 0.05, dt))
+        assert len(rounds) == (dt is None)
+        assert list(schemes[0]._factors) == factors(traj.config.dt)
+
     def test_shared_first_stage_leaves_the_pilot_unchanged(self):
         # the dt step and the first dt/2 step share nonlinear(u_hat); the
         # pilot equals step doubling with every stage computed afresh
         params, grid = cnoidal_setup(n=256)
-        u_hat = fft(params.sample(grid, 0.0))
+        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
         before = u_hat.copy()
         config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
-        tables = evolve_module._GridSteps(grid, u_hat[0].real / grid.N)
         estimate, step, first = evolve_module._pilot_error(tables, u_hat, config)
         dt = config.dt
         expected_first = textbook_step(grid, dt, u_hat)

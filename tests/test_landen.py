@@ -192,12 +192,12 @@ class TestOffsetConstant:
         assert A_constant(1, 0.37) == 0.0
 
     @pytest.mark.parametrize("p,m", [(2, 0.5), (3, 0.7), (5, 0.9)])
-    def test_dual_oracle_gap_small(self, p, m):
+    def test_lattice_and_nome_A_agree(self, p, m):
         assert oracle_gap(p, m) < 1e-8
 
     @given(p=st.integers(2, 16), m=st.floats(1e-6, 0.999))
     @settings(max_examples=40, deadline=None)
-    def test_dual_oracle_gap_sweep(self, p, m):
+    def test_lattice_and_nome_A_agree_sweep(self, p, m):
         assert oracle_gap(p, m) < 1e-10
 
     @pytest.mark.parametrize("p,m", [(5, 1e-17), (8, 5e-324)])

@@ -242,7 +242,7 @@ class TestOneKernelCallPerLattice:
         equivalence_check(params, grid)
         assert calls.total() == 2
 
-    def test_speed_probe_profile(self, calls):
+    def test_upm_sum_profile(self, calls):
         profile = _upm_sum(PmWaveParams(alpha=1.0, m=0.5, sign=1), 3)
         calls.clear()
         profile(np.linspace(0.0, 3.0, 64))
