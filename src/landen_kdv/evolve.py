@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -90,8 +89,10 @@ class EvolverConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.T) or self.T <= 0.0:
             raise DomainError(f"T must be positive, got {self.T!r}")
-        if self.snapshot_every < 0:
-            raise DomainError("snapshot_every must be >= 0")
+        # True is an int, and 1.5 would keep steps 3, 6 and 9 through n % 1.5
+        every = self.snapshot_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 0:
+            raise DomainError(f"snapshot_every must be an integer >= 0, got {every!r}")
         if self.dt is None:
             return
         if not math.isfinite(self.dt) or self.dt <= 0.0:
@@ -176,10 +177,9 @@ class _GridSteps:
     dealiased 3 i k and the CFL rate 6 max|u0 - ubar| k_max.  The stepped
     term 6 v v_x, v = u - ubar, advects at 6 |v|, and k_max = (2/3) pi N / L
     bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
-    |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  Each integrating factor a
-    step reads, at h = dt and dt/2, is computed once per run, so the pilot's
-    dt/2 step reuses the dt step's half-step factor.  A step holds no state
-    between calls.
+    |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  The arrays a step reads at
+    h = dt and dt/2 are computed once per h and run, so the pilot's dt/2
+    step reuses the dt step's half-step arrays.
     """
 
     def __init__(self, grid: PeriodicGrid, u0: np.ndarray, u_hat: np.ndarray) -> None:
@@ -190,7 +190,7 @@ class _GridSteps:
         k = grid.k
         self.linear = 1j * (k * k * k + 6.0 * mean * k)
         self.coeff = 3j * k * kept_modes(grid.N)
-        self._factors: dict[float, np.ndarray] = {}
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
         """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar, a new array.
@@ -203,15 +203,16 @@ class _GridSteps:
         out = _four_step(v * v, self.forward)
         return np.multiply(self.coeff, out, out=out)
 
-    def _factor(self, h: float) -> np.ndarray:
-        """The integrating factor exp(i (k^3 + 6 ubar k) h) over a time h."""
+    def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """e = exp(i (k^3 + 6 ubar k) h) over a time h, 2 e and 2h e."""
         factor = self._factors.get(h)
         if factor is None:
-            factor = self._factors[h] = np.exp(self.linear * h)
+            e = np.exp(self.linear * h)
+            factor = self._factors[h] = (e, 2.0 * e, (2.0 * h) * e)
         return factor
 
-    def step(self, dt: float) -> Callable[..., np.ndarray]:
-        """One IF-RK4 step of size dt, spectrum to spectrum.
+    def step(self, u_hat: np.ndarray, dt: float, a: np.ndarray | None = None) -> np.ndarray:
+        """One IF-RK4 step of size dt from u_hat, a new spectrum.
 
         With e_full and e_half the integrating factors at dt and dt/2, the
         step computes, with the stages updated in place,
@@ -221,58 +222,54 @@ class _GridSteps:
         changes the step's last bits.  A caller that already holds the
         first stage a = nonlinear(u_hat) may pass it; the step overwrites it.
         """
-        e_full, e_half = self._factor(dt), self._factor(dt / 2.0)
+        e_full = self._factor(dt)[0]
+        # 2 (dt/2) is dt exactly while dt/2 is a normal float
+        e_half, two_e_half, dt_e_half = self._factor(dt / 2.0)
         nonlinear = self.nonlinear
-        dt_e_half = dt * e_half
-        two_e_half = 2.0 * e_half
         half_dt, sixth_dt = dt / 2.0, dt / 6.0
-
-        def step(u_hat: np.ndarray, a: np.ndarray | None = None) -> np.ndarray:
-            e_u = e_full * u_hat
-            if a is None:
-                a = nonlinear(u_hat)
-            s = np.multiply(half_dt, a)
-            np.add(u_hat, s, out=s)
-            b = nonlinear(np.multiply(e_half, s, out=s))
-            np.multiply(e_half, u_hat, out=s)
-            s += half_dt * b
-            c = nonlinear(s)
-            np.multiply(dt_e_half, c, out=s)
-            d = nonlinear(np.add(e_u, s, out=s))
-            b += c
-            np.multiply(two_e_half, b, out=b)
-            np.multiply(e_full, a, out=a)
-            a += b
-            a += d
-            np.multiply(sixth_dt, a, out=a)
-            e_u += a
-            return e_u
-
-        return step
+        e_u = e_full * u_hat
+        if a is None:
+            a = nonlinear(u_hat)
+        s = np.multiply(half_dt, a)
+        np.add(u_hat, s, out=s)
+        b = nonlinear(np.multiply(e_half, s, out=s))
+        np.multiply(e_half, u_hat, out=s)
+        s += half_dt * b
+        c = nonlinear(s)
+        np.multiply(dt_e_half, c, out=s)
+        d = nonlinear(np.add(e_u, s, out=s))
+        b += c
+        np.multiply(two_e_half, b, out=b)
+        np.multiply(e_full, a, out=a)
+        a += b
+        a += d
+        np.multiply(sixth_dt, a, out=a)
+        e_u += a
+        return e_u
 
 
 def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
-                 ) -> tuple[float, Callable[..., np.ndarray], np.ndarray]:
-    """Predicted max|u| error at T of a run with this config, its step and step 1.
+                 ) -> tuple[float, np.ndarray]:
+    """Predicted max|u| error at T of a run with this config, and its step 1.
 
     Step doubling: one step of dt and two of dt/2 differ by about the
     local error of the dt step.  The run takes config.steps such steps and
     local errors add up, so the product is the global estimate.  The dt
-    step and its result from u_hat are the run's step and step 1.  Both
-    steps start from the stage nonlinear(u_hat), evaluated once; each step
-    overwrites the stage it is given, so the dt step takes a copy.
+    step from u_hat is the run's step 1.  Both steps start from the stage
+    nonlinear(u_hat), evaluated once; each step overwrites the stage it is
+    given, so the dt step takes a copy.
     """
     dt = config.dt
-    full, half = tables.step(dt), tables.step(dt / 2.0)
     a = tables.nonlinear(u_hat)
-    first = full(u_hat, a.copy())
-    local = float(np.abs(ifft(first - half(half(u_hat, a))).real).max())
-    return config.steps * local, full, first
+    first = tables.step(u_hat, dt, a.copy())
+    halves = tables.step(tables.step(u_hat, dt / 2.0, a), dt / 2.0)
+    local = float(np.abs(ifft(first - halves).real).max())
+    return config.steps * local, first
 
 
 def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
-                 ) -> tuple[EvolverConfig, float, Callable[..., np.ndarray], np.ndarray]:
-    """The config with the largest step the guards allow, its estimate, step and step 1.
+                 ) -> tuple[EvolverConfig, float, np.ndarray]:
+    """The config with the largest step the guards allow, its estimate and step 1.
 
     Starts from the CFL cap dt <= CFL_MAX / tables.rate, then shrinks dt
     until the step-doubling pilot from u_hat predicts a global error at
@@ -289,9 +286,9 @@ def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
     for _ in range(_PILOT_ROUNDS):
         chosen = EvolverConfig.for_duration(config.grid, duration, target_dt,
                                             config.snapshot_every)
-        estimate, step, first = _pilot_error(tables, u_hat, chosen)
+        estimate, first = _pilot_error(tables, u_hat, chosen)
         if estimate <= ERROR_TARGET:
-            return chosen, estimate, step, first
+            return chosen, estimate, first
         # a round whose stages overflow gives a non-finite estimate
         if not math.isfinite(estimate):
             break
@@ -341,13 +338,12 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     # pilot's non-finite estimate ends its rounds
     with np.errstate(over="ignore", invalid="ignore"):
         if config.dt is None:
-            config, error_estimate, step, u_hat = _choose_step(tables, u_hat, config)
+            config, error_estimate, u_hat = _choose_step(tables, u_hat, config)
         else:
-            step = tables.step(config.dt)
-            u_hat = step(u_hat)
+            u_hat = tables.step(u_hat, config.dt)
         for n in range(1, config.steps + 1):
             if n > 1:
-                u_hat = step(u_hat)
+                u_hat = tables.step(u_hat, config.dt)
             peak = float(np.abs(u_hat).max())
             if not math.isfinite(peak) or peak > limit:
                 raise InstabilityError(

@@ -152,8 +152,9 @@ def _nome(p: int, m: float) -> tuple[float, float, float, float]:
     return big_k, gamma, m_tilde, _consistency_A(m, gamma, m_tilde, cyclic_sum)
 
 
-# keyed on float m; one verify --suite all run builds 77 maps
-@lru_cache(maxsize=1024)
+# keyed on float m; one verify --suite all run builds 77 maps.  Typed, so
+# a cached (2, 0.5) cannot answer (2.0, 0.5) or (True, m), which p refuses
+@lru_cache(maxsize=1024, typed=True)
 def landen_map(p: int, m: float) -> LandenMap:
     """Build the full Landen data for (p, m), with gamma and m_tilde from _nome.
 

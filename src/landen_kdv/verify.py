@@ -55,6 +55,10 @@ TOLERANCES: dict[str, float] = {
     "soliton_exact": 1e-12,
 }
 
+# Keys whose checks pass ABOVE their tolerance: separation properties,
+# where a small metric would mean the discriminating signal vanished.
+_LOWER_BOUNDS = frozenset({"residual_non_solution", "residual_upm_rejected"})
+
 # Time slices inspected by equivalence_check, relative to its base t.
 _EQUIV_SLICES = (0.0, 0.1, 0.5)
 
@@ -204,24 +208,23 @@ class CheckResult:
 class Check:
     """A named metric, the keyword arguments it runs on, and its tolerance key.
 
-    ``params`` are also what the report says was checked.  ``lower_bound``
-    flips the comparison: the check passes when the metric EXCEEDS the
-    tolerance (used for separation properties, where a small value would
-    mean the discriminating signal vanished).
+    ``params`` are also what the report says was checked.  A key in
+    ``_LOWER_BOUNDS`` flips the comparison: the check passes when the
+    metric exceeds the tolerance.
     """
 
     name: str
     metric: Callable[..., float]
     params: dict
     tol_key: str
-    lower_bound: bool = False
 
     def run(self, tolerances: dict[str, float]) -> CheckResult:
         tol = tolerances[self.tol_key]
         metric = float(self.metric(**self.params))
-        passed = metric >= tol if self.lower_bound else metric <= tol
+        lower = self.tol_key in _LOWER_BOUNDS
+        passed = metric >= tol if lower else metric <= tol
         params = dict(self.params)
-        if self.lower_bound:
+        if lower:
             params["bound"] = "lower"
         return CheckResult(check=self.name, params=params, metric=metric,
                            tol=tol, passed=passed)
@@ -385,11 +388,10 @@ def suite_kdv() -> list[Check]:
         Check("residual_up", _residual_up_metric,
               {"p": 3, "alpha": 1.3, "beta": 0.2, "m": 0.7, "N": 256}, "residual_up"),
         Check("residual_non_solution", _residual_non_solution_metric,
-              {"profile": "dn^3", "m": 0.5}, "residual_non_solution", lower_bound=True),
+              {"profile": "dn^3", "m": 0.5}, "residual_non_solution"),
     ]
     checks += [Check(name, _residual_upm_metric,
-                     {"alpha": _UPM_ALPHA, "m": m, "sign": sign, "scaling": scaling},
-                     name, lower_bound=scaling == "as_written")
+                     {"alpha": _UPM_ALPHA, "m": m, "sign": sign, "scaling": scaling}, name)
                for m in _UPM_MS for sign in (1, -1)
                for name, scaling in (("residual_upm", "standard"),
                                      ("residual_upm_rejected", "as_written"))]
@@ -425,12 +427,14 @@ SUITES: dict[str, Callable[[], list[Check]]] = {
 }
 
 
-def run_suite(name: str, tolerances: dict[str, float] | None = None) -> list[CheckResult]:
+def run_suite(name: str, tolerances: dict[str, float | str] | None = None
+              ) -> list[CheckResult]:
     """Execute a named suite ("all" concatenates SUITES in insertion order).
 
     Results keep the build order of the checks, so identical inputs
-    produce identical reports.  An override must be finite and positive:
-    inf or a non-positive bound would pass its checks whatever the metric.
+    produce identical reports.  An override, a number or its text, must be
+    finite and positive: inf or a non-positive bound would pass its checks
+    whatever the metric.
     """
     if name == "all":
         checks = [c for build in SUITES.values() for c in build()]

@@ -121,11 +121,13 @@ class TestVerifyCommand:
             assert main(["verify", "--suite", "limits", "--tol", override]) == 2
             assert "unknown tolerance name" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc", ""])
     def test_vacuous_tolerance_refused(self, capsys, value):
+        # run_suite alone converts and judges the text after NAME=
         assert main(["verify", "--suite", "limits", "--tol", f"soliton_limit={value}"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "finite and > 0" in err
+        assert out == "" and err == (
+            f"error: tolerance 'soliton_limit' must be finite and > 0, got {value!r}\n")
 
     def test_malformed_tolerance(self):
         assert main(["verify", "--suite", "limits", "--tol", "equivalence"]) == 2
@@ -351,16 +353,16 @@ class TestEvolveCommand:
         assert main(argv) == 0
         handed = capsys.readouterr().out
 
-        build, pilot, choose = (evolve_module._GridSteps.step,
-                                evolve_module._pilot_error,
-                                evolve_module._choose_step)
+        step, pilot, choose = (evolve_module._GridSteps.step,
+                               evolve_module._pilot_error,
+                               evolve_module._choose_step)
         steps, pilots = [], []
 
-        def counting_build(self, dt):
-            step = build(self, dt)
-            return lambda *given: steps.append(dt) or step(*given)
+        def counted(self, u_hat, dt, a=None):
+            steps.append(dt)
+            return step(self, u_hat, dt, a)
 
-        monkeypatch.setattr(evolve_module._GridSteps, "step", counting_build)
+        monkeypatch.setattr(evolve_module._GridSteps, "step", counted)
         monkeypatch.setattr(evolve_module, "_pilot_error",
                             lambda *args: pilots.append(args) or pilot(*args))
         assert main(argv) == 0
@@ -371,8 +373,8 @@ class TestEvolveCommand:
 
         # the run with its first step computed again writes the same record
         def recomputed_first(tables, u_hat, config):
-            chosen, estimate, step, _ = choose(tables, u_hat, config)
-            return chosen, estimate, step, step(u_hat)
+            chosen, estimate, _ = choose(tables, u_hat, config)
+            return chosen, estimate, tables.step(u_hat, chosen.dt)
 
         monkeypatch.setattr(evolve_module, "_choose_step", recomputed_first)
         steps.clear()
@@ -417,6 +419,14 @@ class TestConfigFile:
         config.write_text("{not json")
         assert main(["landen", "--config", str(config)]) == 2
         capsys.readouterr()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # UnicodeDecodeError is a ValueError but no json.JSONDecodeError
+        config = tmp_path / "run.json"
+        config.write_bytes(b"\xff\xfe{}")
+        assert main(["landen", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: config {config} is not valid JSON")
 
     @pytest.mark.parametrize("command, options", [
         ("eval", {"family": "upm", "scaling": "bogus"}),

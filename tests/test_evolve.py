@@ -131,6 +131,17 @@ class TestConfig:
         with pytest.raises(DomainError):
             EvolverConfig(grid=grid, dt=1e-4, T=1e-2, snapshot_every=-1)
 
+    def test_snapshot_interval_must_be_an_integer(self):
+        # 1.5 kept steps 3, 6 and 9 through n % 1.5 == 0, and True every
+        # step; a numpy integer is an integer
+        params, grid = cnoidal_setup(n=64)
+        for every in (1.5, 2.0, True, np.True_, "2", None):
+            with pytest.raises(DomainError, match="snapshot_every must be an integer"):
+                EvolverConfig(grid, 1e-3, 0.01, every)
+        config = EvolverConfig(grid, 1e-3, 0.01, np.int64(3))
+        traj = evolve_trajectory(params.sample(grid, 0.0), config)
+        assert traj.times == pytest.approx([0.0, 0.003, 0.006, 0.009, 0.01], rel=1e-12)
+
     @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
     def test_config_without_a_step_still_checks_T(self, T):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
@@ -220,18 +231,18 @@ def textbook_step(grid, dt, u_hat):
 class TestStep:
     @pytest.mark.parametrize("n", [256, 512])  # a square plan, and not
     def test_full_and_half_steps_are_the_textbook_expression(self, n):
-        # built as the pilot builds them, the dt/2 step reads its full-step
-        # factor from the dt step's half-step one
+        # in the pilot's order, the dt/2 step reads its full-step factor
+        # from the dt step's half-step arrays
         params, grid = cnoidal_setup(n=n)
         tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
         before = u_hat.copy()
         dt = 1e-4
-        steps = [(dt, tables.step(dt)), (dt / 2.0, tables.step(dt / 2.0))]
         stage = tables.nonlinear(u_hat)
-        for h, step in steps:
+        for h in (dt, dt / 2.0):
             expected = textbook_step(grid, h, u_hat).view(np.uint64)
-            assert np.array_equal(step(u_hat).view(np.uint64), expected)
-            assert np.array_equal(step(u_hat, stage.copy()).view(np.uint64), expected)
+            assert np.array_equal(tables.step(u_hat, h).view(np.uint64), expected)
+            assert np.array_equal(tables.step(u_hat, h, stage.copy()).view(np.uint64),
+                                  expected)
         assert np.array_equal(u_hat, before)
 
     @pytest.mark.parametrize("n", [128, 256, 512])
@@ -243,7 +254,7 @@ class TestStep:
         tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
         expected = textbook_step(grid, dt, u_hat)
         before = u_hat.copy()
-        ours = tables.step(dt)(u_hat)
+        ours = tables.step(u_hat, dt)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(u_hat, before)
 
@@ -302,20 +313,15 @@ class TestConservation:
         # u_hat[0] bit for bit; only sampling the mean adds rounding
         params, grid = cnoidal_setup()
         u0 = params.sample(grid, 0.0)
-        build = evolve_module._GridSteps.step
+        step = evolve_module._GridSteps.step
         zero_modes = []
 
-        def recording_build(self, dt):
-            step = build(self, dt)
+        def recorded(self, u_hat, dt, a=None):
+            out = step(self, u_hat, dt, a)
+            zero_modes.append(out[0].tobytes())
+            return out
 
-            def recorded(u_hat):
-                out = step(u_hat)
-                zero_modes.append(out[0].tobytes())
-                return out
-
-            return recorded
-
-        monkeypatch.setattr(evolve_module._GridSteps, "step", recording_build)
+        monkeypatch.setattr(evolve_module._GridSteps, "step", recorded)
         config = EvolverConfig.for_duration(
             grid, duration=0.05, target_dt=1e-4, snapshot_every=100)
         traj = evolve_trajectory(u0, config)
@@ -333,7 +339,7 @@ class TestInstability:
         u0 = params.sample(grid, 0.0)
         cap = CFL_MAX / cfl_rate(u0, grid)
 
-        def no_step(self, dt):
+        def no_step(self, u_hat, dt, a=None):
             raise AssertionError("the refusal must come before any step")
 
         monkeypatch.setattr(evolve_module._GridSteps, "step", no_step)
@@ -347,7 +353,7 @@ class TestInstability:
         # past the 1e6 growth limit, so the guard fires after step 20
         params, grid = cnoidal_setup()
         monkeypatch.setattr(evolve_module._GridSteps, "step",
-                            lambda self, dt: lambda u_hat: 2.0 * u_hat)
+                            lambda self, u_hat, dt, a=None: 2.0 * u_hat)
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
         with pytest.raises(InstabilityError, match="spectral peak .* after step 20 "):
             evolve_trajectory(params.sample(grid, 0.0), config)
@@ -416,18 +422,19 @@ class TestStepChoice:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The grids of the _GridSteps built and the dt of each step built on them."""
+        """The grids of the _GridSteps built and the dt of each step taken on them."""
         tables, built = [], []
-        init, build = evolve_module._GridSteps.__init__, evolve_module._GridSteps.step
+        init, step = evolve_module._GridSteps.__init__, evolve_module._GridSteps.step
         monkeypatch.setattr(evolve_module._GridSteps, "__init__",
                             lambda self, grid, *u: tables.append(grid) or init(self, grid, *u))
         monkeypatch.setattr(evolve_module._GridSteps, "step",
-                            lambda self, dt: built.append(dt) or build(self, dt))
+                            lambda self, u_hat, dt, a=None:
+                            built.append(dt) or step(self, u_hat, dt, a))
         return tables, built
 
     def test_one_table_build_per_evolve_run(self, builds, capsys):
         # the pilot rounds share the run's one set of tables and the run
-        # takes the accepted step; a run with --dt builds one step
+        # takes the accepted step; a run with --dt steps at its dt alone
         tables, built = builds
         wave = ["evolve", "--family", "u1", "-m", "0.5", "--n", "128", "--json"]
         assert main([*wave, "--periods-crossed", "0.05"]) == 0
@@ -435,12 +442,12 @@ class TestStepChoice:
         tables.clear()
         built.clear()
         assert main([*wave, "--T", "0.02", "--dt", "1e-4"]) == 0
-        assert (len(tables), built) == (1, [1e-4])
+        assert (len(tables), built) == (1, [1e-4] * 200)
         capsys.readouterr()
 
     def test_chosen_run_pilots_on_one_set_of_tables(self, builds, monkeypatch):
-        # each pilot round builds a step of dt and one of dt/2 on the run's
-        # tables, and the run steps with the accepted round's dt step
+        # each pilot round steps at dt, dt/2 and dt/2 on the run's tables,
+        # and the run takes its remaining steps at the accepted round's dt
         tables, built = builds
         pilot, rounds = evolve_module._pilot_error, []
         monkeypatch.setattr(evolve_module, "_pilot_error",
@@ -449,7 +456,8 @@ class TestStepChoice:
         traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, 0.02))
         assert tables == [grid]
         assert len(rounds) >= 1 and rounds[-1] == traj.config.dt
-        assert built == [h for dt in rounds for h in (dt, dt / 2.0)]
+        assert built == ([h for dt in rounds for h in (dt, dt / 2.0, dt / 2.0)]
+                         + [traj.config.dt] * (traj.config.steps - 1))
 
     @pytest.mark.parametrize("dt, factors", [
         (None, lambda dt: [dt, dt / 2.0, dt / 4.0]),
@@ -478,18 +486,19 @@ class TestStepChoice:
         tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
         before = u_hat.copy()
         config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
-        estimate, step, first = evolve_module._pilot_error(tables, u_hat, config)
+        estimate, first = evolve_module._pilot_error(tables, u_hat, config)
         dt = config.dt
         expected_first = textbook_step(grid, dt, u_hat)
         halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, u_hat))
         local = float(np.max(np.abs(ifft(expected_first - halves).real)))
         assert np.array_equal(first.view(np.uint64), expected_first.view(np.uint64))
-        assert np.array_equal(step(u_hat).view(np.uint64), expected_first.view(np.uint64))
+        assert np.array_equal(tables.step(u_hat, dt).view(np.uint64),
+                              expected_first.view(np.uint64))
         assert estimate == config.steps * local
         assert np.array_equal(u_hat, before)
 
     def test_chosen_run_equals_a_fixed_run_at_its_config(self):
-        # the pilot's step and step 1 are the run's own, so every snapshot
+        # the pilot's step 1 is the run's own, so every snapshot
         # is the one a run given the chosen step computes afresh
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
@@ -508,10 +517,10 @@ class TestStepChoice:
         pilot = evolve_module._pilot_error
 
         def poisoned(*args):
-            estimate, step, first = pilot(*args)
+            estimate, first = pilot(*args)
             first = first.copy()
             first[3] = complex(np.nan, 0.0)
-            return estimate, step, first
+            return estimate, first
 
         monkeypatch.setattr(evolve_module, "_pilot_error", poisoned)
         params, grid = cnoidal_setup(n=128)

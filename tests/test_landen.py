@@ -344,6 +344,19 @@ class TestValidationAndCache:
     def test_map_is_cached(self):
         assert landen_map(2, 0.5) is landen_map(2, 0.5)
 
+    def test_refusal_does_not_depend_on_call_history(self):
+        # (2.0, 0.5) == (2, 0.5) and (True, m) == (1, m) as untyped cache
+        # keys; warm or cold, p refuses them
+        landen_map.cache_clear()
+        landen_map(2, 0.5)
+        landen_map(1, 0.3)
+        with pytest.raises(DomainError, match="p must be an integer"):
+            landen_map(2.0, 0.5)
+        with pytest.raises(DomainError, match="p must be an integer"):
+            DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=2.0)
+        with pytest.raises(DomainError, match="p must be an integer"):
+            landen_map(True, 0.3)
+
     def test_map_is_frozen(self):
         lmap = landen_map(2, 0.5)
         with pytest.raises(AttributeError):

@@ -188,7 +188,7 @@ def test_quarter_period_metric_matches_two_calls(m):
 
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("p", [1, 2, 3])
-def test_speed_probe_matches_per_phase_loop(p, sign):
+def test_upm_sum_matches_per_phase_loop(p, sign):
     # the p-phase u_pm sum whose predicted speed the residual_upm_sum checks probe
     params = PmWaveParams(alpha=1.5, m=0.6, sign=sign)
     x = params.natural_grid(128).x

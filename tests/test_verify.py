@@ -32,7 +32,7 @@ from landen_kdv import (
     soliton_limit_check,
     transform_params,
 )
-from landen_kdv.verify import SUITES, CheckResult, _as_written, _upm_sum
+from landen_kdv.verify import _LOWER_BOUNDS, SUITES, CheckResult, _as_written, _upm_sum
 from landen_kdv.waves import _pm_as_dn2
 
 
@@ -362,7 +362,7 @@ class TestSuites:
         checks = [c for name in SUITES for c in SUITES[name]()]
         assert {c.tol_key for c in checks} == set(TOLERANCES)
         loose = {c.tol_key for c in checks
-                 if not c.lower_bound and TOLERANCES[c.tol_key] > 1e-5}
+                 if c.tol_key not in _LOWER_BOUNDS and TOLERANCES[c.tol_key] > 1e-5}
         assert not loose
 
     def test_deterministic_output(self):
