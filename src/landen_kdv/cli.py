@@ -288,6 +288,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         if speed == 0.0:
             raise DomainError("wave speed is zero; pass --T explicitly")
         duration = args.periods_crossed * grid.L / speed
+        # a tiny speed can overflow the crossing time: name its inputs, as
+        # there is no --T to blame
+        if not math.isfinite(duration):
+            raise DomainError(
+                f"--periods-crossed {args.periods_crossed!r} at wave speed {speed!r} "
+                "takes a non-finite time; pass --T explicitly")
     # for_duration refuses a bad duration before it is sampled as a time;
     # without --dt, the run chooses its step
     config = EvolverConfig.for_duration(

