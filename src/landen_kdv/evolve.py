@@ -3,13 +3,16 @@
 Write u = ubar + v, where ubar is the mean of u, which the flow conserves
 exactly.  KdV is Galilean invariant: 6 u u_x = 6 ubar v_x + 6 v v_x, and
 the first term is linear.  The linear part, dispersion and advection by
-the mean, is propagated exactly in spectral space with the integrating
-factor exp(i (k^3 + 6 ubar k) t); only the quadratic term 6 v v_x is
-stepped, with classical RK4 on the transformed variable.  This removes the
-k^3 stiffness and the mean's advection, so the remaining step-size limits
-come from the oscillation v: stability, through the nonlinear CFL number
-dt * 6 max|u - ubar| * k_max, and accuracy, which integrating-factor
-schemes can lose at isolated step sizes even well inside the CFL limit.
+the mean, has the operator i (k^3 + 6 ubar k) in spectral space; only the
+quadratic term 6 v v_x is nonlinear.  Each step is ETDRK4 (Cox and
+Matthews, J. Comput. Phys. 176, 2002, in the form of Kassam and
+Trefethen, SIAM J. Sci. Comput. 26, 2005): the linear part is propagated
+exactly, and the nonlinear term enters through the exponential
+integrals phi_1, phi_2 and phi_3 of the linear operator over the step, at
+four evaluations per step.  This removes the k^3 stiffness and the
+mean's advection, so the remaining step-size limits come from the
+oscillation v: stability, through the nonlinear CFL number
+dt * 6 max|u - ubar| * k_max, and accuracy.
 A p-term dn^2 sum is mostly its mean: at (p, m, alpha, beta) =
 (3, 0.6, 1, -1), max|u| = 5.01 but max|u - ubar| = 0.017.
 A run given no step therefore starts from the CFL cap and shrinks the
@@ -19,8 +22,8 @@ step until a step-doubling pilot predicts a global error below
 the grid cannot represent, and without the mask those corruptions fold
 back into resolved modes and pollute 1e-6 comparisons.
 
-The k = 0 mode is untouched by both the integrating factor and the
-nonlinear term (which carry a factor k), so the coefficient u_hat[0],
+The k = 0 mode is untouched by both the linear propagator and the
+nonlinear term (which carries a factor k), so the coefficient u_hat[0],
 N times the mean of u, is the same to the last bit after every step, and
 ubar = u_hat[0].real / N is one number for the whole run.  The mean of a
 sampled field, mean(ifft(u_hat).real), is not: the inverse transform and
@@ -37,14 +40,14 @@ import numpy as np
 from .errors import DomainError, InstabilityError
 from .fourier import PeriodicGrid, _four_step, _plan, _require_positive, fft, ifft, kept_modes
 
-# Largest nonlinear CFL number, on max|u - ubar|, a run may start with.
-# Measured on one full crossing at a fixed step of c times the cap, over
-# p in {1, 2, 3}, m in {0.2, 0.5, 0.9, 0.99}, alpha in {0.5, 1, 2} and
-# N in {128, 256, 512}: at c = 0.25 none of the 108 runs blows up or ends
-# more than 1e-2 of the oscillation off; at 0.3, 3 do and at 0.5, 9 blow
-# up, all at N = 512.  Stability also depends on N: at N = 1024 and
-# m >= 0.9 runs blow up even at this cap (README).
-CFL_MAX = 0.25
+# Largest nonlinear CFL number, on max|u - ubar|, a run may take.
+# Measured on one full crossing at a fixed CFL number c, over p in
+# {1, 2, 3}, m in {0.2, 0.5, 0.9, 0.99}, alpha in {0.5, 1, 2} and N in
+# {128, 256, 512}: up to c = 4, none of the 108 runs blows up or ends more
+# than 1e-2 of the oscillation off, and none of the 36 at N = 1024 either
+# (README).  The cap keeps a factor of 4 below that; under it the pilot's
+# error target, not stability, sets the step.
+CFL_MAX = 1.0
 
 # Global error, in max|u|, that a run's step-choosing pilot may predict at
 # the final time: 1% of the 1e-6 deviation gate of the dynamical checks.
@@ -56,14 +59,20 @@ ERROR_TARGET = 1e-8
 # that is still an hour: the budget bounds a run, it does not make it short.
 _STEP_BUDGET = ERROR_TARGET / np.finfo(float).eps
 
-# Pilot rounds before evolve_trajectory gives up.  The global error scales as
-# dt^4, so one rescaling normally suffices; more rounds only help where
-# the error is not yet in its asymptotic regime.  A slow wave with a small
-# oscillation starts far outside it, from a cap the mean no longer
-# shrinks: one full crossing of (3, 0.2, alpha, 0) at N = 128 to 512
-# needs 5 or 6 rounds, against at most 4 for every other wave of the CFL
-# sweep at beta = 0 and -1.
+# Pilot rounds before evolve_trajectory gives up.  Once the step resolves
+# the wave the global error scales as dt^4, and one rescaling normally
+# suffices.  A wave that barely oscillates starts from a cap far outside
+# that regime: from its cap, the estimate for (3, 0.5, 1, 0) falls about
+# as dt, and rescaling as dt^4 gains a few percent a round, so a round
+# that fails to halve the last estimate is followed by a rescaling as dt.
+# Over the README's pilot sweep (216 crossings at beta = 0 and -1) no run
+# needs more than 5 rounds.
 _PILOT_ROUNDS = 8
+
+# The Taylor series phi_3(z) = sum z^n / (n + 3)!, n < 16: for |z| < 1
+# the first term left out, 1/19!, is under eps/2 of phi_3(0) = 1/6.
+_PHI3_SERIES = np.array([1.0 / math.factorial(n + 3) for n in range(16)])
+_PHI3_POWERS = np.arange(_PHI3_SERIES.size)
 
 # A spectral amplitude beyond this multiple of the initial peak means the
 # integration has blown up.
@@ -118,12 +127,11 @@ class EvolverConfig:
 
         target_dt = inf asks for a single step, None for the run's own step.
         """
-        if not 0.0 < duration < math.inf:
-            raise DomainError(f"duration must be positive and finite, got {duration!r}")
+        _require_positive(duration, "duration")
         if target_dt is None:
             return cls(grid=grid, dt=None, T=duration, snapshot_every=snapshot_every)
-        if not target_dt > 0.0:
-            raise DomainError(f"target_dt must be positive, got {target_dt!r}")
+        if target_dt != math.inf:
+            _require_positive(target_dt, "target_dt")
         if duration / target_dt > _STEP_BUDGET:
             raise DomainError(f"duration {duration!r} over target_dt {target_dt!r} "
                               f"overflows the budget of {_STEP_BUDGET:.4g} steps")
@@ -168,16 +176,18 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 
 
 class _GridSteps:
-    """The IF-RK4 scheme of one run: its tables, its CFL rate and its steps.
+    """The ETDRK4 scheme of one run: its tables, its CFL rate and its steps.
 
     Built once per run from u0 and u_hat = fft(u0): the FFT plans, the
-    conserved mean ubar = u_hat[0].real / N, i (k^3 + 6 ubar k), the
-    dealiased 3 i k and the CFL rate 6 max|u0 - ubar| k_max.  The stepped
-    term 6 v v_x, v = u - ubar, advects at 6 |v|, and k_max = (2/3) pi N / L
-    bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
-    |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  The arrays a step reads at
-    h = dt and dt/2 are computed once per h and run, so the pilot's dt/2
-    step reuses the dt step's half-step arrays.
+    conserved mean ubar = u_hat[0].real / N, the operator
+    L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0), the order of
+    the modes by |L|, the dealiased 3 i k and the CFL rate
+    6 max|u0 - ubar| k_max.  The stepped term 6 v v_x, v = u - ubar,
+    advects at 6 |v|, and k_max = (2/3) pi N / L bounds the wavenumbers
+    the 2/3 rule keeps: at N = 256 the largest kept |k| is 84 * 2 pi / L,
+    not 85.3 * 2 pi / L.  The tables a step of size h reads are computed
+    once per h and run; a table at h/2 takes its exp(L h/2) from the one
+    at h, so a pilot round computes three exponentials.
     """
 
     def __init__(self, grid: PeriodicGrid, u0: np.ndarray, u_hat: np.ndarray) -> None:
@@ -186,9 +196,15 @@ class _GridSteps:
         k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
         self.rate = 6.0 * float(np.abs(u0 - mean).max()) * k_max
         k = grid.k
-        self.linear = 1j * (k * k * k + 6.0 * mean * k)
+        omega = k * k * k + 6.0 * mean * k
+        self.linear = 1j * omega
+        self.inverse_linear = np.divide(1.0, self.linear, out=np.zeros_like(self.linear),
+                                        where=omega != 0.0)
+        # the modes with |L h| < 1 are a prefix of this order at every h
+        self.by_size = np.argsort(np.abs(omega))
+        self.sizes = np.abs(omega)[self.by_size]
         self.coeff = 3j * k * kept_modes(grid.N)
-        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._factors: dict[float, tuple[np.ndarray, ...]] = {}
 
     def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
         """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar.
@@ -200,35 +216,62 @@ class _GridSteps:
         v = _four_step(u_hat, self.inverse).real - self.mean
         return self.coeff * _four_step(v * v, self.forward)
 
-    def _factor(self, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """e = exp(i (k^3 + 6 ubar k) h) over a time h, 2 e and 2h e."""
+    def _factor(self, h: float) -> tuple[np.ndarray, ...]:
+        """The ETDRK4 tables (E, E_half, Q, f1, f2, f3) of a step of size h.
+
+        With z = L h, E = exp(z), E_half = exp(z/2), Q = h (E_half - 1) / z
+        and, from phi_1 = (E - 1)/z, phi_2 = (phi_1 - 1)/z and
+        phi_3 = (phi_2 - 1/2)/z, f1 = h (phi_1 - 3 phi_2 + 4 phi_3),
+        f2 = h (phi_2 - 2 phi_3) and f3 = h (4 phi_3 - phi_2).  That
+        recurrence loses at most a few ulps where |z| >= 1.  The few modes
+        with |z| < 1, k = 0 among them, take phi_3 from its Taylor series
+        instead, phi_2 = z phi_3 + 1/2, phi_1 = z phi_2 + 1 and
+        Q = h phi_1 / (1 + E_half), which cancel nothing there.
+        """
         factor = self._factors.get(h)
-        if factor is None:
-            e = np.exp(self.linear * h)
-            factor = self._factors[h] = (e, 2.0 * e, (2.0 * h) * e)
+        if factor is not None:
+            return factor
+        z = self.linear * h
+        # the h/2 tables' E is the h tables' E_half: 2 (h/2) is h exactly
+        # while h/2 is a normal float
+        double = self._factors.get(2.0 * h)
+        e = np.exp(z) if double is None else double[1]
+        e_half = np.exp(self.linear * (h / 2.0))
+        r = self.inverse_linear / h
+        phi1 = (e - 1.0) * r
+        phi2 = (phi1 - 1.0) * r
+        phi3 = (phi2 - 0.5) * r
+        q = (e_half - 1.0) * self.inverse_linear
+        small = self.by_size[:np.searchsorted(self.sizes, 1.0 / h)]
+        z_small = z[small]
+        series3 = (z_small[:, None] ** _PHI3_POWERS) @ _PHI3_SERIES
+        series2 = z_small * series3 + 0.5
+        series1 = z_small * series2 + 1.0
+        phi1[small], phi2[small], phi3[small] = series1, series2, series3
+        q[small] = h * series1 / (1.0 + e_half[small])
+        factor = self._factors[h] = (
+            e, e_half, q, h * (phi1 - 3.0 * phi2 + 4.0 * phi3),
+            h * (phi2 - 2.0 * phi3), h * (4.0 * phi3 - phi2))
         return factor
 
     def step(self, u_hat: np.ndarray, dt: float, a: np.ndarray | None = None) -> np.ndarray:
-        """One IF-RK4 step of size dt from u_hat, a new spectrum.
+        """One ETDRK4 step of size dt from u_hat, a new spectrum.
 
-        With e_full and e_half the integrating factors at dt and dt/2, the
-        step is e_full*u + dt/6*(e_full*a + 2*e_half*(b + c) + d), every
-        product in that expression's operand order: with fused multiply-add
-        a*b and b*a can round differently, and swapping e_full*a alone
-        changes the step's last bits.  A caller that already holds the first
-        stage a = nonlinear(u_hat) may pass it; the step writes to neither
-        u_hat nor a.
+        The stages are a = N(u), b = N(E_half u + Q a), c = N(E_half u + Q b)
+        and d = N(E_half (E_half u + Q a) + Q (2c - a)), and the step is
+        E u + f1 a + 2 f2 (b + c) + f3 d.  A caller that already holds the
+        first stage a = nonlinear(u_hat) may pass it; the step writes to
+        neither u_hat nor a.
         """
-        e_full = self._factor(dt)[0]
-        # 2 (dt/2) is dt exactly while dt/2 is a normal float
-        e_half, two_e_half, dt_e_half = self._factor(dt / 2.0)
+        e, e_half, q, f1, f2, f3 = self._factor(dt)
         if a is None:
             a = self.nonlinear(u_hat)
-        e_u = e_full * u_hat
-        b = self.nonlinear(e_half * (u_hat + (dt / 2.0) * a))
-        c = self.nonlinear(e_half * u_hat + (dt / 2.0) * b)
-        d = self.nonlinear(e_u + dt_e_half * c)
-        return e_u + (dt / 6.0) * (e_full * a + two_e_half * (b + c) + d)
+        e_u = e_half * u_hat
+        s = e_u + q * a
+        b = self.nonlinear(s)
+        c = self.nonlinear(e_u + q * b)
+        d = self.nonlinear(e_half * s + q * (2.0 * c - a))
+        return e * u_hat + f1 * a + 2.0 * f2 * (b + c) + f3 * d
 
 
 def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
@@ -265,6 +308,7 @@ def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
     # step past it
     target_dt = duration if rate == 0.0 else min(
         duration, (1.0 - 1e-12) * CFL_MAX / rate)
+    previous = math.inf
     for _ in range(_PILOT_ROUNDS):
         chosen = EvolverConfig.for_duration(config.grid, duration, target_dt,
                                             config.snapshot_every)
@@ -274,8 +318,11 @@ def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
         # a round whose stages overflow gives a non-finite estimate
         if not math.isfinite(estimate):
             break
-        # global error ~ dt^4; aim 10% under the target
-        target_dt = chosen.dt * (0.9 * ERROR_TARGET / estimate) ** 0.25
+        # global error ~ dt^4, unless the last rescale failed to halve the
+        # estimate: then ~ dt (see _PILOT_ROUNDS); aim 10% under the target
+        order = 4.0 if estimate <= previous / 2.0 else 1.0
+        previous = estimate
+        target_dt = chosen.dt * (0.9 * ERROR_TARGET / estimate) ** (1.0 / order)
         # past the step budget roundoff alone misses the target
         if math.ceil(duration / target_dt) > _STEP_BUDGET:
             break
@@ -293,14 +340,22 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     predicts a global error at most ERROR_TARGET, and raises
     InstabilityError if no step does.  A given dt is refused with
     InstabilityError before the first step if the CFL number of (u0, dt)
-    exceeds CFL_MAX.  Either run raises InstabilityError if any spectral
-    amplitude grows beyond 1e6 times the initial peak; the check runs
-    before the report stage so a blown-up run never produces drift
-    numbers.  The trajectory keeps the config with the step taken, its CFL
-    number and the pilot's estimate.
+    exceeds CFL_MAX.  Either run is refused with InstabilityError before
+    the first step if eps * max|u0| exceeds ERROR_TARGET, and raises it if
+    any spectral amplitude grows beyond 1e6 times the initial peak; the
+    check runs before the report stage so a blown-up run never produces
+    drift numbers.  The trajectory keeps the config with the step taken,
+    its CFL number and the pilot's estimate.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
+    # the argument of _STEP_BUDGET at one step: a field this large misses
+    # the target on the roundoff of its first step, whatever its step size
+    roundoff = float(np.finfo(float).eps * np.abs(u0).max())
+    if roundoff > ERROR_TARGET:
+        raise InstabilityError(
+            f"the roundoff of one step, eps * max|u0| = {roundoff!r}, exceeds "
+            f"the error target {ERROR_TARGET!r}")
     u_hat = fft(u0)
     tables = _GridSteps(grid, u0, u_hat)
     if config.dt is not None and tables.rate * config.dt > CFL_MAX:
@@ -314,10 +369,9 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     error_estimate = None
     times = [0.0]
     fields = [u0.copy()]
-    # under a huge mean, v = ifft(u_hat) - ubar still holds the transforms'
-    # rounding of the mean, and the stages can overflow on it; the peak
-    # check turns the non-finite spectrum into InstabilityError, and the
-    # pilot's non-finite estimate ends its rounds
+    # a step that blows up can overflow before the peak check reads it;
+    # the check turns the non-finite spectrum into InstabilityError, and
+    # the pilot's non-finite estimate ends its rounds
     with np.errstate(over="ignore", invalid="ignore"):
         if config.dt is None:
             config, error_estimate, u_hat = _choose_step(tables, u_hat, config)

@@ -351,7 +351,7 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("wave, rounds", [
         (["--family", "u1", "-m", "0.5"], 2),
-        (["--family", "up", "-p", "3", "-m", "0.6", "--beta=-1.0"], 3),
+        (["--family", "up", "-p", "3", "-m", "0.6", "--beta=-1.0"], 2),
     ])
     def test_run_takes_its_first_step_from_the_pilot(
             self, monkeypatch, capsys, wave, rounds):

@@ -7,6 +7,7 @@ fourth-order rate.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,13 +62,13 @@ class TestConfig:
         k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
         assert grid_steps(grid, u)[0].rate == pytest.approx(6.0 * 0.2 * k_max, rel=1e-13)
         # a short run of the cnoidal wave is accurate at the cap, so the
-        # CFL cap alone sets dt: 95 steps, with an estimate of 1.5e-9
+        # CFL cap alone sets dt: 3 steps, with an estimate of 1.6e-9
         params, wave_grid = cnoidal_setup()
         u = params.sample(wave_grid, 0.0)
         cap = CFL_MAX / cfl_rate(u, wave_grid)
-        traj = evolve_trajectory(u, EvolverConfig(wave_grid, None, 0.05))
+        traj = evolve_trajectory(u, EvolverConfig(wave_grid, None, 0.005))
         assert traj.error_estimate <= ERROR_TARGET
-        assert traj.config.steps == int(np.ceil(0.05 / cap)) > 1
+        assert traj.config.steps == int(np.ceil(0.005 / cap)) == 3
         assert traj.cfl == cfl_rate(u, wave_grid) * traj.config.dt <= CFL_MAX
         # a constant state has no oscillation: one step crosses any duration
         u = np.full(64, -0.7)
@@ -93,6 +94,16 @@ class TestConfig:
     def test_for_duration_refuses_non_finite_duration(self, target_dt, duration):
         grid = PeriodicGrid(N=64, L=2 * np.pi)
         with pytest.raises(DomainError):
+            EvolverConfig.for_duration(grid, duration=duration, target_dt=target_dt)
+
+    # True is not a step or a duration of 1, and a string is refused, not
+    # left to a comparison's TypeError; inf still asks for one step
+    @pytest.mark.parametrize("duration, target_dt", [
+        (1.0, True), (1.0, np.True_), (1.0, "1e-3"), (1.0, 1j), (1.0, 0.0),
+        (1.0, -math.inf), (True, 1e-3), ("1", 1e-3), ("1", None), (1j, None)])
+    def test_for_duration_refuses_what_is_not_a_positive_number(self, duration, target_dt):
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        with pytest.raises(DomainError, match="must be positive"):
             EvolverConfig.for_duration(grid, duration=duration, target_dt=target_dt)
 
     def test_for_duration_refuses_an_overflowing_step_count(self):
@@ -209,17 +220,17 @@ class TestAccuracy:
             evolve_trajectory(u0, EvolverConfig(grid, None, 0.02))
 
 
-def textbook_step(grid, dt, u_hat):
-    """The IF-RK4 step of u = ubar + v written out with the public transforms.
+def textbook_step(grid, dt, u_hat, tables):
+    """The ETDRK4 step of u = ubar + v written out with the public transforms.
 
-    The integrating factor carries dispersion and the advection 6 ubar u_x
-    by the mean ubar = u_hat[0].real / N; the stages step 6 v v_x alone.
+    The linear operator i (k^3 + 6 ubar k) carries dispersion and the
+    advection 6 ubar u_x by the mean ubar = u_hat[0].real / N, and
+    tables = (E, E_half, Q, f1, f2, f3) are its coefficients at dt; the
+    stages step 6 v v_x alone, in Kassam and Trefethen's order.
     """
+    e, e_half, q, f1, f2, f3 = tables
     k = grid.k
     mean = u_hat[0].real / grid.N
-    linear = 1j * (k * k * k + 6.0 * mean * k)
-    e_full = np.exp(linear * dt)
-    e_half = np.exp(linear * (dt / 2.0))
     coeff = 3j * k * kept_modes(grid.N)
 
     def nonlinear(w_hat):
@@ -227,37 +238,66 @@ def textbook_step(grid, dt, u_hat):
         return coeff * fft(v * v)
 
     a = nonlinear(u_hat)
-    b = nonlinear(e_half * (u_hat + (dt / 2.0) * a))
-    c = nonlinear(e_half * u_hat + (dt / 2.0) * b)
-    d = nonlinear(e_full * u_hat + dt * e_half * c)
-    return e_full * u_hat + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    s = e_half * u_hat + q * a
+    b = nonlinear(s)
+    c = nonlinear(e_half * u_hat + q * b)
+    d = nonlinear(e_half * s + q * (2.0 * c - a))
+    return e * u_hat + f1 * a + 2.0 * f2 * (b + c) + f3 * d
+
+
+def fresh_tables(grid, u0, dt):
+    """The step-size-dt tables of a scheme for u0 that has built no other."""
+    return grid_steps(grid, u0)[0]._factor(dt)
+
+
+def exact_tables(z, h):
+    """(Q, f1, f2, f3) at z = L h from the closed forms, in 40-digit mpmath.
+
+    At z = 0 they are the limits h/2, h/6, h/6 and h/6.
+    """
+    with mpmath.workdps(40):
+        z, h = mpmath.mpc(z), mpmath.mpf(h)
+        if z == 0:
+            return (complex(h / 2),) + (complex(h / 6),) * 3
+        e = mpmath.exp(z)
+        return tuple(complex(x) for x in (
+            h * (mpmath.exp(z / 2) - 1) / z,
+            h * (-4 - z + e * (4 - 3 * z + z * z)) / z**3,
+            h * (2 + z + e * (z - 2)) / z**3,
+            h * (-4 - 3 * z - z * z + e * (4 - z)) / z**3))
 
 
 class TestStep:
     @pytest.mark.parametrize("n", [256, 512])  # a square plan, and not
     def test_full_and_half_steps_are_the_textbook_expression(self, n):
-        # in the pilot's order, the dt/2 step reads its full-step factor
-        # from the dt step's half-step arrays
+        # in the pilot's order, the dt/2 tables read their full-step
+        # exponential from the dt tables' half-step one, and equal the
+        # tables a scheme builds at dt/2 alone
         params, grid = cnoidal_setup(n=n)
-        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
+        u0 = params.sample(grid, 0.0)
+        tables, u_hat = grid_steps(grid, u0)
         before = u_hat.copy()
         dt = 1e-4
         stage = tables.nonlinear(u_hat)
         for h in (dt, dt / 2.0):
-            expected = textbook_step(grid, h, u_hat).view(np.uint64)
+            fresh = fresh_tables(grid, u0, h)
+            expected = textbook_step(grid, h, u_hat, fresh).view(np.uint64)
             assert np.array_equal(tables.step(u_hat, h).view(np.uint64), expected)
             assert np.array_equal(tables.step(u_hat, h, stage.copy()).view(np.uint64),
                                   expected)
+            for ours, theirs in zip(tables._factor(h), fresh):
+                assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+        assert tables._factor(dt / 2.0)[0] is tables._factor(dt)[1]
         assert np.array_equal(u_hat, before)
 
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_step_is_the_textbook_expression_bit_for_bit(self, n):
-        # the step's in-place stages keep every operand order of the
-        # textbook IF-RK4 step written with the public transforms
+        # the step keeps every operand order of the textbook ETDRK4 step
+        # written with the public transforms over the same tables
         params, grid = cnoidal_setup(n=n)
         dt = 1e-4
         tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
-        expected = textbook_step(grid, dt, u_hat)
+        expected = textbook_step(grid, dt, u_hat, tables._factor(dt))
         before = u_hat.copy()
         ours = tables.step(u_hat, dt)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
@@ -272,6 +312,56 @@ class TestStep:
         tables.step(u_hat, 1e-4, stage)
         assert np.array_equal(u_hat.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(stage.view(np.uint64), stage_before.view(np.uint64))
+
+
+class TestTables:
+    """The ETDRK4 coefficients against their closed forms in mpmath."""
+
+    # absolute error allowed, in eps * h: the largest measured over the
+    # cases below is 1.7
+    TOL = 8.0
+
+    def scheme(self):
+        params, grid = cnoidal_setup(n=64)
+        return grid_steps(grid, params.sample(grid, 0.0))[0]
+
+    def check(self, tables, h, modes):
+        e, e_half, *coefficients = tables._factor(h)
+        z = tables.linear * h
+        assert np.array_equal(e, np.exp(z))
+        assert np.array_equal(e_half, np.exp(tables.linear * (h / 2.0)))
+        for j in modes:
+            for ours, exact in zip((c[j] for c in coefficients), exact_tables(z[j], h)):
+                assert abs(ours - exact) <= self.TOL * np.finfo(float).eps * h
+
+    @pytest.mark.parametrize("h", [1e-9, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_every_mode_from_small_to_large_z(self, h):
+        # |z| runs over 9e-9 .. 2e5 across these h and the 64 modes; the
+        # smallest h takes every mode through the series, the largest all
+        # but k = 0 through the recurrence
+        tables = self.scheme()
+        z = np.abs(tables.linear * h)
+        assert z[0] == 0.0
+        self.check(tables, h, range(z.size))
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_either_side_of_the_branch(self, side):
+        # the j = 1 mode just under |z| = 1 takes the series, just over
+        # it the recurrence; both stay within the same bound
+        tables = self.scheme()
+        h = side / abs(tables.linear[1])
+        assert (abs(tables.linear[1] * h) < 1.0) == (side < 1.0)
+        self.check(tables, h, [0, 1, -1, 2])
+
+    def test_k_zero_leaves_the_mean_alone(self):
+        # E = 1 and the limits h/2, h/6, h/6, h/6 at k = 0, so the mean
+        # mode comes out of every step bit for bit
+        tables = self.scheme()
+        e, e_half, q, f1, f2, f3 = tables._factor(0.01)
+        assert e[0] == e_half[0] == 1.0
+        assert q[0] == 0.005
+        for f in (f1, f2, f3):
+            assert f[0] == pytest.approx(0.01 / 6.0, rel=4 * np.finfo(float).eps)
 
 
 class TestTrajectory:
@@ -324,8 +414,8 @@ MASS_DRIFT_ULPS = 4
 class TestConservation:
     def test_mean_is_conserved_exactly(self, monkeypatch):
         # exact is the k = 0 coefficient: the nonlinear term carries a factor
-        # i k and the integrating factor is 1 there, so every step returns
-        # u_hat[0] bit for bit; only sampling the mean adds rounding
+        # i k and E is 1 there, so every step returns u_hat[0] bit for bit;
+        # only sampling the mean adds rounding
         params, grid = cnoidal_setup()
         u0 = params.sample(grid, 0.0)
         step = evolve_module._GridSteps.step
@@ -348,14 +438,15 @@ class TestConservation:
         assert report.momentum_drift < 1e-12
 
 
+def no_step(self, u_hat, dt, a=None):
+    raise AssertionError("the refusal must come before any step")
+
+
 class TestInstability:
     def test_oversized_step_rejected_before_integration(self, monkeypatch):
         params, grid = cnoidal_setup()
         u0 = params.sample(grid, 0.0)
         cap = CFL_MAX / cfl_rate(u0, grid)
-
-        def no_step(self, u_hat, dt, a=None):
-            raise AssertionError("the refusal must come before any step")
 
         monkeypatch.setattr(evolve_module._GridSteps, "step", no_step)
         config = EvolverConfig(grid=grid, dt=1.01 * cap, T=20 * 1.01 * cap)
@@ -375,33 +466,45 @@ class TestInstability:
 
     def test_three_copy_wave_refused_at_coarse_step(self):
         # the oscillation about the mean sets the cap: max|u - ubar| = 0.49
-        # against max|u| = 3.1, and dt = 8e-4 is twice the cap
+        # against max|u| = 3.1, and dt = 4e-3 is 2.5 times the cap
         params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.99, p=3)
         grid = params.natural_grid(n=256)
-        config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=8e-4)
+        config = EvolverConfig.for_duration(grid, duration=0.04, target_dt=4e-3)
         u0 = params.sample(grid, 0.0)
         assert cfl_rate(u0, grid) * config.dt > 2.0 * CFL_MAX
         with pytest.raises(InstabilityError, match="CFL"):
             evolve_trajectory(u0, config)
 
     # a huge offset: the sampled oscillation rounds to 0, so the CFL cap is
-    # off, while ifft(fft(u0)) - ubar keeps the transforms' rounding of the
-    # mean, and the stages overflow on it; a typed refusal, no numpy warning
+    # off, and the stages run on the transforms' rounding of the mean.  At
+    # beta = 1e20 the pilot's one step would end 4.9e4 off with an error
+    # estimate of 1e-11.  The roundoff of one step, eps * max|u0|, already
+    # exceeds the error target: a typed refusal before any step, with no
+    # numpy warning
     @pytest.mark.parametrize("beta", [1e20, 1e150])
-    def test_huge_offset_pilot_raises(self, beta):
+    def test_huge_offset_pilot_raises(self, beta, monkeypatch):
         params = DnWaveParams(alpha=1.0, beta=beta, m=0.5, p=3)
         grid = params.natural_grid(n=256)
         u0 = params.sample(grid, 0.0)
         assert grid_steps(grid, u0)[0].rate == 0.0
-        with pytest.raises(InstabilityError, match="error target"):
+        monkeypatch.setattr(evolve_module._GridSteps, "step", no_step)
+        with pytest.raises(InstabilityError, match=r"roundoff of one step, eps \* max\|u0\|"):
             evolve_trajectory(u0, EvolverConfig(grid, None, 0.01))
 
-    def test_huge_offset_fixed_step_run_raises(self):
+    def test_huge_offset_fixed_step_run_raises(self, monkeypatch):
         params = DnWaveParams(alpha=1.0, beta=1e150, m=0.5, p=3)
         grid = params.natural_grid(n=256)
         config = EvolverConfig.for_duration(grid, duration=0.01, target_dt=1e-3)
-        with pytest.raises(InstabilityError, match="spectral peak .* after step 1 "):
+        monkeypatch.setattr(evolve_module._GridSteps, "step", no_step)
+        with pytest.raises(InstabilityError, match=r"roundoff of one step, eps \* max\|u0\|"):
             evolve_trajectory(params.sample(grid, 0.0), config)
+
+    def test_largest_field_within_the_roundoff_rule_runs(self):
+        # just under ERROR_TARGET / eps = 4.5e7, a run still steps
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        u0 = 4.4e7 + np.cos(grid.x)
+        traj = evolve_trajectory(u0, EvolverConfig.for_duration(grid, 1e-3, 1e-4))
+        assert traj.config.steps == 10 and np.isfinite(traj.final).all()
 
     # an offset near the float range: the field is finite but its sum is
     # not, which the CFL number read as inf; refused as an input, for a
@@ -471,14 +574,11 @@ class TestStepChoice:
         assert built == ([h for dt in rounds for h in (dt, dt / 2.0, dt / 2.0)]
                          + [traj.config.dt] * (traj.config.steps - 1))
 
-    @pytest.mark.parametrize("dt, factors", [
-        (None, lambda dt: [dt, dt / 2.0, dt / 4.0]),
-        (1e-4, lambda dt: [dt, dt / 2.0]),
-    ], ids=["chosen", "given"])
-    def test_each_factor_is_computed_once(self, monkeypatch, dt, factors):
-        # a pilot round steps at dt and dt/2, and its dt/2 step reuses the
-        # dt step's half-step factor: three exponentials, not four; a run
-        # given its step computes two
+    @pytest.mark.parametrize("dt", [None, 1e-4], ids=["chosen", "given"])
+    def test_each_factor_is_computed_once(self, monkeypatch, dt):
+        # a pilot round steps at dt and dt/2: two sets of tables, and the
+        # dt/2 set reuses the dt set's half-step exponential; a run given
+        # its step builds one
         schemes, rounds = [], []
         init, pilot = evolve_module._GridSteps.__init__, evolve_module._pilot_error
         monkeypatch.setattr(evolve_module._GridSteps, "__init__",
@@ -488,20 +588,25 @@ class TestStepChoice:
         params, grid = cnoidal_setup()
         traj = evolve_trajectory(params.sample(grid, 0.0),
                                  EvolverConfig.for_duration(grid, 0.05, dt))
-        assert len(rounds) == (dt is None)
-        assert list(schemes[0]._factors) == factors(traj.config.dt)
+        if dt is None:
+            assert len(rounds) == 2
+            assert list(schemes[0]._factors) == [h for r in rounds for h in (r, r / 2.0)]
+        else:
+            assert rounds == [] and list(schemes[0]._factors) == [traj.config.dt]
 
     def test_shared_first_stage_leaves_the_pilot_unchanged(self):
         # the dt step and the first dt/2 step share nonlinear(u_hat); the
         # pilot equals step doubling with every stage computed afresh
         params, grid = cnoidal_setup(n=256)
-        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
+        u0 = params.sample(grid, 0.0)
+        tables, u_hat = grid_steps(grid, u0)
         before = u_hat.copy()
         config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
         estimate, first = evolve_module._pilot_error(tables, u_hat, config)
         dt = config.dt
-        expected_first = textbook_step(grid, dt, u_hat)
-        halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, u_hat))
+        full, half = fresh_tables(grid, u0, dt), fresh_tables(grid, u0, dt / 2.0)
+        expected_first = textbook_step(grid, dt, u_hat, full)
+        halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, u_hat, half), half)
         local = float(np.max(np.abs(ifft(expected_first - halves).real)))
         assert np.array_equal(first.view(np.uint64), expected_first.view(np.uint64))
         assert np.array_equal(tables.step(u_hat, dt).view(np.uint64),
@@ -564,14 +669,22 @@ class TestStepChoice:
             evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, 0.05))
 
     def test_three_copy_criterion_7_wave_takes_under_400_steps(self):
-        # the mean, 99.7% of max|u|, rides in the integrating factor: 333
-        # steps cross where stepping it took 1221
+        # the mean, 99.7% of max|u|, rides in the linear operator: 81
+        # steps cross; the count moves only with the scheme
         params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
         grid = params.natural_grid(n=256)
         duration = grid.L / abs(params.velocity)
         traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, duration))
         assert traj.error_estimate <= ERROR_TARGET
-        assert traj.config.steps < 400
+        assert traj.config.steps == 81
+
+    def test_single_criterion_7_wave_step_count(self):
+        # 797 steps cross; the count moves only with the scheme
+        params, grid = cnoidal_setup()
+        duration = grid.L / abs(params.velocity)
+        traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, duration))
+        assert traj.error_estimate <= ERROR_TARGET
+        assert traj.config.steps == 797
 
     def test_mostly_mean_wave_crosses_in_one_step(self):
         # eight copies at m = 0.7: an oscillation of 5.7e-7 about a mean of
@@ -588,8 +701,8 @@ class TestStepChoice:
 
     def test_slow_small_oscillation_wave_gets_a_step(self, monkeypatch):
         # three copies at m = 0.2, beta = 0 barely move and barely oscillate:
-        # the cap allows dt = 0.49, far outside the dt^4 regime, and the
-        # pilot needs 5 rounds to reach the target
+        # the cap allows dt = 1.97, and the pilot's first round, 12 steps,
+        # meets the target
         params = DnWaveParams(alpha=1.0, beta=0.0, m=0.2, p=3)
         grid = params.natural_grid(n=128)
         duration = grid.L / abs(params.velocity)
@@ -598,21 +711,46 @@ class TestStepChoice:
                             lambda *args: rounds.append(args) or pilot(*args))
         traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, duration))
         assert traj.error_estimate <= ERROR_TARGET
-        assert len(rounds) == 5
+        assert len(rounds) == 1 and traj.config.steps == 12
+
+    def test_pilot_rescales_a_stalled_estimate_as_dt(self, monkeypatch):
+        # three copies at m = 0.5, beta = 0 barely oscillate: from the cap
+        # the estimate falls about as dt (4.7e-8 at 35 steps, 3.2e-8 at
+        # 54), so rescaling every round as dt^4 ends 8 rounds at 1.6e-8;
+        # rescaling as dt after a round that did not halve the estimate
+        # reaches the target at 512 steps in 4 rounds
+        params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=3)
+        grid = params.natural_grid(n=128)
+        duration = grid.L / abs(params.velocity)
+        pilot, rounds = evolve_module._pilot_error, []
+        monkeypatch.setattr(evolve_module, "_pilot_error",
+                            lambda *args: rounds.append(args[2].steps) or pilot(*args))
+        traj = evolve_trajectory(params.sample(grid, 0.0), EvolverConfig(grid, None, duration))
+        assert rounds == [35, 54, 189, 512] and traj.config.steps == 512
+        assert traj.error_estimate <= ERROR_TARGET
+        assert np.max(np.abs(traj.final - params.sample(grid, duration))) <= 1e-6
 
     @pytest.mark.parametrize("p, m", [
-        # ended 2.6e-2 off under the old cap of 2 on max|u|, and 9e-3 off
-        # under a cap of 0.5 on max|u - ubar|; 3.1e-8 at the swept cap
+        # 5.8e-11 off in 3353 steps; 9e-3 off under IF-RK4 at a cap of 0.5
         (1, 0.9),
-        pytest.param(2, 0.99, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError, reason=(
-                "the pilot's own step ends 1.2e-5 from the exact wave and no "
-                "guard fires: the pilot sees one step, not the slow growth of "
-                "the top kept modes"))),
+        # 6.9e-11 off in 2451 steps; IF-RK4 under its pilot's step ended
+        # 1.2e-5 off with no guard firing
+        (2, 0.99),
     ])
     def test_pilot_step_crosses_accurately_at_n_512(self, p, m):
         params = DnWaveParams(alpha=1.0, beta=0.0, m=m, p=p)
         grid = params.natural_grid(n=512)
+        duration = grid.L / abs(params.velocity)
+        u0 = params.sample(grid, 0.0)
+        final = evolve_trajectory(u0, EvolverConfig(grid, None, duration)).final
+        assert np.max(np.abs(final - params.sample(grid, duration))) <= 1e-6
+
+    # IF-RK4 blew up on all three under its pilot's step; ETDRK4 ends
+    # 5.9e-11, 4.3e-11 and 3.4e-11 off in 3343, 6679 and 2932 steps
+    @pytest.mark.parametrize("p, m", [(1, 0.9), (1, 0.99), (2, 0.99)])
+    def test_pilot_step_crosses_accurately_at_n_1024(self, p, m):
+        params = DnWaveParams(alpha=1.0, beta=0.0, m=m, p=p)
+        grid = params.natural_grid(n=1024)
         duration = grid.L / abs(params.velocity)
         u0 = params.sample(grid, 0.0)
         final = evolve_trajectory(u0, EvolverConfig(grid, None, duration)).final
