@@ -22,12 +22,15 @@ step until a step-doubling pilot predicts a global error below
 the grid cannot represent, and without the mask those corruptions fold
 back into resolved modes and pollute 1e-6 comparisons.
 
-The k = 0 mode is untouched by both the linear propagator and the
-nonlinear term (which carries a factor k), so the coefficient u_hat[0],
-N times the mean of u, is the same to the last bit after every step, and
-ubar = u_hat[0].real / N is one number for the whole run.  The mean of a
-sampled field, mean(ifft(u_hat).real), is not: the inverse transform and
-the sum round it, so it drifts by a few ulps.
+The state of a run is the half spectrum v_hat of the oscillation v
+(``fourier._rfft``): v is real, so the modes 0 < k <= N/2 carry it, and
+every transform of a step runs in real arithmetic on about half the
+modes.  The mean is one number for the whole run, ubar =
+u_hat[0].real / N from the half spectrum u_hat of u0, and v_hat[0] is
+0.0: the linear propagator leaves k = 0 alone and the nonlinear term
+carries a factor k, so it stays 0.0 to the last bit after every step.  A
+snapshot is ubar + v; the mean of a sampled field, its sum over N, rounds,
+so it drifts by a few ulps.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import PeriodicGrid, _four_step, _plan, _require_positive, fft, ifft, kept_modes
+from .fourier import (PeriodicGrid, _half_modes, _irfft, _plan, _require_positive, _rfft,
+                      kept_modes)
 
 # Largest nonlinear CFL number, on max|u - ubar|, a run may take.
 # Measured on one full crossing at a fixed CFL number c, over p in
@@ -160,6 +164,9 @@ class Trajectory:
 
 
 def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    # a float conversion would drop the imaginary part with a mere warning
+    if np.iscomplexobj(u0):
+        raise DomainError("u0 must be real, got a complex array")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.N,):
         raise DomainError(f"u0 must have shape ({grid.N},), got {u0.shape}")
@@ -178,24 +185,32 @@ def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
 class _GridSteps:
     """The ETDRK4 scheme of one run: its tables, its CFL rate and its steps.
 
-    Built once per run from u0 and u_hat = fft(u0): the FFT plans, the
-    conserved mean ubar = u_hat[0].real / N, the operator
-    L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0), the order of
-    the modes by |L|, the dealiased 3 i k and the CFL rate
-    6 max|u0 - ubar| k_max.  The stepped term 6 v v_x, v = u - ubar,
-    advects at 6 |v|, and k_max = (2/3) pi N / L bounds the wavenumbers
-    the 2/3 rule keeps: at N = 256 the largest kept |k| is 84 * 2 pi / L,
-    not 85.3 * 2 pi / L.  The tables a step of size h reads are computed
-    once per h and run; a table at h/2 takes its exp(L h/2) from the one
-    at h, so a pilot round computes three exponentials.
+    Built once per run from u0 and its half spectrum u_hat = _rfft(u0):
+    the real FFT plans, the conserved mean ubar = u_hat[0].real / N, the
+    spectral peak max|u_hat| (mean mode included) that scales the blow-up
+    limit, the initial state v_hat (u_hat with its mode-0 entries zeroed),
+    the operator L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0),
+    the order of the modes by |L|, the dealiased 3 i k and the CFL rate
+    6 max|u0 - ubar| k_max, all on the modes of the half spectrum.  The
+    stepped term 6 v v_x advects at 6 |v|, and k_max = (2/3) pi N / L
+    bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
+    |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  The tables a step of size h
+    reads are computed once per h and run; a table at h/2 takes its
+    exp(L h/2) from the one at h, so a pilot round computes three
+    exponentials.
     """
 
-    def __init__(self, grid: PeriodicGrid, u0: np.ndarray, u_hat: np.ndarray) -> None:
-        self.forward, self.inverse = _plan(grid.N)
+    def __init__(self, grid: PeriodicGrid, u0: np.ndarray) -> None:
+        _, _, self.forward, self.inverse = _plan(grid.N)
+        u_hat = _rfft(u0, self.forward)
         self.mean = mean = u_hat[0].real / grid.N
+        self.peak = float(np.abs(u_hat).max())
+        modes = _half_modes(grid.N)
+        u_hat[modes == 0] = 0.0
+        self.start = u_hat
         k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
         self.rate = 6.0 * float(np.abs(u0 - mean).max()) * k_max
-        k = grid.k
+        k = (2.0 * np.pi / grid.L) * modes
         omega = k * k * k + 6.0 * mean * k
         self.linear = 1j * omega
         self.inverse_linear = np.divide(1.0, self.linear, out=np.zeros_like(self.linear),
@@ -203,18 +218,20 @@ class _GridSteps:
         # the modes with |L h| < 1 are a prefix of this order at every h
         self.by_size = np.argsort(np.abs(omega))
         self.sizes = np.abs(omega)[self.by_size]
-        self.coeff = 3j * k * kept_modes(grid.N)
+        # a signed mode indexes the mask in transform order; the pads, mode
+        # 0, get k = 0 and so a zero coefficient
+        self.coeff = 3j * k * kept_modes(grid.N)[modes]
         self._factors: dict[float, tuple[np.ndarray, ...]] = {}
 
-    def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
-        """The dealiased 3 i k fft(v^2), v = ifft(u_hat) - ubar.
+    def nonlinear(self, v_hat: np.ndarray) -> np.ndarray:
+        """The dealiased 3 i k rfft(v^2), v = irfft(v_hat).
 
-        The fields reaching a step come from _checked_field, so the
-        transforms run the four-step helper on the resolved plans without
-        re-checking.
+        Its mode-0 entries are 0, so it is a valid half spectrum to step
+        with.  The fields reaching a step come from _checked_field, so the
+        transforms run on the resolved plans without re-checking.
         """
-        v = _four_step(u_hat, self.inverse).real - self.mean
-        return self.coeff * _four_step(v * v, self.forward)
+        v = _irfft(v_hat, self.inverse)
+        return self.coeff * _rfft(v * v, self.forward)
 
     def _factor(self, h: float) -> tuple[np.ndarray, ...]:
         """The ETDRK4 tables (E, E_half, Q, f1, f2, f3) of a step of size h.
@@ -254,50 +271,50 @@ class _GridSteps:
             h * (phi2 - 2.0 * phi3), h * (4.0 * phi3 - phi2))
         return factor
 
-    def step(self, u_hat: np.ndarray, dt: float, a: np.ndarray | None = None) -> np.ndarray:
-        """One ETDRK4 step of size dt from u_hat, a new spectrum.
+    def step(self, v_hat: np.ndarray, dt: float, a: np.ndarray | None = None) -> np.ndarray:
+        """One ETDRK4 step of size dt from v_hat, a new half spectrum.
 
-        The stages are a = N(u), b = N(E_half u + Q a), c = N(E_half u + Q b)
-        and d = N(E_half (E_half u + Q a) + Q (2c - a)), and the step is
-        E u + f1 a + 2 f2 (b + c) + f3 d.  A caller that already holds the
-        first stage a = nonlinear(u_hat) may pass it; the step writes to
-        neither u_hat nor a.
+        The stages are a = N(v), b = N(E_half v + Q a), c = N(E_half v + Q b)
+        and d = N(E_half (E_half v + Q a) + Q (2c - a)), and the step is
+        E v + f1 a + 2 f2 (b + c) + f3 d.  A caller that already holds the
+        first stage a = nonlinear(v_hat) may pass it; the step writes to
+        neither v_hat nor a.
         """
         e, e_half, q, f1, f2, f3 = self._factor(dt)
         if a is None:
-            a = self.nonlinear(u_hat)
-        e_u = e_half * u_hat
-        s = e_u + q * a
+            a = self.nonlinear(v_hat)
+        e_v = e_half * v_hat
+        s = e_v + q * a
         b = self.nonlinear(s)
-        c = self.nonlinear(e_u + q * b)
+        c = self.nonlinear(e_v + q * b)
         d = self.nonlinear(e_half * s + q * (2.0 * c - a))
-        return e * u_hat + f1 * a + 2.0 * f2 * (b + c) + f3 * d
+        return e * v_hat + f1 * a + 2.0 * f2 * (b + c) + f3 * d
 
 
-def _pilot_error(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
+def _pilot_error(tables: _GridSteps, v_hat: np.ndarray, config: EvolverConfig
                  ) -> tuple[float, np.ndarray]:
     """Predicted max|u| error at T of a run with this config, and its step 1.
 
     Step doubling: one step of dt and two of dt/2 differ by about the
     local error of the dt step.  The run takes config.steps such steps and
     local errors add up, so the product is the global estimate.  The dt
-    step from u_hat is the run's step 1.  Both steps start from the stage
-    nonlinear(u_hat), evaluated once.
+    step from v_hat is the run's step 1.  Both steps start from the stage
+    nonlinear(v_hat), evaluated once.
     """
     dt = config.dt
-    a = tables.nonlinear(u_hat)
-    first = tables.step(u_hat, dt, a)
-    halves = tables.step(tables.step(u_hat, dt / 2.0, a), dt / 2.0)
-    local = float(np.abs(ifft(first - halves).real).max())
+    a = tables.nonlinear(v_hat)
+    first = tables.step(v_hat, dt, a)
+    halves = tables.step(tables.step(v_hat, dt / 2.0, a), dt / 2.0)
+    local = float(np.abs(_irfft(first - halves, tables.inverse)).max())
     return config.steps * local, first
 
 
-def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
+def _choose_step(tables: _GridSteps, v_hat: np.ndarray, config: EvolverConfig
                  ) -> tuple[EvolverConfig, float, np.ndarray]:
     """The config with the largest step the guards allow, its estimate and step 1.
 
     Starts from the CFL cap dt <= CFL_MAX / tables.rate, then shrinks dt
-    until the step-doubling pilot from u_hat predicts a global error at
+    until the step-doubling pilot from v_hat predicts a global error at
     most ERROR_TARGET; the rounds share the run's tables.  Raises
     InstabilityError if no step meets the target within the pilot rounds
     (for instance when roundoff alone exceeds it); never returns an
@@ -312,7 +329,7 @@ def _choose_step(tables: _GridSteps, u_hat: np.ndarray, config: EvolverConfig
     for _ in range(_PILOT_ROUNDS):
         chosen = EvolverConfig.for_duration(config.grid, duration, target_dt,
                                             config.snapshot_every)
-        estimate, first = _pilot_error(tables, u_hat, chosen)
+        estimate, first = _pilot_error(tables, v_hat, chosen)
         if estimate <= ERROR_TARGET:
             return chosen, estimate, first
         # a round whose stages overflow gives a non-finite estimate
@@ -356,13 +373,15 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
         raise InstabilityError(
             f"the roundoff of one step, eps * max|u0| = {roundoff!r}, exceeds "
             f"the error target {ERROR_TARGET!r}")
-    u_hat = fft(u0)
-    tables = _GridSteps(grid, u0, u_hat)
+    tables = _GridSteps(grid, u0)
     if config.dt is not None and tables.rate * config.dt > CFL_MAX:
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {tables.rate * config.dt!r} > {CFL_MAX}"
         )
-    limit = _BLOWUP_FACTOR * float(np.abs(u_hat).max())
+    # the limit scales with u0's whole spectrum, mean mode included; a
+    # step's peak is read on v_hat, as the mean mode is constant and lies
+    # below the limit
+    limit = _BLOWUP_FACTOR * tables.peak
     if limit == 0.0:
         limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
 
@@ -374,13 +393,13 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     # the pilot's non-finite estimate ends its rounds
     with np.errstate(over="ignore", invalid="ignore"):
         if config.dt is None:
-            config, error_estimate, u_hat = _choose_step(tables, u_hat, config)
+            config, error_estimate, v_hat = _choose_step(tables, tables.start, config)
         else:
-            u_hat = tables.step(u_hat, config.dt)
+            v_hat = tables.step(tables.start, config.dt)
         for n in range(1, config.steps + 1):
             if n > 1:
-                u_hat = tables.step(u_hat, config.dt)
-            peak = float(np.abs(u_hat).max())
+                v_hat = tables.step(v_hat, config.dt)
+            peak = float(np.abs(v_hat).max())
             if not math.isfinite(peak) or peak > limit:
                 raise InstabilityError(
                     f"spectral peak {peak!r} after step {n} (limit {limit!r})"
@@ -390,7 +409,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
             )
             if keep:
                 times.append(n * config.dt)
-                fields.append(ifft(u_hat).real)
+                fields.append(tables.mean + _irfft(v_hat, tables.inverse))
     return Trajectory(config=config, times=tuple(times), fields=tuple(fields),
                       cfl=tables.rate * config.dt, error_estimate=error_estimate)
 
@@ -430,8 +449,15 @@ def translation_lag(u0: np.ndarray, u_final: np.ndarray, grid: PeriodicGrid) -> 
 
     For a rigidly translating wave u(x, T) = u(x - V*T, 0), the peak sits
     at V*T mod L; comparing against the predicted velocity confirms the
-    velocity law dynamically, independent of pointwise comparisons.
+    velocity law dynamically, independent of pointwise comparisons.  The
+    correlation runs on the real half spectra, without their k = 0 term:
+    the product of the means adds a constant and cannot move the peak.
     """
-    c = ifft(fft(np.asarray(u_final, dtype=float))
-             * np.conj(fft(np.asarray(u0, dtype=float)))).real
-    return float(np.argmax(c) * grid.spacing)
+    u0, u_final = np.asarray(u0, dtype=float), np.asarray(u_final, dtype=float)
+    if u0.shape != (grid.N,) or u_final.shape != (grid.N,):
+        raise DomainError(f"translation_lag needs two fields of shape ({grid.N},), "
+                          f"got {u0.shape} and {u_final.shape}")
+    _, _, forward, inverse = _plan(grid.N)
+    cross = _rfft(u_final, forward) * np.conj(_rfft(u0, forward))
+    cross[_half_modes(grid.N) == 0] = 0.0
+    return float(np.argmax(_irfft(cross, inverse)) * grid.spacing)

@@ -19,6 +19,13 @@ exact, so ifft(a) equals conj(fft(conj(a))) / n exactly, at the forward
 transform's cost and without three extra passes over the array.  Only the
 sign of an exact zero can differ, in an imaginary part (x - x is +0, and
 the old route negated it); real parts agree bit for bit.
+
+The evolver's fields are real, and a private real pair serves them on the
+four-step's own layout: _rfft returns the half spectrum, n2/2 + 1 rows of
+n1 modes at k = k1 + n1 k2, and _irfft reads it back.  Each takes one of
+its two products in real arithmetic and forms only the rows k2 <= n2/2 of
+the other, so a real field costs about half the arithmetic of a complex
+one.  Which entry holds which mode is this module's to know: _half_modes.
 """
 
 from __future__ import annotations
@@ -57,17 +64,25 @@ def _require_positive(value: float, name: str) -> None:
 
 @lru_cache(maxsize=None)
 def _plan(n: int):
-    """The forward and inverse plans of the size-n transform, as a pair.
+    """The size-n plans: forward, inverse, real forward and real inverse.
 
-    A plan is (left DFT matrix, twiddle, right DFT matrix), with n = n1 * n2,
-    n1 = 2^floor(log2(n) / 2) and the twiddle exp(-2 pi i k1 j2 / n) on the
-    (n1, n2) grid.  Every entry is read from one table of the n roots
-    exp(-2 pi i j / n): an entry of a size-s DFT matrix, with angle
-    2 pi (j k mod s) / s, is the root at (j k mod s) * (n / s), and scaling
-    by a power of two leaves the reduced angle's rounding unchanged.  The
-    inverse plan is the forward one conjugated, with the 1/n normalization
-    in the twiddle.  When n1 == n2 (n an even power of two) the left matrix
-    is the right one, built and conjugated once.
+    A complex plan is (left DFT matrix, twiddle, right DFT matrix), with
+    n = n1 * n2, n1 = 2^floor(log2(n) / 2) and the twiddle
+    exp(-2 pi i k1 j2 / n) on the (n1, n2) grid.  Every entry is read from
+    one table of the n roots exp(-2 pi i j / n): an entry of a size-s DFT
+    matrix, with angle 2 pi (j k mod s) / s, is the root at
+    (j k mod s) * (n / s), and scaling by a power of two leaves the reduced
+    angle's rounding unchanged.  The inverse plan is the forward one
+    conjugated, with the 1/n normalization in the twiddle.  When n1 == n2
+    (n an even power of two) the left matrix is the right one, built and
+    conjugated once.
+
+    The real plans reuse those arrays (see _rfft and _irfft): the forward
+    is (left as floats, the twiddle transposed, the first n2/2 + 1 rows of
+    right), the inverse (the first n2/2 + 1 columns of conj(right) times
+    the weights 2, and 1 in the Nyquist column, the inverse twiddle
+    transposed, left as floats).  Doubling is exact, so every entry is
+    still a root of the table, scaled by a power of two.
     """
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
@@ -82,7 +97,15 @@ def _plan(n: int):
     twiddle = roots[np.outer(np.arange(n1), np.arange(n2)) % n]
     conj_left = np.conj(left)
     conj_right = conj_left if right is left else np.conj(right)
-    return (left, twiddle, right), (conj_left, np.conj(twiddle) / n, conj_right)
+    inverse_twiddle = np.conj(twiddle) / n
+    rows = n2 // 2 + 1
+    weights = np.full(rows, 2.0)
+    weights[-1] = 1.0
+    real_left = left.view(float)
+    return ((left, twiddle, right), (conj_left, inverse_twiddle, conj_right),
+            (real_left, np.ascontiguousarray(twiddle.T), right[:rows]),
+            (conj_right[:, :rows] * weights, np.ascontiguousarray(inverse_twiddle.T),
+             real_left))
 
 
 def _four_step(a: np.ndarray, plan) -> np.ndarray:
@@ -100,6 +123,59 @@ def _four_step(a: np.ndarray, plan) -> np.ndarray:
     cols = left @ a.reshape(left.shape[0], -1)
     cols *= twiddle
     return (right @ cols.T).ravel()
+
+
+def _half_modes(n: int) -> np.ndarray:
+    """Signed mode numbers of the half spectra that _rfft returns and _irfft reads.
+
+    A half spectrum keeps the four-step's order, k = k1 + n1 k2, for the
+    rows k2 <= n2/2: the modes 0..n/2 - 1, then the Nyquist mode, which
+    keeps -n/2 as in signed_modes, then n1 - 1 pad entries, which are given
+    mode 0.  The entries of mode 0, the mean and the pads, must hold 0
+    where a half spectrum reaches _irfft.
+    """
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    modes = np.arange(n1 * (n // n1 // 2 + 1))
+    modes[n // 2] = -(n // 2)
+    modes[n // 2 + 1:] = 0
+    return modes
+
+
+def _rfft(x: np.ndarray, plan) -> np.ndarray:
+    """The half spectrum of a real length-n field x, with the real forward plan.
+
+    The four-step in real arithmetic where the field is real: the first
+    product, x.reshape(n1, n2).T @ left, takes the n1 real samples of a
+    column against the real and imaginary parts of left at once, as one
+    real matrix, and gives the columns as complex numbers in (j2, k1)
+    order; only the rows k2 <= n2/2 of the last product are formed.  Entry
+    k is fft(x)[k] for k <= n/2 (see _half_modes); the pads hold the modes
+    past n/2, which are not zero.  x is a checked 1-D float array of the
+    plan's size.
+    """
+    left, twiddle, right = plan
+    cols = (x.reshape(left.shape[0], -1).T @ left).view(complex)
+    cols *= twiddle
+    return (right @ cols).ravel()
+
+
+def _irfft(x_hat: np.ndarray, plan) -> np.ndarray:
+    """The real field of a half spectrum whose mode-0 entries are 0, with the real inverse plan.
+
+    With its mean 0, a real field is the sum over 0 < k <= n/2 of
+    Re(w_k x_hat[k] exp(2 pi i j k / n)), w_k = 2/n and 1/n at Nyquist.
+    The first product runs over the rows k2 <= n2/2 with the weights
+    folded into its matrix and the twiddle.  The last keeps only real
+    parts: Re(conj(l) y) = Re(l) Re(y) + Im(l) Im(y), so it is left itself,
+    viewed as floats, against the rows viewed as floats, and lands in
+    natural order with no transpose copy.  The imaginary part of the
+    Nyquist entry drops out, as a real field has none.  The mean and pad
+    entries are read, not skipped, so they must be 0; x_hat is not copied.
+    """
+    right, twiddle, left = plan
+    rows = right @ x_hat.reshape(-1, twiddle.shape[1])
+    rows *= twiddle
+    return (left @ rows.view(float).T).ravel()
 
 
 def _checked(a: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from landen_kdv.evolve import (
     evolve_trajectory,
     translation_lag,
 )
-from landen_kdv.fourier import kept_modes
+from landen_kdv.fourier import _half_modes, _irfft, _plan, _rfft, kept_modes
 
 
 def cnoidal_setup(n=256, m=0.5):
@@ -39,16 +39,21 @@ def cnoidal_setup(n=256, m=0.5):
     return params, grid
 
 
+def half_mean(u0):
+    """ubar = u_hat[0].real / N, u_hat the half spectrum of u0."""
+    return _rfft(u0, _plan(u0.size)[2])[0].real / u0.size
+
+
 def cfl_rate(u0, grid):
-    """6 max|u0 - ubar| k_max, ubar = fft(u0)[0].real / N: the CFL number at dt = 1."""
+    """6 max|u0 - ubar| k_max: the CFL number at dt = 1."""
     k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
-    return 6.0 * float(np.abs(u0 - fft(u0)[0].real / grid.N).max()) * k_max
+    return 6.0 * float(np.abs(u0 - half_mean(u0)).max()) * k_max
 
 
 def grid_steps(grid, u0):
-    """The run's scheme for u0, built as evolve_trajectory builds it."""
-    u_hat = fft(u0)
-    return evolve_module._GridSteps(grid, u0, u_hat), u_hat
+    """The run's scheme for u0, built as evolve_trajectory builds it, and its v_hat."""
+    tables = evolve_module._GridSteps(grid, u0)
+    return tables, tables.start
 
 
 class TestConfig:
@@ -219,30 +224,43 @@ class TestAccuracy:
         with pytest.raises(DomainError, match="finite"):
             evolve_trajectory(u0, EvolverConfig(grid, None, 0.02))
 
+    # a float conversion would drop the imaginary part with only a
+    # ComplexWarning and run on another field
+    @pytest.mark.parametrize("imag", [1e-3, 0.0])
+    def test_complex_field_rejected(self, imag):
+        params, grid = cnoidal_setup(n=64)
+        u0 = params.sample(grid, 0.0) + 1j * imag
+        for config in (EvolverConfig(grid, None, 0.01), EvolverConfig(grid, 1e-3, 0.01)):
+            with pytest.raises(DomainError, match="u0 must be real"):
+                evolve_trajectory(u0, config)
+            with pytest.raises(DomainError, match="u0 must be real"):
+                evolve_trajectory(list(u0), config)
 
-def textbook_step(grid, dt, u_hat, tables):
-    """The ETDRK4 step of u = ubar + v written out with the public transforms.
+
+def textbook_step(grid, dt, v_hat, tables):
+    """The ETDRK4 step of v = u - ubar written out on its half spectrum.
 
     The linear operator i (k^3 + 6 ubar k) carries dispersion and the
-    advection 6 ubar u_x by the mean ubar = u_hat[0].real / N, and
-    tables = (E, E_half, Q, f1, f2, f3) are its coefficients at dt; the
-    stages step 6 v v_x alone, in Kassam and Trefethen's order.
+    advection 6 ubar u_x by the mean ubar, and tables = (E, E_half, Q, f1,
+    f2, f3) are its coefficients at dt; the stages step 6 v v_x alone, in
+    Kassam and Trefethen's order, with the real transform pair and the 2/3
+    rule written out on the half spectrum's modes.
     """
     e, e_half, q, f1, f2, f3 = tables
-    k = grid.k
-    mean = u_hat[0].real / grid.N
-    coeff = 3j * k * kept_modes(grid.N)
+    modes = _half_modes(grid.N)
+    coeff = 3j * (2.0 * np.pi / grid.L * modes) * (np.abs(modes) < grid.N // 3)
+    _, _, forward, inverse = _plan(grid.N)
 
     def nonlinear(w_hat):
-        v = ifft(w_hat).real - mean
-        return coeff * fft(v * v)
+        v = _irfft(w_hat, inverse)
+        return coeff * _rfft(v * v, forward)
 
-    a = nonlinear(u_hat)
-    s = e_half * u_hat + q * a
+    a = nonlinear(v_hat)
+    s = e_half * v_hat + q * a
     b = nonlinear(s)
-    c = nonlinear(e_half * u_hat + q * b)
+    c = nonlinear(e_half * v_hat + q * b)
     d = nonlinear(e_half * s + q * (2.0 * c - a))
-    return e * u_hat + f1 * a + 2.0 * f2 * (b + c) + f3 * d
+    return e * v_hat + f1 * a + 2.0 * f2 * (b + c) + f3 * d
 
 
 def fresh_tables(grid, u0, dt):
@@ -275,43 +293,67 @@ class TestStep:
         # tables a scheme builds at dt/2 alone
         params, grid = cnoidal_setup(n=n)
         u0 = params.sample(grid, 0.0)
-        tables, u_hat = grid_steps(grid, u0)
-        before = u_hat.copy()
+        tables, v_hat = grid_steps(grid, u0)
+        before = v_hat.copy()
         dt = 1e-4
-        stage = tables.nonlinear(u_hat)
+        stage = tables.nonlinear(v_hat)
         for h in (dt, dt / 2.0):
             fresh = fresh_tables(grid, u0, h)
-            expected = textbook_step(grid, h, u_hat, fresh).view(np.uint64)
-            assert np.array_equal(tables.step(u_hat, h).view(np.uint64), expected)
-            assert np.array_equal(tables.step(u_hat, h, stage.copy()).view(np.uint64),
+            expected = textbook_step(grid, h, v_hat, fresh).view(np.uint64)
+            assert np.array_equal(tables.step(v_hat, h).view(np.uint64), expected)
+            assert np.array_equal(tables.step(v_hat, h, stage.copy()).view(np.uint64),
                                   expected)
             for ours, theirs in zip(tables._factor(h), fresh):
                 assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
         assert tables._factor(dt / 2.0)[0] is tables._factor(dt)[1]
-        assert np.array_equal(u_hat, before)
+        assert np.array_equal(v_hat, before)
 
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_step_is_the_textbook_expression_bit_for_bit(self, n):
         # the step keeps every operand order of the textbook ETDRK4 step
-        # written with the public transforms over the same tables
+        # written with the real transform pair over the same tables
         params, grid = cnoidal_setup(n=n)
         dt = 1e-4
-        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
-        expected = textbook_step(grid, dt, u_hat, tables._factor(dt))
-        before = u_hat.copy()
-        ours = tables.step(u_hat, dt)
+        tables, v_hat = grid_steps(grid, params.sample(grid, 0.0))
+        expected = textbook_step(grid, dt, v_hat, tables._factor(dt))
+        before = v_hat.copy()
+        ours = tables.step(v_hat, dt)
         assert np.array_equal(ours.view(np.uint64), expected.view(np.uint64))
-        assert np.array_equal(u_hat, before)
+        assert np.array_equal(v_hat, before)
 
     def test_step_writes_neither_its_spectrum_nor_its_stage(self):
         # the pilot hands one first stage to its dt and its dt/2 step
         params, grid = cnoidal_setup(n=256)
-        tables, u_hat = grid_steps(grid, params.sample(grid, 0.0))
-        stage = tables.nonlinear(u_hat)
-        before, stage_before = u_hat.copy(), stage.copy()
-        tables.step(u_hat, 1e-4, stage)
-        assert np.array_equal(u_hat.view(np.uint64), before.view(np.uint64))
+        tables, v_hat = grid_steps(grid, params.sample(grid, 0.0))
+        stage = tables.nonlinear(v_hat)
+        before, stage_before = v_hat.copy(), stage.copy()
+        tables.step(v_hat, 1e-4, stage)
+        assert np.array_equal(v_hat.view(np.uint64), before.view(np.uint64))
         assert np.array_equal(stage.view(np.uint64), stage_before.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_half_spectrum_is_the_full_spectrum_of_v(self, n):
+        # the state and the nonlinear term on the half spectrum are the
+        # full-spectrum ones, fft(u0) less its mean mode and the dealiased
+        # 3 i k fft(v^2), on the modes 0..N/2, with zero mean and pad
+        # entries.  The term's rounding is measured in eps times its scale,
+        # the largest |3 k| times the largest |fft(v^2)|: at most 1.05 here
+        params, grid = cnoidal_setup(n=n)
+        u0 = params.sample(grid, 0.0)
+        tables, v_hat = grid_steps(grid, u0)
+        assert tables.mean == half_mean(u0)
+        assert tables.mean == pytest.approx(fft(u0)[0].real / n, rel=4e-16)
+        full = fft(u0)
+        full[0] = 0.0
+        v = ifft(full).real
+        coeff, square = 3.0 * grid.k * kept_modes(n), fft(v * v)
+        stage = tables.nonlinear(v_hat)
+        zero = _half_modes(n) == 0
+        assert not v_hat[zero].any() and not stage[zero].any()
+        eps, h = np.finfo(float).eps, n // 2 + 1
+        assert np.max(np.abs(v_hat[:h] - full[:h])) <= 4.0 * eps * np.max(np.abs(full))
+        assert np.max(np.abs(stage[:h] - (1j * coeff * square)[:h])) <= (
+            4.0 * eps * np.max(np.abs(coeff)) * np.max(np.abs(square)))
 
 
 class TestTables:
@@ -392,20 +434,21 @@ class TestTrajectory:
         assert traj.cfl == cfl_rate(u0, grid) * config.dt
 
     def test_cfl_reads_the_mean_the_integrating_factor_uses(self):
-        # ubar = fft(u0)[0].real / N, not the sampled mean sum(u0) / N,
-        # which rounds differently: one mean for the factor and the rate
+        # ubar = u_hat[0].real / N from the half spectrum u_hat of u0, not
+        # the sampled mean sum(u0) / N, which rounds differently: one mean
+        # for the linear operator and the rate
         params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
         grid = params.natural_grid(n=256)
         u0 = params.sample(grid, 0.0)
         duration = 0.05 * grid.L / abs(params.velocity)
         traj = evolve_trajectory(u0, EvolverConfig(grid, None, duration))
         k_max = (2.0 / 3.0) * np.pi * grid.N / grid.L
-        mean = fft(u0)[0].real / grid.N
+        mean = half_mean(u0)
         assert traj.cfl == 6.0 * float(np.abs(u0 - mean).max()) * k_max * traj.config.dt
 
 
-# Sampled-mean drift allowed, in ulps of 1: mean(ifft(u_hat).real) rounds
-# differently from step to step even though u_hat[0] does not change.  The
+# Sampled-mean drift allowed, in ulps of 1: the mean of ubar + irfft(v_hat)
+# rounds differently from step to step even though v_hat[0] does not.  The
 # worst measured over 24 runs (m 0.3/0.5/0.7/0.9, p 1-3, N 128/256,
 # T = 0.01, every step sampled) was 2.3 ulps.
 MASS_DRIFT_ULPS = 4
@@ -413,17 +456,17 @@ MASS_DRIFT_ULPS = 4
 
 class TestConservation:
     def test_mean_is_conserved_exactly(self, monkeypatch):
-        # exact is the k = 0 coefficient: the nonlinear term carries a factor
-        # i k and E is 1 there, so every step returns u_hat[0] bit for bit;
-        # only sampling the mean adds rounding
+        # exact is the k = 0 coefficient of v: the nonlinear term carries a
+        # factor i k and E is 1 there, so every step returns v_hat[0] = 0.0,
+        # and the mean is one number; only sampling the mean adds rounding
         params, grid = cnoidal_setup()
         u0 = params.sample(grid, 0.0)
         step = evolve_module._GridSteps.step
         zero_modes = []
 
-        def recorded(self, u_hat, dt, a=None):
-            out = step(self, u_hat, dt, a)
-            zero_modes.append(out[0].tobytes())
+        def recorded(self, v_hat, dt, a=None):
+            out = step(self, v_hat, dt, a)
+            zero_modes.append(complex(out[0]))
             return out
 
         monkeypatch.setattr(evolve_module._GridSteps, "step", recorded)
@@ -431,14 +474,14 @@ class TestConservation:
             grid, duration=0.05, target_dt=1e-4, snapshot_every=100)
         traj = evolve_trajectory(u0, config)
         assert len(zero_modes) == config.steps
-        assert set(zero_modes) == {fft(u0)[0].tobytes()}
+        assert set(zero_modes) == {0.0}
         report = conservation_report(traj)
         assert isinstance(report, ConservationReport)
         assert report.mass_drift <= MASS_DRIFT_ULPS * np.finfo(float).eps
         assert report.momentum_drift < 1e-12
 
 
-def no_step(self, u_hat, dt, a=None):
+def no_step(self, v_hat, dt, a=None):
     raise AssertionError("the refusal must come before any step")
 
 
@@ -455,13 +498,15 @@ class TestInstability:
 
     def test_blowup_detected_mid_run(self, monkeypatch):
         # a step that doubles every mode stands in for an unstable scheme
-        # at a step the CFL check accepts: 2^20 is the first power of two
-        # past the 1e6 growth limit, so the guard fires after step 20
+        # at a step the CFL check accepts.  The limit is 1e6 times the
+        # initial peak, N |ubar| = 373, and v_hat starts at 63.6: 2^23 is
+        # the first power of two past 5.86e6, so the guard fires after
+        # step 23
         params, grid = cnoidal_setup()
         monkeypatch.setattr(evolve_module._GridSteps, "step",
-                            lambda self, u_hat, dt, a=None: 2.0 * u_hat)
+                            lambda self, v_hat, dt, a=None: 2.0 * v_hat)
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
-        with pytest.raises(InstabilityError, match="spectral peak .* after step 20 "):
+        with pytest.raises(InstabilityError, match="spectral peak .* after step 23 "):
             evolve_trajectory(params.sample(grid, 0.0), config)
 
     def test_three_copy_wave_refused_at_coarse_step(self):
@@ -543,8 +588,8 @@ class TestStepChoice:
         monkeypatch.setattr(evolve_module._GridSteps, "__init__",
                             lambda self, grid, *u: tables.append(grid) or init(self, grid, *u))
         monkeypatch.setattr(evolve_module._GridSteps, "step",
-                            lambda self, u_hat, dt, a=None:
-                            built.append(dt) or step(self, u_hat, dt, a))
+                            lambda self, v_hat, dt, a=None:
+                            built.append(dt) or step(self, v_hat, dt, a))
         return tables, built
 
     def test_one_table_build_per_evolve_run(self, builds, capsys):
@@ -595,24 +640,24 @@ class TestStepChoice:
             assert rounds == [] and list(schemes[0]._factors) == [traj.config.dt]
 
     def test_shared_first_stage_leaves_the_pilot_unchanged(self):
-        # the dt step and the first dt/2 step share nonlinear(u_hat); the
+        # the dt step and the first dt/2 step share nonlinear(v_hat); the
         # pilot equals step doubling with every stage computed afresh
         params, grid = cnoidal_setup(n=256)
         u0 = params.sample(grid, 0.0)
-        tables, u_hat = grid_steps(grid, u0)
-        before = u_hat.copy()
+        tables, v_hat = grid_steps(grid, u0)
+        before = v_hat.copy()
         config = EvolverConfig.for_duration(grid, 0.02, 1e-3)
-        estimate, first = evolve_module._pilot_error(tables, u_hat, config)
+        estimate, first = evolve_module._pilot_error(tables, v_hat, config)
         dt = config.dt
         full, half = fresh_tables(grid, u0, dt), fresh_tables(grid, u0, dt / 2.0)
-        expected_first = textbook_step(grid, dt, u_hat, full)
-        halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, u_hat, half), half)
-        local = float(np.max(np.abs(ifft(expected_first - halves).real)))
+        expected_first = textbook_step(grid, dt, v_hat, full)
+        halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, v_hat, half), half)
+        local = float(np.max(np.abs(_irfft(expected_first - halves, _plan(grid.N)[3]))))
         assert np.array_equal(first.view(np.uint64), expected_first.view(np.uint64))
-        assert np.array_equal(tables.step(u_hat, dt).view(np.uint64),
+        assert np.array_equal(tables.step(v_hat, dt).view(np.uint64),
                               expected_first.view(np.uint64))
         assert estimate == config.steps * local
-        assert np.array_equal(u_hat, before)
+        assert np.array_equal(v_hat, before)
 
     def test_stage_evaluations_per_pilot_round_and_step(self, monkeypatch):
         # a pilot round evaluates the shared first stage once, three more
@@ -621,13 +666,13 @@ class TestStepChoice:
         calls, rounds = [], []
         nonlinear, pilot = evolve_module._GridSteps.nonlinear, evolve_module._pilot_error
         monkeypatch.setattr(evolve_module._GridSteps, "nonlinear",
-                            lambda self, u_hat: calls.append(1) or nonlinear(self, u_hat))
+                            lambda self, v_hat: calls.append(1) or nonlinear(self, v_hat))
         monkeypatch.setattr(evolve_module, "_pilot_error",
                             lambda *args: rounds.append(args) or pilot(*args))
         params, grid = cnoidal_setup(n=128)
         u0 = params.sample(grid, 0.0)
-        tables, u_hat = grid_steps(grid, u0)
-        evolve_module._pilot_error(tables, u_hat, EvolverConfig.for_duration(grid, 0.02, 1e-3))
+        tables, v_hat = grid_steps(grid, u0)
+        evolve_module._pilot_error(tables, v_hat, EvolverConfig.for_duration(grid, 0.02, 1e-3))
         assert len(calls) == 11
         calls.clear()
         given = EvolverConfig.for_duration(grid, 0.02, 1e-4)
@@ -771,6 +816,10 @@ class TestTranslationLag:
         shifted = np.roll(u0, 37)
         assert translation_lag(u0, shifted, grid) == pytest.approx(
             37 * grid.spacing, abs=1e-12)
+        # the k = 0 cross term, a constant, is left out: offsets do not
+        # move the lag
+        for a, b in ((5.0, 0.0), (0.0, -3.0), (1e3, 1e3)):
+            assert translation_lag(u0 + a, shifted + b, grid) == 37 * grid.spacing
 
     def test_evolved_lag_matches_velocity(self):
         params, grid = cnoidal_setup()
@@ -779,3 +828,9 @@ class TestTranslationLag:
         expected = (params.velocity * config.T) % grid.L
         assert translation_lag(params.sample(grid, 0.0), u_final, grid) == pytest.approx(
             expected, abs=grid.spacing)
+
+    @pytest.mark.parametrize("shapes", [((128,), (256,)), ((256,), (128,)), ((16, 16), (256,))])
+    def test_fields_off_the_grid_are_refused(self, shapes):
+        _, grid = cnoidal_setup()
+        with pytest.raises(DomainError, match=r"two fields of shape \(256,\)"):
+            translation_lag(np.zeros(shapes[0]), np.zeros(shapes[1]), grid)

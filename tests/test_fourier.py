@@ -18,7 +18,10 @@ from landen_kdv import (
 )
 from landen_kdv.fourier import (
     _four_step,
+    _half_modes,
+    _irfft,
     _plan,
+    _rfft,
     drop_noise_floor,
     fit_traveling_velocity,
     high_mode_energy_fraction,
@@ -89,13 +92,13 @@ class TestTransformAgainstNumpy:
         # n1 == n2 at n = 256: one matrix serves as left and right, and the
         # inverse plan conjugates it once
         square = n == 256
-        for left, _, right in _plan(n):
+        for left, _, right in _plan(n)[:2]:
             assert (right is left) == square
 
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
     def test_plan_dft_matrices_are_symmetric(self, n):
         # what lets _four_step take right @ cols.T for (cols @ right).T
-        for left, _, right in _plan(n):
+        for left, _, right in _plan(n)[:2]:
             for dft in (left, right):
                 transpose = np.ascontiguousarray(dft.T)
                 assert np.array_equal(dft.view(np.uint64), transpose.view(np.uint64))
@@ -106,7 +109,7 @@ class TestTransformAgainstNumpy:
         # bit for bit.  At n = 4 and 8 (two-row products) BLAS picks another
         # kernel and the last bit can differ, at the same accuracy.
         rng = np.random.default_rng(n + 3)
-        for plan in _plan(n):
+        for plan in _plan(n)[:2]:
             left, twiddle, right = plan
             for _ in range(20):
                 for a in (rng.standard_normal(n),
@@ -116,6 +119,82 @@ class TestTransformAgainstNumpy:
                     ours = _four_step(a, plan)
                     assert np.array_equal(ours.view(np.uint64),
                                           transposed.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
+    def test_real_plans_are_the_per_entry_formula(self, n):
+        # the real pair reads the complex plans' own entries: left viewed as
+        # floats, the twiddles transposed, the first n2/2 + 1 rows of right,
+        # and the first n2/2 + 1 columns of conj(right) with the weights 2
+        # (1 at Nyquist) folded in, bit for bit
+        def roots(rows, cols, size):
+            jk = np.outer(np.arange(rows), np.arange(cols)) % size
+            return np.exp(-2j * np.pi * jk / size)
+
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        n2 = n // n1
+        rows = n2 // 2 + 1
+        left, twiddle, right = roots(n1, n1, n1), roots(n1, n2, n), roots(n2, n2, n2)
+        weights = np.append(np.full(rows - 1, 2.0), 1.0)
+        expected = ((left.view(float), twiddle.T, right[:rows]),
+                    (np.conj(right)[:, :rows] * weights, np.conj(twiddle).T / n,
+                     left.view(float)))
+        for plan, ref in zip(_plan(n)[2:], expected):
+            for ours, theirs in zip(plan, ref):
+                theirs = np.ascontiguousarray(theirs)
+                assert ours.shape == theirs.shape and ours.flags.c_contiguous
+                assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+        # one left matrix serves the forward's first product and the
+        # inverse's last
+        assert _plan(n)[2][0] is _plan(n)[3][2]
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 128, 256, 512, 1024, 2048, 4096])
+    def test_real_forward_matches(self, n):
+        # the half spectrum is rfft's, and the four-step's own first
+        # n/2 + 1 modes, to the forward's accuracy
+        rng = np.random.default_rng(n + 4)
+        x = rng.standard_normal(n)
+        ours = _rfft(x, _plan(n)[2])
+        ref = np.fft.rfft(x)
+        assert ours.size == _half_modes(n).size
+        assert np.max(np.abs(ours[:n // 2 + 1] - ref)) < 5e-15 * np.max(np.abs(ref))
+        full = fft(x)[:n // 2 + 1]
+        assert np.max(np.abs(ours[:n // 2 + 1] - full)) < 5e-15 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 128, 256, 512, 1024, 2048, 4096])
+    def test_real_inverse_matches(self, n):
+        # the inverse of a half spectrum with zero mode-0 entries is irfft's;
+        # the Nyquist entry's imaginary part is dropped, as irfft drops it
+        rng = np.random.default_rng(n + 5)
+        modes = _half_modes(n)
+        spectrum = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        spectrum[0] = 0.0
+        x_hat = np.zeros(modes.size, dtype=complex)
+        x_hat[:n // 2 + 1] = spectrum
+        before = x_hat.copy()
+        ours = _irfft(x_hat, _plan(n)[3])
+        assert ours.dtype == float and ours.shape == (n,)
+        ref = np.fft.irfft(spectrum, n)
+        assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
+        assert np.array_equal(x_hat, before)
+
+    @pytest.mark.parametrize("n", [64, 256, 512, 4096])
+    def test_real_round_trip_of_a_zero_mean_field(self, n):
+        rng = np.random.default_rng(n + 6)
+        x = rng.standard_normal(n)
+        x -= np.mean(x)
+        x_hat = _rfft(x, _plan(n)[2])
+        x_hat[_half_modes(n) == 0] = 0.0
+        assert np.max(np.abs(_irfft(x_hat, _plan(n)[3]) - x)) < 5e-15 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [2, 64, 256, 512])
+    def test_half_modes(self, n):
+        # the modes 0..n/2 - 1 in order, Nyquist as -n/2, and the pads at 0
+        modes = _half_modes(n)
+        n1 = 1 << ((n.bit_length() - 1) // 2)
+        assert modes.size == n // 2 + n1
+        assert np.array_equal(modes[:n // 2], signed_modes(n)[:n // 2])
+        assert modes[n // 2] == signed_modes(n)[n // 2] == -(n // 2)
+        assert not modes[n // 2 + 1:].any()
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
