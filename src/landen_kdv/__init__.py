@@ -28,7 +28,7 @@ from .evolve import (
     evolve_trajectory,
     translation_lag,
 )
-from .fourier import PeriodicGrid, fft, ifft, spectral_derivative
+from .fourier import PeriodicGrid, fft, spectral_derivative
 from .landen import (
     A_constant,
     LandenMap,
@@ -81,7 +81,6 @@ __all__ = [
     "equivalence_check",
     "evolve_trajectory",
     "fft",
-    "ifft",
     "jacobi_sn_cn_dn",
     "kdv_residual",
     "landen_map",

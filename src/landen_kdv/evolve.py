@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import (PeriodicGrid, _half_modes, _irfft, _plan, _require_positive, _rfft,
-                      kept_modes)
+from .fourier import PeriodicGrid, _irfft, _plan, _require_positive, _rfft, kept_modes
 
 # Largest nonlinear CFL number, on max|u - ubar|, a run may take.
 # Measured on one full crossing at a fixed CFL number c, over p in
@@ -78,8 +77,9 @@ _PILOT_ROUNDS = 8
 _PHI3_SERIES = np.array([1.0 / math.factorial(n + 3) for n in range(16)])
 _PHI3_POWERS = np.arange(_PHI3_SERIES.size)
 
-# A spectral amplitude beyond this multiple of the initial peak means the
-# integration has blown up.
+# A spectral amplitude beyond this multiple of the initial peak of v_hat
+# means the integration has blown up: the flow conserves the integral of
+# v^2, so by Parseval no honest |v_hat_k| exceeds sqrt(N) times that peak.
 _BLOWUP_FACTOR = 1e6
 
 
@@ -187,10 +187,10 @@ class _GridSteps:
 
     Built once per run from u0 and its half spectrum u_hat = _rfft(u0):
     the real FFT plans, the conserved mean ubar = u_hat[0].real / N, the
-    spectral peak max|u_hat| (mean mode included) that scales the blow-up
-    limit, the initial state v_hat (u_hat with its mode-0 entries zeroed),
-    the operator L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0),
-    the order of the modes by |L|, the dealiased 3 i k and the CFL rate
+    initial state v_hat (u_hat with its mode-0 entries zeroed), its peak
+    max|v_hat| that scales the blow-up limit, the operator
+    L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0), the order of
+    the modes by |L|, the dealiased 3 i k and the CFL rate
     6 max|u0 - ubar| k_max, all on the modes of the half spectrum.  The
     stepped term 6 v v_x advects at 6 |v|, and k_max = (2/3) pi N / L
     bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
@@ -201,26 +201,23 @@ class _GridSteps:
     """
 
     def __init__(self, grid: PeriodicGrid, u0: np.ndarray) -> None:
-        _, _, self.forward, self.inverse = _plan(grid.N)
+        _, self.forward, self.inverse = _plan(grid.N)
         u_hat = _rfft(u0, self.forward)
         self.mean = mean = u_hat[0].real / grid.N
-        self.peak = float(np.abs(u_hat).max())
-        modes = _half_modes(grid.N)
-        u_hat[modes == 0] = 0.0
+        u_hat[grid.k == 0.0] = 0.0
         self.start = u_hat
+        self.peak = float(np.abs(u_hat).max())
         k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
         self.rate = 6.0 * float(np.abs(u0 - mean).max()) * k_max
-        k = (2.0 * np.pi / grid.L) * modes
-        omega = k * k * k + 6.0 * mean * k
+        omega = grid.k * grid.k * grid.k + 6.0 * mean * grid.k
         self.linear = 1j * omega
         self.inverse_linear = np.divide(1.0, self.linear, out=np.zeros_like(self.linear),
                                         where=omega != 0.0)
         # the modes with |L h| < 1 are a prefix of this order at every h
         self.by_size = np.argsort(np.abs(omega))
         self.sizes = np.abs(omega)[self.by_size]
-        # a signed mode indexes the mask in transform order; the pads, mode
-        # 0, get k = 0 and so a zero coefficient
-        self.coeff = 3j * k * kept_modes(grid.N)[modes]
+        # the pads are in the mask, but their k = 0 gives a zero coefficient
+        self.coeff = 3j * grid.k * kept_modes(grid.N)
         self._factors: dict[float, tuple[np.ndarray, ...]] = {}
 
     def nonlinear(self, v_hat: np.ndarray) -> np.ndarray:
@@ -359,10 +356,10 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     InstabilityError before the first step if the CFL number of (u0, dt)
     exceeds CFL_MAX.  Either run is refused with InstabilityError before
     the first step if eps * max|u0| exceeds ERROR_TARGET, and raises it if
-    any spectral amplitude grows beyond 1e6 times the initial peak; the
-    check runs before the report stage so a blown-up run never produces
-    drift numbers.  The trajectory keeps the config with the step taken,
-    its CFL number and the pilot's estimate.
+    any spectral amplitude of v = u - ubar grows beyond 1e6 times its
+    initial peak; the check runs before the report stage so a blown-up run
+    never produces drift numbers.  The trajectory keeps the config with the
+    step taken, its CFL number and the pilot's estimate.
     """
     grid = config.grid
     u0 = _checked_field(u0, grid)
@@ -378,12 +375,9 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {tables.rate * config.dt!r} > {CFL_MAX}"
         )
-    # the limit scales with u0's whole spectrum, mean mode included; a
-    # step's peak is read on v_hat, as the mean mode is constant and lies
-    # below the limit
     limit = _BLOWUP_FACTOR * tables.peak
     if limit == 0.0:
-        limit = _BLOWUP_FACTOR  # u0 == 0 evolves to 0; guard still armed
+        limit = _BLOWUP_FACTOR  # v_hat == 0 evolves to 0; guard still armed
 
     error_estimate = None
     times = [0.0]
@@ -457,7 +451,7 @@ def translation_lag(u0: np.ndarray, u_final: np.ndarray, grid: PeriodicGrid) -> 
     if u0.shape != (grid.N,) or u_final.shape != (grid.N,):
         raise DomainError(f"translation_lag needs two fields of shape ({grid.N},), "
                           f"got {u0.shape} and {u_final.shape}")
-    _, _, forward, inverse = _plan(grid.N)
+    _, forward, inverse = _plan(grid.N)
     cross = _rfft(u_final, forward) * np.conj(_rfft(u0, forward))
-    cross[_half_modes(grid.N) == 0] = 0.0
+    cross[grid.k == 0.0] = 0.0
     return float(np.argmax(_irfft(cross, inverse)) * grid.spacing)

@@ -12,20 +12,14 @@ angle's rounding grows with j k, and the error at n = 8192 is about 30x
 larger.  Grids are restricted to power-of-two sizes, which is all the
 solvers need and keeps n1 and n2 powers of two.
 
-The inverse runs the same three steps on a plan of its own:
-(conj(left), conj(twiddle) / n, conj(right)).  Conjugation commutes exactly
-with every rounded product and sum, and dividing by a power of two is
-exact, so ifft(a) equals conj(fft(conj(a))) / n exactly, at the forward
-transform's cost and without three extra passes over the array.  Only the
-sign of an exact zero can differ, in an imaginary part (x - x is +0, and
-the old route negated it); real parts agree bit for bit.
-
-The evolver's fields are real, and a private real pair serves them on the
-four-step's own layout: _rfft returns the half spectrum, n2/2 + 1 rows of
-n1 modes at k = k1 + n1 k2, and _irfft reads it back.  Each takes one of
-its two products in real arithmetic and forms only the rows k2 <= n2/2 of
-the other, so a real field costs about half the arithmetic of a complex
-one.  Which entry holds which mode is this module's to know: _half_modes.
+Every field the package transforms is real, and a private real pair
+serves them all on the four-step's own layout: _rfft returns the half
+spectrum, n2/2 + 1 rows of n1 modes at k = k1 + n1 k2, and _irfft reads
+it back.  Each takes one of its two products in real arithmetic and forms
+only the rows k2 <= n2/2 of the other, so a real field costs about half
+the arithmetic of a complex one.  Which entry holds which mode is this
+module's to know: _half_modes, _half_layout, kept_modes and wavenumbers.
+fft, the complex transform, stays public; no module of the package calls it.
 """
 
 from __future__ import annotations
@@ -64,25 +58,24 @@ def _require_positive(value: float, name: str) -> None:
 
 @lru_cache(maxsize=None)
 def _plan(n: int):
-    """The size-n plans: forward, inverse, real forward and real inverse.
+    """The size-n plans: complex forward, real forward and real inverse.
 
-    A complex plan is (left DFT matrix, twiddle, right DFT matrix), with
+    The complex plan is (left DFT matrix, twiddle, right DFT matrix), with
     n = n1 * n2, n1 = 2^floor(log2(n) / 2) and the twiddle
     exp(-2 pi i k1 j2 / n) on the (n1, n2) grid.  Every entry is read from
     one table of the n roots exp(-2 pi i j / n): an entry of a size-s DFT
     matrix, with angle 2 pi (j k mod s) / s, is the root at
     (j k mod s) * (n / s), and scaling by a power of two leaves the reduced
-    angle's rounding unchanged.  The inverse plan is the forward one
-    conjugated, with the 1/n normalization in the twiddle.  When n1 == n2
-    (n an even power of two) the left matrix is the right one, built and
-    conjugated once.
+    angle's rounding unchanged.  When n1 == n2 (n an even power of two)
+    the left matrix is the right one, built once.
 
     The real plans reuse those arrays (see _rfft and _irfft): the forward
     is (left as floats, the twiddle transposed, the first n2/2 + 1 rows of
     right), the inverse (the first n2/2 + 1 columns of conj(right) times
-    the weights 2, and 1 in the Nyquist column, the inverse twiddle
-    transposed, left as floats).  Doubling is exact, so every entry is
-    still a root of the table, scaled by a power of two.
+    the weights 2, and 1 in the Nyquist column, conj(twiddle) / n
+    transposed, left as floats).  Conjugation, doubling and dividing by a
+    power of two are exact, so every entry is still a root of the table,
+    scaled by a power of two.
     """
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
@@ -95,17 +88,14 @@ def _plan(n: int):
     left = dft(n1)
     right = left if n2 == n1 else dft(n2)
     twiddle = roots[np.outer(np.arange(n1), np.arange(n2)) % n]
-    conj_left = np.conj(left)
-    conj_right = conj_left if right is left else np.conj(right)
-    inverse_twiddle = np.conj(twiddle) / n
     rows = n2 // 2 + 1
     weights = np.full(rows, 2.0)
     weights[-1] = 1.0
     real_left = left.view(float)
-    return ((left, twiddle, right), (conj_left, inverse_twiddle, conj_right),
-            (real_left, np.ascontiguousarray(twiddle.T), right[:rows]),
-            (conj_right[:, :rows] * weights, np.ascontiguousarray(inverse_twiddle.T),
-             real_left))
+    real_twiddle = np.ascontiguousarray(twiddle.T)
+    return ((left, twiddle, right),
+            (real_left, real_twiddle, right[:rows]),
+            (np.conj(right[:, :rows]) * weights, np.conj(real_twiddle) / n, real_left))
 
 
 def _four_step(a: np.ndarray, plan) -> np.ndarray:
@@ -129,16 +119,32 @@ def _half_modes(n: int) -> np.ndarray:
     """Signed mode numbers of the half spectra that _rfft returns and _irfft reads.
 
     A half spectrum keeps the four-step's order, k = k1 + n1 k2, for the
-    rows k2 <= n2/2: the modes 0..n/2 - 1, then the Nyquist mode, which
-    keeps -n/2 as in signed_modes, then n1 - 1 pad entries, which are given
-    mode 0.  The entries of mode 0, the mean and the pads, must hold 0
-    where a half spectrum reaches _irfft.
+    rows k2 <= n2/2: the modes 0..n/2 - 1, then the Nyquist mode, given
+    -n/2, then n1 - 1 pad entries, which are given mode 0.  The entries of
+    mode 0, the mean and the pads, must hold 0 where a half spectrum
+    reaches _irfft.
     """
-    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n1 = 1 << ((_require_pow2(n).bit_length() - 1) // 2)
     modes = np.arange(n1 * (n // n1 // 2 + 1))
     modes[n // 2] = -(n // 2)
     modes[n // 2 + 1:] = 0
     return modes
+
+
+def _half_layout(u_hat: np.ndarray) -> tuple[int, np.ndarray]:
+    """The size n of the field whose half spectrum is u_hat, and its Parseval weights.
+
+    A half spectrum has n/2 + n1 entries: past n = 4 no power of two, with
+    n/2 its highest bit; up to n = 4 it is n itself.  The weights w, with
+    sum(w |u_hat|^2) = ||fft(u)||^2, are 1 at the mean and Nyquist, 2 at
+    0 < k < n/2, which stand for their conjugates too, and 0 at the pads.
+    """
+    size = u_hat.size
+    n = size if size & (size - 1) == 0 else 1 << size.bit_length()
+    weights = np.zeros(size)
+    weights[1:n // 2] = 2.0
+    weights[0] = weights[n // 2] = 1.0
+    return n, weights
 
 
 def _rfft(x: np.ndarray, plan) -> np.ndarray:
@@ -169,8 +175,9 @@ def _irfft(x_hat: np.ndarray, plan) -> np.ndarray:
     parts: Re(conj(l) y) = Re(l) Re(y) + Im(l) Im(y), so it is left itself,
     viewed as floats, against the rows viewed as floats, and lands in
     natural order with no transpose copy.  The imaginary part of the
-    Nyquist entry drops out, as a real field has none.  The mean and pad
-    entries are read, not skipped, so they must be 0; x_hat is not copied.
+    Nyquist entry drops out to within eps of its size, as a real field has
+    none.  The mean and pad entries are read, not skipped, so they must be
+    0; x_hat is not copied.
     """
     right, twiddle, left = plan
     rows = right @ x_hat.reshape(-1, twiddle.shape[1])
@@ -181,7 +188,7 @@ def _irfft(x_hat: np.ndarray, plan) -> np.ndarray:
 def _checked(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 1:
-        raise DomainError("fft operates on 1-D arrays")
+        raise DomainError("transforms operate on 1-D arrays")
     _require_pow2(a.size)
     return a
 
@@ -192,78 +199,74 @@ def fft(a: np.ndarray) -> np.ndarray:
     return _four_step(a, _plan(a.size)[0])
 
 
-def ifft(a: np.ndarray) -> np.ndarray:
-    """Inverse transform, normalized so ifft(fft(x)) == x."""
-    a = _checked(a)
-    return _four_step(a, _plan(a.size)[1])
-
-
-def signed_modes(n: int) -> np.ndarray:
-    """Integer mode numbers in transform order: 0..n/2-1, -n/2..-1."""
-    j = np.arange(_require_pow2(n))
-    j[j >= n // 2] -= n
-    return j
-
-
 def kept_modes(n: int) -> np.ndarray:
-    """Mask of the modes the 2/3 rule keeps: |signed index| < n // 3.
+    """Mask of the half spectrum's modes the 2/3 rule keeps: |mode| < n // 3.
 
     A product of two fields limited to this band aliases only into the
-    discarded top third, never back into the band itself.
+    discarded top third, never back into the band itself.  The pads, of
+    mode 0, are in the mask; they hold 0 wherever it is read.
     """
-    return np.abs(signed_modes(n)) < n // 3
+    return np.abs(_half_modes(n)) < n // 3
 
 
 def wavenumbers(n: int, length: float) -> np.ndarray:
-    """Physical wavenumbers 2*pi*j/length in transform order."""
-    return (2.0 * np.pi / length) * signed_modes(n)
+    """Physical wavenumbers 2*pi*mode/length of the half spectrum's modes."""
+    return (2.0 * np.pi / length) * _half_modes(n)
 
 
 def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
-    """Zero coefficients below DROP_FLOOR times the rounding level of the samples.
+    """Zero a half spectrum's pads and its coefficients below DROP_FLOOR times the rounding level.
 
     Differentiation multiplies by powers of k; without this the rounding
     noise in empty modes is amplified until it dominates small residuals.
     The level is eps * ||u_hat||_2 / sqrt(n), not a fraction of the peak:
-    a large mean would set the peak and cut real harmonics.
+    a large mean would set the peak and cut real harmonics.  The norm is
+    the full spectrum's, rebuilt with the Parseval weights, so the level
+    is the one the samples leave in each coefficient.  The pads are the
+    entries of weight 0.
     """
-    rounding = np.finfo(float).eps * np.linalg.norm(u_hat) / math.sqrt(u_hat.size)
-    out = u_hat.copy()
-    out[np.abs(out) < DROP_FLOOR * rounding] = 0.0
-    return out
+    n, weights = _half_layout(u_hat)
+    magnitude = np.abs(u_hat)
+    rounding = np.finfo(float).eps * math.sqrt(weights @ magnitude ** 2) / math.sqrt(n)
+    return np.where((magnitude < DROP_FLOOR * rounding) | (weights == 0.0), 0.0, u_hat)
 
 
 def high_mode_energy_fraction(u_hat: np.ndarray) -> float:
     """Fraction of non-mean spectral energy in the top third of modes.
 
-    ``u_hat`` has passed drop_noise_floor, so roundoff debris does not read
-    as content, and keeps at least one non-mean mode.  The top third is the
-    band the 2/3 rule would discard; energy here means products of the
-    field alias back into resolved modes.  The mean is excluded so a large
-    constant offset cannot mask genuine high-mode content.
+    ``u_hat`` is a half spectrum that has passed drop_noise_floor, so
+    roundoff debris does not read as content, and keeps at least one
+    non-mean mode.  The top third is the band the 2/3 rule would discard;
+    energy here means products of the field alias back into resolved
+    modes.  The energy is the full spectrum's, through the Parseval
+    weights.  The mean is excluded so a large constant offset cannot mask
+    genuine high-mode content.
     """
-    power = np.abs(u_hat) ** 2
-    return float(np.sum(power[~kept_modes(u_hat.size)]) / np.sum(power[1:]))
+    n, weights = _half_layout(u_hat)
+    power = weights * np.abs(u_hat) ** 2
+    return float(np.sum(power[~kept_modes(n)]) / np.sum(power[1:]))
 
 
 def _derivative_of_spectrum(u_hat: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
-    """d^order/dx^order of the real field whose floored spectrum is u_hat.
+    """d^order/dx^order of the real field whose floored half spectrum is u_hat.
 
-    Odd orders zero the Nyquist mode: it has no signed partner, so keeping
-    it would turn a real field complex.
+    The mean and the pads have k = 0 and reach _irfft as 0.  Odd orders
+    zero the Nyquist mode: it has no signed partner, so its derivative is
+    imaginary, and _irfft drops that only to within eps of its k^order.
     """
+    n = _half_layout(u_hat)[0]
     d_hat = (1j * k) ** order * u_hat
     if order % 2 == 1:
-        d_hat[u_hat.size // 2] = 0.0
-    return ifft(d_hat).real
+        d_hat[n // 2] = 0.0
+    return _irfft(d_hat, _plan(n)[2])
 
 
 def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
     """d^order/dx^order of a real periodic field sampled on n points."""
-    values = np.asarray(values, dtype=float)
+    values = _checked(np.asarray(values, dtype=float))
     if order < 1:
         raise DomainError("derivative order must be >= 1")
-    u_hat = drop_noise_floor(fft(values))
+    u_hat = drop_noise_floor(_rfft(values, _plan(values.size)[1]))
     return _derivative_of_spectrum(u_hat, wavenumbers(values.size, length), order)
 
 
@@ -313,6 +316,7 @@ class PeriodicGrid:
 
     @cached_property
     def k(self) -> np.ndarray:
+        """Wavenumbers of the half spectrum's modes (see _half_modes)."""
         return wavenumbers(self.N, self.L)
 
     @property

@@ -23,8 +23,9 @@ from .errors import AliasingWarning, DomainError, PeriodMismatchError
 from .fourier import (
     PeriodicGrid,
     _derivative_of_spectrum,
+    _plan,
+    _rfft,
     drop_noise_floor,
-    fft,
     high_mode_energy_fraction,
 )
 from .landen import (
@@ -133,10 +134,11 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
             f"spatial period {period!r}"
         )
     u = np.asarray(wave.sample(grid, t), dtype=float)
-    u_hat = drop_noise_floor(fft(u))
-    # every mode an odd derivative keeps: all but the mean and Nyquist, in both
-    # halves, since the floor may keep one of a conjugate pair and drop the other
-    if not np.any(np.delete(u_hat, (0, grid.N // 2))):
+    if u.shape != (grid.N,):
+        raise DomainError(f"the wave's samples have shape {u.shape}, not ({grid.N},)")
+    u_hat = drop_noise_floor(_rfft(u, _plan(grid.N)[1]))
+    # every mode an odd derivative keeps: 0 < k < N/2
+    if not u_hat[1:grid.N // 2].any():
         raise DomainError("field is constant to roundoff on this grid; "
                           "its residual measures nothing")
     frac = high_mode_energy_fraction(u_hat)

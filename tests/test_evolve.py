@@ -18,7 +18,6 @@ from landen_kdv import (
     InstabilityError,
     PeriodicGrid,
     fft,
-    ifft,
 )
 from landen_kdv.cli import main
 from landen_kdv.evolve import (
@@ -41,7 +40,7 @@ def cnoidal_setup(n=256, m=0.5):
 
 def half_mean(u0):
     """ubar = u_hat[0].real / N, u_hat the half spectrum of u0."""
-    return _rfft(u0, _plan(u0.size)[2])[0].real / u0.size
+    return _rfft(u0, _plan(u0.size)[1])[0].real / u0.size
 
 
 def cfl_rate(u0, grid):
@@ -249,7 +248,7 @@ def textbook_step(grid, dt, v_hat, tables):
     e, e_half, q, f1, f2, f3 = tables
     modes = _half_modes(grid.N)
     coeff = 3j * (2.0 * np.pi / grid.L * modes) * (np.abs(modes) < grid.N // 3)
-    _, _, forward, inverse = _plan(grid.N)
+    _, forward, inverse = _plan(grid.N)
 
     def nonlinear(w_hat):
         v = _irfft(w_hat, inverse)
@@ -337,7 +336,8 @@ class TestStep:
         # full-spectrum ones, fft(u0) less its mean mode and the dealiased
         # 3 i k fft(v^2), on the modes 0..N/2, with zero mean and pad
         # entries.  The term's rounding is measured in eps times its scale,
-        # the largest |3 k| times the largest |fft(v^2)|: at most 1.05 here
+        # the largest |3 k| times the largest |fft(v^2)|: at most 1.05 here.
+        # numpy's inverse transform gives v independently of the real pair
         params, grid = cnoidal_setup(n=n)
         u0 = params.sample(grid, 0.0)
         tables, v_hat = grid_steps(grid, u0)
@@ -345,14 +345,15 @@ class TestStep:
         assert tables.mean == pytest.approx(fft(u0)[0].real / n, rel=4e-16)
         full = fft(u0)
         full[0] = 0.0
-        v = ifft(full).real
-        coeff, square = 3.0 * grid.k * kept_modes(n), fft(v * v)
+        v = np.fft.ifft(full).real
+        eps, h = np.finfo(float).eps, n // 2 + 1
+        # the first N/2 + 1 entries of the half layout are modes 0..N/2
+        coeff, square = 3.0 * grid.k[:h] * kept_modes(n)[:h], fft(v * v)[:h]
         stage = tables.nonlinear(v_hat)
         zero = _half_modes(n) == 0
         assert not v_hat[zero].any() and not stage[zero].any()
-        eps, h = np.finfo(float).eps, n // 2 + 1
         assert np.max(np.abs(v_hat[:h] - full[:h])) <= 4.0 * eps * np.max(np.abs(full))
-        assert np.max(np.abs(stage[:h] - (1j * coeff * square)[:h])) <= (
+        assert np.max(np.abs(stage[:h] - 1j * coeff * square)) <= (
             4.0 * eps * np.max(np.abs(coeff)) * np.max(np.abs(square)))
 
 
@@ -499,14 +500,28 @@ class TestInstability:
     def test_blowup_detected_mid_run(self, monkeypatch):
         # a step that doubles every mode stands in for an unstable scheme
         # at a step the CFL check accepts.  The limit is 1e6 times the
-        # initial peak, N |ubar| = 373, and v_hat starts at 63.6: 2^23 is
-        # the first power of two past 5.86e6, so the guard fires after
-        # step 23
+        # initial peak of v_hat, 63.6, so after step n the peak is 2^n
+        # times the limit's base: 2^20 = 1.05e6 is the first power of two
+        # past 1e6, and the guard fires after step 20.  With the mean mode,
+        # N |ubar| = 373, in the base it fired after step 23
         params, grid = cnoidal_setup()
         monkeypatch.setattr(evolve_module._GridSteps, "step",
                             lambda self, v_hat, dt, a=None: 2.0 * v_hat)
         config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
-        with pytest.raises(InstabilityError, match="spectral peak .* after step 23 "):
+        with pytest.raises(InstabilityError, match="spectral peak .* after step 20 "):
+            evolve_trajectory(params.sample(grid, 0.0), config)
+
+    def test_blowup_of_a_mostly_mean_wave_is_stopped_within_20_steps(self, monkeypatch):
+        # criterion 7's three-copy wave: N |ubar| = 1279 against a peak of
+        # v_hat of 2.2, so a limit based on the mean mode let the doubling
+        # step grow v 5.8e8-fold and fired after step 30.  On v_hat's own
+        # peak the limit fires after step 20, as for any wave
+        params = DnWaveParams(alpha=1.0, beta=-1.0, m=0.6, p=3)
+        grid = params.natural_grid(n=256)
+        monkeypatch.setattr(evolve_module._GridSteps, "step",
+                            lambda self, v_hat, dt, a=None: 2.0 * v_hat)
+        config = EvolverConfig.for_duration(grid, duration=0.05, target_dt=1e-4)
+        with pytest.raises(InstabilityError, match="spectral peak .* after step 20 "):
             evolve_trajectory(params.sample(grid, 0.0), config)
 
     def test_three_copy_wave_refused_at_coarse_step(self):
@@ -652,7 +667,7 @@ class TestStepChoice:
         full, half = fresh_tables(grid, u0, dt), fresh_tables(grid, u0, dt / 2.0)
         expected_first = textbook_step(grid, dt, v_hat, full)
         halves = textbook_step(grid, dt / 2.0, textbook_step(grid, dt / 2.0, v_hat, half), half)
-        local = float(np.max(np.abs(_irfft(expected_first - halves, _plan(grid.N)[3]))))
+        local = float(np.max(np.abs(_irfft(expected_first - halves, _plan(grid.N)[2]))))
         assert np.array_equal(first.view(np.uint64), expected_first.view(np.uint64))
         assert np.array_equal(tables.step(v_hat, dt).view(np.uint64),
                               expected_first.view(np.uint64))

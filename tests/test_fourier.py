@@ -1,8 +1,9 @@
 """Fourier layer tests.
 
-numpy.fft appears here and only here, as the reference transform for the
-in-repo four-step implementation.  Everything downstream of this file trusts
-landen_kdv.fourier.
+numpy.fft is the reference transform for the in-repo four-step
+implementation here; test_evolve.py borrows its inverse once, to rebuild the
+oscillation independently of the real pair.  Everything else downstream of
+this file trusts landen_kdv.fourier.
 """
 
 import numpy as np
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from landen_kdv import (
+    DnWaveParams,
     DomainError,
     PeriodicGrid,
     fft,
-    ifft,
     spectral_derivative,
 )
 from landen_kdv.fourier import (
+    DROP_FLOOR,
     _four_step,
+    _half_layout,
     _half_modes,
     _irfft,
     _plan,
@@ -26,14 +29,21 @@ from landen_kdv.fourier import (
     fit_traveling_velocity,
     high_mode_energy_fraction,
     kept_modes,
-    signed_modes,
     wavenumbers,
 )
 
 
 def floored_spectrum(values):
-    """The spectrum high_mode_energy_fraction reads: transformed, then floored."""
-    return drop_noise_floor(fft(values))
+    """The half spectrum high_mode_energy_fraction reads: transformed, then floored."""
+    return drop_noise_floor(_rfft(values, _plan(values.size)[1]))
+
+
+def as_half_spectrum(full):
+    """A full spectrum in the half layout: modes 0..n/2, then zero pads."""
+    n = full.size
+    out = np.zeros(_half_modes(n).size, dtype=complex)
+    out[:n // 2 + 1] = full[:n // 2 + 1]
+    return out
 
 
 class TestTransformAgainstNumpy:
@@ -50,24 +60,16 @@ class TestTransformAgainstNumpy:
 
     @pytest.mark.parametrize("n", [2, 4, 128, 512, 8192])
     def test_inverse_matches(self, n):
+        # the package's one inverse, the real one, against numpy's complex
+        # inverse of the Hermitian spectrum that the half spectrum stands for
         rng = np.random.default_rng(n + 1)
-        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.max(np.abs(ifft(a) - np.fft.ifft(a))) < 1e-13
-
-    @pytest.mark.parametrize("n", [2, 64, 256, 8192])
-    @pytest.mark.parametrize("hermitian", [False, True])
-    def test_inverse_is_the_conjugated_forward_exactly(self, n, hermitian):
-        # the conjugated plan reproduces conj(fft(conj(a))) / n exactly; an
-        # exact zero may change sign, so the imaginary parts compare by value
-        # and the real parts, which every caller keeps, bit for bit
-        rng = np.random.default_rng(n + 2)
-        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if hermitian:
-            a = fft(a.real)
-        ours = ifft(a)
-        ref = np.conj(fft(np.conj(a))) / n
-        assert np.array_equal(ours, ref)
-        assert np.array_equal(ours.real.view(np.uint64), ref.real.view(np.uint64))
+        x = rng.standard_normal(n)
+        full = np.fft.fft(x - np.mean(x))
+        full[0] = 0.0
+        ours = _irfft(as_half_spectrum(full), _plan(n)[2])
+        ref = np.fft.ifft(full)
+        assert np.max(np.abs(ref.imag)) < 1e-15
+        assert np.max(np.abs(ours - ref.real)) < 5e-15 * np.max(np.abs(ref.real))
 
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
     def test_plan_from_one_table_is_the_per_entry_formula(self, n):
@@ -79,29 +81,24 @@ class TestTransformAgainstNumpy:
 
         n1 = 1 << ((n.bit_length() - 1) // 2)
         n2 = n // n1
-        left, twiddle, right = roots(n1, n1, n1), roots(n1, n2, n), roots(n2, n2, n2)
-        expected = ((left, twiddle, right),
-                    (np.conj(left), np.conj(twiddle) / n, np.conj(right)))
-        for plan, ref in zip(_plan(n), expected):
-            for ours, theirs in zip(plan, ref):
-                assert ours.shape == theirs.shape
-                assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+        expected = (roots(n1, n1, n1), roots(n1, n2, n), roots(n2, n2, n2))
+        for ours, theirs in zip(_plan(n)[0], expected):
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
     @pytest.mark.parametrize("n", [256, 512])
     def test_square_plan_shares_its_dft_matrix(self, n):
-        # n1 == n2 at n = 256: one matrix serves as left and right, and the
-        # inverse plan conjugates it once
-        square = n == 256
-        for left, _, right in _plan(n)[:2]:
-            assert (right is left) == square
+        # n1 == n2 at n = 256: one matrix serves as left and right
+        left, _, right = _plan(n)[0]
+        assert (right is left) == (n == 256)
 
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
     def test_plan_dft_matrices_are_symmetric(self, n):
         # what lets _four_step take right @ cols.T for (cols @ right).T
-        for left, _, right in _plan(n)[:2]:
-            for dft in (left, right):
-                transpose = np.ascontiguousarray(dft.T)
-                assert np.array_equal(dft.view(np.uint64), transpose.view(np.uint64))
+        left, _, right = _plan(n)[0]
+        for dft in (left, right):
+            transpose = np.ascontiguousarray(dft.T)
+            assert np.array_equal(dft.view(np.uint64), transpose.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
     def test_four_step_equals_the_transposed_product(self, n):
@@ -109,20 +106,19 @@ class TestTransformAgainstNumpy:
         # bit for bit.  At n = 4 and 8 (two-row products) BLAS picks another
         # kernel and the last bit can differ, at the same accuracy.
         rng = np.random.default_rng(n + 3)
-        for plan in _plan(n)[:2]:
-            left, twiddle, right = plan
-            for _ in range(20):
-                for a in (rng.standard_normal(n),
-                          rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-                    cols = left @ a.reshape(left.shape[0], -1) * twiddle
-                    transposed = (cols @ right).T.ravel()
-                    ours = _four_step(a, plan)
-                    assert np.array_equal(ours.view(np.uint64),
-                                          transposed.view(np.uint64))
+        plan = _plan(n)[0]
+        left, twiddle, right = plan
+        for _ in range(20):
+            for a in (rng.standard_normal(n),
+                      rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                cols = left @ a.reshape(left.shape[0], -1) * twiddle
+                transposed = (cols @ right).T.ravel()
+                ours = _four_step(a, plan)
+                assert np.array_equal(ours.view(np.uint64), transposed.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
     def test_real_plans_are_the_per_entry_formula(self, n):
-        # the real pair reads the complex plans' own entries: left viewed as
+        # the real pair reads the complex plan's own entries: left viewed as
         # floats, the twiddles transposed, the first n2/2 + 1 rows of right,
         # and the first n2/2 + 1 columns of conj(right) with the weights 2
         # (1 at Nyquist) folded in, bit for bit
@@ -138,14 +134,14 @@ class TestTransformAgainstNumpy:
         expected = ((left.view(float), twiddle.T, right[:rows]),
                     (np.conj(right)[:, :rows] * weights, np.conj(twiddle).T / n,
                      left.view(float)))
-        for plan, ref in zip(_plan(n)[2:], expected):
+        for plan, ref in zip(_plan(n)[1:], expected):
             for ours, theirs in zip(plan, ref):
                 theirs = np.ascontiguousarray(theirs)
                 assert ours.shape == theirs.shape and ours.flags.c_contiguous
                 assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
         # one left matrix serves the forward's first product and the
         # inverse's last
-        assert _plan(n)[2][0] is _plan(n)[3][2]
+        assert _plan(n)[1][0] is _plan(n)[2][2]
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 128, 256, 512, 1024, 2048, 4096])
     def test_real_forward_matches(self, n):
@@ -153,7 +149,7 @@ class TestTransformAgainstNumpy:
         # n/2 + 1 modes, to the forward's accuracy
         rng = np.random.default_rng(n + 4)
         x = rng.standard_normal(n)
-        ours = _rfft(x, _plan(n)[2])
+        ours = _rfft(x, _plan(n)[1])
         ref = np.fft.rfft(x)
         assert ours.size == _half_modes(n).size
         assert np.max(np.abs(ours[:n // 2 + 1] - ref)) < 5e-15 * np.max(np.abs(ref))
@@ -171,7 +167,7 @@ class TestTransformAgainstNumpy:
         x_hat = np.zeros(modes.size, dtype=complex)
         x_hat[:n // 2 + 1] = spectrum
         before = x_hat.copy()
-        ours = _irfft(x_hat, _plan(n)[3])
+        ours = _irfft(x_hat, _plan(n)[2])
         assert ours.dtype == float and ours.shape == (n,)
         ref = np.fft.irfft(spectrum, n)
         assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
@@ -182,9 +178,9 @@ class TestTransformAgainstNumpy:
         rng = np.random.default_rng(n + 6)
         x = rng.standard_normal(n)
         x -= np.mean(x)
-        x_hat = _rfft(x, _plan(n)[2])
+        x_hat = _rfft(x, _plan(n)[1])
         x_hat[_half_modes(n) == 0] = 0.0
-        assert np.max(np.abs(_irfft(x_hat, _plan(n)[3]) - x)) < 5e-15 * np.max(np.abs(x))
+        assert np.max(np.abs(_irfft(x_hat, _plan(n)[2]) - x)) < 5e-15 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n", [2, 64, 256, 512])
     def test_half_modes(self, n):
@@ -192,14 +188,15 @@ class TestTransformAgainstNumpy:
         modes = _half_modes(n)
         n1 = 1 << ((n.bit_length() - 1) // 2)
         assert modes.size == n // 2 + n1
-        assert np.array_equal(modes[:n // 2], signed_modes(n)[:n // 2])
-        assert modes[n // 2] == signed_modes(n)[n // 2] == -(n // 2)
+        assert np.array_equal(modes[:n // 2], np.arange(n // 2))
+        assert modes[n // 2] == -(n // 2)
         assert not modes[n // 2 + 1:].any()
+        assert _half_layout(modes)[0] == n
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal(256)
-        assert np.max(np.abs(ifft(fft(a)) - a)) < 1e-13
+        assert np.max(np.abs(np.fft.ifft(fft(a)) - a)) < 1e-13
 
     def test_parseval(self):
         rng = np.random.default_rng(5)
@@ -232,14 +229,25 @@ class TestTransformAgainstNumpy:
 
 class TestModeBookkeeping:
     def test_signed_modes_order(self):
-        assert list(signed_modes(8)) == [0, 1, 2, 3, -4, -3, -2, -1]
+        # the half layout at n = 8: modes 0..3, Nyquist as -4, one pad
+        assert list(_half_modes(8)) == [0, 1, 2, 3, -4, 0]
 
     def test_wavenumbers_scale(self):
         k = wavenumbers(8, 2 * np.pi)
-        assert np.allclose(k, signed_modes(8).astype(float))
+        assert np.allclose(k, _half_modes(8).astype(float))
         assert np.allclose(wavenumbers(8, np.pi), 2.0 * k)
+        assert np.array_equal(PeriodicGrid(N=64, L=np.pi).k, wavenumbers(64, np.pi))
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 100])
+    def test_mode_tables_refuse_non_power_of_two(self, n):
+        for table in (_half_modes, kept_modes, lambda n: wavenumbers(n, 1.0)):
+            with pytest.raises(DomainError, match="power of two"):
+                table(n)
+        with pytest.raises(DomainError, match="power of two"):
+            spectral_derivative(np.ones(n), 1.0)
 
     def test_drop_noise_floor(self):
+        # the half spectrum of n = 4: mean, mode 1, Nyquist and one pad
         u_hat = np.array([1.0, 1e-20, 0.5, 1e-15], dtype=complex)
         cleaned = drop_noise_floor(u_hat)
         assert cleaned[1] == 0.0 and cleaned[3] == 0.0
@@ -247,15 +255,46 @@ class TestModeBookkeeping:
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_kept_modes_is_the_two_thirds_band(self, n):
-        j = signed_modes(n)
+        j = _half_modes(n)
         kept = kept_modes(n)
         assert np.array_equal(kept, np.abs(j) < n // 3)
         # at n = 256 the largest kept index is 84, under the bound 85.3
         assert np.max(np.abs(j[kept])) == n // 3 - 1
-        # a product of two kept modes folds back only onto discarded ones
-        pairs = j[kept][:, None] + j[kept][None, :]
-        landed = pairs % n
-        assert not np.any(kept[landed[pairs != j[landed]]])
+        # a product of two kept modes, either sign, folds back only onto
+        # discarded ones: a sum past the signed range lands n away
+        band = np.unique(np.concatenate((j[kept], -j[kept])))
+        pairs = band[:, None] + band[None, :]
+        landed = (pairs + n // 2) % n - n // 2
+        assert not np.any(np.abs(landed[landed != pairs]) < n // 3)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 256, 1024, 4096])
+    def test_weighted_half_norm_is_the_full_norm(self, n):
+        # by Parseval the weights rebuild the full spectrum's norm, Nyquist
+        # content included, so the drop floor keeps its calibration
+        rng = np.random.default_rng(n + 7)
+        x = 3.0 + rng.standard_normal(n) + np.cos(np.pi * np.arange(n))
+        x_hat = _rfft(x, _plan(n)[1])
+        size, weights = _half_layout(x_hat)
+        ref = np.linalg.norm(np.fft.fft(x))
+        assert size == n
+        assert np.sqrt(weights @ np.abs(x_hat) ** 2) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("p, m, alpha, beta", [
+        (1, 0.5, 1.0, 0.0), (3, 0.6, 1.0, -1.0), (13, 0.5, 1.0, 0.0)],
+        ids=["criterion-7-single", "criterion-7-three-copy", "flat-13"])
+    def test_floor_zeroes_the_modes_numpy_puts_under_it(self, p, m, alpha, beta):
+        # the same level, DROP_FLOOR eps ||fft(u)|| / sqrt(n), read on
+        # numpy's full spectrum: the same modes fall under it, and the pads
+        # are zeroed
+        params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
+        grid = params.natural_grid(n=256)
+        u = params.sample(grid, 0.0)
+        n, h = grid.N, grid.N // 2 + 1
+        ours = floored_spectrum(u)
+        full = np.fft.fft(u)
+        level = DROP_FLOOR * np.finfo(float).eps * np.linalg.norm(full) / np.sqrt(n)
+        assert np.array_equal(ours[:h] == 0.0, np.abs(full[:h]) < level)
+        assert not ours[h:].any()
 
     def test_high_mode_fraction_smooth_field(self):
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
@@ -313,6 +352,27 @@ class TestSpectralDerivative:
         x = np.linspace(0, 2 * np.pi, n, endpoint=False)
         u = np.cos((n // 2) * x)
         assert np.max(np.abs(spectral_derivative(u, 2 * np.pi, 1))) < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("nyquist", [0.0, 0.25])
+    def test_real_pair_derivatives_match_numpy(self, n, order, nyquist):
+        # numpy's real pair on a spectrum floored at the same level; its
+        # irfft ignores the Nyquist entry's imaginary part, which an odd
+        # order makes the whole entry.  Measured: at most 3.2e-13 of
+        # max|reference|
+        length = 3.0
+        x = length * np.arange(n) / n
+        u = 0.3 + np.exp(np.sin(2 * np.pi * x / length)) + nyquist * np.cos(np.pi * np.arange(n))
+        full = np.fft.fft(u)
+        level = DROP_FLOOR * np.finfo(float).eps * np.linalg.norm(full) / np.sqrt(n)
+        u_hat = np.fft.rfft(u)
+        u_hat[np.abs(u_hat) < level] = 0.0
+        assert (u_hat[-1] != 0.0) == (nyquist != 0.0)
+        k = 2 * np.pi / length * np.arange(n // 2 + 1)
+        ref = np.fft.irfft((1j * k) ** order * u_hat, n)
+        ours = spectral_derivative(u, length, order)
+        assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_validation(self, order):

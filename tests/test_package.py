@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "equivalence_check",
     "evolve_trajectory",
     "fft",
-    "ifft",
     "jacobi_sn_cn_dn",
     "kdv_residual",
     "landen_map",
@@ -84,7 +83,7 @@ def memo_caches() -> dict[str, object]:
 
 
 # one cache per key: K(m), E(m) and the Landen ladder share the modulus
-# entry, the forward and inverse FFT plans share the size entry, and the
+# entry, the complex and real FFT plans share the size entry, and the
 # dn and dn^2 identity gaps share the Landen map entry; the evolver's
 # tables live for one evolve_trajectory call, not in a cache
 MEMO_CACHES = [
@@ -158,6 +157,56 @@ def test_runtime_uses_no_oracle():
     assert "fourier.py" in {path.name for path in modules}
     offenders = {path.name: oracle_uses(path.read_text()) for path in modules}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+def fft_bindings(source: str) -> list[str]:
+    """Where a module binds the name fft or reaches an attribute fft.
+
+    Imports (under any alias), assignments, definitions and parameters
+    bind it; fourier.fft or np.fft reaches it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [f"import {alias.name}" for alias in node.names
+                      if "fft" in (alias.name, alias.asname) or alias.name == "*"]
+        elif isinstance(node, ast.Name) and node.id == "fft" and isinstance(node.ctx, ast.Store):
+            found.append("fft =")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "fft":
+            found.append(f"def {node.name}")
+        elif isinstance(node, ast.arg) and node.arg == "fft":
+            found.append("fft parameter")
+        elif isinstance(node, ast.Attribute) and node.attr == "fft":
+            found.append(".fft")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from .fourier import fft",
+    "from .fourier import PeriodicGrid, fft as transform",
+    "from .fourier import *",
+    "from . import fourier\nfourier.fft(x)",
+    "import numpy as np\nnp.fft.fft(x)",
+    "fft = None",
+    "for fft in ():\n    pass",
+    "def fft(a):\n    return a",
+    "def f(fft):\n    return fft",
+])
+def test_fft_binding_is_detected(source):
+    assert fft_bindings(source)
+
+
+def test_only_fourier_holds_the_complex_transform():
+    # every field the package transforms is real, and one half-spectrum
+    # layout serves them all; fft stays public, so __init__.py re-exports
+    # it and nothing else of the package binds or calls it
+    modules = {path.name: path.read_text()
+               for path in Path(landen_kdv.__file__).parent.glob("*.py")}
+    assert {"fourier.py", "verify.py", "evolve.py"} <= set(modules)
+    offenders = {name: fft_bindings(source) for name, source in modules.items()
+                 if name not in ("fourier.py", "__init__.py")}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+    assert fft_bindings(modules["__init__.py"]) == ["import fft"]
 
 
 REPO = Path(__file__).resolve().parents[1]

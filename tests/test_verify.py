@@ -52,7 +52,8 @@ class TestKdvResidual:
         grid = params.natural_grid(n=256)
         report = kdv_residual(params, grid, t=0.15)
         u = params.sample(grid, 0.15)
-        u_hat = fourier_module.drop_noise_floor(fourier_module.fft(u))
+        u_hat = fourier_module.drop_noise_floor(
+            fourier_module._rfft(u, fourier_module._plan(grid.N)[1]))
         u_x, u_xxx = (fourier_module._derivative_of_spectrum(u_hat, grid.k, order)
                       for order in (1, 3))
         terms = (-params.velocity * u_x, 6.0 * u * u_x, u_xxx)
@@ -140,6 +141,16 @@ class TestKdvResidual:
             warnings.simplefilter("error", AliasingWarning)
             kdv_residual(wave, grid)
 
+    @pytest.mark.parametrize("profile", [lambda xs: 1.0, lambda xs: np.cos(xs)[:32],
+                                         lambda xs: np.cos(xs)[:, None]],
+                             ids=["scalar", "short", "column"])
+    def test_samples_off_the_grid_are_refused(self, profile):
+        # the one transform reads grid.N samples; a constant profile that
+        # returns a scalar was refused by the complex fft's own check
+        wave = TravelingProfile(profile, 1.0, 2 * np.pi)
+        with pytest.raises(DomainError, match=r"samples have shape .*, not \(64,\)"):
+            kdv_residual(wave, PeriodicGrid(N=64, L=2 * np.pi))
+
     def test_nyquist_only_field_is_refused_without_warning(self):
         # the Nyquist mode is all top third, but an odd derivative zeroes it:
         # every term of the equation is zero, so the field is refused as flat
@@ -152,17 +163,17 @@ class TestKdvResidual:
                 kdv_residual(wave, grid)
 
     def test_one_forward_transform(self, monkeypatch):
-        # one forward fft of the field; the inverses of u_x and u_xxx run
-        # on their own plan and make no fft call
+        # one real forward transform of the field; the inverses of u_x and
+        # u_xxx run on the real inverse plan and make no forward call
         count = [0]
-        original = fourier_module.fft
+        original = fourier_module._rfft
 
-        def counted(a):
+        def counted(x, plan):
             count[0] += 1
-            return original(a)
+            return original(x, plan)
 
         for module in (fourier_module, verify_module):
-            monkeypatch.setattr(module, "fft", counted)
+            monkeypatch.setattr(module, "_rfft", counted)
         params = DnWaveParams(alpha=1.0, beta=0.2, m=0.7, p=3)
         kdv_residual(params, params.natural_grid(n=256))
         assert count[0] == 1
