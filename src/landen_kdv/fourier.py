@@ -19,6 +19,8 @@ it back.  Each takes one of its two products in real arithmetic and forms
 only the rows k2 <= n2/2 of the other, so a real field costs about half
 the arithmetic of a complex one.  Which entry holds which mode is this
 module's to know: _half_modes, _half_layout, kept_modes and wavenumbers.
+So are the plans, which _rfft and _irfft look up for themselves, and what
+a real field is: _real_field admits every field the package transforms.
 fft, the complex transform, stays public; no module of the package calls it.
 """
 
@@ -131,24 +133,31 @@ def _half_modes(n: int) -> np.ndarray:
     return modes
 
 
+def _field_size(size: int) -> int:
+    """The size n of the field whose half spectrum has size entries.
+
+    A half spectrum has n/2 + n1 entries: past n = 4 no power of two, with
+    n/2 its highest bit; up to n = 4 it is n itself.
+    """
+    return size if size & (size - 1) == 0 else 1 << size.bit_length()
+
+
 def _half_layout(u_hat: np.ndarray) -> tuple[int, np.ndarray]:
     """The size n of the field whose half spectrum is u_hat, and its Parseval weights.
 
-    A half spectrum has n/2 + n1 entries: past n = 4 no power of two, with
-    n/2 its highest bit; up to n = 4 it is n itself.  The weights w, with
-    sum(w |u_hat|^2) = ||fft(u)||^2, are 1 at the mean and Nyquist, 2 at
-    0 < k < n/2, which stand for their conjugates too, and 0 at the pads.
+    The weights w, with sum(w |u_hat|^2) = ||fft(u)||^2, are 1 at the mean
+    and Nyquist, 2 at 0 < k < n/2, which stand for their conjugates too,
+    and 0 at the pads.
     """
-    size = u_hat.size
-    n = size if size & (size - 1) == 0 else 1 << size.bit_length()
-    weights = np.zeros(size)
+    n = _field_size(u_hat.size)
+    weights = np.zeros(u_hat.size)
     weights[1:n // 2] = 2.0
     weights[0] = weights[n // 2] = 1.0
     return n, weights
 
 
-def _rfft(x: np.ndarray, plan) -> np.ndarray:
-    """The half spectrum of a real length-n field x, with the real forward plan.
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """The half spectrum of a real length-n field x, with n's real forward plan.
 
     The four-step in real arithmetic where the field is real: the first
     product, x.reshape(n1, n2).T @ left, takes the n1 real samples of a
@@ -156,17 +165,17 @@ def _rfft(x: np.ndarray, plan) -> np.ndarray:
     real matrix, and gives the columns as complex numbers in (j2, k1)
     order; only the rows k2 <= n2/2 of the last product are formed.  Entry
     k is fft(x)[k] for k <= n/2 (see _half_modes); the pads hold the modes
-    past n/2, which are not zero.  x is a checked 1-D float array of the
-    plan's size.
+    past n/2, which are not zero.  x is a 1-D float array of power-of-two
+    size, as _real_field returns.
     """
-    left, twiddle, right = plan
+    left, twiddle, right = _plan(x.size)[1]
     cols = (x.reshape(left.shape[0], -1).T @ left).view(complex)
     cols *= twiddle
     return (right @ cols).ravel()
 
 
-def _irfft(x_hat: np.ndarray, plan) -> np.ndarray:
-    """The real field of a half spectrum whose mode-0 entries are 0, with the real inverse plan.
+def _irfft(x_hat: np.ndarray) -> np.ndarray:
+    """The real field of a half spectrum whose mode-0 entries are 0, with its real inverse plan.
 
     With its mean 0, a real field is the sum over 0 < k <= n/2 of
     Re(w_k x_hat[k] exp(2 pi i j k / n)), w_k = 2/n and 1/n at Nyquist.
@@ -179,24 +188,31 @@ def _irfft(x_hat: np.ndarray, plan) -> np.ndarray:
     none.  The mean and pad entries are read, not skipped, so they must be
     0; x_hat is not copied.
     """
-    right, twiddle, left = plan
+    right, twiddle, left = _plan(_field_size(x_hat.size))[2]
     rows = right @ x_hat.reshape(-1, twiddle.shape[1])
     rows *= twiddle
     return (left @ rows.view(float).T).ravel()
 
 
-def _checked(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise DomainError("transforms operate on 1-D arrays")
-    _require_pow2(a.size)
-    return a
+def _real_field(u, n: int, name: str) -> np.ndarray:
+    """u as a float array of shape (n,), refused if complex, of another shape or not finite."""
+    # a float conversion would drop the imaginary part with a mere warning
+    if np.iscomplexobj(u):
+        raise DomainError(f"{name} must be real, got a complex array")
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise DomainError(f"{name} must have shape ({n},), got {u.shape}")
+    if not np.isfinite(u).all():
+        raise DomainError(f"{name} must be finite")
+    return u
 
 
 def fft(a: np.ndarray) -> np.ndarray:
     """Forward discrete Fourier transform of a 1-D array (four-step)."""
-    a = _checked(a)
-    return _four_step(a, _plan(a.size)[0])
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise DomainError("transforms operate on 1-D arrays")
+    return _four_step(a, _plan(_require_pow2(a.size))[0])
 
 
 def kept_modes(n: int) -> np.ndarray:
@@ -254,19 +270,19 @@ def _derivative_of_spectrum(u_hat: np.ndarray, k: np.ndarray, order: int) -> np.
     zero the Nyquist mode: it has no signed partner, so its derivative is
     imaginary, and _irfft drops that only to within eps of its k^order.
     """
-    n = _half_layout(u_hat)[0]
     d_hat = (1j * k) ** order * u_hat
     if order % 2 == 1:
-        d_hat[n // 2] = 0.0
-    return _irfft(d_hat, _plan(n)[2])
+        d_hat[_field_size(u_hat.size) // 2] = 0.0
+    return _irfft(d_hat)
 
 
 def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
-    """d^order/dx^order of a real periodic field sampled on n points."""
-    values = _checked(np.asarray(values, dtype=float))
-    if order < 1:
-        raise DomainError("derivative order must be >= 1")
-    u_hat = drop_noise_floor(_rfft(values, _plan(values.size)[1]))
+    """d^order/dx^order of a real periodic field sampled on n points, n a power of two."""
+    values = _real_field(values, _require_pow2(np.size(values)), "values")
+    _require_positive(length, "length")
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise DomainError(f"derivative order must be an integer >= 1, got {order!r}")
+    u_hat = drop_noise_floor(_rfft(values))
     return _derivative_of_spectrum(u_hat, wavenumbers(values.size, length), order)
 
 
@@ -281,7 +297,7 @@ def fit_traveling_velocity(values: np.ndarray, length: float) -> float:
     nothing to any derivative, but a large offset would anchor the
     noise-floor threshold and wipe out small oscillatory modes.
     """
-    u = np.asarray(values, dtype=float)
+    u = _real_field(values, _require_pow2(np.size(values)), "values")
     osc = u - float(np.mean(u))
     u_x = spectral_derivative(osc, length, 1)
     u_xxx = spectral_derivative(osc, length, 3)

@@ -23,7 +23,7 @@ from .errors import AliasingWarning, DomainError, PeriodMismatchError
 from .fourier import (
     PeriodicGrid,
     _derivative_of_spectrum,
-    _plan,
+    _real_field,
     _rfft,
     drop_noise_floor,
     high_mode_energy_fraction,
@@ -111,7 +111,7 @@ class TravelingProfile:
     spatial_period: float
 
     def sample(self, grid: PeriodicGrid, t: float) -> np.ndarray:
-        return np.asarray(self.profile(grid.x - self.velocity * t), dtype=float)
+        return self.profile(grid.x - self.velocity * t)
 
 
 def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
@@ -119,10 +119,12 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
 
     The grid length must be an integer number of the wave's spatial
     periods, or Fourier differentiation silently produces garbage; that
-    case raises instead.  The field is transformed once; if no mode an odd
-    derivative keeps clears the drop floor, the field is flat, every term
-    is zero and the residual measures nothing, so it raises too.  Warns
-    when the top-third band carries enough energy for products to alias.
+    case raises instead, and so do samples that are not a real, finite
+    array of shape (N,).  The field is transformed once; if its first
+    derivative is 0, no mode an odd derivative keeps cleared the drop
+    floor, the field is flat, every term is zero and the residual measures
+    nothing, so it raises too.  Warns when the top-third band carries
+    enough energy for products to alias.
     """
     period = wave.spatial_period
     # a nan, infinite or non-positive period holds no whole periods and is
@@ -133,19 +135,16 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
             f"grid length {grid.L!r} is not an integer multiple of the "
             f"spatial period {period!r}"
         )
-    u = np.asarray(wave.sample(grid, t), dtype=float)
-    if u.shape != (grid.N,):
-        raise DomainError(f"the wave's samples have shape {u.shape}, not ({grid.N},)")
-    u_hat = drop_noise_floor(_rfft(u, _plan(grid.N)[1]))
-    # every mode an odd derivative keeps: 0 < k < N/2
-    if not u_hat[1:grid.N // 2].any():
+    u = _real_field(wave.sample(grid, t), grid.N, "the wave's samples")
+    u_hat = drop_noise_floor(_rfft(u))
+    u_x = _derivative_of_spectrum(u_hat, grid.k, 1)
+    if not u_x.any():
         raise DomainError("field is constant to roundoff on this grid; "
                           "its residual measures nothing")
     frac = high_mode_energy_fraction(u_hat)
     if frac > ALIAS_THRESHOLD:
         warnings.warn(f"top-third modes hold {frac:.3e} of spectral energy; nonlinear "
                       "products will alias on this grid", AliasingWarning, stacklevel=2)
-    u_x = _derivative_of_spectrum(u_hat, grid.k, 1)
     u_xxx = _derivative_of_spectrum(u_hat, grid.k, 3)
     u_t = -wave.velocity * u_x
     residual = u_t - 6.0 * u * u_x + u_xxx

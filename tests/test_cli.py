@@ -104,6 +104,14 @@ class TestVerifyCommand:
         assert float(row[2]) == pytest.approx(min(rejected), rel=1e-3)
         assert rows["kdv:"] == ["kdv:", "22/22", "checks", "passed"]
 
+    def test_readme_shows_the_family_table(self, capsys, tmp_path):
+        # README quotes, indented, the table that verify --suite all prints
+        # to stdout when --report names a file
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert main(["verify", "--suite", "all", "--report", str(tmp_path / "r.jsonl")]) == 0
+        table = "".join(f"    {line}\n" for line in capsys.readouterr().out.splitlines())
+        assert table.startswith("    check ") and table in readme
+
     def test_jobs_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "limits", "--jobs", "2"])

@@ -13,9 +13,14 @@ from hypothesis import given, settings, strategies as st
 from landen_kdv import (
     DnWaveParams,
     DomainError,
+    EvolverConfig,
     PeriodicGrid,
+    TravelingProfile,
+    evolve_trajectory,
     fft,
+    kdv_residual,
     spectral_derivative,
+    translation_lag,
 )
 from landen_kdv.fourier import (
     DROP_FLOOR,
@@ -35,7 +40,7 @@ from landen_kdv.fourier import (
 
 def floored_spectrum(values):
     """The half spectrum high_mode_energy_fraction reads: transformed, then floored."""
-    return drop_noise_floor(_rfft(values, _plan(values.size)[1]))
+    return drop_noise_floor(_rfft(values))
 
 
 def as_half_spectrum(full):
@@ -66,7 +71,7 @@ class TestTransformAgainstNumpy:
         x = rng.standard_normal(n)
         full = np.fft.fft(x - np.mean(x))
         full[0] = 0.0
-        ours = _irfft(as_half_spectrum(full), _plan(n)[2])
+        ours = _irfft(as_half_spectrum(full))
         ref = np.fft.ifft(full)
         assert np.max(np.abs(ref.imag)) < 1e-15
         assert np.max(np.abs(ours - ref.real)) < 5e-15 * np.max(np.abs(ref.real))
@@ -149,7 +154,7 @@ class TestTransformAgainstNumpy:
         # n/2 + 1 modes, to the forward's accuracy
         rng = np.random.default_rng(n + 4)
         x = rng.standard_normal(n)
-        ours = _rfft(x, _plan(n)[1])
+        ours = _rfft(x)
         ref = np.fft.rfft(x)
         assert ours.size == _half_modes(n).size
         assert np.max(np.abs(ours[:n // 2 + 1] - ref)) < 5e-15 * np.max(np.abs(ref))
@@ -167,7 +172,7 @@ class TestTransformAgainstNumpy:
         x_hat = np.zeros(modes.size, dtype=complex)
         x_hat[:n // 2 + 1] = spectrum
         before = x_hat.copy()
-        ours = _irfft(x_hat, _plan(n)[2])
+        ours = _irfft(x_hat)
         assert ours.dtype == float and ours.shape == (n,)
         ref = np.fft.irfft(spectrum, n)
         assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
@@ -178,9 +183,9 @@ class TestTransformAgainstNumpy:
         rng = np.random.default_rng(n + 6)
         x = rng.standard_normal(n)
         x -= np.mean(x)
-        x_hat = _rfft(x, _plan(n)[1])
+        x_hat = _rfft(x)
         x_hat[_half_modes(n) == 0] = 0.0
-        assert np.max(np.abs(_irfft(x_hat, _plan(n)[2]) - x)) < 5e-15 * np.max(np.abs(x))
+        assert np.max(np.abs(_irfft(x_hat) - x)) < 5e-15 * np.max(np.abs(x))
 
     @pytest.mark.parametrize("n", [2, 64, 256, 512])
     def test_half_modes(self, n):
@@ -273,7 +278,7 @@ class TestModeBookkeeping:
         # content included, so the drop floor keeps its calibration
         rng = np.random.default_rng(n + 7)
         x = 3.0 + rng.standard_normal(n) + np.cos(np.pi * np.arange(n))
-        x_hat = _rfft(x, _plan(n)[1])
+        x_hat = _rfft(x)
         size, weights = _half_layout(x_hat)
         ref = np.linalg.norm(np.fft.fft(x))
         assert size == n
@@ -374,10 +379,87 @@ class TestSpectralDerivative:
         ours = spectral_derivative(u, length, order)
         assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, 1.0, True, np.True_, "1", None])
     def test_order_validation(self, order):
-        with pytest.raises(DomainError):
+        # 2.5 gave a fractional power of ik and True acted as 1
+        with pytest.raises(DomainError, match="order must be an integer >= 1"):
             spectral_derivative(np.zeros(64), 1.0, order)
+
+    def test_numpy_integer_order_is_an_order(self):
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        assert np.array_equal(spectral_derivative(np.sin(x), 2 * np.pi, np.int64(3)),
+                              spectral_derivative(np.sin(x), 2 * np.pi, 3))
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf, True, "1", 1j, None])
+    def test_length_validation(self, length):
+        # 0 divided by zero; -1, nan and True returned numbers
+        with pytest.raises(DomainError, match="length must be positive"):
+            spectral_derivative(np.zeros(64), length)
+
+
+def on_grid(n=64):
+    """A real field on n points of [0, 2 pi): the first mode plus a mean."""
+    return 0.5 + np.cos(2 * np.pi * np.arange(n) / n)
+
+
+GRID = PeriodicGrid(N=64, L=2 * np.pi)
+
+# the doors through which a real field on GRID enters the package, each
+# with the name its refusals give the field
+DOORS = {
+    "spectral_derivative": ("values", lambda u: spectral_derivative(u, 2 * np.pi)),
+    "fit_traveling_velocity": ("values", lambda u: fit_traveling_velocity(u, 2 * np.pi)),
+    "translation_lag/u0": ("u0", lambda u: translation_lag(u, on_grid(), GRID)),
+    "translation_lag/u_final": ("u_final", lambda u: translation_lag(on_grid(), u, GRID)),
+    "kdv_residual": ("the wave's samples",
+                     lambda u: kdv_residual(TravelingProfile(lambda xs: u, 1.0, 2 * np.pi), GRID)),
+    "evolve_trajectory": ("u0", lambda u: evolve_trajectory(u, EvolverConfig(GRID, None, 0.01))),
+}
+
+
+def with_sample(value):
+    u = on_grid()
+    u[5] = value
+    return u
+
+
+# each bad field with the refusal it meets; a float conversion would drop
+# the imaginary part with only a ComplexWarning, and 0j is no exception
+BAD_FIELDS = {
+    "complex": (lambda: on_grid() + 1e-3j, "{name} must be real"),
+    "complex-zero-imaginary": (lambda: on_grid() + 0j, "{name} must be real"),
+    "complex-list": (lambda: list(on_grid() + 1e-3j), "{name} must be real"),
+    "nan": (lambda: with_sample(np.nan), "{name} must be finite"),
+    "inf": (lambda: with_sample(np.inf), "{name} must be finite"),
+    "2-d": (lambda: on_grid().reshape(8, 8), r"{name} must have shape \(64,\)"),
+    "scalar": (lambda: np.float64(1.0), r"{name} must have shape"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS)
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_refuses_what_is_not_a_real_field(door, bad):
+    # evolve_trajectory's messages, each naming the door's field
+    name, call = DOORS[door]
+    make, message = BAD_FIELDS[bad]
+    with pytest.raises(DomainError, match=message.format(name=name)):
+        call(make())
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_refuses_a_field_off_the_grid(door):
+    # 48 points are not the grid's 64, and not a power of two for the
+    # doors that take a field of any size
+    name, call = DOORS[door]
+    with pytest.raises(DomainError, match=rf"{name} must have shape \(64,\)|power of two"):
+        call(on_grid(48))
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_admits_a_list(door):
+    # a list is a field: the check converts it, as it converts the array
+    _, call = DOORS[door]
+    call(list(on_grid()))
 
 
 class TestPeriodicGrid:

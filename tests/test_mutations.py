@@ -80,8 +80,8 @@ def fft_modes(delta):
     # entry 3 of a half spectrum is mode 3, and stands for mode -3 too
     original = fourier_module._rfft
 
-    def rfft(x, plan):
-        out = original(x, plan)
+    def rfft(x):
+        out = original(x)
         out[3] += delta * np.max(np.abs(out))
         return out
 

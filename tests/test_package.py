@@ -209,6 +209,47 @@ def test_only_fourier_holds_the_complex_transform():
     assert fft_bindings(modules["__init__.py"]) == ["import fft"]
 
 
+def plan_names(source: str) -> list[str]:
+    """Where a module names _plan: imports, names, attributes, definitions, parameters."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and "_plan" in (node.name, node.asname):
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.Name) and node.id == "_plan":
+            found.append("_plan")
+        elif isinstance(node, ast.Attribute) and node.attr == "_plan":
+            found.append("._plan")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_plan":
+            found.append("def _plan")
+        elif isinstance(node, ast.arg) and node.arg == "_plan":
+            found.append("_plan parameter")
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from .fourier import _plan",
+    "from .fourier import PeriodicGrid, _plan as plans",
+    "from . import fourier\nfourier._plan(256)[1]",
+    "_, forward, inverse = _plan(n)",
+    "_plan = None",
+    "def _plan(n):\n    return n",
+    "def f(_plan):\n    return _plan",
+])
+def test_plan_name_is_detected(source):
+    assert plan_names(source)
+
+
+def test_only_fourier_names_the_plans():
+    # _rfft and _irfft look up their own plans, so no caller passes,
+    # holds or indexes one
+    modules = {path.name: path.read_text()
+               for path in Path(landen_kdv.__file__).parent.glob("*.py")}
+    assert plan_names(modules["fourier.py"])
+    offenders = {name: plan_names(source) for name, source in modules.items()
+                 if name != "fourier.py"}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 

@@ -52,8 +52,7 @@ class TestKdvResidual:
         grid = params.natural_grid(n=256)
         report = kdv_residual(params, grid, t=0.15)
         u = params.sample(grid, 0.15)
-        u_hat = fourier_module.drop_noise_floor(
-            fourier_module._rfft(u, fourier_module._plan(grid.N)[1]))
+        u_hat = fourier_module.drop_noise_floor(fourier_module._rfft(u))
         u_x, u_xxx = (fourier_module._derivative_of_spectrum(u_hat, grid.k, order)
                       for order in (1, 3))
         terms = (-params.velocity * u_x, 6.0 * u * u_x, u_xxx)
@@ -148,7 +147,7 @@ class TestKdvResidual:
         # the one transform reads grid.N samples; a constant profile that
         # returns a scalar was refused by the complex fft's own check
         wave = TravelingProfile(profile, 1.0, 2 * np.pi)
-        with pytest.raises(DomainError, match=r"samples have shape .*, not \(64,\)"):
+        with pytest.raises(DomainError, match=r"the wave's samples must have shape \(64,\)"):
             kdv_residual(wave, PeriodicGrid(N=64, L=2 * np.pi))
 
     def test_nyquist_only_field_is_refused_without_warning(self):
@@ -168,9 +167,9 @@ class TestKdvResidual:
         count = [0]
         original = fourier_module._rfft
 
-        def counted(x, plan):
+        def counted(x):
             count[0] += 1
-            return original(x, plan)
+            return original(x)
 
         for module in (fourier_module, verify_module):
             monkeypatch.setattr(module, "_rfft", counted)
