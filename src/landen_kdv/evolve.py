@@ -41,7 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InstabilityError
-from .fourier import PeriodicGrid, _irfft, _real_field, _require_positive, _rfft, kept_modes
+from .fourier import (
+    PeriodicGrid,
+    _irfft,
+    _real_field,
+    _require_oscillation,
+    _require_positive,
+    _rfft,
+    drop_noise_floor,
+    kept_modes,
+)
 
 # Largest nonlinear CFL number, on max|u - ubar|, a run may take.
 # Measured on one full crossing at a fixed CFL number c, over p in
@@ -431,9 +440,13 @@ def translation_lag(u0: np.ndarray, u_final: np.ndarray, grid: PeriodicGrid) -> 
     at V*T mod L; comparing against the predicted velocity confirms the
     velocity law dynamically, independent of pointwise comparisons.  The
     correlation runs on the real half spectra, without their k = 0 term:
-    the product of the means adds a constant and cannot move the peak.
+    the product of the means adds a constant and cannot move the peak.  A
+    field flat to roundoff has no peak to find and is refused.
     """
     u0, u_final = _real_field(u0, grid.N, "u0"), _real_field(u_final, grid.N, "u_final")
-    cross = _rfft(u_final) * np.conj(_rfft(u0))
+    u0_hat, final_hat = _rfft(u0), _rfft(u_final)
+    _require_oscillation(drop_noise_floor(u0_hat), "u0", "the lag")
+    _require_oscillation(drop_noise_floor(final_hat), "u_final", "the lag")
+    cross = final_hat * np.conj(u0_hat)
     cross[grid.k == 0.0] = 0.0
     return float(np.argmax(_irfft(cross)) * grid.spacing)

@@ -1,4 +1,4 @@
-"""Four-step FFT and periodic spectral differentiation.
+"""Four-step real FFT pair and periodic spectral differentiation.
 
 The transform is implemented here rather than taken from numpy so the
 package carries no black box in the one place accuracy claims depend on;
@@ -12,16 +12,16 @@ angle's rounding grows with j k, and the error at n = 8192 is about 30x
 larger.  Grids are restricted to power-of-two sizes, which is all the
 solvers need and keeps n1 and n2 powers of two.
 
-Every field the package transforms is real, and a private real pair
-serves them all on the four-step's own layout: _rfft returns the half
+Every field the package transforms is real, so there is one transform, a
+private real pair on the four-step's own layout: _rfft returns the half
 spectrum, n2/2 + 1 rows of n1 modes at k = k1 + n1 k2, and _irfft reads
 it back.  Each takes one of its two products in real arithmetic and forms
-only the rows k2 <= n2/2 of the other, so a real field costs about half
-the arithmetic of a complex one.  Which entry holds which mode is this
-module's to know: _half_modes, _half_layout, kept_modes and wavenumbers.
-So are the plans, which _rfft and _irfft look up for themselves, and what
-a real field is: _real_field admits every field the package transforms.
-fft, the complex transform, stays public; no module of the package calls it.
+only the rows k2 <= n2/2 of the other.  Which entry holds which mode is
+this module's to know: _half_modes, _half_layout, kept_modes and
+wavenumbers.  So are the plans, which only _rfft and _irfft look up, and
+what a real field is: _real_field admits every field the package
+transforms.  The public fft, which no module of the package calls, is the
+Hermitian extension of _rfft's half spectrum.
 """
 
 from __future__ import annotations
@@ -60,24 +60,19 @@ def _require_positive(value: float, name: str) -> None:
 
 @lru_cache(maxsize=None)
 def _plan(n: int):
-    """The size-n plans: complex forward, real forward and real inverse.
+    """The size-n real plans, forward and inverse, from one table of roots.
 
-    The complex plan is (left DFT matrix, twiddle, right DFT matrix), with
-    n = n1 * n2, n1 = 2^floor(log2(n) / 2) and the twiddle
-    exp(-2 pi i k1 j2 / n) on the (n1, n2) grid.  Every entry is read from
-    one table of the n roots exp(-2 pi i j / n): an entry of a size-s DFT
-    matrix, with angle 2 pi (j k mod s) / s, is the root at
+    With n = n1 * n2 and n1 = 2^floor(log2(n) / 2), the forward is (the
+    n1-point DFT matrix as floats, the twiddle exp(-2 pi i j2 k1 / n) on
+    the (n2, n1) grid, the first n2/2 + 1 rows of the n2-point DFT matrix)
+    and the inverse (the first n2/2 + 1 columns of the conjugated n2-point
+    matrix times the weights 2, and 1 at Nyquist, the conjugated twiddle
+    / n, the n1-point matrix as floats); see _rfft and _irfft.  Every entry
+    is read from the table of the n roots exp(-2 pi i j / n): an entry of a
+    size-s DFT matrix, with angle 2 pi (j k mod s) / s, is the root at
     (j k mod s) * (n / s), and scaling by a power of two leaves the reduced
-    angle's rounding unchanged.  When n1 == n2 (n an even power of two)
-    the left matrix is the right one, built once.
-
-    The real plans reuse those arrays (see _rfft and _irfft): the forward
-    is (left as floats, the twiddle transposed, the first n2/2 + 1 rows of
-    right), the inverse (the first n2/2 + 1 columns of conj(right) times
-    the weights 2, and 1 in the Nyquist column, conj(twiddle) / n
-    transposed, left as floats).  Conjugation, doubling and dividing by a
-    power of two are exact, so every entry is still a root of the table,
-    scaled by a power of two.
+    angle's rounding unchanged.  Conjugation, doubling and dividing by a
+    power of two are exact.  When n1 == n2 one matrix serves both products.
     """
     n1 = 1 << ((n.bit_length() - 1) // 2)
     n2 = n // n1
@@ -89,32 +84,12 @@ def _plan(n: int):
 
     left = dft(n1)
     right = left if n2 == n1 else dft(n2)
-    twiddle = roots[np.outer(np.arange(n1), np.arange(n2)) % n]
+    twiddle = roots[np.outer(np.arange(n2), np.arange(n1)) % n]
     rows = n2 // 2 + 1
-    weights = np.full(rows, 2.0)
-    weights[-1] = 1.0
+    weights = np.append(np.full(rows - 1, 2.0), 1.0)
     real_left = left.view(float)
-    real_twiddle = np.ascontiguousarray(twiddle.T)
-    return ((left, twiddle, right),
-            (real_left, real_twiddle, right[:rows]),
-            (np.conj(right[:, :rows]) * weights, np.conj(real_twiddle) / n, real_left))
-
-
-def _four_step(a: np.ndarray, plan) -> np.ndarray:
-    """Transform a checked 1-D power-of-two array with a plan.
-
-    With j = j1 n2 + j2 and k = k1 + n1 k2, the sum over j1 is an n1-point
-    DFT down the columns of a.reshape(n1, n2), the twiddle carries the
-    cross term k1 j2, and the sum over j2 is an n2-point DFT along rows.
-    The result at (k1, k2) belongs at flat index k1 + n1 k2, so the last
-    product is taken as right @ cols.T, which is (cols @ right).T because
-    every DFT matrix is symmetric: its (k2, k1) entry lands in natural
-    order and ravel returns a view, with no transpose copy.
-    """
-    left, twiddle, right = plan
-    cols = left @ a.reshape(left.shape[0], -1)
-    cols *= twiddle
-    return (right @ cols.T).ravel()
+    return ((real_left, twiddle, right[:rows]),
+            (np.conj(right[:, :rows]) * weights, np.conj(twiddle) / n, real_left))
 
 
 def _half_modes(n: int) -> np.ndarray:
@@ -168,7 +143,7 @@ def _rfft(x: np.ndarray) -> np.ndarray:
     past n/2, which are not zero.  x is a 1-D float array of power-of-two
     size, as _real_field returns.
     """
-    left, twiddle, right = _plan(x.size)[1]
+    left, twiddle, right = _plan(x.size)[0]
     cols = (x.reshape(left.shape[0], -1).T @ left).view(complex)
     cols *= twiddle
     return (right @ cols).ravel()
@@ -188,7 +163,7 @@ def _irfft(x_hat: np.ndarray) -> np.ndarray:
     none.  The mean and pad entries are read, not skipped, so they must be
     0; x_hat is not copied.
     """
-    right, twiddle, left = _plan(_field_size(x_hat.size))[2]
+    right, twiddle, left = _plan(_field_size(x_hat.size))[1]
     rows = right @ x_hat.reshape(-1, twiddle.shape[1])
     rows *= twiddle
     return (left @ rows.view(float).T).ravel()
@@ -207,12 +182,19 @@ def _real_field(u, n: int, name: str) -> np.ndarray:
     return u
 
 
+def _spectrum(x: np.ndarray) -> np.ndarray:
+    """fft(x) of a real x: the half spectrum's modes 0..n/2, then conjugates of n/2 - 1..1."""
+    half = _rfft(x.astype(float))[:x.size // 2 + 1]
+    return np.concatenate((half, np.conj(half[x.size // 2 - 1:0:-1])))
+
+
 def fft(a: np.ndarray) -> np.ndarray:
-    """Forward discrete Fourier transform of a 1-D array (four-step)."""
+    """Forward discrete Fourier transform of a 1-D array; a complex one is two real fields."""
     a = np.asarray(a)
     if a.ndim != 1:
         raise DomainError("transforms operate on 1-D arrays")
-    return _four_step(a, _plan(_require_pow2(a.size))[0])
+    _require_pow2(a.size)
+    return _spectrum(a.real) + 1j * _spectrum(a.imag) if np.iscomplexobj(a) else _spectrum(a)
 
 
 def kept_modes(n: int) -> np.ndarray:
@@ -245,6 +227,13 @@ def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
     magnitude = np.abs(u_hat)
     rounding = np.finfo(float).eps * math.sqrt(weights @ magnitude ** 2) / math.sqrt(n)
     return np.where((magnitude < DROP_FLOOR * rounding) | (weights == 0.0), 0.0, u_hat)
+
+
+def _require_oscillation(u_hat: np.ndarray, name: str, what: str) -> None:
+    """Refuse a floored half spectrum with no mode 0 < k < n/2: its field is flat to roundoff."""
+    # Nyquist alone does not count: an odd derivative zeroes it
+    if not u_hat[1:_field_size(u_hat.size) // 2].any():
+        raise DomainError(f"{name} is constant to roundoff on this grid; {what} measures nothing")
 
 
 def high_mode_energy_fraction(u_hat: np.ndarray) -> float:
@@ -291,16 +280,15 @@ def fit_traveling_velocity(values: np.ndarray, length: float) -> float:
 
     For u_t - 6 u u_x + u_xxx = 0 a traveling profile obeys
     -V u_x - 6 u u_x + u_xxx = 0, so V is the L2 projection of
-    (u_xxx - 6 u u_x) onto u_x.  Constant fields have no velocity.
-
-    Derivatives are taken on the mean-removed field: the mean contributes
-    nothing to any derivative, but a large offset would anchor the
-    noise-floor threshold and wipe out small oscillatory modes.
+    (u_xxx - 6 u u_x) onto u_x.  Constant fields have no velocity.  Both
+    derivatives come from one floored half spectrum, as in kdv_residual.
     """
     u = _real_field(values, _require_pow2(np.size(values)), "values")
-    osc = u - float(np.mean(u))
-    u_x = spectral_derivative(osc, length, 1)
-    u_xxx = spectral_derivative(osc, length, 3)
+    _require_positive(length, "length")
+    u_hat = drop_noise_floor(_rfft(u))
+    k = wavenumbers(u.size, length)
+    u_x = _derivative_of_spectrum(u_hat, k, 1)
+    u_xxx = _derivative_of_spectrum(u_hat, k, 3)
     denom = float(np.dot(u_x, u_x))
     if denom == 0.0:
         raise DomainError("velocity fit needs a non-constant field")

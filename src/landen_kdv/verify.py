@@ -24,6 +24,7 @@ from .fourier import (
     PeriodicGrid,
     _derivative_of_spectrum,
     _real_field,
+    _require_oscillation,
     _rfft,
     drop_noise_floor,
     high_mode_energy_fraction,
@@ -120,11 +121,10 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
     The grid length must be an integer number of the wave's spatial
     periods, or Fourier differentiation silently produces garbage; that
     case raises instead, and so do samples that are not a real, finite
-    array of shape (N,).  The field is transformed once; if its first
-    derivative is 0, no mode an odd derivative keeps cleared the drop
-    floor, the field is flat, every term is zero and the residual measures
-    nothing, so it raises too.  Warns when the top-third band carries
-    enough energy for products to alias.
+    array of shape (N,).  The field is transformed once; if it is flat to
+    roundoff (see _require_oscillation), every term is zero and the
+    residual measures nothing, so it raises too.  Warns when the top-third
+    band carries enough energy for products to alias.
     """
     period = wave.spatial_period
     # a nan, infinite or non-positive period holds no whole periods and is
@@ -137,10 +137,8 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
         )
     u = _real_field(wave.sample(grid, t), grid.N, "the wave's samples")
     u_hat = drop_noise_floor(_rfft(u))
+    _require_oscillation(u_hat, "field", "its residual")
     u_x = _derivative_of_spectrum(u_hat, grid.k, 1)
-    if not u_x.any():
-        raise DomainError("field is constant to roundoff on this grid; "
-                          "its residual measures nothing")
     frac = high_mode_energy_fraction(u_hat)
     if frac > ALIAS_THRESHOLD:
         warnings.warn(f"top-third modes hold {frac:.3e} of spectral energy; nonlinear "

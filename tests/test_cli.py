@@ -263,6 +263,23 @@ class TestEvolveCommand:
         assert abs(record["lag"] - record["predicted_lag"]) <= spacing
         assert '"predicted_lag": -0.0' not in out
 
+    def test_flat_wave_is_one_error_line(self, capsys):
+        # at m = 0 the wave is its mean: no lag to read, so no record
+        argv = ["evolve", "--family", "u1", "-m", "0", "--n", "64",
+                "--periods-crossed", "0.5", "--json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: u0 is constant to roundoff on this grid; the lag measures nothing\n"
+
+    def test_nearly_flat_wave_lags_as_predicted(self, capsys):
+        # at m = 1e-9 the oscillation is about 1e-9 of the mean, far above
+        # the drop floor, so the flat refusal leaves it alone
+        assert main(["evolve", "--family", "u1", "-m", "1e-9", "--n", "64",
+                     "--periods-crossed", "0.5", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["lag"] == record["predicted_lag"]
+
     def test_instability_exit(self, capsys):
         assert main(["evolve", "--family", "u1", "-m", "0.5", "--n", "256",
                      "--T", "0.1", "--dt", "0.01"]) == 1

@@ -849,3 +849,13 @@ class TestTranslationLag:
         name = "u0" if shapes[0] != (256,) else "u_final"
         with pytest.raises(DomainError, match=rf"{name} must have shape \(256,\)"):
             translation_lag(np.zeros(shapes[0]), np.zeros(shapes[1]), grid)
+
+    @pytest.mark.parametrize("flat", ["u0", "u_final"])
+    def test_flat_field_is_refused(self, flat):
+        # with the k = 0 term dropped a flat field's correlation is all zero,
+        # and its argmax, index 0, would read as "no lag"
+        params, grid = cnoidal_setup(n=64)
+        fields = {"u0": params.sample(grid, 0.0), "u_final": params.sample(grid, 0.1)}
+        fields[flat] = np.ones(64)
+        with pytest.raises(DomainError, match=f"{flat} is constant to roundoff"):
+            translation_lag(fields["u0"], fields["u_final"], grid)

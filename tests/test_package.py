@@ -83,7 +83,7 @@ def memo_caches() -> dict[str, object]:
 
 
 # one cache per key: K(m), E(m) and the Landen ladder share the modulus
-# entry, the complex and real FFT plans share the size entry, and the
+# entry, the forward and inverse FFT plans share the size entry, and the
 # dn and dn^2 identity gaps share the Landen map entry; the evolver's
 # tables live for one evolve_trajectory call, not in a cache
 MEMO_CACHES = [
@@ -209,10 +209,10 @@ def test_only_fourier_holds_the_complex_transform():
     assert fft_bindings(modules["__init__.py"]) == ["import fft"]
 
 
-def plan_names(source: str) -> list[str]:
-    """Where a module names _plan: imports, names, attributes, definitions, parameters."""
+def plan_names(source: str | ast.AST) -> list[str]:
+    """Where a module, or a node of one, names _plan: imports, names, attributes, definitions, parameters."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.alias) and "_plan" in (node.name, node.asname):
             found.append(f"import {node.name}")
         elif isinstance(node, ast.Name) and node.id == "_plan":
@@ -239,12 +239,26 @@ def test_plan_name_is_detected(source):
     assert plan_names(source)
 
 
+def plan_users(source: str) -> set[str]:
+    """The top-level statements of a module, other than def _plan, that name _plan.
+
+    A def or class is given by its name, any other statement by its line.
+    """
+    return {getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
+            if plan_names(node) and getattr(node, "name", None) != "_plan"}
+
+
+def test_plan_user_is_named():
+    source = "def _plan(n):\n    return n\n\ndef fft(a):\n    return _plan(a.size)\n\nx = _plan(4)\n"
+    assert plan_users(source) == {"fft", "line 7"}
+
+
 def test_only_fourier_names_the_plans():
     # _rfft and _irfft look up their own plans, so no caller passes,
-    # holds or indexes one
+    # holds or indexes one, and fft is built from _rfft
     modules = {path.name: path.read_text()
                for path in Path(landen_kdv.__file__).parent.glob("*.py")}
-    assert plan_names(modules["fourier.py"])
+    assert plan_users(modules["fourier.py"]) == {"_rfft", "_irfft"}
     offenders = {name: plan_names(source) for name, source in modules.items()
                  if name != "fourier.py"}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
