@@ -52,6 +52,30 @@ def as_half_spectrum(full):
     return out
 
 
+def per_entry_plans(n):
+    """The real plans of size n, each entry exp(-2 pi i (j k mod s) / s) on its own."""
+    def roots(rows, cols, size):
+        jk = np.outer(np.arange(rows), np.arange(cols)) % size
+        return np.exp(-2j * np.pi * jk / size)
+
+    n1 = 1 << ((n.bit_length() - 1) // 2)
+    n2 = n // n1
+    rows = n2 // 2 + 1
+    left, twiddle, right = roots(n1, n1, n1), roots(n2, n1, n), roots(n2, n2, n2)
+    weights = np.append(np.full(rows - 1, 2.0), 1.0)
+    return ((left.view(float), twiddle, right[:rows]),
+            (np.conj(right)[:, :rows] * weights, np.conj(twiddle) / n,
+             left.view(float)))
+
+
+def assert_plan_bits(plan, ref):
+    """Each matrix of plan is C-contiguous and has ref's shape and bits."""
+    for ours, theirs in zip(plan, ref, strict=True):
+        theirs = np.ascontiguousarray(theirs)
+        assert ours.shape == theirs.shape and ours.flags.c_contiguous
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
 class TestTransformAgainstNumpy:
     @pytest.mark.parametrize("n", [1, 2, 8, 64, 256, 1024, 4096, 8192])
     def test_forward_matches(self, n):
@@ -103,31 +127,35 @@ class TestTransformAgainstNumpy:
         assert np.shares_memory(forward_left, forward_right) == (n == 256)
 
     @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
-    def test_real_plans_are_the_per_entry_formula(self, n):
-        # read from one table of n roots, every plan entry is the root of its
-        # own reduced angle, exp(-2 pi i (j k mod size) / size), bit for bit:
-        # the forward is left as floats, the twiddles in (j2, k1) order and
-        # the first n2/2 + 1 rows of right; the inverse the first n2/2 + 1
-        # columns of conj(right) with the weights 2 (1 at Nyquist) folded
-        # in, the conjugated twiddles / n and left as floats.  The formula
-        # is symmetric in j and k, so the DFT matrices are too
-        def roots(rows, cols, size):
-            jk = np.outer(np.arange(rows), np.arange(cols)) % size
-            return np.exp(-2j * np.pi * jk / size)
+    def test_plan_from_one_table_is_the_per_entry_formula(self, n):
+        # read from one table of n roots, every forward entry is the root of
+        # its own reduced angle, exp(-2 pi i (j k mod size) / size), bit for
+        # bit: left as floats, the twiddles in (j2, k1) order and the first
+        # n2/2 + 1 rows of right
+        assert_plan_bits(_plan(n)[0], per_entry_plans(n)[0])
 
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-        n2 = n // n1
-        rows = n2 // 2 + 1
-        left, twiddle, right = roots(n1, n1, n1), roots(n2, n1, n), roots(n2, n2, n2)
+    @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
+    def test_plan_dft_matrices_are_symmetric(self, n):
+        # the inverse reads the columns of conj(right) where the forward
+        # reads its rows, and left is used both ways: both DFT matrices must
+        # equal their transposes, bit for bit
+        (forward_left, _, forward_right), (inverse_right, _, _) = _plan(n)
+        left = forward_left.view(complex)
+        assert np.array_equal(left.view(np.uint64), left.T.copy().view(np.uint64))
+        rows = forward_right.shape[0]
+        square = forward_right[:, :rows]
+        assert np.array_equal(square.view(np.uint64), square.T.copy().view(np.uint64))
         weights = np.append(np.full(rows - 1, 2.0), 1.0)
-        expected = ((left.view(float), twiddle, right[:rows]),
-                    (np.conj(right)[:, :rows] * weights, np.conj(twiddle) / n,
-                     left.view(float)))
-        for plan, ref in zip(_plan(n), expected, strict=True):
-            for ours, theirs in zip(plan, ref, strict=True):
-                theirs = np.ascontiguousarray(theirs)
-                assert ours.shape == theirs.shape and ours.flags.c_contiguous
-                assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+        columns = np.ascontiguousarray(np.conj(forward_right).T * weights)
+        assert np.array_equal(inverse_right.view(np.uint64), columns.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(6, 14)])
+    def test_real_plans_are_the_per_entry_formula(self, n):
+        # both real plans, bit for bit: the forward as above; the inverse the
+        # first n2/2 + 1 columns of conj(right) with the weights 2 (1 at
+        # Nyquist) folded in, the conjugated twiddles / n and left as floats
+        for plan, ref in zip(_plan(n), per_entry_plans(n), strict=True):
+            assert_plan_bits(plan, ref)
         # one left matrix serves the forward's first product and the
         # inverse's last
         assert _plan(n)[0][0] is _plan(n)[1][2]
