@@ -16,15 +16,19 @@ degrade for large |x|.  That ladder is the AGM behind K and E written in
 modulus form, so one memo entry per m (_modulus) holds K(m), E(m) and the
 ladder, and a kernel call looks m up once.
 
-Two ascents share that front end (_ladder_base: the checks, the m = 1
-hyperbolic branch and the reduction).  jacobi_sn_cn_dn carries sn, cn and
-dn up every level.  _dn serves the callers that read dn alone (all but
-waves.u_p, whose comment says why): each
-level's dn is (1 - t)/(1 + t) with t = k sn^2 from the level below
-(DLMF 22.7(i)), so it carries only the sn chain, forms dn once at the top
-level and needs no cos and, below a non-empty ladder, no sqrt.  It keeps
-every operation it does perform in the same order on the same operands,
-so _dn(x, m) equals jacobi_sn_cn_dn(x, m)[2] bit for bit.
+jacobi_sn_cn_dn is the one kernel entry; every caller in the package
+reaches an ascent through it.  Two ascents share its front end
+(_ladder_base: the checks, the m = 1 hyperbolic branch and the reduction),
+and the keyword dn_only picks one of them once, at entry.  By default it
+carries sn, cn and dn up every level, for u_pm, the one caller that reads
+sn and cn.  _dn_ascent serves the callers that read dn alone: each level's dn is (1 - t)/(1 + t) with t = k sn^2 from the level
+below (DLMF 22.7(i)), so it carries only the sn chain, forms dn once at
+the top level and needs no cos and, below a non-empty ladder, no sqrt.
+It keeps every operation it does perform in the same order on the same
+operands, so jacobi_sn_cn_dn(x, m, dn_only=True) equals
+jacobi_sn_cn_dn(x, m)[2] bit for bit.  The two ascents stay separate
+loops rather than one loop that branches per level on what the caller
+reads.
 """
 
 from __future__ import annotations
@@ -146,14 +150,20 @@ def _ladder_base(x, m: float):
     return x_arr, z, (ks, m_bottom)
 
 
-def jacobi_sn_cn_dn(x, m: float):
+def jacobi_sn_cn_dn(x, m: float, *, dn_only: bool = False):
     """sn, cn and dn of x with modulus parameter m, elementwise.
 
     ``x`` may be a scalar or an ndarray of any shape; scalars come back as
     floats.  The input is never written to.  Handles the degenerate ends
     exactly: m = 0 gives (sin, cos, 1) and m = 1 gives (tanh, sech, sech).
+    ``dn_only=True`` returns dn alone, from the ascent that carries only
+    the sn chain: the same bits as ``jacobi_sn_cn_dn(x, m)[2]`` at about
+    half the cost per point.
     """
     x_arr, z, ladder = _ladder_base(x, m)
+    if dn_only:
+        d = _dn_ascent(z, ladder)
+        return float(d[0]) if np.ndim(x) == 0 else d
     if ladder is None:  # m = 1, z = sech(x)
         s, c, d = np.tanh(x_arr), z, z.copy()
     else:
@@ -182,38 +192,31 @@ def jacobi_sn_cn_dn(x, m: float):
     return s, c, d
 
 
-def _dn(x, m: float):
-    """dn alone, equal to jacobi_sn_cn_dn(x, m)[2] bit for bit.
+def _dn_ascent(z, ladder):
+    """dn alone from _ladder_base's z and ladder, bit for bit the full ascent's.
 
     The sn chain of jacobi_sn_cn_dn's ascent with the same operations in
     the same order; dn is formed once, from the top level's t, and the top
-    level's own sn update is skipped.  The two ascents stay separate loops
-    rather than one loop that branches on what the caller reads.
+    level's own sn update is skipped.
     """
-    _, z, ladder = _ladder_base(x, m)
     if ladder is None:  # m = 1, z = sech(x)
-        d = z
-    elif not ladder[0]:
+        return z
+    ks, m_bottom = ladder
+    s = np.sin(z, out=z)
+    if not ks:
         # empty ladder (m <= _LADDER_FLOOR): dn = sqrt(1 - m sn^2) at the seed
-        s = np.sin(z, out=z)
-        d = np.sqrt(1.0 - ladder[1] * s * s)
-    else:
-        ks = ladder[0]
-        s = np.sin(z, out=z)
-        t = np.empty_like(s)
-        denom = np.empty_like(s)
-        for k in reversed(ks[1:]):
-            np.multiply(k, s, out=t)
-            t *= s
-            np.add(1.0, t, out=denom)
-            s *= 1.0 + k
-            s /= denom
-        np.multiply(ks[0], s, out=t)
+        return np.sqrt(1.0 - m_bottom * s * s)
+    t = np.empty_like(s)
+    denom = np.empty_like(s)
+    for k in reversed(ks[1:]):
+        np.multiply(k, s, out=t)
         t *= s
         np.add(1.0, t, out=denom)
-        d = np.subtract(1.0, t, out=s)
-        d /= denom
-
-    if np.ndim(x) == 0:
-        return float(d[0])
+        s *= 1.0 + k
+        s /= denom
+    np.multiply(ks[0], s, out=t)
+    t *= s
+    np.add(1.0, t, out=denom)
+    d = np.subtract(1.0, t, out=s)
+    d /= denom
     return d

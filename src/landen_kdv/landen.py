@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import _agm, _check_m, _dn, _modulus, complete_E
+from .elliptic import _agm, _check_m, _modulus, complete_E, jacobi_sn_cn_dn
 from .errors import ConsistencyError, DomainError
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
@@ -82,7 +82,7 @@ def _shift_lattice(x, shifts: tuple[float, ...]) -> np.ndarray:
 
 def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
     """dn(x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
-    return _dn(_shift_lattice(x, shifts), m)
+    return jacobi_sn_cn_dn(_shift_lattice(x, shifts), m, dn_only=True)
 
 
 def cyclic_sums(d: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import _dn, complete_K
+from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import AliasingWarning, DomainError, PeriodMismatchError
 from .fourier import (
     PeriodicGrid,
@@ -253,7 +253,7 @@ def _identity_gaps(lmap: LandenMap) -> tuple[float, float, float]:
     lattice.  The probe columns give the largest std of a cyclic sum.
     """
     x = _identity_grid(lmap.m_tilde)
-    lhs = _dn(x, lmap.m_tilde)
+    lhs = jacobi_sn_cn_dn(x, lmap.m_tilde, dn_only=True)
     lattice = _dn_on_lattice(np.concatenate((lmap.gamma * x, _CONSTANCY_PROBES)),
                              lmap.shifts, lmap.m)
     d, probes = lattice[:, :x.size], lattice[:, x.size:]
@@ -288,7 +288,7 @@ def _quarter_period_metric(m: float) -> float:
     big_k = complete_K(m)
     x = np.linspace(0.0, 2.0 * big_k, 257)
     # rows x and x + K, from one kernel call
-    d = _dn(x + np.array([[0.0], [big_k]]), m)
+    d = jacobi_sn_cn_dn(x + np.array([[0.0], [big_k]]), m, dn_only=True)
     return float(np.max(np.abs(d[0] * d[1] - math.sqrt(1.0 - m))))
 
 
@@ -305,7 +305,7 @@ def _residual_non_solution_metric(profile: str, m: float) -> float:
     # the speed and one period of the single wave dn^2: b_1 = 8 - 4m, 2K(m)
     u1 = DnWaveParams(alpha=1.0, beta=0.0, m=m)
     grid = u1.natural_grid(256)
-    wave = TravelingProfile(profile=lambda xs: _dn(xs, m) ** 3,
+    wave = TravelingProfile(profile=lambda xs: jacobi_sn_cn_dn(xs, m, dn_only=True) ** 3,
                             velocity=u1.velocity, spatial_period=grid.L)
     return kdv_residual(wave, grid).normalized
 

@@ -20,7 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 import landen_kdv.elliptic as elliptic_module
 import landen_kdv.landen as landen_module
 from landen_kdv import DomainError, complete_K, jacobi_sn_cn_dn
-from landen_kdv.elliptic import _agm, _dn, _modulus, complete_E
+from landen_kdv.elliptic import _agm, _modulus, complete_E
+
+# the kernel's two outputs: all three of sn, cn, dn, and dn alone
+OUTPUTS = pytest.mark.parametrize("dn_only", [False, True], ids=["jacobi_sn_cn_dn", "_dn"])
 
 mpmath.mp.dps = 40
 
@@ -205,11 +208,12 @@ class TestKernelArrays:
         list, lambda v: v.astype(np.int64), lambda v: v.astype(np.float32),
         lambda v: np.asarray(v[1])], ids=["list", "int", "float32", "0-d"])
     @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("kernel", [jacobi_sn_cn_dn, _dn])
-    def test_other_inputs_give_the_float64_bits(self, kernel, m, convert):
+    @OUTPUTS
+    def test_other_inputs_give_the_float64_bits(self, dn_only, m, convert):
         x = convert(np.array([-41.0, -0.5, 0.0, 3.0, 7.25]))
         before = np.array(x, copy=True)
-        got, expected = kernel(x, m), kernel(np.asarray(x, dtype=float), m)
+        got = jacobi_sn_cn_dn(x, m, dn_only=dn_only)
+        expected = jacobi_sn_cn_dn(np.asarray(x, dtype=float), m, dn_only=dn_only)
         assert type(got) is type(expected)
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
         assert np.array_equal(x, before) and np.asarray(x).dtype == before.dtype
@@ -218,14 +222,14 @@ class TestKernelArrays:
         list, lambda v: v.astype(np.float32), lambda v: np.asarray(v[1])],
         ids=["list", "float32", "0-d"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("kernel", [jacobi_sn_cn_dn, _dn])
-    def test_other_inputs_are_refused_as_float64(self, kernel, bad, convert):
+    @OUTPUTS
+    def test_other_inputs_are_refused_as_float64(self, dn_only, bad, convert):
         # an int array holds no non-finite value, so it has no refusal case
         x = convert(np.array([0.5, bad]))
         with pytest.raises(DomainError) as as_float64:
-            kernel(np.asarray(x, dtype=float), 0.5)
+            jacobi_sn_cn_dn(np.asarray(x, dtype=float), 0.5, dn_only=dn_only)
         with pytest.raises(DomainError) as given:
-            kernel(x, 0.5)
+            jacobi_sn_cn_dn(x, 0.5, dn_only=dn_only)
         assert str(given.value) == str(as_float64.value)
 
     @pytest.mark.parametrize("m", [0.0, 0.5, 1.0])
@@ -247,8 +251,9 @@ class TestKernelArrays:
 
 
 class TestDnOnly:
-    """_dn, the kernel of the callers that read dn alone, is the full
-    kernel's dn bit for bit: it runs the same sn chain in the same order."""
+    """dn_only=True, the kernel output of the callers that read dn alone, is
+    the three-output dn bit for bit: it runs the same sn chain in the same
+    order."""
 
     @given(m=st.floats(0.0, 1.0), x=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
     @example(m=0.0, x=0.0, seed=0)
@@ -257,17 +262,26 @@ class TestDnOnly:
     @example(m=1.0, x=800.0, seed=3)
     @settings(max_examples=200, deadline=None)
     def test_equals_the_full_kernel_bit_for_bit(self, m, x, seed):
-        d = _dn(x, m)
+        d = jacobi_sn_cn_dn(x, m, dn_only=True)
         assert type(d) is float and d == jacobi_sn_cn_dn(x, m)[2]
         rng = np.random.default_rng(seed)
         for shape in ((4, 3, 64), (4, 64)):
             # magnitudes from 1 to 1e4, so both the seed and the reduction vary
             xs = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(0.0, 4.0, shape)
             before = xs.copy()
-            d = _dn(xs, m)
+            d = jacobi_sn_cn_dn(xs, m, dn_only=True)
             assert np.array_equal(xs, before)
             assert d.shape == shape
             assert np.array_equal(d, jacobi_sn_cn_dn(xs, m)[2])
+
+    @pytest.mark.parametrize("m", [0.0, 1e-17, 1e-16, 0.5, 1.0])
+    @pytest.mark.parametrize("x", [0.7, np.asarray(-41.0), [-41.0, 0.0, 0.7, 3.0]],
+                             ids=["scalar", "0-d", "list"])
+    def test_each_input_form_and_degenerate_modulus(self, x, m):
+        # m <= 1e-16 leaves the ladder empty; m = 1 takes the hyperbolic branch
+        d, full = jacobi_sn_cn_dn(x, m, dn_only=True), jacobi_sn_cn_dn(x, m)[2]
+        assert type(d) is type(full)
+        assert np.asarray(d).tobytes() == np.asarray(full).tobytes()
 
     @pytest.mark.parametrize("x, m", [
         (float("nan"), 0.5), (float("inf"), 0.5), (np.array([0.0, -np.inf]), 0.0),
@@ -278,7 +292,7 @@ class TestDnOnly:
         with pytest.raises(DomainError) as full:
             jacobi_sn_cn_dn(x, m)
         with pytest.raises(DomainError) as dn_only:
-            _dn(x, m)
+            jacobi_sn_cn_dn(x, m, dn_only=True)
         assert str(dn_only.value) == str(full.value)
 
 
@@ -327,13 +341,13 @@ def test_modulus_ladder_cache_is_bounded():
     assert _modulus.cache_info().currsize <= maxsize
 
 
-@pytest.mark.parametrize("kernel", [jacobi_sn_cn_dn, _dn])
-def test_kernel_looks_its_modulus_up_once(kernel):
+@OUTPUTS
+def test_kernel_looks_its_modulus_up_once(dn_only):
     # K(m) for the argument reduction and the ladder come from one entry
     def lookups():
         info = _modulus.cache_info()
         return info.hits + info.misses
 
     before = lookups()
-    kernel(np.linspace(0.0, 5.0, 7), 0.3)
+    jacobi_sn_cn_dn(np.linspace(0.0, 5.0, 7), 0.3, dn_only=dn_only)
     assert lookups() - before == 1

@@ -17,7 +17,6 @@ from landen_kdv import (
     DomainError,
     InstabilityError,
     PeriodicGrid,
-    fft,
 )
 from landen_kdv.cli import main
 from landen_kdv.evolve import (
@@ -335,19 +334,21 @@ class TestStep:
         # full-spectrum ones, fft(u0) less its mean mode and the dealiased
         # 3 i k fft(v^2), on the modes 0..N/2, with zero mean and pad
         # entries.  The term's rounding is measured in eps times its scale,
-        # the largest |3 k| times the largest |fft(v^2)|: at most 1.05 here.
-        # numpy's inverse transform gives v independently of the real pair
+        # the largest |3 k| times the largest |fft(v^2)|.  numpy's transforms
+        # are the oracle, independent of the real pair the evolver steps on;
+        # against them the mean reads at most 3.05e-16 relative, v_hat 3.24
+        # and the stage 1.88 at N = 128, 256, 512
         params, grid = cnoidal_setup(n=n)
         u0 = params.sample(grid, 0.0)
         tables, v_hat = grid_steps(grid, u0)
         assert tables.mean == half_mean(u0)
-        assert tables.mean == pytest.approx(fft(u0)[0].real / n, rel=4e-16)
-        full = fft(u0)
+        full = np.fft.fft(u0)
+        assert tables.mean == pytest.approx(full[0].real / n, rel=4e-16)
         full[0] = 0.0
         v = np.fft.ifft(full).real
         eps, h = np.finfo(float).eps, n // 2 + 1
         # the first N/2 + 1 entries of the half layout are modes 0..N/2
-        coeff, square = 3.0 * grid.k[:h] * kept_modes(n)[:h], fft(v * v)[:h]
+        coeff, square = 3.0 * grid.k[:h] * kept_modes(n)[:h], np.fft.fft(v * v)[:h]
         stage = tables.nonlinear(v_hat)
         zero = _half_modes(n) == 0
         assert not v_hat[zero].any() and not stage[zero].any()

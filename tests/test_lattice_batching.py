@@ -28,9 +28,9 @@ from landen_kdv import (
     run_suite,
     transform_params,
     u_p,
+    u_pm,
 )
 from landen_kdv.cli import main
-from landen_kdv.elliptic import _dn
 from landen_kdv.landen import _dn_on_lattice, cyclic_sums
 from landen_kdv.verify import (
     _cyclic_constancy_metric,
@@ -198,19 +198,16 @@ def test_upm_sum_matches_per_phase_loop(p, sign):
 class TestOneKernelCallPerLattice:
     @pytest.fixture
     def calls(self, monkeypatch):
-        # counts calls into either kernel, by name; the dn-only callers use _dn
+        # counts calls into the one kernel entry, by output: "dn_only" for
+        # dn alone, "sn_cn_dn" for all three
         count = Counter()
 
-        def counting(name, kernel):
-            def counted(x, m):
-                count[name] += 1
-                return kernel(x, m)
-            return counted
+        def counted(x, m, *, dn_only=False):
+            count["dn_only" if dn_only else "sn_cn_dn"] += 1
+            return jacobi_sn_cn_dn(x, m, dn_only=dn_only)
 
-        for name, kernel in (("jacobi_sn_cn_dn", jacobi_sn_cn_dn), ("_dn", _dn)):
-            for module in (landen_module, verify_module, waves_module):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, kernel))
+        for module in (landen_module, verify_module, waves_module):
+            monkeypatch.setattr(module, "jacobi_sn_cn_dn", counted)
         return count
 
     def test_u_p(self, calls):
@@ -218,7 +215,7 @@ class TestOneKernelCallPerLattice:
         x = np.linspace(0.0, 3.0, 50)
         calls.clear()
         u_p(x, 0.2, params)
-        assert calls.total() == 1
+        assert calls == {"dn_only": 1}
 
     def test_landen_rhs_and_cyclic_sums(self, calls):
         lmap = landen_map(6, 0.4)
@@ -247,6 +244,13 @@ class TestOneKernelCallPerLattice:
         calls.clear()
         profile(np.linspace(0.0, 3.0, 64))
         assert calls.total() == 1
+
+    def test_u_pm(self, calls):
+        # u_pm reads sn and cn: it is the one three-output caller
+        params = PmWaveParams(alpha=1.0, m=0.5, sign=1)
+        calls.clear()
+        u_pm(np.linspace(0.0, 3.0, 64), 0.0, params)
+        assert calls == {"sn_cn_dn": 1}
 
     def test_cold_landen_map(self, calls):
         # dn(shifts) rides in column u = 0 of the cyclic-sum stack
@@ -279,16 +283,19 @@ class TestOneKernelCallPerLattice:
         calls.clear()
         run_suite("all")
         assert calls.total() == 283
+        # the 24 three-output calls are the u_pm checks'; the rest read dn alone
+        assert calls == {"dn_only": 259, "sn_cn_dn": 24}
 
     def test_cold_evolve(self, calls, capsys):
-        # u0 and the exact field at T are two time slices of one call
+        # u0 and the exact field at T are two time slices of one call; the
+        # other dn-only call is the cold landen_map build
         for cache in memo_caches().values():
             cache.cache_clear()
         calls.clear()
         assert main(["evolve", "--family", "up", "-p", "3", "-m", "0.6", "--n", "128",
                      "--periods-crossed", "0.05", "--json"]) == 0
         capsys.readouterr()
-        assert calls["jacobi_sn_cn_dn"] == 1
+        assert calls == {"dn_only": 2}
 
     @pytest.mark.parametrize("check", [
         lambda: _dn_identity_metric(3, 0.6),
@@ -306,8 +313,8 @@ class TestOneKernelCallPerLattice:
         try:
             calls.clear()
             check()
-            assert calls["_dn"] > 0
-            assert calls["jacobi_sn_cn_dn"] == 0
+            assert calls["dn_only"] > 0
+            assert calls["sn_cn_dn"] == 0
         finally:
             landen_map.cache_clear()
             verify_module._identity_gaps.cache_clear()

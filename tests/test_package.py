@@ -209,20 +209,21 @@ def test_only_fourier_holds_the_complex_transform():
     assert fft_bindings(modules["__init__.py"]) == ["import fft"]
 
 
-def plan_names(source: str | ast.AST) -> list[str]:
-    """Where a module, or a node of one, names _plan: imports, names, attributes, definitions, parameters."""
+def uses_of(source: str | ast.AST, names: set[str]) -> list[str]:
+    """Where a module, or a node of one, names one of ``names``: imports,
+    names, attributes, definitions, parameters."""
     found = []
     for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
-        if isinstance(node, ast.alias) and "_plan" in (node.name, node.asname):
+        if isinstance(node, ast.alias) and names & {node.name, node.asname}:
             found.append(f"import {node.name}")
-        elif isinstance(node, ast.Name) and node.id == "_plan":
-            found.append("_plan")
-        elif isinstance(node, ast.Attribute) and node.attr == "_plan":
-            found.append("._plan")
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_plan":
-            found.append("def _plan")
-        elif isinstance(node, ast.arg) and node.arg == "_plan":
-            found.append("_plan parameter")
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(f".{node.attr}")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+            found.append(f"def {node.name}")
+        elif isinstance(node, ast.arg) and node.arg in names:
+            found.append(f"{node.arg} parameter")
     return found
 
 
@@ -236,7 +237,7 @@ def plan_names(source: str | ast.AST) -> list[str]:
     "def f(_plan):\n    return _plan",
 ])
 def test_plan_name_is_detected(source):
-    assert plan_names(source)
+    assert uses_of(source, {"_plan"})
 
 
 def plan_users(source: str) -> set[str]:
@@ -245,7 +246,7 @@ def plan_users(source: str) -> set[str]:
     A def or class is given by its name, any other statement by its line.
     """
     return {getattr(node, "name", f"line {node.lineno}") for node in ast.parse(source).body
-            if plan_names(node) and getattr(node, "name", None) != "_plan"}
+            if uses_of(node, {"_plan"}) and getattr(node, "name", None) != "_plan"}
 
 
 def test_plan_user_is_named():
@@ -259,8 +260,44 @@ def test_only_fourier_names_the_plans():
     modules = {path.name: path.read_text()
                for path in Path(landen_kdv.__file__).parent.glob("*.py")}
     assert plan_users(modules["fourier.py"]) == {"_rfft", "_irfft"}
-    offenders = {name: plan_names(source) for name, source in modules.items()
+    offenders = {name: uses_of(source, {"_plan"}) for name, source in modules.items()
                  if name != "fourier.py"}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
+# the private helpers of elliptic.py that landen.py shares: the domain
+# check and the AGM behind K, E and the nome.  Every other private function
+# there belongs to the kernel behind jacobi_sn_cn_dn: its front end and
+# the dn-only ascent
+_MODULUS_HELPERS = {"_check_m", "_agm", "_modulus"}
+
+
+def elliptic_kernels(source: str) -> set[str]:
+    """The private top-level functions of elliptic.py, less the modulus helpers."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")} - _MODULUS_HELPERS
+
+
+@pytest.mark.parametrize("source", [
+    "from .elliptic import _dn_ascent",
+    "from .elliptic import jacobi_sn_cn_dn, _dn_ascent as ascent",
+    "from . import elliptic\nx, z, ladder = elliptic._ladder_base(x, m)",
+    "def f(_dn_ascent):\n    return _dn_ascent",
+])
+def test_elliptic_kernel_name_is_detected(source):
+    assert uses_of(source, {"_ladder_base", "_dn_ascent"})
+
+
+def test_only_elliptic_names_its_kernels():
+    # every ascent is reached through jacobi_sn_cn_dn, the one kernel entry
+    # and the one the benchmark's tracer times; a private dn kernel called
+    # from another module would run unseen
+    modules = {path.name: path.read_text()
+               for path in Path(landen_kdv.__file__).parent.glob("*.py")}
+    kernels = elliptic_kernels(modules["elliptic.py"])
+    assert kernels == {"_ladder_base", "_dn_ascent"}
+    offenders = {name: uses_of(source, kernels) for name, source in modules.items()
+                 if name != "elliptic.py"}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
