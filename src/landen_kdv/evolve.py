@@ -25,9 +25,10 @@ back into resolved modes and pollute 1e-6 comparisons.
 The state of a run is the half spectrum v_hat of the oscillation v
 (``fourier._rfft``): v is real, so the modes 0 < k <= N/2 carry it, and
 every transform of a step runs in real arithmetic on about half the
-modes.  The mean is one number for the whole run, ubar =
-u_hat[0].real / N from the half spectrum u_hat of u0, and v_hat[0] is
-0.0: the linear propagator leaves k = 0 alone and the nonlinear term
+modes.  u0 is read once, as its floored half spectrum u_hat
+(``fourier._floored_spectrum``), so its rounding debris is never stepped.
+The mean is one number for the whole run, ubar = u_hat[0].real / N, and
+v_hat[0] is 0.0: the linear propagator leaves k = 0 alone and the nonlinear term
 carries a factor k, so it stays 0.0 to the last bit after every step.  A
 snapshot is ubar + v; the mean of a sampled field, its sum over N, rounds,
 so it drifts by a few ulps.
@@ -43,12 +44,11 @@ import numpy as np
 from .errors import DomainError, InstabilityError
 from .fourier import (
     PeriodicGrid,
+    _floored_spectrum,
     _irfft,
-    _real_field,
     _require_oscillation,
     _require_positive,
     _rfft,
-    drop_noise_floor,
     kept_modes,
 )
 
@@ -172,26 +172,17 @@ class Trajectory:
         return self.fields[-1]
 
 
-def _checked_field(u0: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    u0 = _real_field(u0, grid.N, "u0")
-    # a finite field whose sum overflows would reach ubar and the CFL rate
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(u0.sum())
-    if not math.isfinite(total):
-        raise DomainError(
-            f"the sum of u0 overflows (max|u0| = {float(np.abs(u0).max())!r})")
-    return u0
-
-
 class _GridSteps:
     """The ETDRK4 scheme of one run: its tables, its CFL rate and its steps.
 
-    Built once per run from u0 and its half spectrum u_hat = _rfft(u0):
+    Built once per run from the read of u0 (fourier._floored_spectrum),
+    which refuses a u0 whose sum overflows by its non-finite mean entry:
     the conserved mean ubar = u_hat[0].real / N, the initial state v_hat
-    (u_hat with its mode-0 entries zeroed), its peak max|v_hat| that
-    scales the blow-up limit, the operator L = i (k^3 + 6 ubar k) and its
-    inverse (0 where L is 0), the dealiased 3 i k and the CFL rate
-    6 max|u0 - ubar| k_max, all on the modes of the half spectrum.  The
+    (u_hat with entry 0 zeroed; the floor zeroed the pads), its peak
+    max|v_hat| that scales the blow-up limit, the operator
+    L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0), the dealiased
+    3 i k and the CFL rate 6 max|u0 - ubar| k_max, all on the modes of
+    the half spectrum.  The
     stepped term 6 v v_x advects at 6 |v|, and k_max = (2/3) pi N / L
     bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
     |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  The tables a step of size h
@@ -201,13 +192,16 @@ class _GridSteps:
     """
 
     def __init__(self, grid: PeriodicGrid, u0: np.ndarray) -> None:
-        u_hat = _rfft(u0)
+        self.u0, u_hat = _floored_spectrum(u0, grid.N, "u0")
+        if not math.isfinite(u_hat[0].real):
+            raise DomainError(
+                f"the sum of u0 overflows (max|u0| = {float(np.abs(self.u0).max())!r})")
         self.mean = mean = u_hat[0].real / grid.N
-        u_hat[grid.k == 0.0] = 0.0
+        u_hat[0] = 0.0
         self.start = u_hat
         self.peak = float(np.abs(u_hat).max())
         k_max = (2.0 / 3.0) * math.pi * grid.N / grid.L
-        self.rate = 6.0 * float(np.abs(u0 - mean).max()) * k_max
+        self.rate = 6.0 * float(np.abs(self.u0 - mean).max()) * k_max
         omega = grid.k * grid.k * grid.k + 6.0 * mean * grid.k
         self.linear = 1j * omega
         self.inverse_linear = np.divide(1.0, self.linear, out=np.zeros_like(self.linear),
@@ -345,6 +339,8 @@ def _choose_step(tables: _GridSteps, v_hat: np.ndarray, config: EvolverConfig
 def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     """Integrate u0 forward to T, keeping snapshots per the config.
 
+    u0 is read once (see _GridSteps) and refused with DomainError if it is
+    not a real, finite array of the grid's shape or its sum overflows.
     With config.dt = None the run takes the largest step whose pilot
     predicts a global error at most ERROR_TARGET, and raises
     InstabilityError if no step does.  A given dt is refused with
@@ -357,15 +353,16 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
     step taken, its CFL number and the pilot's estimate.
     """
     grid = config.grid
-    u0 = _checked_field(u0, grid)
+    # a u0 whose read or tables overflow is refused below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _GridSteps(grid, u0)
     # the argument of _STEP_BUDGET at one step: a field this large misses
     # the target on the roundoff of its first step, whatever its step size
-    roundoff = float(np.finfo(float).eps * np.abs(u0).max())
+    roundoff = float(np.finfo(float).eps * np.abs(tables.u0).max())
     if roundoff > ERROR_TARGET:
         raise InstabilityError(
             f"the roundoff of one step, eps * max|u0| = {roundoff!r}, exceeds "
             f"the error target {ERROR_TARGET!r}")
-    tables = _GridSteps(grid, u0)
     if config.dt is not None and tables.rate * config.dt > CFL_MAX:
         raise InstabilityError(
             f"dt = {config.dt!r} gives CFL number {tables.rate * config.dt!r} > {CFL_MAX}"
@@ -376,7 +373,7 @@ def evolve_trajectory(u0: np.ndarray, config: EvolverConfig) -> Trajectory:
 
     error_estimate = None
     times = [0.0]
-    fields = [u0.copy()]
+    fields = [tables.u0.copy()]
     # a step that blows up can overflow before the peak check reads it;
     # the check turns the non-finite spectrum into InstabilityError, and
     # the pilot's non-finite estimate ends its rounds
@@ -439,14 +436,14 @@ def translation_lag(u0: np.ndarray, u_final: np.ndarray, grid: PeriodicGrid) -> 
     For a rigidly translating wave u(x, T) = u(x - V*T, 0), the peak sits
     at V*T mod L; comparing against the predicted velocity confirms the
     velocity law dynamically, independent of pointwise comparisons.  The
-    correlation runs on the real half spectra, without their k = 0 term:
-    the product of the means adds a constant and cannot move the peak.  A
-    field flat to roundoff has no peak to find and is refused.
+    correlation runs on the two reads' floored half spectra, without the
+    mean term: the product of the means adds a constant and cannot move
+    the peak.  A field flat to roundoff has no peak to find and is refused.
     """
-    u0, u_final = _real_field(u0, grid.N, "u0"), _real_field(u_final, grid.N, "u_final")
-    u0_hat, final_hat = _rfft(u0), _rfft(u_final)
-    _require_oscillation(drop_noise_floor(u0_hat), "u0", "the lag")
-    _require_oscillation(drop_noise_floor(final_hat), "u_final", "the lag")
+    u0_hat = _floored_spectrum(u0, grid.N, "u0")[1]
+    final_hat = _floored_spectrum(u_final, grid.N, "u_final")[1]
+    _require_oscillation(u0_hat, "u0", "the lag")
+    _require_oscillation(final_hat, "u_final", "the lag")
     cross = final_hat * np.conj(u0_hat)
-    cross[grid.k == 0.0] = 0.0
+    cross[0] = 0.0
     return float(np.argmax(_irfft(cross)) * grid.spacing)

@@ -19,9 +19,10 @@ it back.  Each takes one of its two products in real arithmetic and forms
 only the rows k2 <= n2/2 of the other.  Which entry holds which mode is
 this module's to know: _half_modes, _half_layout, kept_modes and
 wavenumbers.  So are the plans, which only _rfft and _irfft look up, and
-what a real field is: _real_field admits every field the package
-transforms.  The public fft, which no module of the package calls, is the
-Hermitian extension of _rfft's half spectrum.
+the one read of a sampled field, _floored_spectrum: it checks the field
+(_real_field), transforms it and floors it (drop_noise_floor) for every
+module that reads one.  The public fft, which no module of the package
+calls, is the Hermitian extension of _rfft's half spectrum.
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ def _real_field(u, n: int, name: str) -> np.ndarray:
     return u
 
 
+def _floored_spectrum(u, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """u checked as a real field of shape (n,) (see _real_field), and its floored half spectrum."""
+    u = _real_field(u, n, name)
+    return u, drop_noise_floor(_rfft(u))
+
+
 def _spectrum(x: np.ndarray) -> np.ndarray:
     """fft(x) of a real x: the half spectrum's modes 0..n/2, then conjugates of n/2 - 1..1."""
     half = _rfft(x.astype(float))[:x.size // 2 + 1]
@@ -267,11 +274,10 @@ def _derivative_of_spectrum(u_hat: np.ndarray, k: np.ndarray, order: int) -> np.
 
 def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
     """d^order/dx^order of a real periodic field sampled on n points, n a power of two."""
-    values = _real_field(values, _require_pow2(np.size(values)), "values")
+    values, u_hat = _floored_spectrum(values, _require_pow2(np.size(values)), "values")
     _require_positive(length, "length")
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
         raise DomainError(f"derivative order must be an integer >= 1, got {order!r}")
-    u_hat = drop_noise_floor(_rfft(values))
     return _derivative_of_spectrum(u_hat, wavenumbers(values.size, length), order)
 
 
@@ -280,19 +286,16 @@ def fit_traveling_velocity(values: np.ndarray, length: float) -> float:
 
     For u_t - 6 u u_x + u_xxx = 0 a traveling profile obeys
     -V u_x - 6 u u_x + u_xxx = 0, so V is the L2 projection of
-    (u_xxx - 6 u u_x) onto u_x.  Constant fields have no velocity.  Both
+    (u_xxx - 6 u u_x) onto u_x; a field flat to roundoff has none.  Both
     derivatives come from one floored half spectrum, as in kdv_residual.
     """
-    u = _real_field(values, _require_pow2(np.size(values)), "values")
+    u, u_hat = _floored_spectrum(values, _require_pow2(np.size(values)), "values")
     _require_positive(length, "length")
-    u_hat = drop_noise_floor(_rfft(u))
+    _require_oscillation(u_hat, "values", "the velocity fit")
     k = wavenumbers(u.size, length)
     u_x = _derivative_of_spectrum(u_hat, k, 1)
     u_xxx = _derivative_of_spectrum(u_hat, k, 3)
-    denom = float(np.dot(u_x, u_x))
-    if denom == 0.0:
-        raise DomainError("velocity fit needs a non-constant field")
-    return float(np.dot(u_x, u_xxx - 6.0 * u * u_x) / denom)
+    return float(np.dot(u_x, u_xxx - 6.0 * u * u_x) / np.dot(u_x, u_x))
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,8 @@ from .errors import AliasingWarning, DomainError, PeriodMismatchError
 from .fourier import (
     PeriodicGrid,
     _derivative_of_spectrum,
-    _real_field,
+    _floored_spectrum,
     _require_oscillation,
-    _rfft,
-    drop_noise_floor,
     high_mode_energy_fraction,
 )
 from .landen import (
@@ -121,10 +119,11 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
     The grid length must be an integer number of the wave's spatial
     periods, or Fourier differentiation silently produces garbage; that
     case raises instead, and so do samples that are not a real, finite
-    array of shape (N,).  The field is transformed once; if it is flat to
-    roundoff (see _require_oscillation), every term is zero and the
-    residual measures nothing, so it raises too.  Warns when the top-third
-    band carries enough energy for products to alias.
+    array of shape (N,).  The field is read once, as one floored half
+    spectrum (see fourier._floored_spectrum); if it is flat to roundoff
+    (see _require_oscillation), every term is zero and the residual
+    measures nothing, so it raises too.  Warns when the top-third band
+    carries enough energy for products to alias.
     """
     period = wave.spatial_period
     # a nan, infinite or non-positive period holds no whole periods and is
@@ -135,8 +134,7 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
             f"grid length {grid.L!r} is not an integer multiple of the "
             f"spatial period {period!r}"
         )
-    u = _real_field(wave.sample(grid, t), grid.N, "the wave's samples")
-    u_hat = drop_noise_floor(_rfft(u))
+    u, u_hat = _floored_spectrum(wave.sample(grid, t), grid.N, "the wave's samples")
     _require_oscillation(u_hat, "field", "its residual")
     u_x = _derivative_of_spectrum(u_hat, grid.k, 1)
     frac = high_mode_energy_fraction(u_hat)

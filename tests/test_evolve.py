@@ -28,7 +28,14 @@ from landen_kdv.evolve import (
     evolve_trajectory,
     translation_lag,
 )
-from landen_kdv.fourier import _half_modes, _irfft, _rfft, kept_modes
+from landen_kdv.fourier import (
+    DROP_FLOOR,
+    _floored_spectrum,
+    _half_modes,
+    _irfft,
+    _rfft,
+    kept_modes,
+)
 
 
 def cnoidal_setup(n=256, m=0.5):
@@ -329,24 +336,56 @@ class TestStep:
         assert np.array_equal(stage.view(np.uint64), stage_before.view(np.uint64))
 
     @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_start_is_the_read_less_its_mean_entry(self, n):
+        # the run starts from fourier's one read of u0, its floored half
+        # spectrum, with entry 0 zeroed: the floor has zeroed the pads and
+        # the debris, which the raw transform holds
+        params, grid = cnoidal_setup(n=n)
+        u0 = params.sample(grid, 0.0)
+        read = _floored_spectrum(u0, n, "u0")[1]
+        assert np.any((read == 0.0) & (_rfft(u0) != 0.0) & (_half_modes(n) != 0))
+        tables = evolve_module._GridSteps(grid, u0)
+        assert tables.mean == read[0].real / n
+        read[0] = 0.0
+        assert np.array_equal(tables.start.view(np.uint64), read.view(np.uint64))
+
+    def test_mean_plus_debris_is_a_fixed_point(self):
+        # debris of a few ulps about a mean is under the read's floor: the
+        # run starts from v_hat = 0, and every snapshot is ubar to the last
+        # bit, where an unfloored start would rotate the debris
+        grid = PeriodicGrid(N=64, L=2 * np.pi)
+        u0 = 0.7 + 1e-15 * np.random.default_rng(7).standard_normal(64)
+        assert np.max(np.abs(u0 - 0.7)) > np.spacing(0.7)
+        config = EvolverConfig.for_duration(grid, 0.5, 0.05, snapshot_every=1)
+        traj = evolve_trajectory(u0, config)
+        assert len(traj.fields) == 11
+        for field in traj.fields[1:]:
+            assert np.array_equal(field, np.full(64, half_mean(u0)))
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
     def test_half_spectrum_is_the_full_spectrum_of_v(self, n):
         # the state and the nonlinear term on the half spectrum are the
-        # full-spectrum ones, fft(u0) less its mean mode and the dealiased
-        # 3 i k fft(v^2), on the modes 0..N/2, with zero mean and pad
-        # entries.  The term's rounding is measured in eps times its scale,
-        # the largest |3 k| times the largest |fft(v^2)|.  numpy's transforms
-        # are the oracle, independent of the real pair the evolver steps on;
-        # against them the mean reads at most 3.05e-16 relative, v_hat 3.24
-        # and the stage 1.88 at N = 128, 256, 512
+        # full-spectrum ones, fft(u0) under the read's floor less its mean
+        # mode and the dealiased 3 i k fft(v^2), on the modes 0..N/2, with
+        # zero mean and pad entries.  The floor is the read's rule,
+        # DROP_FLOOR eps ||fft(u0)|| / sqrt(N), applied to numpy's spectrum:
+        # the debris it drops, 3.7e-13 at N = 128 and 1.5e-12 at N = 512,
+        # is far above the bound below.  The term's rounding is measured in
+        # eps times its scale, the largest |3 k| times the largest
+        # |fft(v^2)|.  numpy's transforms are the oracle, independent of the
+        # real pair the evolver steps on; against them the mean reads at
+        # most 3.05e-16 relative, v_hat 3.24 and the stage 0.50 at
+        # N = 128, 256, 512
         params, grid = cnoidal_setup(n=n)
         u0 = params.sample(grid, 0.0)
         tables, v_hat = grid_steps(grid, u0)
         assert tables.mean == half_mean(u0)
         full = np.fft.fft(u0)
         assert tables.mean == pytest.approx(full[0].real / n, rel=4e-16)
+        eps, h = np.finfo(float).eps, n // 2 + 1
+        full[np.abs(full) < DROP_FLOOR * eps * np.linalg.norm(full) / np.sqrt(n)] = 0.0
         full[0] = 0.0
         v = np.fft.ifft(full).real
-        eps, h = np.finfo(float).eps, n // 2 + 1
         # the first N/2 + 1 entries of the half layout are modes 0..N/2
         coeff, square = 3.0 * grid.k[:h] * kept_modes(n)[:h], np.fft.fft(v * v)[:h]
         stage = tables.nonlinear(v_hat)

@@ -525,8 +525,21 @@ class TestVelocityFit:
         assert v1 == pytest.approx(v0 - 6 * 2.5, abs=1e-9)
 
     def test_rejects_constant_field(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="constant to roundoff"):
             fit_traveling_velocity(np.full(128, 3.0), 1.0)
+
+    def test_refuses_the_flat_wave_kdv_residual_refuses(self):
+        # thirteen copies at m = 0.5 sample to their mean plus roundoff
+        # debris, not to one constant; under the one flat rule the fit and
+        # the residual refuse them alike
+        params = DnWaveParams(alpha=1.0, beta=0.0, m=0.5, p=13)
+        grid = params.natural_grid(n=256)
+        u = params.sample(grid, 0.0)
+        assert np.ptp(u) > 0.0
+        with pytest.raises(DomainError, match="values is constant to roundoff"):
+            fit_traveling_velocity(u, grid.L)
+        with pytest.raises(DomainError, match="field is constant to roundoff"):
+            kdv_residual(params, grid)
 
     @given(shift=st.floats(-10.0, 10.0))
     @settings(max_examples=20, deadline=None)

@@ -265,6 +265,38 @@ def test_only_fourier_names_the_plans():
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
+# what a real field is and how its spectrum is floored: fourier's one read
+# of a sampled field, _floored_spectrum, states both
+_FIELD_READ = {"_real_field", "drop_noise_floor", "DROP_FLOOR"}
+
+
+@pytest.mark.parametrize("source, names", [
+    ("from .fourier import _real_field", _FIELD_READ),
+    ("from .fourier import PeriodicGrid, drop_noise_floor as floor", _FIELD_READ),
+    ("from . import fourier\nu_hat = fourier.drop_noise_floor(fourier._rfft(u))", _FIELD_READ),
+    ("level = DROP_FLOOR * eps", _FIELD_READ),
+    ("def f(DROP_FLOOR):\n    return DROP_FLOOR", _FIELD_READ),
+    ("from .fourier import _derivative_of_spectrum, _rfft", {"_rfft", "_irfft"}),
+    ("from . import fourier\nu = fourier._irfft(u_hat)", {"_rfft", "_irfft"}),
+])
+def test_field_read_name_is_detected(source, names):
+    assert uses_of(source, names)
+
+
+def test_only_fourier_reads_a_real_field():
+    # every door reads a sampled field through fourier._floored_spectrum,
+    # so no other module checks or floors a field itself, and verify,
+    # which reads only the read's spectrum, transforms nothing
+    modules = {path.name: path.read_text()
+               for path in Path(landen_kdv.__file__).parent.glob("*.py")}
+    assert {"def _real_field", "def drop_noise_floor", "DROP_FLOOR"} <= set(
+        uses_of(modules["fourier.py"], _FIELD_READ))
+    offenders = {name: uses_of(source, _FIELD_READ) for name, source in modules.items()
+                 if name != "fourier.py"}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+    assert uses_of(modules["verify.py"], {"_rfft", "_irfft"}) == []
+
+
 # the private helpers of elliptic.py that landen.py shares: the domain
 # check and the AGM behind K, E and the nome.  Every other private function
 # there belongs to the kernel behind jacobi_sn_cn_dn: its front end and
