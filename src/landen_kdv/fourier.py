@@ -132,6 +132,17 @@ def _half_layout(u_hat: np.ndarray) -> tuple[int, np.ndarray]:
     return n, weights
 
 
+def _scaled_magnitude(u_hat: np.ndarray) -> np.ndarray:
+    """s|u_hat|, s the power of two that brings max|u_hat| into [1/2, 1).
+
+    The Parseval sums square it: |u_hat|^2 overflows past ~1e154 and
+    underflows below ~1e-154.  A power of two scales exactly, so ratios and
+    comparisons of these magnitudes are those of |u_hat|.
+    """
+    magnitude = np.abs(u_hat)
+    return np.ldexp(magnitude, -math.frexp(magnitude.max(initial=0.0))[1])
+
+
 def _rfft(x: np.ndarray) -> np.ndarray:
     """The half spectrum of a real length-n field x, with n's real forward plan.
 
@@ -226,14 +237,14 @@ def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
     noise in empty modes is amplified until it dominates small residuals.
     The level is eps * ||u_hat||_2 / sqrt(n), not a fraction of the peak:
     a large mean would set the peak and cut real harmonics.  The norm is
-    the full spectrum's, rebuilt with the Parseval weights, so the level
-    is the one the samples leave in each coefficient.  The pads are the
-    entries of weight 0.
+    the full spectrum's, rebuilt with the Parseval weights on
+    _scaled_magnitude at any amplitude, so the level is the one the
+    samples leave in each coefficient.  The pads are the entries of weight 0.
     """
     n, weights = _half_layout(u_hat)
-    magnitude = np.abs(u_hat)
-    rounding = np.finfo(float).eps * math.sqrt(weights @ magnitude ** 2) / math.sqrt(n)
-    return np.where((magnitude < DROP_FLOOR * rounding) | (weights == 0.0), 0.0, u_hat)
+    scaled = _scaled_magnitude(u_hat)
+    rounding = np.finfo(float).eps * math.sqrt(weights @ scaled ** 2) / math.sqrt(n)
+    return np.where((scaled < DROP_FLOOR * rounding) | (weights == 0.0), 0.0, u_hat)
 
 
 def _require_oscillation(u_hat: np.ndarray, name: str, what: str) -> None:
@@ -255,7 +266,7 @@ def high_mode_energy_fraction(u_hat: np.ndarray) -> float:
     genuine high-mode content.
     """
     n, weights = _half_layout(u_hat)
-    power = weights * np.abs(u_hat) ** 2
+    power = weights * _scaled_magnitude(u_hat) ** 2
     return float(np.sum(power[~kept_modes(n)]) / np.sum(power[1:]))
 
 

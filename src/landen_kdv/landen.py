@@ -241,8 +241,8 @@ def transform_params(alpha: float, beta: float, lmap: LandenMap):
         beta_tilde  = beta*gamma^2 + 2*gamma^2 * sum_r a_p(r)
 
     It travels at its own p = 1 speed (8 - 4*m_tilde - 6*beta_tilde) *
-    alpha_tilde^2, which reads no A, so comparing it with the superposition
-    over time tests the superposition's b_p.
+    alpha_tilde^2, which reads no A, so comparing it with the superposition's
+    speed tests the superposition's b_p.
     """
     # waves.py imports this module
     from .waves import DnWaveParams

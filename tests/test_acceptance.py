@@ -25,7 +25,7 @@ from landen_kdv import (
 )
 from landen_kdv.cli import main as cli_main
 from landen_kdv.evolve import EvolverConfig, conservation_report, evolve_trajectory
-from landen_kdv.verify import _as_written
+from landen_kdv.verify import _as_written, _equivalence_speed_metric
 
 
 def _criterion(label: str, ok: bool, detail: str) -> None:
@@ -132,23 +132,23 @@ def test_criterion_3_squared_identity_and_cyclic_constants():
 
 def test_criterion_4_single_wave_equivalence():
     start = time.perf_counter()
-    worst = 0.0
+    worst = worst_speed = 0.0
     count = 0
     for p in range(1, 7):
         for m in (0.2, 0.5, 0.8, 0.9):
             for alpha, beta in ((1.0, 0.0), (1.7, -0.4), (2.0, 1.0)):
                 params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
                 grid = params.natural_grid(n=512, periods=2)
-                for t in (0.0, 0.1, 0.5):
-                    worst = max(worst, equivalence_check(params, grid, t=t))
-                    count += 1
+                worst = max(worst, equivalence_check(params, grid))
+                worst_speed = max(worst_speed, _equivalence_speed_metric(p, m, alpha, beta))
+                count += 1
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 10.0
+    ok = worst <= 1e-9 and worst_speed <= 1e-12 and elapsed < 10.0
     _criterion(
         "criterion 4, superposition equals one transformed wave",
         ok,
-        f"worst deviation {worst:.3g} (tol 1e-9) over {count} parameter/time "
-        f"combinations, {elapsed:.2f} s (cap 10 s)",
+        f"worst shape gap {worst:.3g} (tol 1e-9) and speed gap {worst_speed:.3g} "
+        f"(tol 1e-12) over {count} parameter combinations, {elapsed:.2f} s (cap 10 s)",
     )
 
 

@@ -332,6 +332,26 @@ class TestModeBookkeeping:
         field = 7.0 + np.cos(x) + 1e-15 * np.cos(25 * x)
         assert high_mode_energy_fraction(floored_spectrum(field)) == 0.0
 
+    @staticmethod
+    def _steep_spectrum():
+        # top-third content, and debris the floor drops at scale 1
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        u_hat = _rfft(np.cos(x) + 1e-3 * np.cos(30 * x))
+        dropped = (drop_noise_floor(u_hat) == 0.0) & (u_hat != 0.0)
+        assert np.any(dropped & (_half_layout(u_hat)[1] > 0.0))
+        return u_hat
+
+    # 2^530 |u_hat| squares past the float range and 2^-560 |u_hat| under it
+    @pytest.mark.parametrize("k", [530, -560])
+    def test_drop_noise_floor_scales_with_the_field(self, k):
+        u_hat = self._steep_spectrum()
+        assert np.array_equal(drop_noise_floor(2.0**k * u_hat), 2.0**k * drop_noise_floor(u_hat))
+
+    @pytest.mark.parametrize("k", [530, -560])
+    def test_high_mode_fraction_is_scale_free(self, k):
+        u_hat = drop_noise_floor(self._steep_spectrum())
+        assert high_mode_energy_fraction(2.0**k * u_hat) == high_mode_energy_fraction(u_hat)
+
 
 class TestSpectralDerivative:
     def test_first_derivative_of_sine(self):

@@ -93,15 +93,11 @@ def assert_cyclic_reductions_match_loops(p, m, n):
     assert np.array_equal(np.mean(sums, axis=1), [np.mean(row) for row in rows])
 
 
-def loop_equivalence(params, lmap, grid, t):
+def loop_equivalence(params, lmap, grid):
     single = transform_params(params.alpha, params.beta, lmap)
-    worst = 0.0
-    for offset in (0.0, 0.1, 0.5):
-        ts = t + offset
-        lhs = loop_u_p(grid.x, ts, params)
-        rhs = loop_u_p(grid.x, ts, single)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    lhs = loop_u_p(grid.x, 0.0, params)
+    rhs = loop_u_p(grid.x, 0.0, single)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def loop_upm_sum(params, p, xs):
@@ -160,8 +156,7 @@ def test_equivalence_check_matches_per_slice_loop(p, m):
     params = DnWaveParams(alpha=0.8, beta=-0.3, m=m, p=p)
     lmap = landen_map(p, m)
     grid = params.natural_grid(128, periods=2)
-    for t in (0.0, 1.25):
-        assert equivalence_check(params, grid, t) == loop_equivalence(params, lmap, grid, t)
+    assert equivalence_check(params, grid) == loop_equivalence(params, lmap, grid)
 
 
 def test_sample_broadcasts_time_slices():
@@ -238,6 +233,13 @@ class TestOneKernelCallPerLattice:
         calls.clear()
         equivalence_check(params, grid)
         assert calls.total() == 2
+
+    def test_equivalence_speed_line(self, calls):
+        # the speeds are read from the cached map: no kernel call at all
+        landen_map(5, 0.7)
+        calls.clear()
+        verify_module._equivalence_speed_metric(5, 0.7, 1.0, 0.1)
+        assert calls.total() == 0
 
     def test_upm_sum_profile(self, calls):
         profile = _upm_sum(PmWaveParams(alpha=1.0, m=0.5, sign=1), 3)

@@ -219,18 +219,18 @@ class TestEquivalence:
         assert dev < 1e-9
 
     def test_time_shift_invariance(self):
+        # the shapes agree at t = 0; the two waves travel at one speed, so
+        # they agree at every t
         for p, m in ((2, 0.5), (3, 0.7)):
             params = DnWaveParams(alpha=1.0, beta=0.1, m=m, p=p)
-            grid = params.natural_grid(n=512, periods=2)
-            d0 = equivalence_check(params, grid, t=0.0)
-            d1 = equivalence_check(params, grid, t=0.25)
-            assert abs(d0 - d1) < 2e-11
+            single = transform_params(params.alpha, params.beta, landen_map(p, m))
+            assert abs(params.velocity - single.velocity) < 1e-12
 
-    def test_shifted_offset_constant_fails_the_later_slices(self, monkeypatch):
+    def test_shifted_offset_constant_fails_only_the_speed_lines(self, monkeypatch):
         # both A determinations go through _consistency_A, so a 1e-6 shift
         # there passes landen_map's A-agreement gate; the single wave's own
-        # speed reads no A, so the slices at t = 0.1 and 0.5 must see the
-        # superposition's b_p
+        # speed reads no A, so every speed line must see the superposition's
+        # b_p, while the shapes at t = 0 read no speed at all
         pms = [(p, m) for p in verify_module._EQUIV_PS for m in verify_module._EQUIV_MS]
         unshifted = {pm: landen_map(*pm).A for pm in pms}
         original = landen_module._consistency_A
@@ -247,7 +247,8 @@ class TestEquivalence:
         for pm, lmap in maps.items():
             assert lmap.A - unshifted[pm] == pytest.approx(1e-6, abs=1e-12)
             assert abs(lmap.A - nome_A[pm]) < 1e-13
-        assert sum(not r.passed for r in shifted) >= 40
+        assert len(shifted) == 120
+        assert [r.check for r in shifted if not r.passed] == ["equivalence_speed"] * 60
         assert all(r.passed for r in run_suite("equivalence"))
 
 
@@ -400,9 +401,9 @@ class TestSuites:
             record = json.loads(result.json_line())
             del record["metric"]
             lines.append(json.dumps(record, sort_keys=True) + "\n")
-        assert len(lines) == 206
+        assert len(lines) == 266
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        assert digest == "c3d9e675c6811f167d50b0658cc4d579f56e1e472bbdc76d2aec29dadb6f1f97"
+        assert digest == "d9155022827b6ca5c9b1d5d7a4bbc9ea03aba9bfa167d5c67bd6ee9f4568d2ea"
 
     def test_cold_run_builds_the_entries_the_cache_comments_cite(self):
         # the comments above landen_map and elliptic._modulus cite these
@@ -416,7 +417,8 @@ class TestSuites:
     def test_no_line_compares_a_value_with_itself(self):
         # p = 1 identity and equivalence lines read exactly 0 whatever the
         # code does (see the next test)
-        vacuous = {("dn_identity", 1), ("dn2_identity", 1), ("equivalence", 1)}
+        vacuous = {("dn_identity", 1), ("dn2_identity", 1), ("equivalence", 1),
+                   ("equivalence_speed", 1)}
         assert [c for c in _all_checks()
                 if (c.name, c.params.get("p")) in vacuous] == []
 
@@ -466,7 +468,6 @@ class TestChecksAreData:
         assert after.metric != before.metric
 
     @pytest.mark.parametrize("name, key, value", [
-        ("equivalence", "t", [0.0, 0.2]),
         ("residual_non_solution", "profile", "dn^4"),
         ("residual_upm", "scaling", "linear"),
     ])
