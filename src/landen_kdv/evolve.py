@@ -49,6 +49,7 @@ from .fourier import (
     _require_oscillation,
     _require_positive,
     _rfft,
+    _scaled_magnitude,
     kept_modes,
 )
 
@@ -178,11 +179,10 @@ class _GridSteps:
     Built once per run from the read of u0 (fourier._floored_spectrum),
     which refuses a u0 whose sum overflows by its non-finite mean entry:
     the conserved mean ubar = u_hat[0].real / N, the initial state v_hat
-    (u_hat with entry 0 zeroed; the floor zeroed the pads), its peak
-    max|v_hat| that scales the blow-up limit, the operator
-    L = i (k^3 + 6 ubar k) and its inverse (0 where L is 0), the dealiased
-    3 i k and the CFL rate 6 max|u0 - ubar| k_max, all on the modes of
-    the half spectrum.  The
+    (u_hat with entry 0 zeroed), its peak max|v_hat| that scales the
+    blow-up limit, the operator L = i (k^3 + 6 ubar k) and its inverse (0
+    where L is 0), the dealiased 3 i k and the CFL rate
+    6 max|u0 - ubar| k_max, all on the modes of the half spectrum.  The
     stepped term 6 v v_x advects at 6 |v|, and k_max = (2/3) pi N / L
     bounds the wavenumbers the 2/3 rule keeps: at N = 256 the largest kept
     |k| is 84 * 2 pi / L, not 85.3 * 2 pi / L.  The tables a step of size h
@@ -206,15 +206,13 @@ class _GridSteps:
         self.linear = 1j * omega
         self.inverse_linear = np.divide(1.0, self.linear, out=np.zeros_like(self.linear),
                                         where=omega != 0.0)
-        # the pads are in the mask, but their k = 0 gives a zero coefficient
         self.coeff = 3j * grid.k * kept_modes(grid.N)
         self._factors: dict[float, tuple[np.ndarray, ...]] = {}
 
     def nonlinear(self, v_hat: np.ndarray) -> np.ndarray:
         """The dealiased 3 i k rfft(v^2), v = irfft(v_hat).
 
-        Its mode-0 entries are 0, so it is a valid half spectrum to step
-        with.
+        Its entry 0 is 0, so it is a valid half spectrum to step with.
         """
         v = _irfft(v_hat)
         return self.coeff * _rfft(v * v)
@@ -439,11 +437,15 @@ def translation_lag(u0: np.ndarray, u_final: np.ndarray, grid: PeriodicGrid) -> 
     correlation runs on the two reads' floored half spectra, without the
     mean term: the product of the means adds a constant and cannot move
     the peak.  A field flat to roundoff has no peak to find and is refused.
+    Each spectrum is first scaled exactly by _scaled_magnitude's power of
+    two, so their product neither overflows nor underflows.
     """
     u0_hat = _floored_spectrum(u0, grid.N, "u0")[1]
     final_hat = _floored_spectrum(u_final, grid.N, "u_final")[1]
     _require_oscillation(u0_hat, "u0", "the lag")
     _require_oscillation(final_hat, "u_final", "the lag")
+    u0_hat, final_hat = (np.ldexp(h.view(float), -_scaled_magnitude(h)[1]).view(complex)
+                         for h in (u0_hat, final_hat))
     cross = final_hat * np.conj(u0_hat)
     cross[0] = 0.0
     return float(np.argmax(_irfft(cross)) * grid.spacing)

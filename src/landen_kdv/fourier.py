@@ -13,16 +13,17 @@ larger.  Grids are restricted to power-of-two sizes, which is all the
 solvers need and keeps n1 and n2 powers of two.
 
 Every field the package transforms is real, so there is one transform, a
-private real pair on the four-step's own layout: _rfft returns the half
-spectrum, n2/2 + 1 rows of n1 modes at k = k1 + n1 k2, and _irfft reads
-it back.  Each takes one of its two products in real arithmetic and forms
-only the rows k2 <= n2/2 of the other.  Which entry holds which mode is
-this module's to know: _half_modes, _half_layout, kept_modes and
-wavenumbers.  So are the plans, which only _rfft and _irfft look up, and
-the one read of a sampled field, _floored_spectrum: it checks the field
-(_real_field), transforms it and floors it (drop_noise_floor) for every
-module that reads one.  The public fft, which no module of the package
-calls, is the Hermitian extension of _rfft's half spectrum.
+private real pair: _rfft returns the half spectrum, numpy.fft.rfft's modes
+0..n/2, and _irfft reads it back.  Each takes one of the four-step's
+products in real arithmetic and forms only the rows k2 <= n2/2 of the
+other, of modes k1 + n1 k2, a layout no caller sees.  Which entry holds
+which mode is this module's to know: _half_modes, _field_size,
+_half_layout, kept_modes and wavenumbers.  So are the plans, which only
+_rfft and _irfft look up, and the one read of a sampled field,
+_floored_spectrum: it checks the field (_real_field), transforms it and
+floors it (drop_noise_floor) for every module that reads one.  The public
+fft, which no module of the package calls, is the Hermitian extension of
+_rfft's half spectrum.
 """
 
 from __future__ import annotations
@@ -96,51 +97,43 @@ def _plan(n: int):
 def _half_modes(n: int) -> np.ndarray:
     """Signed mode numbers of the half spectra that _rfft returns and _irfft reads.
 
-    A half spectrum keeps the four-step's order, k = k1 + n1 k2, for the
-    rows k2 <= n2/2: the modes 0..n/2 - 1, then the Nyquist mode, given
-    -n/2, then n1 - 1 pad entries, which are given mode 0.  The entries of
-    mode 0, the mean and the pads, must hold 0 where a half spectrum
-    reaches _irfft.
+    A half spectrum is numpy.fft.rfft's: the modes 0..n/2 - 1 in order,
+    then the Nyquist mode, given -n/2.
     """
-    n1 = 1 << ((_require_pow2(n).bit_length() - 1) // 2)
-    modes = np.arange(n1 * (n // n1 // 2 + 1))
-    modes[n // 2] = -(n // 2)
-    modes[n // 2 + 1:] = 0
-    return modes
+    return np.append(np.arange(_require_pow2(n) // 2), -(n // 2))
 
 
 def _field_size(size: int) -> int:
-    """The size n of the field whose half spectrum has size entries.
+    """The size n of the field whose half spectrum has size entries, 2 (size - 1).
 
-    A half spectrum has n/2 + n1 entries: past n = 4 no power of two, with
-    n/2 its highest bit; up to n = 4 it is n itself.
+    Size 1 is the half spectrum of one sample; a size that is no
+    power-of-two n's n/2 + 1 is refused.
     """
-    return size if size & (size - 1) == 0 else 1 << size.bit_length()
+    return 1 if size == 1 else _require_pow2(2 * (size - 1))
 
 
 def _half_layout(u_hat: np.ndarray) -> tuple[int, np.ndarray]:
     """The size n of the field whose half spectrum is u_hat, and its Parseval weights.
 
     The weights w, with sum(w |u_hat|^2) = ||fft(u)||^2, are 1 at the mean
-    and Nyquist, 2 at 0 < k < n/2, which stand for their conjugates too,
-    and 0 at the pads.
+    and Nyquist and 2 at 0 < k < n/2, which stand for their conjugates too.
     """
     n = _field_size(u_hat.size)
-    weights = np.zeros(u_hat.size)
-    weights[1:n // 2] = 2.0
-    weights[0] = weights[n // 2] = 1.0
+    weights = np.full(u_hat.size, 2.0)
+    weights[0] = weights[-1] = 1.0
     return n, weights
 
 
-def _scaled_magnitude(u_hat: np.ndarray) -> np.ndarray:
-    """s|u_hat|, s the power of two that brings max|u_hat| into [1/2, 1).
+def _scaled_magnitude(u_hat: np.ndarray) -> tuple[np.ndarray, int]:
+    """s|u_hat| and e, s = 2^-e the power of two that brings max|u_hat| into [1/2, 1).
 
     The Parseval sums square it: |u_hat|^2 overflows past ~1e154 and
     underflows below ~1e-154.  A power of two scales exactly, so ratios and
     comparisons of these magnitudes are those of |u_hat|.
     """
     magnitude = np.abs(u_hat)
-    return np.ldexp(magnitude, -math.frexp(magnitude.max(initial=0.0))[1])
+    e = math.frexp(magnitude.max(initial=0.0))[1]
+    return np.ldexp(magnitude, -e), e
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:
@@ -150,33 +143,35 @@ def _rfft(x: np.ndarray) -> np.ndarray:
     product, x.reshape(n1, n2).T @ left, takes the n1 real samples of a
     column against the real and imaginary parts of left at once, as one
     real matrix, and gives the columns as complex numbers in (j2, k1)
-    order; only the rows k2 <= n2/2 of the last product are formed.  Entry
-    k is fft(x)[k] for k <= n/2 (see _half_modes); the pads hold the modes
-    past n/2, which are not zero.  x is a 1-D float array of power-of-two
-    size, as _real_field returns.
+    order; only the rows k2 <= n2/2 of the last product are formed, and of
+    their modes k1 + n1 k2 only the first n/2 + 1 are returned: entry k is
+    fft(x)[k], as numpy.fft.rfft gives it.  x is a 1-D float array of
+    power-of-two size, as _real_field returns.
     """
     left, twiddle, right = _plan(x.size)[0]
     cols = (x.reshape(left.shape[0], -1).T @ left).view(complex)
     cols *= twiddle
-    return (right @ cols).ravel()
+    return (right @ cols).ravel()[:x.size // 2 + 1]
 
 
 def _irfft(x_hat: np.ndarray) -> np.ndarray:
-    """The real field of a half spectrum whose mode-0 entries are 0, with its real inverse plan.
+    """The real field of a half spectrum whose entry 0 is 0, with its real inverse plan.
 
     With its mean 0, a real field is the sum over 0 < k <= n/2 of
     Re(w_k x_hat[k] exp(2 pi i j k / n)), w_k = 2/n and 1/n at Nyquist.
-    The first product runs over the rows k2 <= n2/2 with the weights
-    folded into its matrix and the twiddle.  The last keeps only real
-    parts: Re(conj(l) y) = Re(l) Re(y) + Im(l) Im(y), so it is left itself,
+    x_hat is copied into the rows k2 <= n2/2 of modes k1 + n1 k2, zero past
+    Nyquist, and the first product runs over them with the weights folded
+    into its matrix and the twiddle.  The last keeps only real parts:
+    Re(conj(l) y) = Re(l) Re(y) + Im(l) Im(y), so it is left itself,
     viewed as floats, against the rows viewed as floats, and lands in
     natural order with no transpose copy.  The imaginary part of the
     Nyquist entry drops out to within eps of its size, as a real field has
-    none.  The mean and pad entries are read, not skipped, so they must be
-    0; x_hat is not copied.
+    none.  The mean entry is read, not skipped, so it must be 0.
     """
     right, twiddle, left = _plan(_field_size(x_hat.size))[1]
-    rows = right @ x_hat.reshape(-1, twiddle.shape[1])
+    padded = np.zeros((right.shape[1], twiddle.shape[1]), dtype=complex)
+    padded.ravel()[:x_hat.size] = x_hat
+    rows = right @ padded
     rows *= twiddle
     return (left @ rows.view(float).T).ravel()
 
@@ -202,7 +197,7 @@ def _floored_spectrum(u, n: int, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _spectrum(x: np.ndarray) -> np.ndarray:
     """fft(x) of a real x: the half spectrum's modes 0..n/2, then conjugates of n/2 - 1..1."""
-    half = _rfft(x.astype(float))[:x.size // 2 + 1]
+    half = _rfft(x.astype(float))
     return np.concatenate((half, np.conj(half[x.size // 2 - 1:0:-1])))
 
 
@@ -219,8 +214,7 @@ def kept_modes(n: int) -> np.ndarray:
     """Mask of the half spectrum's modes the 2/3 rule keeps: |mode| < n // 3.
 
     A product of two fields limited to this band aliases only into the
-    discarded top third, never back into the band itself.  The pads, of
-    mode 0, are in the mask; they hold 0 wherever it is read.
+    discarded top third, never back into the band itself.
     """
     return np.abs(_half_modes(n)) < n // 3
 
@@ -231,7 +225,7 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
 
 
 def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
-    """Zero a half spectrum's pads and its coefficients below DROP_FLOOR times the rounding level.
+    """Zero a half spectrum's coefficients below DROP_FLOOR times the rounding level.
 
     Differentiation multiplies by powers of k; without this the rounding
     noise in empty modes is amplified until it dominates small residuals.
@@ -239,18 +233,18 @@ def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
     a large mean would set the peak and cut real harmonics.  The norm is
     the full spectrum's, rebuilt with the Parseval weights on
     _scaled_magnitude at any amplitude, so the level is the one the
-    samples leave in each coefficient.  The pads are the entries of weight 0.
+    samples leave in each coefficient.
     """
     n, weights = _half_layout(u_hat)
-    scaled = _scaled_magnitude(u_hat)
+    scaled = _scaled_magnitude(u_hat)[0]
     rounding = np.finfo(float).eps * math.sqrt(weights @ scaled ** 2) / math.sqrt(n)
-    return np.where((scaled < DROP_FLOOR * rounding) | (weights == 0.0), 0.0, u_hat)
+    return np.where(scaled < DROP_FLOOR * rounding, 0.0, u_hat)
 
 
 def _require_oscillation(u_hat: np.ndarray, name: str, what: str) -> None:
     """Refuse a floored half spectrum with no mode 0 < k < n/2: its field is flat to roundoff."""
     # Nyquist alone does not count: an odd derivative zeroes it
-    if not u_hat[1:_field_size(u_hat.size) // 2].any():
+    if not u_hat[1:-1].any():
         raise DomainError(f"{name} is constant to roundoff on this grid; {what} measures nothing")
 
 
@@ -266,20 +260,20 @@ def high_mode_energy_fraction(u_hat: np.ndarray) -> float:
     genuine high-mode content.
     """
     n, weights = _half_layout(u_hat)
-    power = weights * _scaled_magnitude(u_hat) ** 2
+    power = weights * _scaled_magnitude(u_hat)[0] ** 2
     return float(np.sum(power[~kept_modes(n)]) / np.sum(power[1:]))
 
 
 def _derivative_of_spectrum(u_hat: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
     """d^order/dx^order of the real field whose floored half spectrum is u_hat.
 
-    The mean and the pads have k = 0 and reach _irfft as 0.  Odd orders
-    zero the Nyquist mode: it has no signed partner, so its derivative is
+    The mean has k = 0 and reaches _irfft as 0.  Odd orders zero the
+    Nyquist mode, the last: it has no signed partner, so its derivative is
     imaginary, and _irfft drops that only to within eps of its k^order.
     """
     d_hat = (1j * k) ** order * u_hat
     if order % 2 == 1:
-        d_hat[_field_size(u_hat.size) // 2] = 0.0
+        d_hat[-1] = 0.0
     return _irfft(d_hat)
 
 
@@ -299,10 +293,14 @@ def fit_traveling_velocity(values: np.ndarray, length: float) -> float:
     -V u_x - 6 u u_x + u_xxx = 0, so V is the L2 projection of
     (u_xxx - 6 u u_x) onto u_x; a field flat to roundoff has none.  Both
     derivatives come from one floored half spectrum, as in kdv_residual.
+    They are taken on u_hat scaled exactly by _scaled_magnitude's power of
+    two s: with u unscaled, u_xxx and 6 u u_x both scale by s, so V keeps
+    its value and no product overflows or underflows at any amplitude.
     """
     u, u_hat = _floored_spectrum(values, _require_pow2(np.size(values)), "values")
     _require_positive(length, "length")
     _require_oscillation(u_hat, "values", "the velocity fit")
+    u_hat = np.ldexp(u_hat.view(float), -_scaled_magnitude(u_hat)[1]).view(complex)
     k = wavenumbers(u.size, length)
     u_x = _derivative_of_spectrum(u_hat, k, 1)
     u_xxx = _derivative_of_spectrum(u_hat, k, 3)

@@ -44,14 +44,6 @@ def floored_spectrum(values):
     return drop_noise_floor(_rfft(values))
 
 
-def as_half_spectrum(full):
-    """A full spectrum in the half layout: modes 0..n/2, then zero pads."""
-    n = full.size
-    out = np.zeros(_half_modes(n).size, dtype=complex)
-    out[:n // 2 + 1] = full[:n // 2 + 1]
-    return out
-
-
 def per_entry_plans(n):
     """The real plans of size n, each entry exp(-2 pi i (j k mod s) / s) on its own."""
     def roots(rows, cols, size):
@@ -113,9 +105,10 @@ class TestTransformAgainstNumpy:
         # inverse of the Hermitian spectrum that the half spectrum stands for
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal(n)
-        full = np.fft.fft(x - np.mean(x))
-        full[0] = 0.0
-        ours = _irfft(as_half_spectrum(full))
+        x -= np.mean(x)
+        half, full = np.fft.rfft(x), np.fft.fft(x)
+        half[0] = full[0] = 0.0
+        ours = _irfft(half)
         ref = np.fft.ifft(full)
         assert np.max(np.abs(ref.imag)) < 1e-15
         assert np.max(np.abs(ours - ref.real)) < 5e-15 * np.max(np.abs(ref.real))
@@ -162,29 +155,25 @@ class TestTransformAgainstNumpy:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 128, 256, 512, 1024, 2048, 4096])
     def test_real_forward_matches(self, n):
-        # the half spectrum's first n/2 + 1 modes are rfft's, to the
-        # forward's accuracy
+        # the half spectrum is rfft's, to the forward's accuracy
         rng = np.random.default_rng(n + 4)
         x = rng.standard_normal(n)
         ours = _rfft(x)
         ref = np.fft.rfft(x)
-        assert ours.size == _half_modes(n).size
-        assert np.max(np.abs(ours[:n // 2 + 1] - ref)) < 5e-15 * np.max(np.abs(ref))
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 128, 256, 512, 1024, 2048, 4096])
     def test_real_inverse_matches(self, n):
-        # the inverse of a half spectrum with zero mode-0 entries is irfft's;
+        # the inverse of a half spectrum with a zero mean entry is irfft's;
         # the Nyquist entry's imaginary part is dropped, as irfft drops it
         rng = np.random.default_rng(n + 5)
-        modes = _half_modes(n)
-        spectrum = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
-        spectrum[0] = 0.0
-        x_hat = np.zeros(modes.size, dtype=complex)
-        x_hat[:n // 2 + 1] = spectrum
+        x_hat = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        x_hat[0] = 0.0
         before = x_hat.copy()
         ours = _irfft(x_hat)
         assert ours.dtype == float and ours.shape == (n,)
-        ref = np.fft.irfft(spectrum, n)
+        ref = np.fft.irfft(x_hat, n)
         assert np.max(np.abs(ours - ref)) < 5e-15 * np.max(np.abs(ref))
         assert np.array_equal(x_hat, before)
 
@@ -194,19 +183,20 @@ class TestTransformAgainstNumpy:
         x = rng.standard_normal(n)
         x -= np.mean(x)
         x_hat = _rfft(x)
-        x_hat[_half_modes(n) == 0] = 0.0
+        x_hat[0] = 0.0
         assert np.max(np.abs(_irfft(x_hat) - x)) < 5e-15 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("n", [2, 64, 256, 512])
+    @pytest.mark.parametrize("n", [1 << e for e in range(14)])
     def test_half_modes(self, n):
-        # the modes 0..n/2 - 1 in order, Nyquist as -n/2, and the pads at 0
+        # rfft's n/2 + 1 modes: 0..n/2 - 1 in order, then Nyquist as -n/2;
+        # _rfft returns that many entries and _irfft reads back that many
         modes = _half_modes(n)
-        n1 = 1 << ((n.bit_length() - 1) // 2)
-        assert modes.size == n // 2 + n1
+        assert modes.size == n // 2 + 1
         assert np.array_equal(modes[:n // 2], np.arange(n // 2))
-        assert modes[n // 2] == -(n // 2)
-        assert not modes[n // 2 + 1:].any()
+        assert modes[-1] == -(n // 2)
         assert _half_layout(modes)[0] == n
+        assert _rfft(np.ones(n)).size == modes.size
+        assert _irfft(np.zeros(modes.size, dtype=complex)).shape == (n,)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -244,8 +234,8 @@ class TestTransformAgainstNumpy:
 
 class TestModeBookkeeping:
     def test_signed_modes_order(self):
-        # the half layout at n = 8: modes 0..3, Nyquist as -4, one pad
-        assert list(_half_modes(8)) == [0, 1, 2, 3, -4, 0]
+        # the half layout at n = 8: modes 0..3, then Nyquist as -4
+        assert list(_half_modes(8)) == [0, 1, 2, 3, -4]
 
     def test_wavenumbers_scale(self):
         k = wavenumbers(8, 2 * np.pi)
@@ -261,11 +251,20 @@ class TestModeBookkeeping:
         with pytest.raises(DomainError, match="power of two"):
             spectral_derivative(np.ones(n), 1.0)
 
+    @pytest.mark.parametrize("size", [0, 4, 6])
+    def test_half_spectrum_readers_refuse_a_malformed_size(self, size):
+        # a half spectrum has n/2 + 1 entries: 4 and 6 would be fields of
+        # 6 and 10 samples
+        u_hat = np.ones(size, dtype=complex)
+        for reader in (drop_noise_floor, high_mode_energy_fraction, _irfft):
+            with pytest.raises(DomainError, match="power of two"):
+                reader(u_hat)
+
     def test_drop_noise_floor(self):
-        # the half spectrum of n = 4: mean, mode 1, Nyquist and one pad
-        u_hat = np.array([1.0, 1e-20, 0.5, 1e-15], dtype=complex)
+        # the half spectrum of n = 4: mean, mode 1 and Nyquist
+        u_hat = np.array([1.0, 1e-20, 0.5], dtype=complex)
         cleaned = drop_noise_floor(u_hat)
-        assert cleaned[1] == 0.0 and cleaned[3] == 0.0
+        assert cleaned[1] == 0.0
         assert cleaned[0] == 1.0 and cleaned[2] == 0.5
 
     @pytest.mark.parametrize("n", [64, 256, 1024])
@@ -299,17 +298,14 @@ class TestModeBookkeeping:
         ids=["criterion-7-single", "criterion-7-three-copy", "flat-13"])
     def test_floor_zeroes_the_modes_numpy_puts_under_it(self, p, m, alpha, beta):
         # the same level, DROP_FLOOR eps ||fft(u)|| / sqrt(n), read on
-        # numpy's full spectrum: the same modes fall under it, and the pads
-        # are zeroed
+        # numpy's full spectrum: the same modes of rfft's fall under it
         params = DnWaveParams(alpha=alpha, beta=beta, m=m, p=p)
         grid = params.natural_grid(n=256)
         u = params.sample(grid, 0.0)
-        n, h = grid.N, grid.N // 2 + 1
+        n = grid.N
         ours = floored_spectrum(u)
-        full = np.fft.fft(u)
-        level = DROP_FLOOR * np.finfo(float).eps * np.linalg.norm(full) / np.sqrt(n)
-        assert np.array_equal(ours[:h] == 0.0, np.abs(full[:h]) < level)
-        assert not ours[h:].any()
+        level = DROP_FLOOR * np.finfo(float).eps * np.linalg.norm(np.fft.fft(u)) / np.sqrt(n)
+        assert np.array_equal(ours == 0.0, np.abs(np.fft.rfft(u)) < level)
 
     def test_high_mode_fraction_smooth_field(self):
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
@@ -337,8 +333,7 @@ class TestModeBookkeeping:
         # top-third content, and debris the floor drops at scale 1
         x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         u_hat = _rfft(np.cos(x) + 1e-3 * np.cos(30 * x))
-        dropped = (drop_noise_floor(u_hat) == 0.0) & (u_hat != 0.0)
-        assert np.any(dropped & (_half_layout(u_hat)[1] > 0.0))
+        assert np.any((drop_noise_floor(u_hat) == 0.0) & (u_hat != 0.0))
         return u_hat
 
     # 2^530 |u_hat| squares past the float range and 2^-560 |u_hat| under it
@@ -371,6 +366,9 @@ class TestSpectralDerivative:
     def test_constant_field_has_zero_derivative(self):
         du = spectral_derivative(np.full(64, 4.2), 1.0, 1)
         assert np.max(np.abs(du)) == 0.0
+        # one sample is a constant field too: its half spectrum has one entry
+        for order in (1, 2):
+            assert np.array_equal(spectral_derivative(np.array([4.2]), 1.0, order), [0.0])
 
     def test_noise_floor_suppresses_roundoff_growth(self):
         # without thresholding, k^3 amplifies the ~1e-16 rubble under an
@@ -543,6 +541,15 @@ class TestVelocityFit:
         v0 = fit_traveling_velocity(u, length)
         v1 = fit_traveling_velocity(u + 2.5, length)
         assert v1 == pytest.approx(v0 - 6 * 2.5, abs=1e-9)
+
+    # 2^530 u u_x overflows the dot products, and 2^-560 u_x . u_x underflows to 0
+    @pytest.mark.parametrize("k", [530, -560])
+    def test_fit_holds_at_extreme_amplitudes(self, k):
+        # u = 2^k (0.5 + cos x) travels at V = -1 - 6 (2^k / 2), to rounding
+        # in the 6 u u_x term, whose sum cancels to eps of its size
+        x = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        v = fit_traveling_velocity(2.0**k * (0.5 + np.cos(x)), 2 * np.pi)
+        assert v == pytest.approx(-1.0 - 3.0 * 2.0**k, rel=1e-12)
 
     def test_rejects_constant_field(self):
         with pytest.raises(DomainError, match="constant to roundoff"):

@@ -269,6 +269,10 @@ def test_only_fourier_names_the_plans():
 # of a sampled field, _floored_spectrum, states both
 _FIELD_READ = {"_real_field", "drop_noise_floor", "DROP_FLOOR"}
 
+# which entry of a half spectrum holds which mode, and what size of field
+# it stands for: fourier states the layout, and no other module reads it
+_LAYOUT = {"_half_modes", "_field_size", "_half_layout"}
+
 
 @pytest.mark.parametrize("source, names", [
     ("from .fourier import _real_field", _FIELD_READ),
@@ -278,6 +282,8 @@ _FIELD_READ = {"_real_field", "drop_noise_floor", "DROP_FLOOR"}
     ("def f(DROP_FLOOR):\n    return DROP_FLOOR", _FIELD_READ),
     ("from .fourier import _derivative_of_spectrum, _rfft", {"_rfft", "_irfft"}),
     ("from . import fourier\nu = fourier._irfft(u_hat)", {"_rfft", "_irfft"}),
+    ("from .fourier import _half_modes as modes", _LAYOUT),
+    ("from . import fourier\nn = fourier._field_size(u_hat.size)", _LAYOUT),
 ])
 def test_field_read_name_is_detected(source, names):
     assert uses_of(source, names)
@@ -286,13 +292,15 @@ def test_field_read_name_is_detected(source, names):
 def test_only_fourier_reads_a_real_field():
     # every door reads a sampled field through fourier._floored_spectrum,
     # so no other module checks or floors a field itself, and verify,
-    # which reads only the read's spectrum, transforms nothing
+    # which reads only the read's spectrum, transforms nothing; nor does
+    # any other module read the half spectrum's layout
     modules = {path.name: path.read_text()
                for path in Path(landen_kdv.__file__).parent.glob("*.py")}
     assert {"def _real_field", "def drop_noise_floor", "DROP_FLOOR"} <= set(
         uses_of(modules["fourier.py"], _FIELD_READ))
-    offenders = {name: uses_of(source, _FIELD_READ) for name, source in modules.items()
-                 if name != "fourier.py"}
+    assert {f"def {name}" for name in _LAYOUT} <= set(uses_of(modules["fourier.py"], _LAYOUT))
+    offenders = {name: uses_of(source, _FIELD_READ | _LAYOUT)
+                 for name, source in modules.items() if name != "fourier.py"}
     assert {name: uses for name, uses in offenders.items() if uses} == {}
     assert uses_of(modules["verify.py"], {"_rfft", "_irfft"}) == []
 
