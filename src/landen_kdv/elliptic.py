@@ -38,17 +38,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_real
 
 # Ladder levels below this contribute less than one ulp to the ascent.
 _LADDER_FLOOR = 1e-16
 
 
 def _check_m(m: float) -> float:
-    m = float(m)
-    if not math.isfinite(m) or not 0.0 <= m <= 1.0:
-        raise DomainError(f"modulus parameter must lie in [0, 1], got {m!r}")
-    return m
+    return _require_real(m, "modulus parameter", "lie in [0, 1]", lambda m: 0.0 <= m <= 1.0)
 
 
 def _agm(b: float) -> tuple[float, float]:

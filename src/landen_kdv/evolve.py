@@ -41,13 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InstabilityError
+from .errors import DomainError, InstabilityError, _require_integer, _require_positive
 from .fourier import (
     PeriodicGrid,
     _floored_spectrum,
     _irfft,
     _require_oscillation,
-    _require_positive,
     _rfft,
     _scaled_magnitude,
     kept_modes,
@@ -112,9 +111,7 @@ class EvolverConfig:
     def __post_init__(self) -> None:
         _require_positive(self.T, "T")
         # True is an int, and 1.5 would keep steps 3, 6 and 9 through n % 1.5
-        every = self.snapshot_every
-        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 0:
-            raise DomainError(f"snapshot_every must be an integer >= 0, got {every!r}")
+        _require_integer(self.snapshot_every, "snapshot_every", 0)
         if self.dt is None:
             return
         _require_positive(self.dt, "dt")

@@ -29,13 +29,12 @@ _rfft's half spectrum.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_integer, _require_positive
 
 # Spectral coefficients below DROP_FLOOR times eps * ||u_hat||_2 / sqrt(n),
 # the rounding level the samples leave in each coefficient (Parseval), are
@@ -50,14 +49,6 @@ def _require_pow2(n: int) -> int:
     if n < 1 or n & (n - 1):
         raise DomainError(f"transform size must be a power of two, got {n}")
     return n
-
-
-def _require_positive(value: float, name: str) -> None:
-    # True is a numbers.Real, a string would reach math.isfinite as a
-    # TypeError, and numpy floats are numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value <= 0.0):
-        raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +272,7 @@ def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np
     """d^order/dx^order of a real periodic field sampled on n points, n a power of two."""
     values, u_hat = _floored_spectrum(values, _require_pow2(np.size(values)), "values")
     _require_positive(length, "length")
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
-        raise DomainError(f"derivative order must be an integer >= 1, got {order!r}")
+    order = _require_integer(order, "derivative order", 1)
     return _derivative_of_spectrum(u_hat, wavenumbers(values.size, length), order)
 
 
@@ -319,9 +309,7 @@ class PeriodicGrid:
     L: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
-            raise DomainError(f"grid size must be an integer, got {self.N!r}")
-        _require_pow2(self.N)
+        _require_pow2(_require_integer(self.N, "grid size", 1))
         if self.N < 64:
             raise DomainError(f"grid needs at least 64 points, got {self.N}")
         _require_positive(self.L, "grid length")

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import _agm, _check_m, _modulus, complete_E, jacobi_sn_cn_dn
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, _require_integer, _require_real
 
 # Constancy probes for a_p(r): scattered points chosen off the K/p shift
 # lattice, where a symmetry could mask genuine x-dependence.  Column 0 of
@@ -61,17 +61,6 @@ class LandenMap:
     def cyclic_sum(self) -> float:
         """Sum of the cyclic constants, the S appearing in beta_tilde."""
         return math.fsum(self.a)
-
-
-def _check_pm(p: int, m: float) -> tuple[int, float]:
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
-        raise DomainError(f"p must be an integer >= 1, got {p!r}")
-    if p == 1:
-        return 1, _check_m(m)
-    m = float(m)
-    if not math.isfinite(m) or not 0.0 < m < 1.0:
-        raise DomainError(f"modulus parameter must lie in (0, 1), got {m!r}")
-    return int(p), m
 
 
 def _shift_lattice(x, shifts: tuple[float, ...]) -> np.ndarray:
@@ -164,10 +153,12 @@ def landen_map(p: int, m: float) -> LandenMap:
     within 1e-8; either miss, or a NaN in either, raises rather than
     returning a guess.
     """
-    p, m = _check_pm(p, m)
+    p = _require_integer(p, "p", 1)
     if p == 1:
         # identity map; assign exactly rather than route m through the nome
+        m = _check_m(m)
         return LandenMap(p=1, m=m, gamma=1.0, m_tilde=m, shifts=(0.0,), a=(), A=0.0)
+    m = _require_real(m, "modulus parameter", "lie in (0, 1)", lambda m: 0.0 < m < 1.0)
     big_k, gamma, m_tilde, a_nome = _nome(p, m)
     shifts = tuple(2.0 * i * big_k / p for i in range(p))
     d = _dn_on_lattice(_LATTICE_U, shifts, m)

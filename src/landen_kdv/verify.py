@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import complete_K, jacobi_sn_cn_dn
-from .errors import AliasingWarning, DomainError, PeriodMismatchError
+from .errors import AliasingWarning, DomainError, PeriodMismatchError, _require_real
 from .fourier import (
     PeriodicGrid,
     _derivative_of_spectrum,
@@ -164,8 +164,7 @@ def soliton_limit_check(alpha: float, beta: float, epsilon: float = 1e-12) -> fl
     Compares on the window |alpha*x| <= 5 at t = 0.  epsilon = 0 exercises
     the exact hyperbolic path and must agree to roundoff.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in [0, 1), got {epsilon!r}")
+    _require_real(epsilon, "epsilon", "lie in [0, 1)", lambda e: 0.0 <= e < 1.0)
     params = DnWaveParams(alpha=alpha, beta=beta, m=1.0 - epsilon, p=1)
     x = np.linspace(-_SOLITON_WINDOW / alpha, _SOLITON_WINDOW / alpha, 1001)
     u = u_p(x, 0.0, params)

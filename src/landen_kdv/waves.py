@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_K, jacobi_sn_cn_dn
-from .errors import DomainError
+from .errors import DomainError, _require_integer, _require_real
 from .fourier import PeriodicGrid
 from .landen import _shift_lattice, landen_map
 
@@ -40,8 +40,8 @@ _PM_ALPHA = 1.3
 
 def _check_alpha(alpha: float) -> None:
     # the speed scales as alpha**2, which overflows to an OverflowError past ~1.3e154
-    if not (alpha > 0.0 and math.isfinite(alpha * alpha)):
-        raise DomainError(f"alpha must be positive with a finite square, got {alpha!r}")
+    _require_real(alpha, "alpha", "be positive with a finite square",
+                  lambda a: a > 0.0 and math.isfinite(a * a))
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class DnWaveParams:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta!r}")
+        _require_real(self.beta, "beta", "be finite", lambda beta: True)
         # landen_map validates p and m
         landen_map(self.p, self.m)
 
@@ -83,7 +82,7 @@ class DnWaveParams:
 
     def natural_grid(self, n: int = 256, periods: int = 1) -> PeriodicGrid:
         """Grid spanning an integer number of spatial periods."""
-        return PeriodicGrid(N=n, L=periods * self.spatial_period)
+        return PeriodicGrid(N=n, L=_require_integer(periods, "periods", 1) * self.spatial_period)
 
     def sample(self, grid: PeriodicGrid, t: float | np.ndarray) -> np.ndarray:
         """The field on the grid; t of shape (k, 1) gives k slices as (k, N)."""
@@ -119,11 +118,8 @@ class PmWaveParams:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        m = float(self.m)
-        if not math.isfinite(m) or not 0.0 < m <= 1.0:
-            raise DomainError(f"modulus parameter must lie in (0, 1], got {m!r}")
-        if self.sign not in (1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign!r}")
+        _require_real(self.m, "modulus parameter", "lie in (0, 1]", lambda m: 0.0 < m <= 1.0)
+        _require_real(self.sign, "sign", "be +1 or -1", lambda sign: sign in (1.0, -1.0))
 
     @property
     def q1(self) -> float:
@@ -139,7 +135,7 @@ class PmWaveParams:
         return 4.0 * complete_K(self.m) / self.alpha
 
     def natural_grid(self, n: int = 512, periods: int = 1) -> PeriodicGrid:
-        return PeriodicGrid(N=n, L=periods * self.spatial_period)
+        return PeriodicGrid(N=n, L=_require_integer(periods, "periods", 1) * self.spatial_period)
 
     def sample(self, grid: PeriodicGrid, t: float) -> np.ndarray:
         return u_pm(grid.x, t, self)

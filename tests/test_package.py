@@ -305,6 +305,36 @@ def test_only_fourier_reads_a_real_field():
     assert uses_of(modules["verify.py"], {"_rfft", "_irfft"}) == []
 
 
+# what a caller's number may be: errors.py states it once, in _require_real
+# and _require_integer, and every door that takes a scalar calls them, so
+# no other module names a number type to test one
+_NUMBER_RULE = {"numbers", "Real", "Integral", "integer", "floating"}
+
+
+@pytest.mark.parametrize("source", [
+    "import numbers",
+    "from numbers import Real",
+    "from numbers import Integral as Whole",
+    "ok = isinstance(value, numbers.Real)",
+    "ok = isinstance(order, numbers.Integral)",
+    "ok = isinstance(p, (int, np.integer))",
+    "ok = isinstance(x, numpy.floating)",
+])
+def test_number_rule_name_is_detected(source):
+    assert uses_of(source, _NUMBER_RULE)
+
+
+def test_only_errors_states_the_number_rule():
+    modules = {path.name: path.read_text()
+               for path in Path(landen_kdv.__file__).parent.glob("*.py")}
+    helpers = {"_require_real", "_require_integer", "_require_positive"}
+    assert {f"def {name}" for name in helpers} <= set(uses_of(modules["errors.py"], helpers))
+    assert uses_of(modules["errors.py"], _NUMBER_RULE)
+    offenders = {name: uses_of(source, _NUMBER_RULE)
+                 for name, source in modules.items() if name != "errors.py"}
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
+
+
 # the private helpers of elliptic.py that landen.py shares: the domain
 # check and the AGM behind K, E and the nome.  Every other private function
 # there belongs to the kernel behind jacobi_sn_cn_dn: its front end and
