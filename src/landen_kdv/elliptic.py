@@ -20,15 +20,16 @@ jacobi_sn_cn_dn is the one kernel entry; every caller in the package
 reaches an ascent through it.  Two ascents share its front end
 (_ladder_base: the checks, the m = 1 hyperbolic branch and the reduction),
 and the keyword dn_only picks one of them once, at entry.  By default it
-carries sn, cn and dn up every level, for u_pm, the one caller that reads
-sn and cn.  _dn_ascent serves the callers that read dn alone: each level's dn is (1 - t)/(1 + t) with t = k sn^2 from the level
+carries sn, cn and dn up every level by its formula, for u_pm, the one
+caller that reads sn and cn.  _dn_ascent serves the callers that read dn
+alone: each level's dn is (1 - t)/(1 + t) with t = k sn^2 from the level
 below (DLMF 22.7(i)), so it carries only the sn chain, forms dn once at
 the top level and needs no cos and, below a non-empty ladder, no sqrt.
-It keeps every operation it does perform in the same order on the same
-operands, so jacobi_sn_cn_dn(x, m, dn_only=True) equals
-jacobi_sn_cn_dn(x, m)[2] bit for bit.  The two ascents stay separate
-loops rather than one loop that branches per level on what the caller
-reads.
+It alone works in place, and it keeps every operation it performs in the
+same order on the same operands, so jacobi_sn_cn_dn(x, m, dn_only=True)
+equals jacobi_sn_cn_dn(x, m)[2] bit for bit.  The two ascents stay
+separate loops rather than one loop that branches per level on what the
+caller reads.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _ladder_base(x, m: float):
     x comes back as a float array of ndim >= 1 and is never written to.
     """
     m = _check_m(m)
-    # 1-d at least: the in-place steps of the ascents need array outputs.
+    # 1-d at least: _dn_ascent's in-place steps need array outputs.
     # The reshape, the method .all() and np.rint below are the operations of
     # np.atleast_1d, np.all and np.round without their Python-level
     # wrappers, which cost ~5 us a call
@@ -165,24 +166,12 @@ def jacobi_sn_cn_dn(x, m: float, *, dn_only: bool = False):
         s, c, d = np.tanh(x_arr), z, z.copy()
     else:
         ks, m_bottom = ladder
-        # updated in place; each product keeps its operand order, as in
-        # (k*s)*s and ((1+k)*s)/(1+t), and c takes the previous level's d
-        s = np.sin(z)
-        c = np.cos(z, out=z)
-        t = m_bottom * s * s
-        d = np.sqrt(1.0 - t)
-        denom = np.empty_like(t)
+        s, c = np.sin(z), np.cos(z)
+        d = np.sqrt(1.0 - m_bottom * s * s)
         for k in reversed(ks):
-            # t = k s^2; s, c, d <- (1+k) s, c d, 1-t, each over 1+t
-            np.multiply(k, s, out=t)
-            t *= s
-            np.add(1.0, t, out=denom)
-            s *= 1.0 + k
-            s /= denom
-            c *= d
-            c /= denom
-            np.subtract(1.0, t, out=d)
-            d /= denom
+            t = k * s * s
+            denom = 1.0 + t
+            s, c, d = (1.0 + k) * s / denom, c * d / denom, (1.0 - t) / denom
 
     if np.ndim(x) == 0:
         return float(s[0]), float(c[0]), float(d[0])

@@ -45,7 +45,10 @@ class AliasingWarning(UserWarning):
 def _require_real(value, name: str, domain: str, admits) -> float:
     """value as a float if it is a finite real, not a bool, that ``admits`` takes."""
     if isinstance(value, _REALS) and type(value) is not bool:
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range is not finite
+            x = math.inf
         if math.isfinite(x) and admits(x):
             return x
     raise DomainError(f"{name} must {domain}, got {value!r}")

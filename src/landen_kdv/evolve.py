@@ -48,7 +48,7 @@ from .fourier import (
     _irfft,
     _require_oscillation,
     _rfft,
-    _scaled_magnitude,
+    _scaled,
     kept_modes,
 )
 
@@ -434,15 +434,13 @@ def translation_lag(u0: np.ndarray, u_final: np.ndarray, grid: PeriodicGrid) -> 
     correlation runs on the two reads' floored half spectra, without the
     mean term: the product of the means adds a constant and cannot move
     the peak.  A field flat to roundoff has no peak to find and is refused.
-    Each spectrum is first scaled exactly by _scaled_magnitude's power of
-    two, so their product neither overflows nor underflows.
+    Each spectrum is first scaled exactly by a power of two (fourier._scaled),
+    so their product neither overflows nor underflows.
     """
     u0_hat = _floored_spectrum(u0, grid.N, "u0")[1]
     final_hat = _floored_spectrum(u_final, grid.N, "u_final")[1]
     _require_oscillation(u0_hat, "u0", "the lag")
     _require_oscillation(final_hat, "u_final", "the lag")
-    u0_hat, final_hat = (np.ldexp(h.view(float), -_scaled_magnitude(h)[1]).view(complex)
-                         for h in (u0_hat, final_hat))
-    cross = final_hat * np.conj(u0_hat)
+    cross = _scaled(final_hat) * np.conj(_scaled(u0_hat))
     cross[0] = 0.0
     return float(np.argmax(_irfft(cross)) * grid.spacing)

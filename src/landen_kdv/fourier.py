@@ -115,16 +115,16 @@ def _half_layout(u_hat: np.ndarray) -> tuple[int, np.ndarray]:
     return n, weights
 
 
-def _scaled_magnitude(u_hat: np.ndarray) -> tuple[np.ndarray, int]:
-    """s|u_hat| and e, s = 2^-e the power of two that brings max|u_hat| into [1/2, 1).
+def _scaled(u_hat: np.ndarray) -> np.ndarray:
+    """u_hat * 2^-e, e the exponent that brings max|u_hat| into [1/2, 1).
 
-    The Parseval sums square it: |u_hat|^2 overflows past ~1e154 and
-    underflows below ~1e-154.  A power of two scales exactly, so ratios and
-    comparisons of these magnitudes are those of |u_hat|.
+    Squares and products of spectra overflow past ~1e154 and underflow
+    below ~1e-154.  A power of two scales exactly, so ratios and
+    comparisons of these coefficients are those of u_hat.
     """
-    magnitude = np.abs(u_hat)
-    e = math.frexp(magnitude.max(initial=0.0))[1]
-    return np.ldexp(magnitude, -e), e
+    e = math.frexp(np.abs(u_hat).max(initial=0.0))[1]
+    # real and imaginary parts as one float array; a real or strided u_hat is copied
+    return np.ldexp(np.ascontiguousarray(u_hat, dtype=complex).view(float), -e).view(complex)
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:
@@ -222,12 +222,12 @@ def drop_noise_floor(u_hat: np.ndarray) -> np.ndarray:
     noise in empty modes is amplified until it dominates small residuals.
     The level is eps * ||u_hat||_2 / sqrt(n), not a fraction of the peak:
     a large mean would set the peak and cut real harmonics.  The norm is
-    the full spectrum's, rebuilt with the Parseval weights on
-    _scaled_magnitude at any amplitude, so the level is the one the
-    samples leave in each coefficient.
+    the full spectrum's, rebuilt with the Parseval weights on the
+    magnitudes of _scaled(u_hat) at any amplitude, so the level is the one
+    the samples leave in each coefficient.
     """
     n, weights = _half_layout(u_hat)
-    scaled = _scaled_magnitude(u_hat)[0]
+    scaled = np.abs(_scaled(u_hat))
     rounding = np.finfo(float).eps * math.sqrt(weights @ scaled ** 2) / math.sqrt(n)
     return np.where(scaled < DROP_FLOOR * rounding, 0.0, u_hat)
 
@@ -251,7 +251,7 @@ def high_mode_energy_fraction(u_hat: np.ndarray) -> float:
     genuine high-mode content.
     """
     n, weights = _half_layout(u_hat)
-    power = weights * _scaled_magnitude(u_hat)[0] ** 2
+    power = weights * np.abs(_scaled(u_hat)) ** 2
     return float(np.sum(power[~kept_modes(n)]) / np.sum(power[1:]))
 
 
@@ -283,14 +283,14 @@ def fit_traveling_velocity(values: np.ndarray, length: float) -> float:
     -V u_x - 6 u u_x + u_xxx = 0, so V is the L2 projection of
     (u_xxx - 6 u u_x) onto u_x; a field flat to roundoff has none.  Both
     derivatives come from one floored half spectrum, as in kdv_residual.
-    They are taken on u_hat scaled exactly by _scaled_magnitude's power of
+    They are taken on _scaled(u_hat), u_hat scaled exactly by a power of
     two s: with u unscaled, u_xxx and 6 u u_x both scale by s, so V keeps
     its value and no product overflows or underflows at any amplitude.
     """
     u, u_hat = _floored_spectrum(values, _require_pow2(np.size(values)), "values")
     _require_positive(length, "length")
     _require_oscillation(u_hat, "values", "the velocity fit")
-    u_hat = np.ldexp(u_hat.view(float), -_scaled_magnitude(u_hat)[1]).view(complex)
+    u_hat = _scaled(u_hat)
     k = wavenumbers(u.size, length)
     u_x = _derivative_of_spectrum(u_hat, k, 1)
     u_xxx = _derivative_of_spectrum(u_hat, k, 3)

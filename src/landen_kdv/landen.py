@@ -63,15 +63,11 @@ class LandenMap:
         return math.fsum(self.a)
 
 
-def _shift_lattice(x, shifts: tuple[float, ...]) -> np.ndarray:
-    """x + shifts[i] stacked as shape (p, *x.shape)."""
-    # np.asarray first: np.reshape on a tuple takes numpy's slow wrapping path
-    return x + np.asarray(shifts).reshape((len(shifts),) + (1,) * np.ndim(x))
-
-
 def _dn_on_lattice(x, shifts: tuple[float, ...], m: float) -> np.ndarray:
-    """dn(x + shifts[i], m) stacked as shape (p, *x.shape), in one kernel call."""
-    return jacobi_sn_cn_dn(_shift_lattice(x, shifts), m, dn_only=True)
+    """The package's one shifted dn stack: dn(x + shifts[i], m) as shape (p, *x.shape)."""
+    # np.asarray first: np.reshape on a tuple takes numpy's slow wrapping path
+    lattice = x + np.asarray(shifts).reshape((len(shifts),) + (1,) * np.ndim(x))
+    return jacobi_sn_cn_dn(lattice, m, dn_only=True)
 
 
 def cyclic_sums(d: np.ndarray) -> np.ndarray:
@@ -236,8 +232,9 @@ def transform_params(alpha: float, beta: float, lmap: LandenMap):
     speed tests the superposition's b_p.
     """
     # waves.py imports this module
-    from .waves import DnWaveParams
+    from .waves import DnWaveParams, _check_alpha, _check_beta
 
+    alpha, beta = _check_alpha(alpha), _check_beta(beta)
     g2 = lmap.gamma**2
     return DnWaveParams(alpha=alpha / lmap.gamma,
                         beta=beta * g2 + 2.0 * g2 * lmap.cyclic_sum, m=lmap.m_tilde)

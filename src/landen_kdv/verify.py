@@ -123,6 +123,7 @@ def kdv_residual(wave, grid: PeriodicGrid, t: float = 0.0) -> ResidualReport:
     measures nothing, so it raises too.  Warns when the top-third band
     carries enough energy for products to alias.
     """
+    t = _require_real(t, "t", "be finite", lambda t: True)
     period = wave.spatial_period
     # a nan, infinite or non-positive period holds no whole periods and is
     # never divided by
@@ -279,8 +280,7 @@ def _cyclic_constancy_metric(p: int, m: float) -> float:
 def _quarter_period_metric(m: float) -> float:
     big_k = complete_K(m)
     x = np.linspace(0.0, 2.0 * big_k, 257)
-    # rows x and x + K, from one kernel call
-    d = jacobi_sn_cn_dn(x + np.array([[0.0], [big_k]]), m, dn_only=True)
+    d = _dn_on_lattice(x, (0.0, big_k), m)
     return float(np.max(np.abs(d[0] * d[1] - math.sqrt(1.0 - m))))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .elliptic import complete_K, jacobi_sn_cn_dn
 from .errors import DomainError, _require_integer, _require_real
 from .fourier import PeriodicGrid
-from .landen import _shift_lattice, landen_map
+from .landen import _dn_on_lattice, landen_map
 
 # 1 - m1 below which dn at m1 is too coarse for the dn^2 form of u_pm: at
 # alpha = 1.3 the gap is 4.1e-11 at 6.3e-6 (m = 0.99), 1.0e-10 at 4.0e-6.
@@ -38,10 +38,14 @@ _PM_M1_FLOOR = 5e-6
 _PM_ALPHA = 1.3
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> float:
     # the speed scales as alpha**2, which overflows to an OverflowError past ~1.3e154
-    _require_real(alpha, "alpha", "be positive with a finite square",
-                  lambda a: a > 0.0 and math.isfinite(a * a))
+    return _require_real(alpha, "alpha", "be positive with a finite square",
+                         lambda a: a > 0.0 and math.isfinite(a * a))
+
+
+def _check_beta(beta: float) -> float:
+    return _require_real(beta, "beta", "be finite", lambda beta: True)
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class DnWaveParams:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        _require_real(self.beta, "beta", "be finite", lambda beta: True)
+        _check_beta(self.beta)
         # landen_map validates p and m
         landen_map(self.p, self.m)
 
@@ -99,13 +103,10 @@ def u_p(x, t: float | np.ndarray, params: DnWaveParams):
     alpha = params.alpha
     xi = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     total = np.zeros_like(xi)
-    lattice = _shift_lattice(xi, landen_map(params.p, params.m).shifts)
-    for row in jacobi_sn_cn_dn(lattice, params.m, dn_only=True):
+    for row in _dn_on_lattice(xi, landen_map(params.p, params.m).shifts, params.m):
         total += row**2
     out = -2.0 * alpha**2 * total + params.beta * alpha**2
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,7 @@ def u_pm(x, t: float | np.ndarray, params: PmWaveParams):
     alpha = params.alpha
     eta = alpha * (np.asarray(x, dtype=float) - params.velocity * t)
     s, c, d = jacobi_sn_cn_dn(eta, params.m)
-    out = alpha**2 * (params.m * s * s + params.sign * math.sqrt(params.m) * c * d)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return alpha**2 * (params.m * s * s + params.sign * math.sqrt(params.m) * c * d)
 
 
 def _pm_as_dn2(params: PmWaveParams, p: int) -> tuple[DnWaveParams, float]:

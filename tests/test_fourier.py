@@ -267,6 +267,14 @@ class TestModeBookkeeping:
         assert cleaned[1] == 0.0
         assert cleaned[0] == 1.0 and cleaned[2] == 0.5
 
+    def test_drop_noise_floor_reads_a_real_or_strided_spectrum(self):
+        # the exact scale reads real and imaginary parts as one float array;
+        # a real or strided half spectrum floors as its complex copy does
+        u_hat = np.array([1.0, 1e-20, 0.5, 0.25, 1e-19])
+        expected = drop_noise_floor(u_hat.astype(complex))
+        assert np.array_equal(drop_noise_floor(u_hat), expected)
+        assert np.array_equal(drop_noise_floor(np.repeat(u_hat.astype(complex), 2)[::2]), expected)
+
     @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_kept_modes_is_the_two_thirds_band(self, n):
         j = _half_modes(n)

@@ -371,6 +371,56 @@ def test_only_elliptic_names_its_kernels():
     assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
+# the one route from a wave to the kernel: landen._dn_on_lattice alone
+# builds a stack of shifted dn arguments, so every other kernel call takes
+# a plain name, and no name that a map's shifts went into
+def kernel_calls(node: ast.AST) -> list[ast.Call]:
+    """The calls of jacobi_sn_cn_dn in a node, by name or as an attribute."""
+    return [call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and uses_of(call.func, {"jacobi_sn_cn_dn"})]
+
+
+def stacked_kernel_arguments(source: str) -> list[str]:
+    """The jacobi_sn_cn_dn calls whose argument is built in the call or from shifts."""
+    tree = ast.parse(source)
+    from_shifts = {name.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and uses_of(node.value, {"shifts"})
+                   for target in node.targets for name in ast.walk(target)
+                   if isinstance(name, ast.Name)}
+    return [ast.unparse(call) for call in kernel_calls(tree)
+            if not (call.args and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id not in from_shifts)]
+
+
+@pytest.mark.parametrize("source", [
+    "def u_p(x, t, params):\n"
+    "    xi = params.alpha * (np.asarray(x, dtype=float) - params.velocity * t)\n"
+    "    total = np.zeros_like(xi)\n"
+    "    lattice = _shift_lattice(xi, landen_map(params.p, params.m).shifts)\n"
+    "    for row in jacobi_sn_cn_dn(lattice, params.m, dn_only=True):\n"
+    "        total += row**2\n",
+    "d = jacobi_sn_cn_dn(x + np.array([[0.0], [big_k]]), m, dn_only=True)",
+    "d = elliptic.jacobi_sn_cn_dn(np.stack((x, x + big_k)), m)",
+    "stack, n = x + np.asarray(lmap.shifts)[:, None], x.size\nd = jacobi_sn_cn_dn(stack, lmap.m)",
+], ids=["parent-u_p", "quarter-period-stack", "stacked-in-call", "named-shift-stack"])
+def test_stacked_kernel_argument_is_detected(source):
+    assert stacked_kernel_arguments(source)
+
+
+def test_only_dn_on_lattice_builds_a_shifted_stack():
+    modules = {path.name: path.read_text()
+               for path in Path(landen_kdv.__file__).parent.glob("*.py")}
+    landen_callers = {node.name for node in ast.walk(ast.parse(modules["landen.py"]))
+                      if isinstance(node, ast.FunctionDef) and kernel_calls(node)}
+    assert landen_callers == {"_dn_on_lattice"}
+    offenders = {name: stacked_kernel_arguments(source) for name, source in modules.items()
+                 if name not in {"elliptic.py", "landen.py"}}
+    assert {name: calls for name, calls in offenders.items() if calls} == {}
+    # not vacuous: waves and verify call the kernel, with plain names
+    assert kernel_calls(ast.parse(modules["waves.py"]))
+    assert kernel_calls(ast.parse(modules["verify.py"]))
+
+
 REPO = Path(__file__).resolve().parents[1]
 
 
